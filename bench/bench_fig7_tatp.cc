@@ -52,8 +52,7 @@ void Run() {
     dopts.concurrency_per_thread = p.concurrency;
     dopts.warmup = 10 * kMillisecond;
     dopts.measure = 60 * kMillisecond;
-    FabricStats stats_before = cluster->fabric().stats();
-    uint64_t msgs_before = stats_before.WireMessages();
+    uint64_t msgs_before = cluster->fabric().stats().WireMessages();
     uint64_t committed_before = cluster->TotalStats().tx_committed;
     DriverResult r = RunClosedLoop(*cluster, db->value().MakeWorkload(), dopts);
     uint64_t msgs = cluster->fabric().stats().WireMessages() - msgs_before;
@@ -72,10 +71,7 @@ void Run() {
                    {"tx_per_sec", r.CommittedPerSecond()},
                    {"p50_us", p50_us},
                    {"p99_us", p99_us},
-                   {"msgs_per_tx", msgs_per_tx},
-                   {"dp_msgs_per_tx",
-                    bench::DataPlaneMsgsPerTx(stats_before, cluster->fabric().stats(),
-                                              committed)}});
+                   {"msgs_per_tx", msgs_per_tx}});
     }
   }
   if (auto* j = bench::Json()) {

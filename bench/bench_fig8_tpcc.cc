@@ -57,8 +57,7 @@ void Run() {
     dopts.warmup = 10 * kMillisecond;
     dopts.measure = 60 * kMillisecond;
     dopts.machines = db->value().ClientMachines(*cluster);
-    FabricStats stats_before = cluster->fabric().stats();
-    uint64_t msgs_before = stats_before.WireMessages();
+    uint64_t msgs_before = cluster->fabric().stats().WireMessages();
     uint64_t committed_before = cluster->TotalStats().tx_committed;
     DriverResult r = RunClosedLoop(*cluster, db->value().MakeWorkload(), dopts);
     uint64_t committed = cluster->TotalStats().tx_committed - committed_before;
@@ -78,10 +77,7 @@ void Run() {
                    {"new_order_per_sec", static_cast<double>(new_orders) / secs},
                    {"tx_per_sec", r.CommittedPerSecond()},
                    {"p50_us", p50_us},
-                   {"p99_us", p99_us},
-                   {"dp_msgs_per_tx",
-                    bench::DataPlaneMsgsPerTx(stats_before, cluster->fabric().stats(),
-                                              committed)}});
+                   {"p99_us", p99_us}});
     }
   }
   if (auto* j = bench::Json()) {

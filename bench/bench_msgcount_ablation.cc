@@ -18,15 +18,11 @@ struct FarmCounts {
   double writes_per_tx;
   double reads_per_tx;
   double rpcs_per_tx;
-  double wire_msgs_per_tx;
-  double doorbells_per_tx;
 };
 
-FarmCounts MeasureFarm(bool backup_lock_records, int num_regions, int read_only_objects,
-                       bool batch = false) {
+FarmCounts MeasureFarm(bool backup_lock_records, int num_regions, int read_only_objects) {
   ClusterOptions copts = bench::DefaultClusterOptions(14, 57);
   copts.node.backup_lock_records = backup_lock_records;
-  copts.node.msgr.batch = batch;
   auto cluster = std::make_unique<Cluster>(copts);
   cluster->Start();
   cluster->RunFor(5 * kMillisecond);
@@ -106,10 +102,6 @@ FarmCounts MeasureFarm(bool backup_lock_records, int num_regions, int read_only_
       static_cast<double>(after.rdma_writes - before.rdma_writes) / *committed;
   out.reads_per_tx = static_cast<double>(after.rdma_reads - before.rdma_reads) / *committed;
   out.rpcs_per_tx = static_cast<double>(after.rpcs - before.rpcs) / *committed;
-  out.wire_msgs_per_tx =
-      static_cast<double>(after.WireMessages() - before.WireMessages()) / *committed;
-  out.doorbells_per_tx =
-      static_cast<double>(after.doorbells - before.doorbells) / *committed;
   return out;
 }
 
@@ -189,32 +181,6 @@ void Run() {
     double msgs = MeasureTwoPc(p);
     std::printf("2PC over Paxos groups, P=%-9d %10s %10s %10.1f %9d(m)\n", p, "-", "-",
                 msgs / 2.0, 4 * p * 5);
-  }
-  {
-    // Data-plane batching ablation: same workload, batching off vs on.
-    // This workload issues transactions one at a time from one coordinator,
-    // so batches rarely hold more than one record and the reduction here is
-    // a *floor*: coalescing needs concurrent same-destination traffic, which
-    // the loaded fig7/fig8 sweeps provide (their batched-vs-unbatched deltas
-    // are the gated numbers -- see tools/bench/run_bench_suite).
-    FarmCounts off = MeasureFarm(false, 2, 0, /*batch=*/false);
-    FarmCounts on = MeasureFarm(false, 2, 0, /*batch=*/true);
-    double reduction = (1.0 - on.wire_msgs_per_tx / off.wire_msgs_per_tx) * 100.0;
-    std::printf("FaRM Pw=2, batching off          %10.1f %10.1f %10.1f %10.1f(msgs)\n",
-                off.writes_per_tx, off.reads_per_tx, off.rpcs_per_tx, off.wire_msgs_per_tx);
-    std::printf("FaRM Pw=2, batching on           %10.1f %10.1f %10.1f %10.1f(msgs)\n",
-                on.writes_per_tx, on.reads_per_tx, on.rpcs_per_tx, on.wire_msgs_per_tx);
-    std::printf("  -> batching sends %.0f%% fewer wire messages per committed tx "
-                "(%.1f doorbells/tx)\n"
-                "     (serial coordinator: a floor, not the loaded-cluster number;\n"
-                "      the gated deltas come from the fig7/fig8 sweeps)\n",
-                reduction, on.doorbells_per_tx);
-    if (auto* j = bench::Json()) {
-      j->Set("msgs_per_tx_unbatched", off.wire_msgs_per_tx);
-      j->Set("msgs_per_tx_batched", on.wire_msgs_per_tx);
-      j->Set("msg_reduction_pct", reduction);
-      j->Set("doorbells_per_tx_batched", on.doorbells_per_tx);
-    }
   }
   std::printf("\nNote: FaRM per-tx writes include LOCK + COMMIT-BACKUP + COMMIT-PRIMARY\n"
               "records plus amortized truncation and ring-buffer feedback writes; the\n"

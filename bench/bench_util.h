@@ -110,28 +110,7 @@ inline uint64_t& SimEventsProcessed() {
   static uint64_t n = 0;
   return n;
 }
-inline bool& BatchFlag() {
-  static bool batch = false;
-  return batch;
-}
-inline SimDuration& BatchQuantum() {
-  static SimDuration q = 0;  // 0 = keep the Messenger::Options default
-  return q;
-}
-inline bool& BackoffFlag() {
-  static bool backoff = false;
-  return backoff;
-}
 }  // namespace internal
-
-// True when the bench ran with --batch: DefaultClusterOptions then enables
-// data-plane batching, and benches record the mode in their JSON output.
-inline bool BatchRequested() { return internal::BatchFlag(); }
-// Flush-quantum override from --batch-quantum=<ns> (0 = messenger default).
-inline SimDuration BatchQuantumRequested() { return internal::BatchQuantum(); }
-// True when the bench ran with --backoff: DefaultClusterOptions then enables
-// adaptive lock-conflict backoff in the coordinators.
-inline bool BackoffRequested() { return internal::BackoffFlag(); }
 
 // Records how many simulator events the bench's measured body pumped. The
 // BenchEnv destructor divides this by wall time to derive events_per_sec,
@@ -144,11 +123,6 @@ inline void ReportSimEvents(uint64_t events) { internal::SimEventsProcessed() = 
 //   --flight-out=<path>   append every cluster's flight-recorder postmortem
 //   --trace-no-net        omit per-operation fabric events (smaller traces)
 //   --json-out=<path>     write a machine-readable result summary (JSON)
-//   --batch               enable data-plane batching (message coalescing +
-//                         doorbell batching) for clusters built with
-//                         DefaultClusterOptions
-//   --batch-quantum=<ns>  override the batch flush quantum (with --batch)
-//   --backoff             enable adaptive lock-conflict backoff
 // Construct one at the top of main(); the destructor writes the trace after
 // the bench body finishes. Unrecognized arguments are ignored, so benches
 // keep their zero-flag invocations.
@@ -168,12 +142,6 @@ class BenchEnv {
         capture_net = false;
       } else if (std::strncmp(arg, "--json-out=", 11) == 0) {
         json_path_ = arg + 11;
-      } else if (std::strcmp(arg, "--batch") == 0) {
-        internal::BatchFlag() = true;
-      } else if (std::strncmp(arg, "--batch-quantum=", 16) == 0) {
-        internal::BatchQuantum() = static_cast<SimDuration>(std::strtoull(arg + 16, nullptr, 10));
-      } else if (std::strcmp(arg, "--backoff") == 0) {
-        internal::BackoffFlag() = true;
       }
     }
     if (!trace_path_.empty()) {
@@ -277,44 +245,23 @@ inline ClusterOptions DefaultClusterOptions(int machines, uint64_t seed = 1) {
   opts.node.region_size = 1 << 20;
   opts.node.block_size = 64 << 10;
   opts.node.lease.duration = 10 * kMillisecond;
-  opts.node.msgr.batch = BatchRequested();
-  if (BatchQuantumRequested() > 0) {
-    opts.node.msgr.batch_flush_delay = BatchQuantumRequested();
-  }
-  opts.node.adaptive_backoff = BackoffRequested();
   return opts;
 }
 
 // Emits wire-level message accounting into the JSON report: total fabric
 // messages, committed transactions, and the per-committed-tx message count
-// the batching ablation tracks (fig 7's msgs/tx axis). `msgs` and
-// `committed` are deltas over the measured window.
+// (fig 7's msgs/tx axis). `msgs` and `committed` are deltas over the
+// measured window.
 inline void ReportMessageCounts(uint64_t msgs, uint64_t committed) {
   JsonReport* j = Json();
   if (j == nullptr) {
     return;
   }
-  j->SetString("batch_mode", BatchRequested() ? "on" : "off");
   j->Set("wire_messages", msgs);
   j->Set("committed_txs", committed);
   if (committed > 0) {
     j->Set("msgs_per_tx", static_cast<double>(msgs) / static_cast<double>(committed));
   }
-}
-
-// Data-plane messages per committed transaction between two FabricStats
-// snapshots: ring writes + RPC request/response messages + datagrams. These
-// are the sends per-destination coalescing can merge; one-sided READs are
-// excluded because a read has no remote send to merge.
-inline double DataPlaneMsgsPerTx(const FabricStats& before, const FabricStats& after,
-                                 uint64_t committed) {
-  if (committed == 0) {
-    return 0.0;
-  }
-  double n = static_cast<double>(committed);
-  return (static_cast<double>(after.rdma_writes - before.rdma_writes) +
-          2.0 * static_cast<double>(after.rpcs - before.rpcs) +
-          static_cast<double>(after.datagrams - before.datagrams)) / n;
 }
 
 // Per-category wire-op deltas over the measured windows, normalized per
@@ -327,20 +274,9 @@ inline void ReportWireBreakdown(const FabricStats& before, const FabricStats& af
     return;
   }
   double n = static_cast<double>(committed);
-  double reads = static_cast<double>(after.rdma_reads - before.rdma_reads) / n;
-  double writes = static_cast<double>(after.rdma_writes - before.rdma_writes) / n;
-  double rpc_msgs = 2.0 * static_cast<double>(after.rpcs - before.rpcs) / n;
-  double dgrams = static_cast<double>(after.datagrams - before.datagrams) / n;
-  j->Set("reads_per_tx", reads);
-  j->Set("writes_per_tx", writes);
-  j->Set("rpc_msgs_per_tx", rpc_msgs);
-  j->Set("doorbells_per_tx", static_cast<double>(after.doorbells - before.doorbells) / n);
-  // Data-plane messages: the sends the batching layer can coalesce (ring
-  // writes, RPC request/response pairs, datagrams). One-sided READs are not
-  // messages -- a read is a NIC-to-memory fetch with no remote send, and no
-  // amount of coalescing merges two reads into one wire transfer -- so the
-  // batched-vs-unbatched gate compares this number, not total verbs.
-  j->Set("dp_msgs_per_tx", writes + rpc_msgs + dgrams);
+  j->Set("reads_per_tx", static_cast<double>(after.rdma_reads - before.rdma_reads) / n);
+  j->Set("writes_per_tx", static_cast<double>(after.rdma_writes - before.rdma_writes) / n);
+  j->Set("rpc_msgs_per_tx", 2.0 * static_cast<double>(after.rpcs - before.rpcs) / n);
 }
 
 inline void PrintHeader(const std::string& title, const std::string& paper_ref,

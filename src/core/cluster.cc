@@ -6,6 +6,9 @@ namespace {
 
 uint64_t SimNowForLog(void* ctx) { return static_cast<Simulator*>(ctx)->Now(); }
 
+// Two NICs per machine, as in the paper's testbed (two 56 Gbps ConnectX-3).
+constexpr int kNicsPerMachine = 2;
+
 }  // namespace
 
 Cluster::Cluster(ClusterOptions options)
@@ -24,8 +27,7 @@ Cluster::Cluster(ClusterOptions options)
     machines_.push_back(
         std::make_unique<Machine>(sim_, static_cast<MachineId>(i), threads, domain));
     stores_.push_back(std::make_unique<NvramStore>());
-    fabric_->AddMachine(machines_.back().get(), stores_.back().get(),
-                        options_.nics_per_machine);
+    fabric_->AddMachine(machines_.back().get(), stores_.back().get(), kNicsPerMachine);
   }
 
   // One flight-recorder ring per FaRM machine; the fabric stamps
@@ -194,8 +196,6 @@ NodeStats Cluster::TotalStats() const {
     total.recovering_txs_seen += s.recovering_txs_seen;
     total.regions_rereplicated += s.regions_rereplicated;
     total.reconfigurations += s.reconfigurations;
-    total.tx_backoff_waits += s.tx_backoff_waits;
-    total.tx_backoff_ns += s.tx_backoff_ns;
   }
   return total;
 }

@@ -28,7 +28,6 @@ struct ClusterOptions {
   int zk_replicas = 3;
   NodeOptions node;
   CostModel cost;
-  int nics_per_machine = 2;
   // Machines are assigned round-robin to this many failure domains
   // (0 = every machine is its own domain).
   int failure_domains = 0;

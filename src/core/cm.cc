@@ -15,6 +15,14 @@ constexpr SimDuration kPrepareTimeout = 50 * kMillisecond;
 // A non-CM machine that asked a backup CM to reconfigure retries itself
 // after this long if nothing changed.
 constexpr SimDuration kBackupCmTimeout = 20 * kMillisecond;
+// How often a machine restarted with empty state re-asks the CM to admit it
+// until it appears in a committed configuration.
+constexpr SimDuration kJoinRetryInterval = 10 * kMillisecond;
+// How often a live member checks the coordination service for its own
+// eviction (restart-and-rejoin trigger).
+constexpr SimDuration kEvictionCheckInterval = 20 * kMillisecond;
+// k backup CMs: the CM's successors on the consistent-hash ring.
+constexpr size_t kBackupCms = 2;
 
 }  // namespace
 
@@ -206,16 +214,13 @@ Detached Node::RunJoin(uint64_t restart_epoch) {
         messenger_->SendMessage(current.cm, MsgType::kJoinRequest, w.Take(), -1);
       }
     }
-    co_await SleepFor(sim(), options_.join_retry_interval);
+    co_await SleepFor(sim(), kJoinRetryInterval);
   }
 }
 
 Detached Node::RunEvictionMonitor(uint64_t generation) {
-  if (options_.eviction_check_interval == 0) {
-    co_return;
-  }
   while (machine_->alive() && generation == eviction_monitor_generation_) {
-    co_await SleepFor(sim(), options_.eviction_check_interval);
+    co_await SleepFor(sim(), kEvictionCheckInterval);
     if (!machine_->alive() || generation != eviction_monitor_generation_) {
       co_return;
     }
@@ -277,7 +282,7 @@ void Node::OnCmSuspected() {
       ring.AddNode(m);
     }
   }
-  auto successors = ring.Successors(cm, static_cast<size_t>(options_.backup_cms));
+  auto successors = ring.Successors(cm, kBackupCms);
   bool am_backup_cm =
       std::find(successors.begin(), successors.end(), id()) != successors.end();
   if (am_backup_cm) {

@@ -12,6 +12,15 @@
 
 namespace farm {
 
+namespace {
+
+// Allocator recovery pacing: objects scanned per step, and the gap between
+// steps.
+constexpr int kAllocScanObjects = 100;
+constexpr SimDuration kAllocScanInterval = 100 * kMicrosecond;
+
+}  // namespace
+
 void Node::OnAllRegionsActive() {
   if (!new_backup_regions_.empty()) {
     cluster_->NoteMilestone("data-rec-start");
@@ -173,14 +182,13 @@ Detached Node::RunAllocatorRecovery(RegionId region) {
     co_return;
   }
   ConfigId cfg = config_.id;
-  // Paced: scan a batch of objects every interval (100 objects / 100 us).
   while (machine_->alive() && config_.id == cfg && alloc->recovering()) {
-    int scanned = alloc->RecoveryScanStep(options_.alloc_scan_objects);
+    int scanned = alloc->RecoveryScanStep(kAllocScanObjects);
     worker(0).InjectBusy(static_cast<SimDuration>(scanned) * 30);
     if (!alloc->recovering()) {
       break;
     }
-    co_await SleepFor(sim(), options_.alloc_scan_interval);
+    co_await SleepFor(sim(), kAllocScanInterval);
   }
 }
 

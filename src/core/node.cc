@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "src/common/hash.h"
 #include "src/common/logging.h"
-#include "src/common/rand.h"
 #include "src/core/cluster.h"
 #include "src/core/flight_hooks.h"
 #include "src/obs/trace.h"
@@ -18,6 +16,9 @@ constexpr size_t kMaxPiggybackTruncations = 8;
 
 constexpr SimDuration kRefRequestTimeout = 50 * kMillisecond;
 constexpr SimDuration kBlockedRegionPollInterval = 500 * kMicrosecond;
+// How long queued truncation ids wait for a carrier record before an
+// explicit TRUNCATE record goes out.
+constexpr SimDuration kTruncateFlushInterval = 200 * kMicrosecond;
 
 }  // namespace
 
@@ -33,8 +34,6 @@ void NodeStats::BindTo(metrics::Registry& reg, const std::string& node_label) {
   recovering_txs_seen = reg.GetCounter("recovering_txs_seen", labels);
   regions_rereplicated = reg.GetCounter("regions_rereplicated", labels);
   reconfigurations = reg.GetCounter("reconfigurations", labels);
-  tx_backoff_waits = reg.GetCounter("tx_backoff_waits", labels);
-  tx_backoff_ns = reg.GetCounter("tx_backoff_ns", labels);
 }
 
 Node::Node(Cluster* cluster, Machine* machine, NvramStore* store, NodeOptions options)
@@ -49,8 +48,6 @@ Node::Node(Cluster* cluster, Machine* machine, NvramStore* store, NodeOptions op
   phase_metrics_.BindTo(cluster_->metrics_registry());
   options_.msgr.worker_threads = options_.worker_threads;
   messenger_ = std::make_unique<Messenger>(fabric(), *machine_, *store_, options_.msgr);
-  messenger_->BindStats(cluster_->metrics_registry(), "m" + std::to_string(machine_->id()));
-  messenger_->SetFlightRecorder(flight_);
   messenger_->SetHandlers(
       [this](MachineId from, uint64_t seq, const TxLogRecord& rec) {
         HandleLogRecord(from, seq, rec);
@@ -376,7 +373,7 @@ void Node::QueueTruncation(const TxId& tx_id, const std::vector<MachineId>& hold
   }
   if (!truncate_flush_armed_) {
     truncate_flush_armed_ = true;
-    sim().After(options_.truncate_flush_interval, [this]() {
+    sim().After(kTruncateFlushInterval, [this]() {
       truncate_flush_armed_ = false;
       FlushTruncations();
     });
@@ -400,51 +397,6 @@ std::vector<TxId> Node::TakeTruncationsFor(MachineId dst, size_t max) {
     TruncationDequeued(t, /*dispatched=*/true);
   }
   return out;
-}
-
-void Node::NoteLockOutcome(int thread, RegionId region, bool conflict) {
-  if (!options_.adaptive_backoff) {
-    return;
-  }
-  const double alpha = options_.backoff_ewma_alpha;
-  double& ewma = conflict_ewma_[{thread, region}];
-  if (conflict) {
-    ewma += alpha * (1.0 - ewma);
-  } else {
-    ewma *= 1.0 - alpha;
-    // Drop cold entries so a long run's map stays bounded by the hot set.
-    if (ewma < 1e-4) {
-      conflict_ewma_.erase({thread, region});
-    }
-  }
-}
-
-SimDuration Node::LockBackoffDelay(int thread, const TxId& id,
-                                   const std::vector<RegionId>& regions) {
-  if (!options_.adaptive_backoff) {
-    return 0;
-  }
-  // The hottest region the transaction touched decides the delay.
-  double hottest = 0.0;
-  for (RegionId r : regions) {
-    auto it = conflict_ewma_.find({thread, r});
-    if (it != conflict_ewma_.end() && it->second > hottest) {
-      hottest = it->second;
-    }
-  }
-  if (hottest <= 0.01) {
-    return 0;  // essentially uncontended: retry immediately
-  }
-  // Delay window scales with the conflict rate, bounded by backoff_max.
-  // Jitter is seeded from (sim clock, tx id, thread): pure function of
-  // simulation state, so same-seed runs back off identically, yet two
-  // coordinators colliding at the same instant draw different delays.
-  SimDuration span = static_cast<SimDuration>(
-      static_cast<double>(options_.backoff_max - options_.backoff_base) * hottest);
-  Pcg32 jitter(HashCombine(HashCombine(sim().Now(), id.local), id.thread),
-               static_cast<uint64_t>(thread));
-  SimDuration delay = options_.backoff_base + jitter.Uniform64(span + 1);
-  return delay < options_.backoff_max ? delay : options_.backoff_max;
 }
 
 void Node::TruncationDequeued(const TxId& tx_id, bool dispatched) {
@@ -498,7 +450,7 @@ void Node::FlushTruncations() {
   }
   if (!pending_truncations_.empty() && !truncate_flush_armed_) {
     truncate_flush_armed_ = true;
-    sim().After(options_.truncate_flush_interval, [this]() {
+    sim().After(kTruncateFlushInterval, [this]() {
       truncate_flush_armed_ = false;
       FlushTruncations();
     });

@@ -50,37 +50,14 @@ struct NodeOptions {
   uint32_t block_size = 64 << 10;            // scaled down from 1 MB
   Messenger::Options msgr;
   LeaseOptions lease;
-  int validate_rpc_threshold = 4;            // t_r: RDMA reads vs RPC validation
   int replication_factor = 3;                // f+1 copies per region
   // NSDI'14-protocol ablation: also send LOCK records to backups (the
   // optimized protocol eliminates these messages; see section 7).
   bool backup_lock_records = false;
-  SimDuration commit_resolution_timeout = 500 * kMillisecond;  // safety net
-  SimDuration truncate_flush_interval = 200 * kMicrosecond;
   // Recovery pacing (sections 5.4, 5.5).
   uint32_t recovery_block_bytes = 8 << 10;
   SimDuration recovery_fetch_interval = 4 * kMillisecond;  // randomized window
   int recovery_concurrent_fetches = 1;       // per region being re-replicated
-  int alloc_scan_objects = 100;
-  SimDuration alloc_scan_interval = 100 * kMicrosecond;
-  SimDuration vote_timeout = 250 * kMicrosecond;
-  int backup_cms = 2;                        // k backup CMs (CM successors)
-  // How often a machine restarted with empty state re-asks the CM to admit
-  // it until it appears in a committed configuration.
-  SimDuration join_retry_interval = 10 * kMillisecond;
-  // How often a live member checks the coordination service for its own
-  // eviction (restart-and-rejoin trigger). 0 disables the monitor.
-  SimDuration eviction_check_interval = 20 * kMillisecond;
-  // Adaptive lock-conflict backoff (off by default: coordinators retry
-  // immediately and no backoff state is touched, preserving traces).
-  // When on, each (thread, region) pair tracks a conflict-rate EWMA; a lock
-  // abort on a contended region sleeps a bounded, deterministic
-  // (sim-clock-seeded) delay before surfacing the abort, de-synchronizing
-  // colliding coordinators.
-  bool adaptive_backoff = false;
-  SimDuration backoff_base = 2 * kMicrosecond;
-  SimDuration backoff_max = 256 * kMicrosecond;
-  double backoff_ewma_alpha = 0.25;
   // Chaos-only protocol mutation: commit without waiting for COMMIT-BACKUP
   // hardware acks. Deliberately UNSAFE -- it exists so the chaos oracle can
   // demonstrate it catches the resulting serializability violations.
@@ -101,8 +78,6 @@ struct NodeStats {
   metrics::Counter recovering_txs_seen;   // counted at vote coordinators
   metrics::Counter regions_rereplicated;
   metrics::Counter reconfigurations;
-  metrics::Counter tx_backoff_waits;   // lock-conflict aborts that backed off
-  metrics::Counter tx_backoff_ns;      // total simulated ns spent backing off
 
   // Rebinds every field to labeled cells in `reg` (e.g. tx_committed{node="m3"}),
   // so the registry dump breaks counts down per node.
@@ -209,16 +184,6 @@ class Node {
   void QueueTruncation(const TxId& id, const std::vector<MachineId>& holders);
   // Pops up to `max` pending truncation ids for records headed to `dst`.
   std::vector<TxId> TakeTruncationsFor(MachineId dst, size_t max);
-
-  // Adaptive lock-conflict backoff (coordinator side; no-ops with
-  // options_.adaptive_backoff off). NoteLockOutcome feeds the per-
-  // (thread, region) conflict EWMA; LockBackoffDelay maps the hottest
-  // region's EWMA to a bounded retry delay with deterministic jitter
-  // seeded from (sim clock, tx id, thread) -- no global RNG state, so
-  // same-seed runs replay identically.
-  void NoteLockOutcome(int thread, RegionId region, bool conflict);
-  SimDuration LockBackoffDelay(int thread, const TxId& id,
-                               const std::vector<RegionId>& regions);
 
   // Generic request/reply over the message queues. Returns the reply body.
   Task<StatusOr<std::vector<uint8_t>>> Request(MachineId dst, MsgType type,
@@ -458,10 +423,6 @@ class Node {
   std::set<MachineId> regions_active_pending_;
   // Data recovery progress (read by benches via cluster stats).
   int data_recovery_inflight_ = 0;
-
-  // Conflict-rate EWMA per (coordinator thread, region); only populated
-  // when adaptive backoff is on. std::map keeps iteration deterministic.
-  std::map<std::pair<int, RegionId>, double> conflict_ewma_;
 
   NodeStats stats_;
   flight::Recorder* flight_ = nullptr;

@@ -13,6 +13,8 @@ namespace farm {
 namespace {
 
 constexpr int kMaxVoteTimerRounds = 40;
+// How long a recovery coordinator waits for votes before re-requesting them.
+constexpr SimDuration kVoteTimeout = 250 * kMicrosecond;
 
 Vote StrengthOf(LogRecordType t) {
   switch (t) {
@@ -773,7 +775,7 @@ void Node::ArmVoteTimer(const TxId& tid) {
     ArmVoteTimerTick(tid, cid);
   };
   vote_timers_[tid] = tick;
-  sim().After(options_.vote_timeout, tick);
+  sim().After(kVoteTimeout, tick);
 }
 
 void Node::ArmVoteTimerTick(const TxId& tid, ConfigId cid) {
@@ -782,7 +784,7 @@ void Node::ArmVoteTimerTick(const TxId& tid, ConfigId cid) {
     return;
   }
   (void)cid;
-  sim().After(options_.vote_timeout, fit->second);
+  sim().After(kVoteTimeout, fit->second);
 }
 
 void Node::HandleRequestVote(MachineId from, BufReader& r) {

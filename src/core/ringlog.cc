@@ -217,61 +217,4 @@ Future<NetResult> RingSender::Append(std::vector<uint8_t> payload, uint32_t rese
                         poke_receiver_);
 }
 
-namespace {
-
-// Extends the last segment when `addr` continues it; otherwise starts a new
-// one. Ring frames are consecutive, so a batch folds into one segment per
-// contiguous run (two runs max: before and after a wrap).
-void AppendSegBytes(std::vector<WriteSeg>& segs, uint64_t addr, const uint8_t* bytes,
-                    size_t len) {
-  if (segs.empty() || segs.back().addr + segs.back().data.size() != addr) {
-    segs.push_back(WriteSeg{addr, {}});
-  }
-  segs.back().data.insert(segs.back().data.end(), bytes, bytes + len);
-}
-
-}  // namespace
-
-std::vector<WriteSeg> RingSender::PrepareBatch(std::vector<BatchEntry> entries) {
-  FARM_CHECK(local_receiver_ == nullptr) << "PrepareBatch is for remote rings";
-  std::vector<WriteSeg> segs;
-  bool torn = false;
-  for (BatchEntry& e : entries) {
-    uint32_t len = static_cast<uint32_t>(e.payload.size());
-    FARM_CHECK(len <= e.reserved_len) << "record larger than its reservation";
-    uint32_t framed = FramedLen(len);
-    uint32_t effect = fault::HitPoint(self_, "ringlog-append", peer_);
-    ReleaseReservation(e.reserved_len);
-    FARM_CHECK(tail_ - HeadView() + framed <= cap_) << "ring overflow despite reservation";
-
-    uint32_t off = static_cast<uint32_t>(tail_ % cap_);
-    uint32_t contiguous = cap_ - off;
-    if (framed > contiguous) {
-      if (!torn) {
-        uint32_t m = kWrapMarker;
-        AppendSegBytes(segs, data_base_ + off, reinterpret_cast<const uint8_t*>(&m), 4);
-      }
-      tail_ += contiguous;
-      off = 0;
-      FARM_CHECK(tail_ - HeadView() + framed <= cap_) << "ring overflow after wrap";
-    }
-
-    tail_ += framed;
-    if (torn) {
-      continue;  // bytes after a torn frame never reach the wire
-    }
-    std::vector<uint8_t> frame(framed, 0);
-    std::memcpy(frame.data(), &len, 4);
-    uint32_t check = FrameCheck(e.payload.data(), len);
-    std::memcpy(frame.data() + 4, &check, 4);
-    std::memcpy(frame.data() + kFrameHeaderBytes, e.payload.data(), e.payload.size());
-    if (effect & fault::kEffectTornWrite) {
-      frame.resize(framed / 2);  // same tear shape as a single Append
-      torn = true;
-    }
-    AppendSegBytes(segs, data_base_ + off, frame.data(), frame.size());
-  }
-  return segs;
-}
-
 }  // namespace farm

@@ -125,27 +125,6 @@ class RingSender {
   Future<NetResult> Append(std::vector<uint8_t> payload, uint32_t reserved_len,
                            HwThread* thread);
 
-  // One record of a batched append (see PrepareBatch).
-  struct BatchEntry {
-    std::vector<uint8_t> payload;
-    uint32_t reserved_len = 0;
-  };
-
-  // Places N records as consecutive frames -- exactly where sequential
-  // Appends would put them -- consuming their reservations, and returns the
-  // contiguous wire segments to transmit (at most two: one ring wrap)
-  // instead of issuing the write itself. The caller posts the segments,
-  // usually merged with segments for other rings on the same destination,
-  // as a single Fabric::WriteBatch, and wires poke() into its delivery
-  // callback. Remote rings only. A torn-write fault effect on entry i
-  // truncates the wire bytes at that frame's torn prefix and drops all
-  // later entries' bytes (partial-batch delivery), though the sender's
-  // tail still advances past them as it would for sequential appends.
-  std::vector<WriteSeg> PrepareBatch(std::vector<BatchEntry> entries);
-
-  // Delivery callback for writes issued by the caller (PrepareBatch path).
-  const std::function<void()>& poke() const { return poke_receiver_; }
-
   uint64_t FreeBytes() const;
   uint64_t tail() const { return tail_; }
   uint64_t reserved() const { return reserved_; }

@@ -13,6 +13,14 @@ namespace {
 
 constexpr size_t kMaxPiggyback = 8;
 
+// Safety net: a commit phase still waiting after this long gives up and
+// reports the transaction unresolved.
+constexpr SimDuration kCommitResolutionTimeout = 500 * kMillisecond;
+
+// t_r: a primary with at most this many objects to validate gets one-sided
+// RDMA reads; above it, one validation RPC.
+constexpr int kValidateRpcThreshold = 4;
+
 // Span id for async tx spans; only pay for the string when tracing is on.
 std::string TxTraceId(const TxId& id) {
   return FARM_TRACE_ACTIVE() ? id.ToString() : std::string();
@@ -170,8 +178,7 @@ void Transaction::WakePhase() {
 
 Task<bool> Transaction::AwaitPhase() {
   phase_armed_ = true;
-  auto woke = co_await AwaitWithTimeout(node_->sim(), phase_wake_,
-                                        node_->options().commit_resolution_timeout);
+  auto woke = co_await AwaitWithTimeout(node_->sim(), phase_wake_, kCommitResolutionTimeout);
   phase_armed_ = false;
   phase_wake_ = Future<Unit>();  // fresh future for the next phase
   co_return woke.has_value();
@@ -433,23 +440,7 @@ Task<Status> Transaction::Commit() {
       pm.CountAbort(flight::AbortReason::kLockConflict);
       FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
                   static_cast<uint8_t>(flight::AbortReason::kLockConflict));
-      // Adaptive backoff (no-op unless opts.adaptive_backoff): bump the
-      // conflict EWMA for every written region and hold the abort result
-      // back for a bounded, deterministic delay so the application-level
-      // retry de-synchronizes from the coordinators it just collided with.
-      for (RegionId r : p.written_regions) {
-        node_->NoteLockOutcome(thread_, r, /*conflict=*/true);
-      }
-      SimDuration backoff = node_->LockBackoffDelay(thread_, id_, p.written_regions);
-      if (backoff > 0) {
-        node_->mutable_stats().tx_backoff_waits++;
-        node_->mutable_stats().tx_backoff_ns += backoff;
-        co_await SleepFor(node_->sim(), backoff);
-      }
       co_return AbortedStatus("lock conflict");
-    }
-    for (RegionId r : p.written_regions) {
-      node_->NoteLockOutcome(thread_, r, /*conflict=*/false);
     }
     pm.RecordPhase(flight::Phase::kLock, node_->sim().Now() - lock_start);
     FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kPhaseEnd, id_,
@@ -679,7 +670,7 @@ Task<Status> Transaction::ValidatePhase() {
   auto rdma_ok = std::make_shared<bool>(true);
 
   for (auto& [m, entries] : by_primary) {
-    if (static_cast<int>(entries.size()) <= node_->options().validate_rpc_threshold) {
+    if (static_cast<int>(entries.size()) <= kValidateRpcThreshold) {
       // One-sided RDMA reads of the header words: no CPU at the primary.
       for (auto& [addr, word] : entries) {
         if (m == node_->id()) {

@@ -17,7 +17,7 @@ const char* const kEventKindNames[kNumEventKinds] = {
     "phase-begin",    "phase-end",      "lock-acquire",  "lock-reject",
     "validate-fail",  "abort",          "commit-backup", "commit-primary",
     "abort-record",   "truncate",       "msg-send",      "msg-recv",
-    "recovery",       "reconfig",       "batch-flush",
+    "recovery",       "reconfig",
 };
 
 const char* const kPhaseNames[kNumPhases] = {

@@ -50,9 +50,8 @@ enum class EventKind : uint8_t {
   kMsgRecv,            // fabric: RPC handler invoked (arg = service, detail = src)
   kRecoveryStep,       // recovery machinery progressed (arg = RecoveryStep)
   kReconfig,           // new configuration installed (detail = config id)
-  kBatchFlush,         // messenger: data-plane batch flushed (arg = records, detail = dst)
 };
-constexpr int kNumEventKinds = 15;
+constexpr int kNumEventKinds = 14;
 
 // Commit-protocol phases, in paper order (section 4). `execute` is the
 // span from transaction begin to Commit(); `truncate` is coordinator-side

@@ -87,35 +87,6 @@ TEST(ChaosHarnessTest, MultiSeedSweepHoldsInvariants) {
   }
 }
 
-TEST(ChaosHarnessTest, BatchedSweepHoldsInvariants) {
-  // The same seeds with data-plane batching on: kills land mid-quantum so
-  // pending batches are discarded, faults fire inside batch flushes, and a
-  // killed sender's partial batch reaches the ring as a torn suffix. The
-  // BankOracle and liveness watchdog must hold regardless.
-  for (uint64_t seed = 1; seed <= 12; seed++) {
-    ChaosRunOptions opts;
-    opts.seed = seed;
-    opts.batch_data_plane = true;
-    ChaosRunResult res = RunChaos(opts);
-    EXPECT_TRUE(res.ok) << "batched seed " << seed << ": " << res.failure;
-    EXPECT_GT(res.commits, 1000u) << "batched seed " << seed;
-  }
-}
-
-TEST(ChaosHarnessTest, BatchedDumpedPlanReplaysByteIdentically) {
-  ChaosRunOptions opts;
-  opts.seed = 8;
-  opts.batch_data_plane = true;
-  ChaosRunResult first = RunChaos(opts);
-  ASSERT_TRUE(first.ok) << first.failure;
-  std::string dumped = first.plan.ToText();
-  ChaosPlan parsed;
-  ASSERT_TRUE(ChaosPlan::Parse(dumped, &parsed));
-  ChaosRunResult replay = RunChaosPlan(opts, parsed);
-  EXPECT_EQ(replay.commits, first.commits);
-  EXPECT_EQ(replay.event_log, first.event_log);
-}
-
 TEST(ChaosHarnessTest, DumpedPlanReplaysByteIdentically) {
   ChaosRunOptions opts;
   opts.seed = 8;  // a seed whose plan has several faults

@@ -537,40 +537,6 @@ TEST_F(CoreTest, PropertyBankTransfersConserveTotal) {
   EXPECT_EQ(total, kAccounts * kInitial);
 }
 
-TEST_F(CoreTest, AdaptiveBackoffGrowsAndDecaysWithConflicts) {
-  ClusterOptions opts = SmallClusterOptions(4, 1);
-  opts.node.adaptive_backoff = true;
-  cluster_ = MakeStartedCluster(opts);
-  Node& n = cluster_->node(0);
-  TxId id{1, 0, 0, 42};
-  // Cold state: no conflicts recorded yet, retry immediately.
-  EXPECT_EQ(n.LockBackoffDelay(0, id, {0}), 0u);
-  for (int i = 0; i < 8; i++) {
-    n.NoteLockOutcome(0, 0, /*conflict=*/true);
-  }
-  SimDuration hot = n.LockBackoffDelay(0, id, {0});
-  EXPECT_GE(hot, opts.node.backoff_base);
-  EXPECT_LE(hot, opts.node.backoff_max);
-  // Pure function of simulation state: same (clock, tx, thread), same delay.
-  EXPECT_EQ(hot, n.LockBackoffDelay(0, id, {0}));
-  // The EWMA is per (thread, region) -- another thread stays uncontended.
-  EXPECT_EQ(n.LockBackoffDelay(1, id, {0}), 0u);
-  // Successes decay the conflict rate back to immediate retries.
-  for (int i = 0; i < 64; i++) {
-    n.NoteLockOutcome(0, 0, /*conflict=*/false);
-  }
-  EXPECT_EQ(n.LockBackoffDelay(0, id, {0}), 0u);
-}
-
-TEST_F(CoreTest, AdaptiveBackoffOffByDefaultNeverDelays) {
-  Boot();
-  Node& n = cluster_->node(0);
-  for (int i = 0; i < 8; i++) {
-    n.NoteLockOutcome(0, 0, /*conflict=*/true);
-  }
-  EXPECT_EQ(n.LockBackoffDelay(0, TxId{1, 0, 0, 7}, {0}), 0u);
-}
-
 TEST_F(CoreTest, ColocatedRegionSharesReplicas) {
   Boot(6);
   RegionId r1 = MustCreateRegion(*cluster_, 64 << 10, 16);

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "tests/test_util.h"
@@ -221,6 +222,7 @@ TEST(TraceTest, ByteIdenticalAcrossSameSeedRuns) {
 struct Run32Output {
   std::string trace_json;
   std::string postmortem;
+  int committed = 0;
 };
 
 Run32Output TracedRun32(uint64_t seed) {
@@ -250,7 +252,8 @@ Run32Output TracedRun32(uint64_t seed) {
     };
     auto committed = RunTask(*cluster, work(cluster.get(), rid));
     EXPECT_TRUE(committed.has_value());
-    EXPECT_GT(*committed, 0);
+    EXPECT_GT(committed.value_or(0), 0);
+    out.committed = committed.value_or(0);
     out.postmortem = cluster->FlightPostmortem();
   }
   trace::SetGlobal(nullptr);
@@ -265,6 +268,13 @@ TEST(TraceTest, ByteIdenticalAt32Machines) {
   EXPECT_EQ(first.trace_json, second.trace_json);
   EXPECT_GT(first.postmortem.size(), 0u);
   EXPECT_EQ(first.postmortem, second.postmortem);
+  // Cross-commit pin: the same run must also match the fingerprints of the
+  // commit that introduced them. A change meant to leave simulated behaviour
+  // unchanged must leave these values alone; one that changes the schedule
+  // on purpose re-measures them and says why.
+  EXPECT_EQ(Fnv1a(first.trace_json), 0xe8c10044481d46f1ULL);
+  EXPECT_EQ(Fnv1a(first.postmortem), 0xce6bb38fe044798eULL);
+  EXPECT_EQ(first.committed, 48);
 }
 
 }  // namespace

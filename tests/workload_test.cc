@@ -1,6 +1,8 @@
 // Tests for the TATP / TPC-C / KV workloads and the load driver.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/workload/kv.h"
 #include "src/workload/tatp.h"
 #include "src/workload/tpcc.h"
@@ -91,15 +93,31 @@ TEST_F(WorkloadTest, TatpMixRunsAtThroughput) {
 TEST_F(WorkloadTest, TatpUpdatesAreDurable) {
   Boot();
   TatpDb db = MakeTatp(100);
-  auto update_then_read = [this, &db]() -> Task<bool> {
+  // Replay UpdateLocation's draws from the same seed: subscriber, then location.
+  Pcg32 replay(7);
+  uint64_t s = replay.Uniform64(100) + 1;
+  uint32_t location = replay.Next();
+  bool updated = false;
+  auto update_then_read =
+      [this, &db, &updated, s]() -> Task<StatusOr<std::optional<std::vector<uint8_t>>>> {
     Pcg32 rng(7);
     Node& node = cluster_->node(1);
-    bool updated = co_await db.UpdateLocation(node, 0, rng);
-    co_return updated;
+    updated = co_await db.UpdateLocation(node, 0, rng);
+    co_return co_await db.SubscriberTable().LockFreeGet(node, TatpDb::SubKey(s), 0);
   };
-  auto ok = RunTask(*cluster_, update_then_read(), 5 * kSecond);
-  ASSERT_TRUE(ok.has_value());
-  EXPECT_TRUE(*ok);
+  uint64_t rpcs_before = cluster_->fabric().stats().rpcs;
+  auto row = RunTask(*cluster_, update_then_read(), 5 * kSecond);
+  ASSERT_TRUE(row.has_value());
+  EXPECT_TRUE(updated);
+  // The update was shipped to the row's primary over the fabric RPC path.
+  EXPECT_GT(cluster_->fabric().stats().rpcs, rpcs_before);
+  ASSERT_TRUE(row->ok()) << row->status().ToString();
+  ASSERT_TRUE(row->value().has_value());
+  const std::vector<uint8_t>& bytes = *row->value();
+  ASSERT_GE(bytes.size(), 36u);
+  uint32_t stored = 0;
+  std::memcpy(&stored, bytes.data() + 32, 4);
+  EXPECT_EQ(stored, location);
 }
 
 TEST_F(WorkloadTest, TpccNewOrderAndPayment) {
