@@ -174,13 +174,21 @@ void Run() {
     FarmCounts opt = MeasureFarm(false, 2, 0);
     std::printf("FaRM NSDI'14 (backup LOCKs), Pw=2  %10.1f %10.1f %10.1f %12s\n",
                 nsdi.writes_per_tx, nsdi.reads_per_tx, nsdi.rpcs_per_tx, "");
-    std::printf("  -> optimized protocol sends %.0f%% fewer one-sided writes\n",
-                (1.0 - opt.writes_per_tx / nsdi.writes_per_tx) * 100.0);
+    double reduction_pct = (1.0 - opt.writes_per_tx / nsdi.writes_per_tx) * 100.0;
+    std::printf("  -> optimized protocol sends %.0f%% fewer one-sided writes\n", reduction_pct);
+    if (bench::JsonReport* j = bench::Json()) {
+      j->Set("nsdi14_writes_per_tx_pw2", nsdi.writes_per_tx);
+      j->Set("optimized_writes_per_tx_pw2", opt.writes_per_tx);
+      j->Set("write_reduction_pct", reduction_pct);
+    }
   }
   for (int p : {1, 2, 3}) {
     double msgs = MeasureTwoPc(p);
     std::printf("2PC over Paxos groups, P=%-9d %10s %10s %10.1f %9d(m)\n", p, "-", "-",
                 msgs / 2.0, 4 * p * 5);
+    if (bench::JsonReport* j = bench::Json()) {
+      j->Set("twopc_msgs_per_tx_p" + std::to_string(p), msgs);
+    }
   }
   std::printf("\nNote: FaRM per-tx writes include LOCK + COMMIT-BACKUP + COMMIT-PRIMARY\n"
               "records plus amortized truncation and ring-buffer feedback writes; the\n"

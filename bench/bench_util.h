@@ -106,6 +106,18 @@ inline JsonReport*& GlobalJson() {
 inline JsonReport* Json() { return internal::GlobalJson(); }
 
 namespace internal {
+// Observability flags BenchEnv parsed from argv; DefaultClusterOptions
+// attaches them to every cluster the bench builds.
+struct ObsFlags {
+  trace::Tracer* tracer = nullptr;
+  std::string metrics_out;
+  std::string flight_out;
+};
+inline ObsFlags& GlobalObs() {
+  static ObsFlags flags;
+  return flags;
+}
+
 inline uint64_t& SimEventsProcessed() {
   static uint64_t n = 0;
   return n;
@@ -117,7 +129,8 @@ inline uint64_t& SimEventsProcessed() {
 // the hot-path throughput number the CI regression gate tracks.
 inline void ReportSimEvents(uint64_t events) { internal::SimEventsProcessed() = events; }
 
-// Per-bench observability flags, parsed from argv before farm::Run():
+// Per-bench observability flags, parsed from argv before farm::Run() and
+// attached to every cluster built from DefaultClusterOptions:
 //   --trace-out=<path>    write a Chrome trace-event JSON of the run
 //   --metrics-out=<path>  dump every cluster's metrics registry on teardown
 //   --flight-out=<path>   append every cluster's flight-recorder postmortem
@@ -135,9 +148,9 @@ class BenchEnv {
       if (std::strncmp(arg, "--trace-out=", 12) == 0) {
         trace_path_ = arg + 12;
       } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
-        metrics::SetDumpOnDestroy(arg + 14);
+        internal::GlobalObs().metrics_out = arg + 14;
       } else if (std::strncmp(arg, "--flight-out=", 13) == 0) {
-        flight::SetDumpOnDestroy(arg + 13);
+        internal::GlobalObs().flight_out = arg + 13;
       } else if (std::strcmp(arg, "--trace-no-net") == 0) {
         capture_net = false;
       } else if (std::strncmp(arg, "--json-out=", 11) == 0) {
@@ -148,7 +161,7 @@ class BenchEnv {
       trace::Tracer::Options topts;
       topts.capture_net = capture_net;
       tracer_ = std::make_unique<trace::Tracer>(topts);
-      trace::SetGlobal(tracer_.get());
+      internal::GlobalObs().tracer = tracer_.get();
     }
     if (!json_path_.empty()) {
       report_ = std::make_unique<JsonReport>();
@@ -164,14 +177,8 @@ class BenchEnv {
     double wall = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                 wall_start_)
                       .count();
-    // Cluster registries dump themselves on destruction; the process-wide
-    // default registry never dies, so flush it here (no-op without
-    // --metrics-out or when nothing registered in it).
-    if (metrics::Registry::Default().CellCount() > 0) {
-      metrics::AppendDump(metrics::Registry::Default(), "default registry");
-    }
+    internal::GlobalObs() = internal::ObsFlags{};
     if (tracer_ != nullptr) {
-      trace::SetGlobal(nullptr);
       Status s = tracer_->WriteFile(trace_path_);
       if (s.ok()) {
         std::printf("trace: wrote %zu events to %s\n", tracer_->event_count(),
@@ -245,6 +252,10 @@ inline ClusterOptions DefaultClusterOptions(int machines, uint64_t seed = 1) {
   opts.node.region_size = 1 << 20;
   opts.node.block_size = 64 << 10;
   opts.node.lease.duration = 10 * kMillisecond;
+  const internal::ObsFlags& obs = internal::GlobalObs();
+  opts.tracer = obs.tracer;
+  opts.metrics_out = obs.metrics_out;
+  opts.flight_out = obs.flight_out;
   return opts;
 }
 

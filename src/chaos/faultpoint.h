@@ -3,8 +3,8 @@
 //
 // A FaultTrigger names a fault point ("phase-begin:commit_backup",
 // "msg-send", "ringlog-append", ...; see src/obs/fault_hook.h for the
-// taxonomy), a hit count, and an action. The FaultInjector installs as the
-// process-wide fault::Hook and counts point hits; when the current
+// taxonomy), a hit count, and an action. The FaultInjector attaches to one
+// cluster as its fault::Hook and counts point hits; when the current
 // trigger's point reaches its hit count the action fires, and counting
 // restarts for the next trigger -- trigger i's count starts when trigger
 // i-1 fires, so a depth-2 schedule can target a point that only becomes

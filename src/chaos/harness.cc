@@ -32,15 +32,16 @@ constexpr SimDuration kLivenessWindow = 250 * kMillisecond;
 // side evicted, matching the generated plans' partition durations.
 constexpr SimDuration kDefaultPartitionWindow = 50 * kMillisecond;
 
-// Installs a fault hook for the enclosing scope (every run installs one,
-// even with no triggers -- the hit counts are the explorer's discovery
-// data) and guarantees removal on every return path.
+// Attaches a fault hook to the run's cluster for the enclosing scope (every
+// run attaches one, even with no triggers -- the hit counts are the
+// explorer's discovery data) and detaches it on every return path, before
+// the hook dies and the cluster tears down.
 struct HookGuard {
-  explicit HookGuard(fault::Hook* hook) : h(hook) { fault::InstallHook(h); }
-  ~HookGuard() { fault::RemoveHook(h); }
+  HookGuard(Cluster& cluster, fault::Hook* hook) : c(cluster) { c.SetFaultHook(hook); }
+  ~HookGuard() { c.SetFaultHook(nullptr); }
   HookGuard(const HookGuard&) = delete;
   HookGuard& operator=(const HookGuard&) = delete;
-  fault::Hook* h;
+  Cluster& c;
 };
 
 std::vector<uint8_t> EncodeAccount(uint64_t seq, int64_t balance) {
@@ -209,8 +210,10 @@ class ChaosExecutor {
         .GetCounter("chaos_events", {{"kind", EventKindName(e.kind)}})
         .Inc();
     // The cluster pseudo-process track (one past the last machine id).
-    FARM_TRACE(Instant(static_cast<uint32_t>(c.options().machines + c.options().zk_replicas),
-                       0, "chaos", EventKindName(e.kind)));
+    if (trace::Tracer* tracer = c.sinks().tracer) {
+      tracer->Instant(static_cast<uint32_t>(c.options().machines + c.options().zk_replicas), 0,
+                      "chaos", EventKindName(e.kind));
+    }
   }
 
   std::vector<MachineId> LiveMembers() const {
@@ -629,7 +632,7 @@ ChaosRunResult RunChaosPlan(const ChaosRunOptions& options, const ChaosPlan& pla
     cp->metrics_registry().GetCounter("chaos_injections", {}).Inc();
   };
   FaultInjector injector(plan.triggers, cb, static_cast<uint64_t>(plan.options.start));
-  HookGuard hook_guard(&injector);
+  HookGuard hook_guard(cluster, &injector);
 
   std::string liveness_postmortem;
   ChaosExecutor exec(&st, &plan);

@@ -62,11 +62,12 @@ const char* Basename(const char* path) {
 struct LogClock {
   uint64_t (*now_ns)(void* ctx) = nullptr;
   void* ctx = nullptr;
-  const void* owner = nullptr;
 };
 
+// Per thread, like the Cluster that installs it (at most one live per
+// thread).
 LogClock& Clock() {
-  static LogClock clock;
+  static thread_local LogClock clock;
   return clock;
 }
 
@@ -75,19 +76,14 @@ thread_local LogTxScope* g_current_tx_scope = nullptr;
 }  // namespace
 
 LogLevel& GlobalLogLevel() {
+  // farmlint: allow(mutable-global): read once from FARM_LOG_LEVEL; tests may set it
   static LogLevel level = LevelFromEnv();
   return level;
 }
 
-void SetLogClock(uint64_t (*now_ns)(void* ctx), void* ctx, const void* owner) {
-  Clock() = LogClock{now_ns, ctx, owner};
-}
+void SetLogClock(uint64_t (*now_ns)(void* ctx), void* ctx) { Clock() = LogClock{now_ns, ctx}; }
 
-void ClearLogClock(const void* owner) {
-  if (Clock().owner == owner) {
-    Clock() = LogClock{};
-  }
-}
+void ClearLogClock() { Clock() = LogClock{}; }
 
 LogTxScope::LogTxScope(uint64_t config, uint32_t machine, uint32_t thread, uint64_t local)
     : prev_(g_current_tx_scope),

@@ -26,12 +26,11 @@ enum class LogLevel : int {
 // digit 0-4) when set; defaults to kWarn.
 LogLevel& GlobalLogLevel();
 
-// Simulated-time tag for log lines. When a clock is installed (the running
-// Cluster installs one), every line is prefixed with the simulated time in
-// microseconds. `owner` identifies the installer so a cluster tearing down
-// does not clear a clock a newer cluster installed.
-void SetLogClock(uint64_t (*now_ns)(void* ctx), void* ctx, const void* owner);
-void ClearLogClock(const void* owner);
+// Simulated-time tag for log lines, per thread. While a clock is installed
+// (by the thread's one live Cluster), every line is prefixed with the
+// simulated time in microseconds.
+void SetLogClock(uint64_t (*now_ns)(void* ctx), void* ctx);
+void ClearLogClock();
 
 // Internal sink used by the LOG macro; do not call directly.
 void LogMessage(LogLevel level, const char* file, int line, const std::string& msg);

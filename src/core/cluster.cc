@@ -6,6 +6,10 @@ namespace {
 
 uint64_t SimNowForLog(void* ctx) { return static_cast<Simulator*>(ctx)->Now(); }
 
+// The live Cluster of this thread, if any (see the one-per-thread rule in
+// cluster.h).
+thread_local const Cluster* t_live_cluster = nullptr;
+
 // Two NICs per machine, as in the paper's testbed (two 56 Gbps ConnectX-3).
 constexpr int kNicsPerMachine = 2;
 
@@ -13,10 +17,14 @@ constexpr int kNicsPerMachine = 2;
 
 Cluster::Cluster(ClusterOptions options)
     : options_(std::move(options)), rng_(options_.seed) {
-  fabric_ = std::make_unique<Fabric>(sim_, options_.cost);
+  FARM_CHECK(t_live_cluster == nullptr)
+      << "a Cluster is already live on this thread; run independent clusters on separate threads";
+  t_live_cluster = this;
+  sinks_.tracer = options_.tracer;
+  fabric_ = std::make_unique<Fabric>(sim_, options_.cost, sinks_);
   fabric_->SeedFaultRng(options_.fault_seed);
   fabric_->BindStats(registry_);
-  SetLogClock(&SimNowForLog, &sim_, this);
+  SetLogClock(&SimNowForLog, &sim_);
 
   int farm_machines = options_.machines;
   int total = farm_machines + options_.zk_replicas;
@@ -33,13 +41,14 @@ Cluster::Cluster(ClusterOptions options)
   // One flight-recorder ring per FaRM machine; the fabric stamps
   // message-level records into the same rings.
   for (int i = 0; i < farm_machines; i++) {
-    flight_.push_back(std::make_unique<flight::Recorder>(static_cast<uint32_t>(i)));
+    flight_.push_back(std::make_unique<flight::Recorder>(
+        static_cast<uint32_t>(i), flight::Recorder::kDefaultCapacity, sinks_));
     fabric_->SetFlightRecorder(static_cast<MachineId>(i), flight_.back().get());
   }
 
   // Trace setup: name one process per machine with one track per hardware
   // thread, plus a "cluster" pseudo-process for global milestones.
-  if (trace::Tracer* tracer = trace::Global()) {
+  if (trace::Tracer* tracer = sinks_.tracer) {
     tracer->AttachClock(&sim_);
     for (int i = 0; i < total; i++) {
       bool is_farm = i < farm_machines;
@@ -87,17 +96,20 @@ Cluster::~Cluster() {
   // the tracer clock is still attached so their spans close at the final
   // simulated time.
   ReclaimParkedFrames();
-  ClearLogClock(this);
-  // --flight-out= support: append this cluster's merged timeline before the
-  // rings go away.
-  if (!flight::DumpPath().empty()) {
-    flight::AppendDump(FlightPostmortem(), "cluster seed=" + std::to_string(options_.seed));
+  ClearLogClock();
+  const std::string section = "cluster seed=" + std::to_string(options_.seed);
+  if (!options_.flight_out.empty()) {
+    flight::AppendDump(options_.flight_out, FlightPostmortem(), section);
+  }
+  if (!options_.metrics_out.empty()) {
+    metrics::AppendDump(options_.metrics_out, registry_, section);
   }
   // The tracer outlives the cluster; detach so it cannot stamp events with a
   // dead simulator.
-  if (trace::Tracer* tracer = trace::Global()) {
-    tracer->AttachClock(nullptr);
+  if (sinks_.tracer != nullptr) {
+    sinks_.tracer->AttachClock(nullptr);
   }
+  t_live_cluster = nullptr;
 }
 
 std::string Cluster::FlightPostmortem() const {
@@ -161,14 +173,6 @@ void Cluster::RestartMachineEmpty(MachineId m) {
                          nodes_[static_cast<size_t>(j)]->messenger());
   }
   nodes_[m]->BeginJoin();
-}
-
-void Cluster::KillFailureDomain(int domain) {
-  for (int i = 0; i < options_.machines; i++) {
-    if (FailureDomainOf(static_cast<MachineId>(i)) == domain) {
-      Kill(static_cast<MachineId>(i));
-    }
-  }
 }
 
 void Cluster::NoteRegionLost(RegionId r) {

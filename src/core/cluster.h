@@ -17,7 +17,7 @@
 #include "src/nvram/nvram.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/sinks.h"
 #include "src/sim/simulator.h"
 #include "src/zk/coord.h"
 
@@ -35,8 +35,20 @@ struct ClusterOptions {
   // Seed for the fabric's fault RNG (datagram loss + per-link chaos
   // policies). The default reproduces pre-chaos traces byte-for-byte.
   uint64_t fault_seed = 0x10552ULL;
+
+  // Observability sinks, all off by default. The tracer is borrowed and
+  // must outlive the cluster. A non-empty path makes teardown append this
+  // cluster's registry dump (JSON if it ends in ".json", text otherwise)
+  // or its merged flight-recorder postmortem to that file.
+  trace::Tracer* tracer = nullptr;
+  std::string metrics_out;
+  std::string flight_out;
 };
 
+// At most one Cluster may be live per thread: the coroutine-frame arena,
+// the parked-frame list and the log clock are per-thread simulation state
+// (see src/sim/frame_arena.h, src/sim/task.h). Independent clusters may run
+// concurrently on separate threads.
 class Cluster {
  public:
   explicit Cluster(ClusterOptions options);
@@ -56,6 +68,12 @@ class Cluster {
   // Per-cluster metric cells (node + fabric counters bind here), so
   // sequential clusters in one process do not bleed counts into each other.
   metrics::Registry& metrics_registry() { return registry_; }
+  // The sinks every layer of this cluster reports to.
+  const obs::Sinks& sinks() const { return sinks_; }
+  // Attaches (or, with nullptr, detaches) the fault hook that every fault
+  // point of this cluster reports to; see src/obs/fault_hook.h. The hook is
+  // borrowed and must be detached before it dies.
+  void SetFaultHook(fault::Hook* hook) { sinks_.hook = hook; }
   // Per-machine flight-recorder ring (nullptr for zk machines).
   flight::Recorder* flight_recorder(MachineId m) {
     return m < flight_.size() ? flight_[m].get() : nullptr;
@@ -80,12 +98,10 @@ class Cluster {
   // intact and runs restart recovery. Run the simulator afterwards so the
   // recovery votes/decisions complete.
   void PowerFailureRestart();
-  void KillFailureDomain(int domain);
   int FailureDomainOf(MachineId m) const;
 
   // Runs the simulator.
   void RunFor(SimDuration d) { sim_.RunFor(d); }
-  void RunUntilIdle() { sim_.Run(); }
 
   // ---- global observability ----
   // Recovery milestones (the annotations in figures 9-11): "suspect",
@@ -94,7 +110,9 @@ class Cluster {
     milestones_.push_back({name, sim_.Now()});
     // Milestones land on the pseudo-process one past the last machine
     // (named "cluster" in the trace) so they are visible as a global track.
-    FARM_TRACE(Instant(static_cast<uint32_t>(machines_.size()), 0, "milestone", name));
+    if (sinks_.tracer != nullptr) {
+      sinks_.tracer->Instant(static_cast<uint32_t>(machines_.size()), 0, "milestone", name);
+    }
   }
   const std::vector<std::pair<std::string, SimTime>>& milestones() const { return milestones_; }
   void ClearMilestones() { milestones_.clear(); }
@@ -120,9 +138,8 @@ class Cluster {
 
  private:
   ClusterOptions options_;
-  // Declared before nodes/fabric so its dump-on-destroy (when enabled) runs
-  // after every handle has recorded its final increments.
   metrics::Registry registry_;
+  obs::Sinks sinks_;
   Simulator sim_;
   Pcg32 rng_;
   // Declared before fabric/nodes (which hold raw pointers into the rings) so

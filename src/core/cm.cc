@@ -4,7 +4,6 @@
 
 #include "src/core/cluster.h"
 #include "src/core/node.h"
-#include "src/obs/fault_hook.h"
 #include "src/obs/trace.h"
 
 namespace farm {
@@ -309,7 +308,9 @@ void Node::StartReconfiguration(std::vector<MachineId> suspects, const char* rea
   }
   FARM_LOG(Info) << "node " << id() << " starts reconfiguration (" << reason << ")";
   cluster_->NoteMilestone("suspect");
-  FARM_TRACE(Instant(static_cast<uint32_t>(id()), 0, "recovery", "suspect"));
+  if (trace::Tracer* tracer = emit_.tracer()) {
+    tracer->Instant(static_cast<uint32_t>(id()), 0, "recovery", "suspect");
+  }
   reconfig_in_flight_ = true;
   RunReconfiguration(std::move(suspects));
 }
@@ -420,10 +421,9 @@ void Node::RemapRegions(Configuration& cfg) const {
 Detached Node::RunReconfiguration(std::vector<MachineId> suspects) {
   Configuration old = config_;
   const uint32_t trace_pid = static_cast<uint32_t>(id());
-  trace::SpanGuard reconfig_span(
-      trace_pid, 0, "recovery", "reconfiguration",
-      FARM_TRACE_ACTIVE() ? "cfg" + std::to_string(old.id + 1) : std::string());
-  SimTime step_start = FARM_TRACE_ACTIVE() ? sim().Now() : 0;
+  trace::SpanGuard reconfig_span(emit_.tracer(), trace_pid, 0, "recovery", "reconfiguration",
+                                 emit_.SpanId("cfg", old.id + 1));
+  SimTime step_start = sim().Now();
   // Step 2: probe all machines (one-sided read of their control block);
   // any machine whose read fails is also suspected.
   std::vector<MachineId> responders;
@@ -451,8 +451,10 @@ Detached Node::RunReconfiguration(std::vector<MachineId> suspects) {
     }
   }
   cluster_->NoteMilestone("probe");
-  FARM_TRACE(CompleteSpan(trace_pid, 0, "recovery", "probe", step_start));
-  step_start = FARM_TRACE_ACTIVE() ? sim().Now() : 0;
+  if (trace::Tracer* tracer = emit_.tracer()) {
+    tracer->CompleteSpan(trace_pid, 0, "recovery", "probe", step_start);
+  }
+  step_start = sim().Now();
   // The new CM must obtain responses for a majority of the probes, which
   // guarantees it is not in a minority partition.
   if (responders.size() <= old.machines.size() / 2) {
@@ -460,7 +462,7 @@ Detached Node::RunReconfiguration(std::vector<MachineId> suspects) {
     reconfig_in_flight_ = false;
     co_return;
   }
-  fault::HitPoint(static_cast<uint32_t>(id()), "reconfig-probe", old.id);
+  emit_.HitPoint("reconfig-probe", old.id);
 
   // Step 3: atomically advance the configuration in the coordination
   // service (Vertical Paxos; znode CAS keyed by the old configuration id).
@@ -495,9 +497,11 @@ Detached Node::RunReconfiguration(std::vector<MachineId> suspects) {
 
   auto cas = co_await cluster_->zk().CompareAndSwap(id(), old.id, next.Serialize(), nullptr);
   if (cas.ok()) {
-    fault::HitPoint(static_cast<uint32_t>(id()), "reconfig-commit", next.id);
+    emit_.HitPoint("reconfig-commit", next.id);
     cluster_->NoteMilestone("zookeeper");
-    FARM_TRACE(CompleteSpan(trace_pid, 0, "recovery", "new-config-cas", step_start));
+    if (trace::Tracer* tracer = emit_.tracer()) {
+      tracer->CompleteSpan(trace_pid, 0, "recovery", "new-config-cas", step_start);
+    }
   }
   if (!cas.ok()) {
     FARM_LOG(Info) << "node " << id() << ": lost configuration CAS for id " << next.id;
@@ -526,7 +530,7 @@ Detached Node::RunReconfiguration(std::vector<MachineId> suspects) {
   }
 
   // Step 5: NEW-CONFIG to all members.
-  step_start = FARM_TRACE_ACTIVE() ? sim().Now() : 0;
+  step_start = sim().Now();
   pending_reconfig_ = PendingReconfig{};
   pending_reconfig_->cfg = next;
   for (MachineId m : next.machines) {
@@ -571,7 +575,9 @@ Detached Node::RunReconfiguration(std::vector<MachineId> suspects) {
     co_await SleepFor(sim(), options_.lease.duration);
   }
   cluster_->NoteMilestone("config-commit");
-  FARM_TRACE(CompleteSpan(trace_pid, 0, "recovery", "new-config-commit", step_start));
+  if (trace::Tracer* tracer = emit_.tracer()) {
+    tracer->CompleteSpan(trace_pid, 0, "recovery", "new-config-commit", step_start);
+  }
   for (MachineId m : next.machines) {
     if (m != id()) {
       BufWriter w;

@@ -49,9 +49,8 @@ void Node::OnAllRegionsActive() {
 }
 
 Detached Node::ReplicateRegionFrom(RegionId region, MachineId primary) {
-  trace::SpanGuard rerep_span(
-      static_cast<uint32_t>(id()), 0, "recovery", "re-replication",
-      FARM_TRACE_ACTIVE() ? "r" + std::to_string(region) : std::string());
+  trace::SpanGuard rerep_span(emit_.tracer(), static_cast<uint32_t>(id()), 0, "recovery",
+                              "re-replication", emit_.SpanId("r", region));
   RegionReplica* rep = replica(region);
   const RegionPlacement* placement = config_.Placement(region);
   if (rep == nullptr || placement == nullptr) {
@@ -174,9 +173,8 @@ void Node::ApplyRecoveredBlock(RegionId region, uint32_t offset,
 }
 
 Detached Node::RunAllocatorRecovery(RegionId region) {
-  trace::SpanGuard alloc_rec_span(
-      static_cast<uint32_t>(id()), 0, "recovery", "allocator-recovery",
-      FARM_TRACE_ACTIVE() ? "r" + std::to_string(region) : std::string());
+  trace::SpanGuard alloc_rec_span(emit_.tracer(), static_cast<uint32_t>(id()), 0, "recovery",
+                                  "allocator-recovery", emit_.SpanId("r", region));
   RegionAllocator* alloc = allocator(region);
   if (alloc == nullptr) {
     co_return;

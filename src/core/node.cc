@@ -4,8 +4,6 @@
 
 #include "src/common/logging.h"
 #include "src/core/cluster.h"
-#include "src/core/flight_hooks.h"
-#include "src/obs/trace.h"
 
 namespace farm {
 
@@ -37,15 +35,16 @@ void NodeStats::BindTo(metrics::Registry& reg, const std::string& node_label) {
 }
 
 Node::Node(Cluster* cluster, Machine* machine, NvramStore* store, NodeOptions options)
-    : cluster_(cluster), machine_(machine), store_(store), options_(options) {
+    : cluster_(cluster),
+      machine_(machine),
+      store_(store),
+      options_(options),
+      emit_(cluster->sim(), machine->id(), *cluster->flight_recorder(machine->id()),
+            cluster->sinks(), cluster->metrics_registry()) {
   // Worker threads + one dedicated lease-manager thread (section 5.1).
   FARM_CHECK(machine_->NumThreads() == options_.worker_threads + 1)
       << "machine must have worker_threads + 1 hardware threads";
   stats_.BindTo(cluster_->metrics_registry(), "m" + std::to_string(machine_->id()));
-  flight_ = cluster_->flight_recorder(id());
-  // All nodes bind to the same cluster-wide phase cells (labels carry no
-  // node id), so dumps and bench rows see cluster totals.
-  phase_metrics_.BindTo(cluster_->metrics_registry());
   options_.msgr.worker_threads = options_.worker_threads;
   messenger_ = std::make_unique<Messenger>(fabric(), *machine_, *store_, options_.msgr);
   messenger_->SetHandlers(
@@ -165,16 +164,6 @@ RegionReplica* Node::replica(RegionId r) {
 RegionAllocator* Node::allocator(RegionId r) {
   auto it = allocators_.find(r);
   return it == allocators_.end() ? nullptr : it->second.get();
-}
-
-int Node::BlockedRegionCount() const {
-  int n = 0;
-  for (const auto& [rid, rep] : replicas_) {
-    if (IsPrimaryOf(rid) && !rep->active()) {
-      n++;
-    }
-  }
-  return n;
 }
 
 // ---------------------------------------------------------------------------
@@ -362,13 +351,12 @@ void Node::RegisterInflight(Transaction* tx) { inflight_[tx->id()] = tx; }
 void Node::UnregisterInflight(const TxId& id) { inflight_.erase(id); }
 
 void Node::QueueTruncation(const TxId& tx_id, const std::vector<MachineId>& holders) {
-  FARM_TRACE(Instant(static_cast<uint32_t>(id()), 0, "tx", "truncate"));
   for (MachineId m : holders) {
     pending_truncations_[m].push_back(tx_id);
   }
   if (!holders.empty() && truncate_pending_.count(tx_id) == 0) {
-    FlightLogTx(flight_, sim().Now(), flight::EventKind::kPhaseBegin, tx_id,
-                static_cast<uint8_t>(flight::Phase::kTruncate));
+    emit_.TxStep(tx_id, flight::EventKind::kPhaseBegin,
+                 static_cast<uint8_t>(flight::Phase::kTruncate), 0, "truncate");
     truncate_pending_[tx_id] = {sim().Now(), static_cast<int>(holders.size())};
   }
   if (!truncate_flush_armed_) {
@@ -408,9 +396,7 @@ void Node::TruncationDequeued(const TxId& tx_id, bool dispatched) {
     return;
   }
   if (dispatched) {
-    phase_metrics_.RecordPhase(flight::Phase::kTruncate, sim().Now() - it->second.first);
-    FlightLogTx(flight_, sim().Now(), flight::EventKind::kPhaseEnd, tx_id,
-                static_cast<uint8_t>(flight::Phase::kTruncate));
+    emit_.PhaseEnd(tx_id, flight::Phase::kTruncate, it->second.first);
   }
   truncate_pending_.erase(it);
 }
@@ -522,8 +508,7 @@ void Node::HandleLogRecord(MachineId from, uint64_t seq, const TxLogRecord& rec)
     case LogRecordType::kCommitBackup:
       // No foreground CPU work at backups: the record just sits in the
       // non-volatile log until truncation applies it (section 4).
-      FlightLogTx(flight_, sim().Now(), flight::EventKind::kCommitBackupRecord, rec.tx,
-                  0, from);
+      emit_.TxStep(rec.tx, flight::EventKind::kCommitBackupRecord, 0, from);
       break;
     case LogRecordType::kCommitPrimary:
       ProcessCommitPrimary(from, rec);
@@ -567,8 +552,7 @@ void Node::ProcessLock(MachineId from, uint64_t seq, const TxLogRecord& rec) {
   // is still running on a stale configuration. The failed lock reply makes
   // it abort cleanly.
   if (!config_.Contains(from)) {
-    FlightLogTx(flight_, sim().Now(), flight::EventKind::kLockReject, rec.tx,
-                /*arg=*/1, from);
+    emit_.TxStep(rec.tx, flight::EventKind::kLockReject, /*arg=*/1, from);
     BufWriter rej;
     PutTxId(rej, rec.tx);
     rej.PutU8(0);
@@ -603,14 +587,13 @@ void Node::ProcessLock(MachineId from, uint64_t seq, const TxLogRecord& rec) {
       RegionReplica* rep = replica(w->addr.region);
       rep->WriteHeader(w->addr.offset, w->ExpectedWord());
     }
-    FlightLogTx(flight_, sim().Now(), flight::EventKind::kLockReject, rec.tx,
-                /*arg=*/0, conflict_region);
+    emit_.TxStep(rec.tx, flight::EventKind::kLockReject, /*arg=*/0, conflict_region);
   } else {
     pending.locks_held = true;
     pending_[rec.tx] = std::move(pending);
-    FlightLogTx(flight_, sim().Now(), flight::EventKind::kLockAcquire, rec.tx,
-                static_cast<uint8_t>(rec.writes.size() > 255 ? 255 : rec.writes.size()),
-                rec.writes.empty() ? 0 : rec.writes.front().addr.region);
+    emit_.TxStep(rec.tx, flight::EventKind::kLockAcquire,
+                 static_cast<uint8_t>(rec.writes.size() > 255 ? 255 : rec.writes.size()),
+                 rec.writes.empty() ? 0 : rec.writes.front().addr.region);
   }
 
   BufWriter w;
@@ -653,7 +636,7 @@ void Node::ProcessCommitPrimary(MachineId from, const TxLogRecord& rec) {
   if (it == pending_.end() || !it->second.locks_held || it->second.applied) {
     return;  // already handled (possibly by recovery)
   }
-  FlightLogTx(flight_, sim().Now(), flight::EventKind::kCommitPrimaryRecord, rec.tx, 0, from);
+  emit_.TxStep(rec.tx, flight::EventKind::kCommitPrimaryRecord, 0, from);
   HwThread& worker_thread = machine_->thread(static_cast<int>(
       rec.tx.machine % static_cast<MachineId>(options_.worker_threads)));
   for (const WireWrite& w : it->second.lock_record.writes) {
@@ -670,7 +653,7 @@ void Node::ProcessAbort(MachineId from, const TxLogRecord& rec) {
   if (it == pending_.end()) {
     return;
   }
-  FlightLogTx(flight_, sim().Now(), flight::EventKind::kAbortRecord, rec.tx, 0, from);
+  emit_.TxStep(rec.tx, flight::EventKind::kAbortRecord, 0, from);
   if (it->second.locks_held && !it->second.applied) {
     for (const WireWrite& w : it->second.lock_record.writes) {
       RegionReplica* rep = replica(w.addr.region);
@@ -692,7 +675,7 @@ bool Node::WasTruncated(const TxId& id) const {
 }
 
 void Node::ProcessTruncation(MachineId from, const TxId& id, bool apply_backup_writes) {
-  FlightLogTx(flight_, sim().Now(), flight::EventKind::kTruncateRecord, id, 0, from);
+  emit_.TxStep(id, flight::EventKind::kTruncateRecord, 0, from);
   RecordTruncated(id);
   auto it = log_index_.find(id);
   if (it != log_index_.end()) {
@@ -909,8 +892,7 @@ void Node::HandleValidate(MachineId from, BufReader& r) {
     }
   }
   if (!ok) {
-    FlightLogTx(flight_, sim().Now(), flight::EventKind::kValidateFail, tx_id, 0,
-                fail_region);
+    emit_.TxStep(tx_id, flight::EventKind::kValidateFail, 0, fail_region);
   }
   BufWriter w;
   PutTxId(w, tx_id);

@@ -27,6 +27,7 @@
 #include "src/common/status.h"
 #include "src/core/alloc.h"
 #include "src/core/config.h"
+#include "src/core/emit.h"
 #include "src/core/lease.h"
 #include "src/core/msgr.h"
 #include "src/core/region.h"
@@ -35,7 +36,6 @@
 #include "src/core/wire.h"
 #include "src/net/fabric.h"
 #include "src/nvram/nvram.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/sim/task.h"
 #include "src/zk/coord.h"
@@ -116,10 +116,8 @@ class Node {
   RegionAllocator* allocator(RegionId r);
   const NodeStats& stats() const { return stats_; }
   NodeStats& mutable_stats() { return stats_; }
-  // This machine's flight-recorder ring (may be null outside a cluster).
-  flight::Recorder* flight() { return flight_; }
-  // Cluster-wide commit-phase histograms + abort-reason counters.
-  flight::PhaseMetrics& phase_metrics() { return phase_metrics_; }
+  // Reports this machine's protocol steps to the cluster's sinks.
+  Emitter& emit() { return emit_; }
   Machine& machine() { return *machine_; }
   Messenger& messenger() { return *messenger_; }
   LeaseManager& lease_manager() { return *lease_; }
@@ -127,8 +125,6 @@ class Node {
   Cluster& cluster() { return *cluster_; }
   ConfigId last_drained() const { return last_drained_; }
   uint64_t control_block_addr() const { return control_block_addr_; }
-  // Regions hosted here that are currently blocked (lock recovery pending).
-  int BlockedRegionCount() const;
 
   // ---------------- Lifecycle (called by Cluster) ----------------
 
@@ -297,7 +293,6 @@ class Node {
   bool IsRecoveringTx(const TxLogRecord& rec, const Configuration& cfg) const;
   bool TxIsRecovering(Transaction* tx, const Configuration& cfg) const;
   void BeginTransactionStateRecovery();
-  void SendNeedRecovery();
   void MaybeStartLockRecovery(RegionId region);
   Detached FinishLockRecovery(RegionId region);
   void CheckAllRegionsActive();
@@ -425,8 +420,7 @@ class Node {
   int data_recovery_inflight_ = 0;
 
   NodeStats stats_;
-  flight::Recorder* flight_ = nullptr;
-  flight::PhaseMetrics phase_metrics_;
+  Emitter emit_;
 };
 
 }  // namespace farm

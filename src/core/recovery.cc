@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "src/core/cluster.h"
-#include "src/core/flight_hooks.h"
 #include "src/core/node.h"
-#include "src/obs/fault_hook.h"
 #include "src/obs/trace.h"
 
 namespace farm {
@@ -95,11 +93,10 @@ void Node::OnNewConfig(MachineId from, Configuration new_config) {
     return;
   }
   stats_.reconfigurations++;
-  FlightLog(flight_, sim().Now(), flight::EventKind::kReconfig, 0,
-            static_cast<uint32_t>(new_config.id));
-  FlightLog(flight_, sim().Now(), flight::EventKind::kRecoveryStep,
-            static_cast<uint8_t>(flight::RecoveryStep::kNewConfig),
-            static_cast<uint32_t>(new_config.id));
+  emit_.Step(flight::EventKind::kReconfig, 0, static_cast<uint32_t>(new_config.id));
+  emit_.Step(flight::EventKind::kRecoveryStep,
+             static_cast<uint8_t>(flight::RecoveryStep::kNewConfig),
+             static_cast<uint32_t>(new_config.id));
   config_ = std::move(new_config);
   const Configuration& cfg = config_;
   regions_active_sent_ = false;
@@ -163,10 +160,9 @@ void Node::OnNewConfigCommit(ConfigId cid) {
 }
 
 void Node::BeginTransactionStateRecovery() {
-  FARM_TRACE(Instant(static_cast<uint32_t>(id()), 0, "recovery", "tx-state-recovery"));
-  FlightLog(flight_, sim().Now(), flight::EventKind::kRecoveryStep,
-            static_cast<uint8_t>(flight::RecoveryStep::kTxStateStart),
-            static_cast<uint32_t>(config_.id));
+  emit_.Step(flight::EventKind::kRecoveryStep,
+             static_cast<uint8_t>(flight::RecoveryStep::kTxStateStart),
+             static_cast<uint32_t>(config_.id), "tx-state-recovery");
   // Step 2: drain logs. Everything already delivered to our rings is
   // processed now; LastDrained is persisted to the control block that
   // reconfiguration probes read.
@@ -421,14 +417,13 @@ void Node::MaybeStartLockRecovery(RegionId region) {
     return;
   }
   it->second.lock_recovery_done = true;
-  fault::HitPoint(static_cast<uint32_t>(id()), "lock-recovery-begin", region);
+  emit_.HitPoint("lock-recovery-begin", region);
   FinishLockRecovery(region);
 }
 
 Detached Node::FinishLockRecovery(RegionId region) {
-  trace::SpanGuard lock_rec_span(
-      static_cast<uint32_t>(id()), 0, "recovery", "lock-recovery",
-      FARM_TRACE_ACTIVE() ? "r" + std::to_string(region) : std::string());
+  trace::SpanGuard lock_rec_span(emit_.tracer(), static_cast<uint32_t>(id()), 0, "recovery",
+                                 "lock-recovery", emit_.SpanId("r", region));
   auto rit = region_recovery_.find(region);
   if (rit == region_recovery_.end()) {
     co_return;
@@ -495,8 +490,8 @@ Detached Node::FinishLockRecovery(RegionId region) {
   // The region becomes active: new transactions may read and commit here in
   // parallel with the remaining recovery steps (section 5.3 performance).
   rep->set_active(true);
-  FlightLog(flight_, sim().Now(), flight::EventKind::kRecoveryStep,
-            static_cast<uint8_t>(flight::RecoveryStep::kLockRecovery), region);
+  emit_.Step(flight::EventKind::kRecoveryStep,
+             static_cast<uint8_t>(flight::RecoveryStep::kLockRecovery), region);
   auto dit = deferred_refs_.find(region);
   if (dit != deferred_refs_.end()) {
     for (const auto& [m, correlation] : dit->second) {
@@ -889,11 +884,10 @@ void Node::Decide(const TxId& tid, bool commit) {
   d.committed = commit;
   vote_timers_.erase(tid);
   LogTxScope log_tx(tid.config, tid.machine, tid.thread, tid.local);
-  FARM_TRACE(Instant(static_cast<uint32_t>(id()), 0, "recovery",
-                     commit ? "decide-commit" : "decide-abort"));
-  FlightLogTx(flight_, sim().Now(), flight::EventKind::kRecoveryStep, tid,
-              static_cast<uint8_t>(commit ? flight::RecoveryStep::kDecideCommit
-                                          : flight::RecoveryStep::kDecideAbort));
+  emit_.TxStep(tid, flight::EventKind::kRecoveryStep,
+               static_cast<uint8_t>(commit ? flight::RecoveryStep::kDecideCommit
+                                           : flight::RecoveryStep::kDecideAbort),
+               0, commit ? "decide-commit" : "decide-abort");
 
   std::set<MachineId> replicas;
   for (RegionId r : d.regions) {
@@ -951,9 +945,8 @@ void Node::HandleRecoveryDecision(MachineId from, MsgType type, BufReader& r) {
   TxId tid = GetTxId(r);
   bool commit = type == MsgType::kCommitRecovery;
   LogTxScope log_tx(tid.config, tid.machine, tid.thread, tid.local);
-  FlightLogTx(flight_, sim().Now(), flight::EventKind::kRecoveryStep, tid,
-              static_cast<uint8_t>(flight::RecoveryStep::kDecisionApply),
-              commit ? 1 : 0);
+  emit_.TxStep(tid, flight::EventKind::kRecoveryStep,
+               static_cast<uint8_t>(flight::RecoveryStep::kDecisionApply), commit ? 1 : 0);
 
   // Durable memory of the decision (the paper's COMMIT-RECOVERY /
   // ABORT-RECOVERY records). If this machine survives into a later
@@ -1102,8 +1095,8 @@ void Node::HandleTruncateRecovery(MachineId from, BufReader& r) {
   (void)from;
   TxId tid = GetTxId(r);
   bool commit = r.GetU8() != 0;
-  FlightLogTx(flight_, sim().Now(), flight::EventKind::kRecoveryStep, tid,
-              static_cast<uint8_t>(flight::RecoveryStep::kTruncateRecovery));
+  emit_.TxStep(tid, flight::EventKind::kRecoveryStep,
+               static_cast<uint8_t>(flight::RecoveryStep::kTruncateRecovery));
   ProcessTruncation(tid.machine, tid, /*apply_backup_writes=*/commit);
   for (auto& [rid, rr] : region_recovery_) {
     (void)rid;

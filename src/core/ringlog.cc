@@ -164,7 +164,7 @@ Future<NetResult> RingSender::Append(std::vector<uint8_t> payload, uint32_t rese
   uint32_t len = static_cast<uint32_t>(payload.size());
   FARM_CHECK(len <= reserved_len) << "record larger than its reservation";
   uint32_t framed = FramedLen(len);
-  uint32_t effect = fault::HitPoint(self_, "ringlog-append", peer_);
+  uint32_t effect = fabric_->sinks().HitPoint(self_, "ringlog-append", peer_);
   ReleaseReservation(reserved_len);
   FARM_CHECK(tail_ - HeadView() + framed <= cap_) << "ring overflow despite reservation";
 

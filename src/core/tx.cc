@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "src/core/cluster.h"
-#include "src/core/flight_hooks.h"
 #include "src/core/node.h"
-#include "src/obs/trace.h"
 
 namespace farm {
 
@@ -20,11 +18,6 @@ constexpr SimDuration kCommitResolutionTimeout = 500 * kMillisecond;
 // t_r: a primary with at most this many objects to validate gets one-sided
 // RDMA reads; above it, one validation RPC.
 constexpr int kValidateRpcThreshold = 4;
-
-// Span id for async tx spans; only pay for the string when tracing is on.
-std::string TxTraceId(const TxId& id) {
-  return FARM_TRACE_ACTIVE() ? id.ToString() : std::string();
-}
 
 // Reservation size for small records (COMMIT-PRIMARY / ABORT) with room for
 // piggybacked truncation ids.
@@ -70,7 +63,7 @@ Task<StatusOr<std::vector<uint8_t>>> Transaction::Read(GlobalAddr addr, uint32_t
     co_return rit->second.value;
   }
 
-  const SimTime read_start = FARM_TRACE_ACTIVE() ? node_->sim().Now() : 0;
+  const SimTime read_start = node_->sim().Now();
   auto ref = co_await node_->ResolveRef(addr.region, thread_);
   if (!ref.ok()) {
     co_return ref.status();
@@ -109,8 +102,10 @@ Task<StatusOr<std::vector<uint8_t>>> Transaction::Read(GlobalAddr addr, uint32_t
   entry.value = value;
   entry.read_from = ref->primary;
   reads_[addr] = std::move(entry);
-  FARM_TRACE(CompleteSpan(static_cast<uint32_t>(node_->id()), static_cast<uint32_t>(thread_),
-                          "tx", "read", read_start));
+  if (trace::Tracer* tracer = node_->emit().tracer()) {
+    tracer->CompleteSpan(static_cast<uint32_t>(node_->id()), static_cast<uint32_t>(thread_),
+                         "tx", "read", read_start);
+  }
   co_return value;
 }
 
@@ -327,24 +322,14 @@ Task<Status> Transaction::Commit() {
   // The execute phase ran from Begin() to here; the id only exists now, so
   // its begin record is stamped retroactively (the postmortem merge sorts by
   // time, not append order).
-  flight::Recorder* ring = node_->flight();
-  flight::PhaseMetrics& pm = node_->phase_metrics();
-  FlightLogTx(ring, begin_time_, flight::EventKind::kPhaseBegin, id_,
-              static_cast<uint8_t>(flight::Phase::kExecute));
-  FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kPhaseEnd, id_,
-              static_cast<uint8_t>(flight::Phase::kExecute));
-  pm.RecordPhase(flight::Phase::kExecute, node_->sim().Now() - begin_time_);
-
-  const uint32_t trace_pid = static_cast<uint32_t>(node_->id());
-  const uint32_t trace_tid = static_cast<uint32_t>(thread_);
-  trace::SpanGuard commit_span(trace_pid, trace_tid, "tx", "commit", TxTraceId(id_));
+  Emitter& emit = node_->emit();
+  emit.PhaseSince(id_, flight::Phase::kExecute, begin_time_);
+  TxSpan commit_span(emit, id_, thread_, "commit");
 
   co_await node_->worker(thread_).Execute(cost.cpu_tx_commit_setup);
 
   if (writes_.empty()) {
-    const SimTime validate_start = node_->sim().Now();
-    FlightLogTx(ring, validate_start, flight::EventKind::kPhaseBegin, id_,
-                static_cast<uint8_t>(flight::Phase::kValidate));
+    TxSpan validate(emit, id_, thread_, flight::Phase::kValidate);
     Status v = co_await ValidatePhase();
     if (recovery_resolution_.has_value()) {
       // A reconfiguration changed a read region's primary mid-validation;
@@ -355,16 +340,12 @@ Task<Status> Transaction::Commit() {
     node_->UnregisterInflight(id_);
     registered_ = false;
     if (v.ok()) {
-      pm.RecordPhase(flight::Phase::kValidate, node_->sim().Now() - validate_start);
-      FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kPhaseEnd, id_,
-                  static_cast<uint8_t>(flight::Phase::kValidate));
+      validate.End();
       committed_ = true;
       node_->mutable_stats().tx_committed++;
     } else {
       node_->mutable_stats().tx_aborted_validate++;
-      pm.CountAbort(flight::AbortReason::kValidateConflict);
-      FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                  static_cast<uint8_t>(flight::AbortReason::kValidateConflict));
+      emit.Abort(id_, flight::AbortReason::kValidateConflict);
     }
     co_return v;
   }
@@ -375,9 +356,7 @@ Task<Status> Transaction::Commit() {
     registered_ = false;
     ReleaseAllocs();
     node_->mutable_stats().tx_aborted_lock++;
-    pm.CountAbort(flight::AbortReason::kNoPlacement);
-    FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                static_cast<uint8_t>(flight::AbortReason::kNoPlacement));
+    emit.Abort(id_, flight::AbortReason::kNoPlacement);
     co_return participants.status();
   }
   Participants& p = *participants;
@@ -387,18 +366,13 @@ Task<Status> Transaction::Commit() {
     registered_ = false;
     ReleaseAllocs();
     node_->mutable_stats().tx_aborted_lock++;
-    pm.CountAbort(flight::AbortReason::kLogReservation);
-    FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                static_cast<uint8_t>(flight::AbortReason::kLogReservation));
+    emit.Abort(id_, flight::AbortReason::kLogReservation);
     co_return Status(StatusCode::kResourceExhausted, "log reservation failed");
   }
 
   // ---- Phase 1: LOCK ----
   {
-    trace::SpanGuard lock_span(trace_pid, trace_tid, "tx", "lock", TxTraceId(id_));
-    const SimTime lock_start = node_->sim().Now();
-    FlightLogTx(ring, lock_start, flight::EventKind::kPhaseBegin, id_,
-                static_cast<uint8_t>(flight::Phase::kLock));
+    TxSpan lock(emit, id_, thread_, flight::Phase::kLock);
     lock_replies_pending_ = static_cast<int>(p.primary_writes.size());
     lock_all_ok_ = true;
     for (const auto& [m, writes] : p.primary_writes) {
@@ -427,8 +401,7 @@ Task<Status> Transaction::Commit() {
       node_->mutable_stats().tx_unresolved++;
       node_->UnregisterInflight(id_);
       registered_ = false;
-      FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                  static_cast<uint8_t>(flight::AbortReason::kUnresolvedLock));
+      emit.Abort(id_, flight::AbortReason::kUnresolvedLock);
       co_return UnavailableStatus("commit unresolved: lock phase");
     }
     if (!lock_all_ok_) {
@@ -437,22 +410,15 @@ Task<Status> Transaction::Commit() {
       node_->UnregisterInflight(id_);
       registered_ = false;
       node_->mutable_stats().tx_aborted_lock++;
-      pm.CountAbort(flight::AbortReason::kLockConflict);
-      FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                  static_cast<uint8_t>(flight::AbortReason::kLockConflict));
+      emit.Abort(id_, flight::AbortReason::kLockConflict);
       co_return AbortedStatus("lock conflict");
     }
-    pm.RecordPhase(flight::Phase::kLock, node_->sim().Now() - lock_start);
-    FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kPhaseEnd, id_,
-                static_cast<uint8_t>(flight::Phase::kLock));
+    lock.End();
   }
 
   // ---- Phase 2: VALIDATE (one-sided reads; RPC above threshold t_r) ----
   {
-    trace::SpanGuard validate_span(trace_pid, trace_tid, "tx", "validate", TxTraceId(id_));
-    const SimTime validate_start = node_->sim().Now();
-    FlightLogTx(ring, validate_start, flight::EventKind::kPhaseBegin, id_,
-                static_cast<uint8_t>(flight::Phase::kValidate));
+    TxSpan validate(emit, id_, thread_, flight::Phase::kValidate);
     Status v = co_await ValidatePhase();
     if (recovery_resolution_.has_value()) {
       co_return FinishFromRecovery();
@@ -463,22 +429,15 @@ Task<Status> Transaction::Commit() {
       node_->UnregisterInflight(id_);
       registered_ = false;
       node_->mutable_stats().tx_aborted_validate++;
-      pm.CountAbort(flight::AbortReason::kValidateConflict);
-      FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                  static_cast<uint8_t>(flight::AbortReason::kValidateConflict));
+      emit.Abort(id_, flight::AbortReason::kValidateConflict);
       co_return v;
     }
-    pm.RecordPhase(flight::Phase::kValidate, node_->sim().Now() - validate_start);
-    FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kPhaseEnd, id_,
-                static_cast<uint8_t>(flight::Phase::kValidate));
+    validate.End();
   }
 
   // ---- Phase 3: COMMIT-BACKUP (one-sided writes; wait for NIC acks) ----
   {
-    trace::SpanGuard cb_span(trace_pid, trace_tid, "tx", "commit-backup", TxTraceId(id_));
-    const SimTime cb_start = node_->sim().Now();
-    FlightLogTx(ring, cb_start, flight::EventKind::kPhaseBegin, id_,
-                static_cast<uint8_t>(flight::Phase::kCommitBackup));
+    TxSpan commit_backup(emit, id_, thread_, flight::Phase::kCommitBackup);
     WaitGroup wg;
     auto all_ok = std::make_shared<bool>(true);
     for (const auto& [m, writes] : p.backup_writes) {
@@ -514,8 +473,7 @@ Task<Status> Transaction::Commit() {
         node_->mutable_stats().tx_unresolved++;
         node_->UnregisterInflight(id_);
         registered_ = false;
-        FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                    static_cast<uint8_t>(flight::AbortReason::kUnresolvedBackupAck));
+        emit.Abort(id_, flight::AbortReason::kUnresolvedBackupAck);
         co_return UnavailableStatus("commit unresolved: backup acks");
       }
     }
@@ -531,21 +489,15 @@ Task<Status> Transaction::Commit() {
       node_->mutable_stats().tx_unresolved++;
       node_->UnregisterInflight(id_);
       registered_ = false;
-      FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                  static_cast<uint8_t>(flight::AbortReason::kUnresolvedBackupFailure));
+      emit.Abort(id_, flight::AbortReason::kUnresolvedBackupFailure);
       co_return UnavailableStatus("commit unresolved: backup failure");
     }
-    pm.RecordPhase(flight::Phase::kCommitBackup, node_->sim().Now() - cb_start);
-    FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kPhaseEnd, id_,
-                static_cast<uint8_t>(flight::Phase::kCommitBackup));
+    commit_backup.End();
   }
 
   // ---- Phase 4: COMMIT-PRIMARY (report committed on the first ack) ----
   {
-    trace::SpanGuard cp_span(trace_pid, trace_tid, "tx", "commit-primary", TxTraceId(id_));
-    const SimTime cp_start = node_->sim().Now();
-    FlightLogTx(ring, cp_start, flight::EventKind::kPhaseBegin, id_,
-                static_cast<uint8_t>(flight::Phase::kCommitPrimary));
+    TxSpan commit_primary(emit, id_, thread_, flight::Phase::kCommitPrimary);
     struct CpState {
       int pending = 0;
       bool any_ok = false;
@@ -609,14 +561,11 @@ Task<Status> Transaction::Commit() {
         node_->mutable_stats().tx_unresolved++;
         node_->UnregisterInflight(id_);
         registered_ = false;
-        FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kAbort, id_,
-                    static_cast<uint8_t>(flight::AbortReason::kUnresolvedPrimaryAck));
+        emit.Abort(id_, flight::AbortReason::kUnresolvedPrimaryAck);
         co_return UnavailableStatus("commit unresolved: primary acks");
       }
     }
-    pm.RecordPhase(flight::Phase::kCommitPrimary, node_->sim().Now() - cp_start);
-    FlightLogTx(ring, node_->sim().Now(), flight::EventKind::kPhaseEnd, id_,
-                static_cast<uint8_t>(flight::Phase::kCommitPrimary));
+    commit_primary.End();
   }
 
   committed_ = true;
@@ -640,9 +589,7 @@ Status Transaction::FinishFromRecovery() {
     return OkStatus();
   }
   node_->mutable_stats().tx_recovered_abort++;
-  node_->phase_metrics().CountAbort(flight::AbortReason::kRecoveryAbort);
-  FlightLogTx(node_->flight(), node_->sim().Now(), flight::EventKind::kAbort, id_,
-              static_cast<uint8_t>(flight::AbortReason::kRecoveryAbort));
+  node_->emit().Abort(id_, flight::AbortReason::kRecoveryAbort);
   ReleaseAllocs();
   return AbortedStatus("aborted by recovery");
 }

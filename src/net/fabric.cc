@@ -2,9 +2,7 @@
 
 #include <cstring>
 
-#include "src/obs/fault_hook.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/trace.h"
 
 namespace farm {
 
@@ -33,11 +31,9 @@ constexpr uint32_t kAckBytes = 8;
 
 // Per-op instant on the initiator's track plus the cumulative byte counter
 // for the op's transport (counter_name may be null for datagrams).
-// High-volume, so double-gated: global tracer present AND capture_net on.
-void TraceOp(const char* name, MachineId src, HwThread* thread, const char* counter_name,
-             uint64_t counter_value) {
-#ifndef FARM_TRACE_DISABLED
-  trace::Tracer* tracer = trace::Global();
+// High-volume, so double-gated: tracer attached AND capture_net on.
+void TraceOp(trace::Tracer* tracer, const char* name, MachineId src, HwThread* thread,
+             const char* counter_name, uint64_t counter_value) {
   if (tracer == nullptr || !tracer->capture_net()) {
     return;
   }
@@ -46,28 +42,14 @@ void TraceOp(const char* name, MachineId src, HwThread* thread, const char* coun
   if (counter_name != nullptr) {
     tracer->CounterValue(static_cast<uint32_t>(src), counter_name, counter_value);
   }
-#else
-  (void)name;
-  (void)src;
-  (void)thread;
-  (void)counter_name;
-  (void)counter_value;
-#endif
 }
 
 // Injected faults are rare and load-bearing for chaos debugging, so they
 // trace whenever a tracer is attached (not gated on capture_net).
-void TraceFault(const char* name, MachineId src) {
-#ifndef FARM_TRACE_DISABLED
-  trace::Tracer* tracer = trace::Global();
-  if (tracer == nullptr) {
-    return;
+void TraceFault(trace::Tracer* tracer, const char* name, MachineId src) {
+  if (tracer != nullptr) {
+    tracer->Instant(static_cast<uint32_t>(src), 0, "chaos", name);
   }
-  tracer->Instant(static_cast<uint32_t>(src), 0, "chaos", name);
-#else
-  (void)name;
-  (void)src;
-#endif
 }
 
 }  // namespace
@@ -176,7 +158,7 @@ Fabric::FaultOutcome Fabric::DrawFaults(MachineId src, MachineId dst) {
   if (f.drop > 0 && fault_rng_.Bernoulli(f.drop)) {
     out.drop = true;
     stats_.faults_dropped++;
-    TraceFault("fault_drop", src);
+    TraceFault(sinks_.tracer, "fault_drop", src);
     return out;
   }
   out.delay = f.extra_latency;
@@ -189,17 +171,17 @@ Fabric::FaultOutcome Fabric::DrawFaults(MachineId src, MachineId dst) {
     SimDuration window = f.reorder_window > 0 ? f.reorder_window : kMillisecond;
     out.delay += fault_rng_.Uniform64(window);
     stats_.faults_reordered++;
-    TraceFault("fault_reorder", src);
+    TraceFault(sinks_.tracer, "fault_reorder", src);
   }
   if (out.delay > 0) {
     stats_.faults_delayed++;
-    TraceFault("fault_delay", src);
+    TraceFault(sinks_.tracer, "fault_delay", src);
   }
   if (f.dup > 0 && fault_rng_.Bernoulli(f.dup)) {
     out.duplicate = true;
     out.dup_delay = out.delay + (f.jitter > 0 ? fault_rng_.Uniform64(f.jitter) : 0);
     stats_.faults_duplicated++;
-    TraceFault("fault_dup", src);
+    TraceFault(sinks_.tracer, "fault_dup", src);
   }
   return out;
 }
@@ -229,7 +211,7 @@ Future<NetResult> Fabric::Read(MachineId src, MachineId dst, uint64_t addr, uint
                                HwThread* thread) {
   stats_.rdma_reads++;
   stats_.rdma_bytes += len;
-  TraceOp("rdma_read", src, thread, "rdma_bytes", stats_.rdma_bytes);
+  TraceOp(sinks_.tracer, "rdma_read", src, thread, "rdma_bytes", stats_.rdma_bytes);
   return OneSided(Verb::kRead, src, dst, addr, len, {}, 0, 0, thread);
 }
 
@@ -238,7 +220,7 @@ Future<NetResult> Fabric::Write(MachineId src, MachineId dst, uint64_t addr,
                                 std::function<void()> on_delivered) {
   stats_.rdma_writes++;
   stats_.rdma_bytes += data.size();
-  TraceOp("rdma_write", src, thread, "rdma_bytes", stats_.rdma_bytes);
+  TraceOp(sinks_.tracer, "rdma_write", src, thread, "rdma_bytes", stats_.rdma_bytes);
   return OneSided(Verb::kWrite, src, dst, addr, static_cast<uint32_t>(data.size()),
                   std::move(data), 0, 0, thread, std::move(on_delivered));
 }
@@ -247,7 +229,7 @@ Future<NetResult> Fabric::Cas(MachineId src, MachineId dst, uint64_t addr, uint6
                               uint64_t desired, HwThread* thread) {
   stats_.rdma_cas++;
   stats_.rdma_bytes += 16;
-  TraceOp("rdma_cas", src, thread, "rdma_bytes", stats_.rdma_bytes);
+  TraceOp(sinks_.tracer, "rdma_cas", src, thread, "rdma_bytes", stats_.rdma_bytes);
   return OneSided(Verb::kCas, src, dst, addr, 8, {}, expected, desired, thread);
 }
 
@@ -451,9 +433,9 @@ Future<NetResult> Fabric::Call(MachineId src, MachineId dst, uint16_t service,
                                SimDuration timeout) {
   stats_.rpcs++;
   stats_.rpc_bytes += request.size();
-  TraceOp("rpc", src, thread, "rpc_bytes", stats_.rpc_bytes);
+  TraceOp(sinks_.tracer, "rpc", src, thread, "rpc_bytes", stats_.rpc_bytes);
   FlightMsg(Ep(src).flight, sim_.Now(), flight::EventKind::kMsgSend, service, dst);
-  uint32_t effect = fault::HitPoint(static_cast<uint32_t>(src), "msg-send",
+  uint32_t effect = sinks_.HitPoint(static_cast<uint32_t>(src), "msg-send",
                                     static_cast<uint64_t>(dst));
 
   RpcOp* op = AcquireRpc();
@@ -627,7 +609,7 @@ void Fabric::SetDatagramHandler(MachineId m, DatagramHandler handler) {
 void Fabric::SendDatagram(MachineId src, MachineId dst, std::vector<uint8_t> payload,
                           bool bypass_nic_queue) {
   stats_.datagrams++;
-  TraceOp("datagram", src, nullptr, nullptr, 0);
+  TraceOp(sinks_.tracer, "datagram", src, nullptr, nullptr, 0);
   if (!IsAlive(src) || !Reachable(src, dst) || !IsAlive(dst)) {
     return;
   }

@@ -1,5 +1,5 @@
-// Global fault-point hook: the seam between protocol code and the chaos
-// explorer's fault injector.
+// Fault-point hook: the seam between protocol code and the chaos explorer's
+// fault injector.
 //
 // A fault point is a named place in the protocol where a fault can be
 // injected: every flight-recorder event type is one (the tap lives in
@@ -10,15 +10,17 @@
 // torn NVRAM writes, lease-send for forced expiries, reconfiguration steps
 // in cm.cc, lock-recovery start in recovery.cc).
 //
-// Protocol code calls HitPoint(machine, point, arg) and honors the returned
-// effect mask; with no hook installed this is a single pointer load, so
-// normal runs (including the byte-identity trace gates) are unaffected.
-// Deferred actions (machine kills, partitions, lease expiries) are the
-// hook's own business: it schedules them through the simulator rather than
-// mutating state under the caller's feet.
+// A hook is attached to one Cluster (Cluster::SetFaultHook) and reaches
+// every layer through that cluster's obs::Sinks: protocol code calls
+// Sinks::HitPoint(machine, point, arg) and honors the returned effect mask.
+// With no hook attached this is a null check, so normal runs (including the
+// byte-identity trace gates) are unaffected. Deferred actions (machine
+// kills, partitions, lease expiries) are the hook's own business: it
+// schedules them through the simulator rather than mutating state under the
+// caller's feet.
 //
-// At most one hook may be installed at a time, and only one Cluster may run
-// while it is installed (the hook is process-global).
+// Sinks are per cluster and a thread runs at most one live Cluster, so
+// independent clusters with their own hooks can run on separate threads.
 #ifndef SRC_OBS_FAULT_HOOK_H_
 #define SRC_OBS_FAULT_HOOK_H_
 
@@ -49,21 +51,6 @@ class Hook {
   // Returns an Effect mask for the call site to honor.
   virtual uint32_t OnPoint(uint32_t machine, const char* point, uint64_t arg) = 0;
 };
-
-// The installed hook (nullptr outside chaos exploration). Exposed so
-// HitPoint inlines to a load + branch on the hot path.
-extern Hook* g_hook;
-
-// Installs/removes the process-wide hook. Installing over an existing hook
-// or removing a hook that is not installed is a programming error.
-void InstallHook(Hook* h);
-void RemoveHook(Hook* h);
-
-inline bool HookActive() { return g_hook != nullptr; }
-
-inline uint32_t HitPoint(uint32_t machine, const char* point, uint64_t arg = 0) {
-  return g_hook == nullptr ? kEffectNone : g_hook->OnPoint(machine, point, arg);
-}
 
 }  // namespace fault
 }  // namespace farm

@@ -4,9 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-
-#include "src/obs/fault_hook.h"
 
 namespace farm {
 namespace flight {
@@ -99,11 +96,6 @@ bool ParseArg(uint8_t kind, const std::string& text, uint8_t* out) {
   return true;
 }
 
-std::string& GlobalDumpPath() {
-  static std::string path;
-  return path;
-}
-
 }  // namespace
 
 const char* EventKindName(EventKind k) {
@@ -167,45 +159,19 @@ const char* PointName(EventKind k, uint8_t arg) {
   return EventKindName(k);
 }
 
-std::vector<const char*> AllPointNames() {
-  std::vector<const char*> out;
-  for (int k = 1; k <= kNumEventKinds; k++) {
-    EventKind kind = static_cast<EventKind>(k);
-    switch (kind) {
-      case EventKind::kPhaseBegin:
-      case EventKind::kPhaseEnd:
-        for (int p = 0; p < kNumPhases; p++) {
-          out.push_back(PointName(kind, static_cast<uint8_t>(p)));
-        }
-        break;
-      case EventKind::kRecoveryStep:
-        for (int s = 1; s <= kNumRecoverySteps; s++) {
-          out.push_back(PointName(kind, static_cast<uint8_t>(s)));
-        }
-        break;
-      default:
-        out.push_back(EventKindName(kind));
-        break;
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const char* a, const char* b) { return std::strcmp(a, b) < 0; });
-  return out;
-}
-
-Recorder::Recorder(uint32_t machine, size_t capacity)
-    : machine_(machine), ring_(capacity > 0 ? capacity : 1) {}
+Recorder::Recorder(uint32_t machine, size_t capacity, const obs::Sinks& sinks)
+    : machine_(machine), sinks_(sinks), ring_(capacity > 0 ? capacity : 1) {}
 
 void Recorder::Append(const Record& r) {
   ring_[appended_ % ring_.size()] = r;
   appended_++;
-  if (fault::HookActive()) {
+  if (sinks_.hook != nullptr) {
     // Every flight record is an injectable fault point. msg-send is the one
     // exception: the fabric hits it natively (before committing the message
     // to the wire) so the hook's drop effect can take hold.
     EventKind k = static_cast<EventKind>(r.kind);
     if (k != EventKind::kMsgSend) {
-      fault::HitPoint(machine_, PointName(k, r.arg), r.detail);
+      sinks_.HitPoint(machine_, PointName(k, r.arg), r.detail);
     }
   }
 }
@@ -336,15 +302,8 @@ std::string BuildPostmortem(const std::vector<const Recorder*>& rings) {
   return out;
 }
 
-void SetDumpOnDestroy(const std::string& path) { GlobalDumpPath() = path; }
-
-const std::string& DumpPath() { return GlobalDumpPath(); }
-
-void AppendDump(const std::string& postmortem, const std::string& section) {
-  const std::string& path = GlobalDumpPath();
-  if (path.empty()) {
-    return;
-  }
+void AppendDump(const std::string& path, const std::string& postmortem,
+                const std::string& section) {
   std::FILE* f = std::fopen(path.c_str(), "a");
   if (f == nullptr) {
     return;
@@ -353,15 +312,6 @@ void AppendDump(const std::string& postmortem, const std::string& section) {
   std::fwrite(header.data(), 1, header.size(), f);
   std::fwrite(postmortem.data(), 1, postmortem.size(), f);
   std::fclose(f);
-}
-
-void PhaseMetrics::BindTo(metrics::Registry& reg) {
-  for (int p = 0; p < kNumPhases; p++) {
-    phase_ns[p] = reg.GetHistogram("tx_phase_ns", {{"phase", kPhaseNames[p]}});
-  }
-  for (int r = 0; r < kNumAbortReasons; r++) {
-    abort_reason[r] = reg.GetCounter("tx_abort_reason", {{"reason", kAbortReasonNames[r]}});
-  }
 }
 
 }  // namespace flight

@@ -27,7 +27,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "src/obs/metrics.h"
+#include "src/obs/sinks.h"
 
 namespace farm {
 namespace flight {
@@ -112,10 +112,6 @@ const char* RecoveryStepName(RecoveryStep s);
 // injectable fault-point id (see src/obs/fault_hook.h).
 const char* PointName(EventKind k, uint8_t arg);
 
-// All point names a ring could ever emit, sorted; for tooling that wants to
-// enumerate the taxonomy without observing a run.
-std::vector<const char*> AllPointNames();
-
 // One protocol event. Exactly 32 bytes, trivially copyable, pointer-free
 // (enforced by the static_asserts below and the farmlint recorder-pod rule).
 // The transaction id is stored unpacked (config truncated to 32 bits --
@@ -150,12 +146,14 @@ static_assert(std::is_trivially_copyable_v<DrainedRecord>);
 
 // Per-machine ring. Single-threaded (the simulation is), fixed capacity,
 // overwrites oldest; `dropped()` counts overwritten records so a postmortem
-// states what it lost.
+// states what it lost. Every append is also a fault point for the hook
+// attached to `sinks` (the owning cluster's; none outside a cluster).
 class Recorder {
  public:
   static constexpr size_t kDefaultCapacity = 8192;
 
-  explicit Recorder(uint32_t machine, size_t capacity = kDefaultCapacity);
+  explicit Recorder(uint32_t machine, size_t capacity = kDefaultCapacity,
+                    const obs::Sinks& sinks = obs::kNoSinks);
 
   void Append(const Record& r);
 
@@ -172,6 +170,7 @@ class Recorder {
 
  private:
   uint32_t machine_;
+  const obs::Sinks& sinks_;
   uint64_t appended_ = 0;
   std::vector<Record> ring_;
 };
@@ -193,31 +192,11 @@ bool ParseRecordLine(const std::string& line, DrainedRecord* out);
 // byte-identical postmortems.
 std::string BuildPostmortem(const std::vector<const Recorder*>& rings);
 
-// --flight-out= support, mirroring metrics::SetDumpOnDestroy: when set to a
-// non-empty path, every Cluster destroyed afterwards appends its merged
-// flight timeline (with a section header) to that file.
-void SetDumpOnDestroy(const std::string& path);
-const std::string& DumpPath();
-void AppendDump(const std::string& postmortem, const std::string& section);
-
-// Per-cluster commit-phase latency histograms and the abort-reason counter
-// taxonomy, layered on the PR-1 metrics registry:
-//   tx_phase_ns{phase="lock"}          (histogram, one per Phase)
-//   tx_abort_reason{reason="lock_conflict"}  (counter, one per AbortReason)
-// Every node of a cluster binds to the same cells (the labels carry no node
-// id), so the registry dump and the bench phase rows see cluster totals.
-struct PhaseMetrics {
-  metrics::HistogramMetric phase_ns[kNumPhases];
-  metrics::Counter abort_reason[kNumAbortReasons];
-
-  void BindTo(metrics::Registry& reg);
-  void RecordPhase(Phase p, uint64_t ns) {
-    phase_ns[static_cast<int>(p)].Record(ns);
-  }
-  void CountAbort(AbortReason r) {
-    abort_reason[static_cast<int>(r) - 1].Inc();
-  }
-};
+// Appends `postmortem` under a `==== flight: <section> ====` header to the
+// file at `path`. A Cluster calls this at teardown when
+// ClusterOptions::flight_out is set (the bench --flight-out flag).
+void AppendDump(const std::string& path, const std::string& postmortem,
+                const std::string& section);
 
 }  // namespace flight
 }  // namespace farm

@@ -9,17 +9,6 @@ namespace metrics {
 
 namespace {
 
-// Dump-on-destroy state (see SetDumpOnDestroy).
-std::string& DumpPath() {
-  static std::string path;
-  return path;
-}
-
-int& NextInstance() {
-  static int next = 0;
-  return next;
-}
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -75,18 +64,12 @@ std::string CellKey(const std::string& name, Labels labels) {
 
 Counter::Counter(Registry& reg, const std::string& name, Labels labels)
     : Counter(reg.GetCounter(name, std::move(labels))) {}
-Counter::Counter(const std::string& name, Labels labels)
-    : Counter(Registry::Default().GetCounter(name, std::move(labels))) {}
 
 Gauge::Gauge(Registry& reg, const std::string& name, Labels labels)
     : Gauge(reg.GetGauge(name, std::move(labels))) {}
-Gauge::Gauge(const std::string& name, Labels labels)
-    : Gauge(Registry::Default().GetGauge(name, std::move(labels))) {}
 
 HistogramMetric::HistogramMetric(Registry& reg, const std::string& name, Labels labels)
     : HistogramMetric(reg.GetHistogram(name, std::move(labels))) {}
-HistogramMetric::HistogramMetric(const std::string& name, Labels labels)
-    : HistogramMetric(Registry::Default().GetHistogram(name, std::move(labels))) {}
 
 Snapshot Snapshot::Diff(const Snapshot& after, const Snapshot& before) {
   Snapshot d;
@@ -103,15 +86,6 @@ Snapshot Snapshot::Diff(const Snapshot& after, const Snapshot& before) {
     d.histogram_counts[k] = v - (it == before.histogram_counts.end() ? 0 : it->second);
   }
   return d;
-}
-
-Registry::Registry() : instance_(NextInstance()++) {}
-
-Registry::~Registry() {
-  const std::string& path = DumpPath();
-  if (!path.empty() && CellCount() > 0) {
-    AppendDump(*this, "registry " + std::to_string(instance_));
-  }
 }
 
 Counter Registry::GetCounter(const std::string& name, Labels labels) {
@@ -219,18 +193,7 @@ std::string Registry::ToJson() const {
   return out.str();
 }
 
-Registry& Registry::Default() {
-  static Registry* reg = new Registry();  // leaked: outlives all static dtors
-  return *reg;
-}
-
-void SetDumpOnDestroy(const std::string& path) { DumpPath() = path; }
-
-void AppendDump(const Registry& reg, const std::string& section) {
-  const std::string& path = DumpPath();
-  if (path.empty()) {
-    return;
-  }
+void AppendDump(const std::string& path, const Registry& reg, const std::string& section) {
   bool json = path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
   std::string content;
   if (json) {

@@ -16,10 +16,9 @@
 //   - MOVING a handle transfers the binding (registry lookups return by
 //     value via move, so `auto c = reg.GetCounter(...)` stays bound).
 //
-// Registries support snapshot/diff and text + JSON dumps. The process-wide
-// default registry (`Registry::Default()`) serves code with no cluster
-// context; each simulated Cluster owns its own registry so sequential
-// clusters in one process do not bleed counts into each other.
+// Registries support snapshot/diff and text + JSON dumps. There is no
+// process-wide registry: each simulated Cluster owns its own, so clusters
+// in one process do not bleed counts into each other.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
@@ -61,8 +60,6 @@ class Counter {
   Counter() : cell_(std::make_shared<internal::CounterCell>()) {}
   // Binds to the cell in `reg` (creating it if needed).
   Counter(Registry& reg, const std::string& name, Labels labels = {});
-  // Binds into the process-wide default registry.
-  explicit Counter(const std::string& name, Labels labels = {});
 
   Counter(const Counter& other)
       : cell_(std::make_shared<internal::CounterCell>(*other.cell_)) {}
@@ -104,7 +101,6 @@ class Gauge {
  public:
   Gauge() : cell_(std::make_shared<internal::GaugeCell>()) {}
   Gauge(Registry& reg, const std::string& name, Labels labels = {});
-  explicit Gauge(const std::string& name, Labels labels = {});
 
   Gauge(const Gauge& other) : cell_(std::make_shared<internal::GaugeCell>(*other.cell_)) {}
   Gauge& operator=(const Gauge& other) {
@@ -134,7 +130,6 @@ class HistogramMetric {
  public:
   HistogramMetric() : cell_(std::make_shared<internal::HistogramCell>()) {}
   HistogramMetric(Registry& reg, const std::string& name, Labels labels = {});
-  explicit HistogramMetric(const std::string& name, Labels labels = {});
 
   HistogramMetric(const HistogramMetric& other)
       : cell_(std::make_shared<internal::HistogramCell>(*other.cell_)) {}
@@ -169,8 +164,7 @@ struct Snapshot {
 
 class Registry {
  public:
-  Registry();
-  ~Registry();
+  Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
@@ -191,25 +185,17 @@ class Registry {
   // {"counters":{...},"gauges":{...},"histograms":{key:{"count":..,...}}}
   std::string ToJson() const;
 
-  // The process-wide registry.
-  static Registry& Default();
-
  private:
-  friend void SetDumpOnDestroy(const std::string& path);
   std::map<std::string, std::shared_ptr<internal::CounterCell>> counters_;
   std::map<std::string, std::shared_ptr<internal::GaugeCell>> gauges_;
   std::map<std::string, std::shared_ptr<internal::HistogramCell>> histograms_;
-  int instance_ = 0;  // dump-section ordinal, assigned at construction
 };
 
-// When set to a non-empty path, every Registry destroyed afterwards appends
-// its dump to that file (JSON if the path ends in ".json", text otherwise).
-// Used by the bench --metrics-out flag: benches create clusters inside their
-// Run() function, so the dump must happen when the cluster's registry dies.
-void SetDumpOnDestroy(const std::string& path);
-// Appends an explicitly provided registry dump (used for Registry::Default()
-// at bench exit, which is never destroyed).
-void AppendDump(const Registry& reg, const std::string& section);
+// Appends `reg`'s dump under a `section` header to the file at `path` (JSON
+// if the path ends in ".json", text otherwise). A Cluster calls this at
+// teardown when ClusterOptions::metrics_out is set (the bench --metrics-out
+// flag).
+void AppendDump(const std::string& path, const Registry& reg, const std::string& section);
 
 }  // namespace metrics
 }  // namespace farm

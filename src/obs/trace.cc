@@ -10,8 +10,6 @@ namespace trace {
 
 namespace {
 
-Tracer* g_tracer = nullptr;
-
 // ts/dur are microseconds in the trace-event format; simulated time is
 // nanoseconds. Emit "<us>.<ns remainder>" with fixed width so output is
 // deterministic and loses no precision.
@@ -166,10 +164,6 @@ Status Tracer::WriteFile(const std::string& path) const {
   }
   return OkStatus();
 }
-
-Tracer* Global() { return g_tracer; }
-
-void SetGlobal(Tracer* tracer) { g_tracer = tracer; }
 
 }  // namespace trace
 }  // namespace farm

@@ -15,11 +15,11 @@
 //   - instants ("i") and counters ("C") for point events such as fabric
 //     operations, milestones, and cumulative byte counts.
 //
-// Tracing must cost nothing when off: every call site goes through the
-// FARM_TRACE macro, which compiles to nothing under FARM_TRACE_DISABLED and
-// otherwise is a single null check of the global tracer pointer. All event
-// fields derive from simulated state, so two runs with the same seed produce
-// byte-identical trace files (pinned by tests/obs_test.cc).
+// A tracer is attached to one Cluster (ClusterOptions::tracer) and reached
+// through that cluster's obs::Sinks, so tracing costs one null check when
+// off and two clusters never share a tracer. All event fields derive from
+// simulated state, so two runs with the same seed produce byte-identical
+// trace files (pinned by tests/obs_test.cc).
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
@@ -51,7 +51,6 @@ class Tracer {
   // any recording; a cluster attaches its simulator at construction. The
   // tracer does not own the simulator and must not record after it dies.
   void AttachClock(const Simulator* sim) { sim_ = sim; }
-  bool has_clock() const { return sim_ != nullptr; }
   bool capture_net() const { return options_.capture_net; }
 
   // Track naming (metadata events, ts 0).
@@ -103,62 +102,38 @@ class Tracer {
   std::vector<Event> events_;
 };
 
-// Process-global tracer; null when tracing is off. The simulation is
-// single-threaded, so a plain pointer suffices.
-Tracer* Global();
-void SetGlobal(Tracer* tracer);
-
-}  // namespace trace
-}  // namespace farm
-
-// Call-site guard: FARM_TRACE(Instant(pid, tid, "tx", "truncate")) expands
-// to a null-checked call on the global tracer, or to nothing when tracing is
-// compiled out.
-#ifndef FARM_TRACE_DISABLED
-#define FARM_TRACE(call)                                                    \
-  do {                                                                      \
-    if (::farm::trace::Tracer* farm_tracer_ = ::farm::trace::Global()) {    \
-      farm_tracer_->call;                                                   \
-    }                                                                       \
-  } while (0)
-#define FARM_TRACE_ACTIVE() (::farm::trace::Global() != nullptr)
-#else
-#define FARM_TRACE(call) \
-  do {                   \
-  } while (0)
-#define FARM_TRACE_ACTIVE() (false)
-#endif
-
-namespace farm {
-namespace trace {
-
 // RAII async span for coroutines: begins on construction, ends on
 // destruction (coroutine locals die at co_return, so every exit path of a
 // traced coroutine closes its span at the simulated time it finishes).
+// A null tracer makes the guard a no-op, so callers build `id` only when a
+// tracer is attached.
 class SpanGuard {
  public:
-  SpanGuard(uint32_t pid, uint32_t tid, const char* cat, const char* name, std::string id)
-      : pid_(pid), tid_(tid), cat_(cat), name_(name), id_(std::move(id)) {
-    FARM_TRACE(BeginSpan(pid_, tid_, cat_, name_, id_));
+  SpanGuard(Tracer* tracer, uint32_t pid, uint32_t tid, const char* cat, const char* name,
+            std::string id)
+      : tracer_(tracer), pid_(pid), tid_(tid), cat_(cat), name_(name), id_(std::move(id)) {
+    if (tracer_ != nullptr) {
+      tracer_->BeginSpan(pid_, tid_, cat_, name_, id_);
+    }
   }
   SpanGuard(const SpanGuard&) = delete;
   SpanGuard& operator=(const SpanGuard&) = delete;
   ~SpanGuard() { End(); }
 
   void End() {
-    if (!ended_) {
-      ended_ = true;
-      FARM_TRACE(EndSpan(pid_, tid_, cat_, name_, id_));
+    if (tracer_ != nullptr) {
+      tracer_->EndSpan(pid_, tid_, cat_, name_, id_);
+      tracer_ = nullptr;
     }
   }
 
  private:
+  Tracer* tracer_;  // null once ended
   uint32_t pid_;
   uint32_t tid_;
   const char* cat_;
   const char* name_;
   std::string id_;
-  bool ended_ = false;
 };
 
 }  // namespace trace

@@ -7,12 +7,14 @@
 // free list turns almost every frame allocation into a pointer pop.
 //
 // Design notes:
-//   - The simulator is single-threaded, so plain static free lists suffice
-//     (and keep the recycling order deterministic: LIFO per class).
+//   - The free lists are thread_local: a simulation runs on one thread (at
+//     most one live Cluster per thread), so its frames never cross threads,
+//     recycling order stays deterministic (LIFO per class), and clusters on
+//     separate threads do not share lists.
 //   - Requests are rounded up to 64-byte classes; anything over
 //     kMaxRecycledBytes falls through to the global allocator.
-//   - Recycled blocks are never returned to the OS; they stay reachable
-//     from the static bins, so LeakSanitizer does not flag them.
+//   - Recycled blocks stay on their thread's bins for reuse and are freed
+//     when the thread exits.
 //   - Under AddressSanitizer the arena is disabled entirely: recycling
 //     would blind ASan to use-after-free on destroyed coroutine frames,
 //     which is exactly the class of bug the sanitizer CI job exists to
@@ -45,7 +47,7 @@ class FrameArena {
 #ifndef FARM_FRAME_ARENA_DISABLED
     size_t cls = ClassFor(n);
     if (cls < kNumClasses) {
-      FreeNode*& head = Bins()[cls];
+      FreeNode*& head = Bins().heads[cls];
       if (head != nullptr) {
         FreeNode* node = head;
         head = node->next;
@@ -64,15 +66,16 @@ class FrameArena {
     size_t cls = ClassFor(n);
     if (cls < kNumClasses) {
       FreeNode* node = static_cast<FreeNode*>(p);
-      node->next = Bins()[cls];
-      Bins()[cls] = node;
+      node->next = Bins().heads[cls];
+      Bins().heads[cls] = node;
       return;
     }
 #endif
     ::operator delete(p);
   }
 
-  // Number of allocations served from a free list (telemetry for tests).
+  // Number of allocations this thread served from a free list (telemetry
+  // for tests and benches).
   static uint64_t recycled_hits() { return recycled_hits_; }
 
  private:
@@ -82,12 +85,28 @@ class FrameArena {
 
   static size_t ClassFor(size_t n) { return (n - 1) / kClassBytes; }
 
-  static std::array<FreeNode*, kNumClasses>& Bins() {
-    static std::array<FreeNode*, kNumClasses> bins{};
+  struct FreeLists {
+    std::array<FreeNode*, kNumClasses> heads{};
+    FreeLists() = default;
+    FreeLists(const FreeLists&) = delete;
+    FreeLists& operator=(const FreeLists&) = delete;
+    ~FreeLists() {
+      for (FreeNode* head : heads) {
+        while (head != nullptr) {
+          FreeNode* next = head->next;
+          ::operator delete(head);
+          head = next;
+        }
+      }
+    }
+  };
+
+  static FreeLists& Bins() {
+    static thread_local FreeLists bins;
     return bins;
   }
 
-  static inline uint64_t recycled_hits_ = 0;
+  static inline thread_local uint64_t recycled_hits_ = 0;
 };
 
 // Base class for coroutine promise types whose frames should be arena

@@ -141,7 +141,9 @@ namespace task_internal {
 // Intrusive list node embedded in every Detached frame's promise so the
 // simulation can find frames that were parked forever (their machine died
 // and the delivery layer dropped the completion that would have resumed
-// them). The simulator is single-threaded, so a plain global list suffices.
+// them). The list is thread_local: a simulation runs on one thread (at most
+// one live Cluster per thread), so reclaiming at teardown touches only that
+// simulation's frames.
 struct DetachedNode {
   DetachedNode* prev = nullptr;
   DetachedNode* next = nullptr;
@@ -149,7 +151,7 @@ struct DetachedNode {
 };
 
 inline DetachedNode*& DetachedListHead() {
-  static DetachedNode* head = nullptr;
+  static thread_local DetachedNode* head = nullptr;
   return head;
 }
 
@@ -195,10 +197,10 @@ struct Detached {
   };
 };
 
-// Destroys every Detached frame still suspended, newest first (creation
-// order is deterministic, so reclaim order is too). Call only when the
-// simulation has quiesced — i.e. nothing will resume these frames later.
-// Returns the number of top-level frames reclaimed.
+// Destroys every Detached frame of this thread still suspended, newest
+// first (creation order is deterministic, so reclaim order is too). Call
+// only when the simulation has quiesced — i.e. nothing will resume these
+// frames later. Returns the number of top-level frames reclaimed.
 inline int ReclaimParkedFrames() {
   int reclaimed = 0;
   while (task_internal::DetachedNode* head = task_internal::DetachedListHead()) {

@@ -548,5 +548,17 @@ TEST_F(CoreTest, ColocatedRegionSharesReplicas) {
   EXPECT_EQ(p1->Replicas(), p2->Replicas());
 }
 
+// The coroutine-frame arena, the parked-frame list and the log clock are
+// per thread, so a thread may hold only one live Cluster: a second one would
+// share (and, at teardown, reclaim) the first one's parked frames.
+TEST(ClusterDeathTest, SecondLiveClusterOnOneThreadFailsCheck) {
+  EXPECT_DEATH(
+      {
+        Cluster first(SmallClusterOptions(3, 1));
+        Cluster second(SmallClusterOptions(3, 2));
+      },
+      "already live on this thread");
+}
+
 }  // namespace
 }  // namespace farm

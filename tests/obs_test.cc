@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -140,20 +141,36 @@ TEST(RegistryTest, EmptyHistogramDumpsZeroMin) {
   EXPECT_NE(json2.find("\"latency_empty\":{\"count\":1,\"min\":9"), std::string::npos) << json2;
 }
 
-TEST(TraceTest, MacroIsNullSafeWithoutGlobalTracer) {
-  ASSERT_EQ(trace::Global(), nullptr);
-  EXPECT_FALSE(FARM_TRACE_ACTIVE());
-  FARM_TRACE(Instant(0, 0, "tx", "noop"));  // no tracer installed: no-op
-  { trace::SpanGuard guard(0, 0, "tx", "noop", "id"); }
+// Without a tracer attached, every trace path of a cluster is a no-op: a
+// committed transaction runs and nothing needs a tracer.
+TEST(TraceTest, NullSafeWithoutTracer) {
+  { trace::SpanGuard guard(nullptr, 0, 0, "tx", "noop", "id"); }
+  auto cluster = MakeStartedCluster(SmallClusterOptions(4, 3));
+  ASSERT_EQ(cluster->sinks().tracer, nullptr);
+  RegionId rid = MustCreateRegion(*cluster, 64 << 10, 16);
+  auto work = [](Cluster* c, RegionId r) -> Task<Status> {
+    auto tx = c->node(1).Begin(0);
+    GlobalAddr addr{r, 0};
+    auto rd = co_await tx->Read(addr, 8);
+    if (!rd.ok()) {
+      co_return rd.status();
+    }
+    (void)tx->Write(addr, std::vector<uint8_t>(8, 1));
+    co_return co_await tx->Commit();
+  };
+  auto s = RunTask(*cluster, work(cluster.get(), rid));
+  ASSERT_TRUE(s.has_value());
+  EXPECT_TRUE(s->ok()) << s->ToString();
 }
 
-// Runs a fixed workload on a seeded cluster with a tracer installed and
+// Runs a fixed workload on a seeded cluster with a tracer attached and
 // returns the serialized trace.
 std::string TracedRunJson(uint64_t seed) {
   trace::Tracer tracer;
-  trace::SetGlobal(&tracer);
   {
-    auto cluster = MakeStartedCluster(SmallClusterOptions(4, seed));
+    ClusterOptions opts = SmallClusterOptions(4, seed);
+    opts.tracer = &tracer;
+    auto cluster = MakeStartedCluster(opts);
     RegionId rid = MustCreateRegion(*cluster, 64 << 10, 16);
     auto work = [](Cluster* c, RegionId r) -> Task<int> {
       int committed = 0;
@@ -177,7 +194,6 @@ std::string TracedRunJson(uint64_t seed) {
     EXPECT_TRUE(committed.has_value());
     EXPECT_GT(*committed, 0);
   }
-  trace::SetGlobal(nullptr);
   return tracer.ToJson();
 }
 
@@ -228,9 +244,10 @@ struct Run32Output {
 Run32Output TracedRun32(uint64_t seed) {
   Run32Output out;
   trace::Tracer tracer;
-  trace::SetGlobal(&tracer);
   {
-    auto cluster = MakeStartedCluster(SmallClusterOptions(32, seed));
+    ClusterOptions opts = SmallClusterOptions(32, seed);
+    opts.tracer = &tracer;
+    auto cluster = MakeStartedCluster(opts);
     RegionId rid = MustCreateRegion(*cluster, 64 << 10, 16);
     auto work = [](Cluster* c, RegionId r) -> Task<int> {
       int committed = 0;
@@ -256,7 +273,6 @@ Run32Output TracedRun32(uint64_t seed) {
     out.committed = committed.value_or(0);
     out.postmortem = cluster->FlightPostmortem();
   }
-  trace::SetGlobal(nullptr);
   out.trace_json = tracer.ToJson();
   return out;
 }
@@ -275,6 +291,23 @@ TEST(TraceTest, ByteIdenticalAt32Machines) {
   EXPECT_EQ(Fnv1a(first.trace_json), 0xe8c10044481d46f1ULL);
   EXPECT_EQ(Fnv1a(first.postmortem), 0xce6bb38fe044798eULL);
   EXPECT_EQ(first.committed, 48);
+}
+
+// Clusters own their sinks and per-simulation state is per thread, so two
+// independent clusters, each with its own tracer, can run at once on
+// separate threads. Each must reproduce the pinned single-threaded
+// fingerprints of ByteIdenticalAt32Machines exactly.
+TEST(TraceTest, ConcurrentClustersAt32Machines) {
+  Run32Output outs[2];
+  std::thread a([&outs] { outs[0] = TracedRun32(11); });
+  std::thread b([&outs] { outs[1] = TracedRun32(11); });
+  a.join();
+  b.join();
+  for (const Run32Output& out : outs) {
+    EXPECT_EQ(Fnv1a(out.trace_json), 0xe8c10044481d46f1ULL);
+    EXPECT_EQ(Fnv1a(out.postmortem), 0xce6bb38fe044798eULL);
+    EXPECT_EQ(out.committed, 48);
+  }
 }
 
 }  // namespace

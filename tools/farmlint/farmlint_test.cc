@@ -205,6 +205,30 @@ TEST(RuleFixtureTest, RecorderPodAllowsFlatRecords) {
   EXPECT_TRUE(LintFixture("recorder_good.cc", DefaultRules()).empty());
 }
 
+FileConfig WithMutableGlobal() {
+  FileConfig config = DefaultRules();
+  config.rules.insert("mutable-global");
+  return config;
+}
+
+TEST(RuleFixtureTest, MutableGlobalIsOffByDefault) {
+  EXPECT_TRUE(LintFixture("mutable_global_bad.cc", DefaultRules()).empty());
+}
+
+TEST(RuleFixtureTest, MutableGlobalFlagsProcessWideState) {
+  auto hits = LintFixture("mutable_global_bad.cc", WithMutableGlobal());
+  EXPECT_EQ(hits["mutable-global"], 8);
+  EXPECT_EQ(hits.size(), 1u) << "only mutable-global may fire";
+}
+
+TEST(RuleFixtureTest, MutableGlobalAllowsConstantsAndThreadLocals) {
+  EXPECT_TRUE(LintFixture("mutable_global_good.cc", WithMutableGlobal()).empty());
+}
+
+TEST(RuleFixtureTest, MutableGlobalAllowCommentsSuppress) {
+  EXPECT_TRUE(LintFixture("mutable_global_suppressed.cc", WithMutableGlobal()).empty());
+}
+
 TEST(RuleFixtureTest, ChaosRngFlagsLiteralSeeds) {
   FileConfig config = DefaultRules();
   config.rules.insert("chaos-rng");
@@ -313,6 +337,7 @@ TEST(DriverTest, KnownRuleNames) {
   EXPECT_FALSE(IsKnownRule("no-such-rule"));
   EXPECT_TRUE(IsKnownRule("chaos-rng"));
   EXPECT_TRUE(IsKnownRule("recorder-pod"));
+  EXPECT_TRUE(IsKnownRule("mutable-global"));
   EXPECT_TRUE(IsKnownRule("await-hazard"));
   EXPECT_TRUE(IsKnownRule("lock-across-await"));
   EXPECT_TRUE(IsKnownRule("iterator-invalidate"));

@@ -79,6 +79,10 @@ const std::vector<RuleInfo> kRules = {
     {"iterator-invalidate", true,
      "container mutated while an iterator/reference into it is live in the "
      "same scope and used afterwards"},
+    {"mutable-global", false,
+     "non-const, non-thread_local variable at namespace scope, function-local "
+     "static or static data member; state outliving one simulation must be "
+     "owned by its Cluster or be per-thread"},
     {"bad-allow", true,
      "suppression hygiene: allow(<rule>) naming an unknown rule, or a "
      "'farmlint: stable' annotation that binds to no accessor declaration"},
@@ -452,6 +456,216 @@ void CheckHeaderHygiene(const FileInput& file, const std::vector<const Token*>& 
   }
 }
 
+// Mutable process-wide state breaks the "every sink owned by its Cluster"
+// design: two clusters in one process (or on two threads) would share it.
+// Flags non-const, non-thread_local variables at namespace scope,
+// function-local statics and static data members. Token-level, so it
+// approximates: a namespace-scope `T x(args);` reads as a function
+// declaration and is not flagged.
+enum class Scope { kNamespace, kClass, kFunction, kOther };
+
+// True for a declaration whose specifiers [b, e) make the object itself
+// immutable (or per-thread): constexpr, thread_local, or a top-level const
+// that follows the last top-level `*` (`const char*` is a mutable pointer;
+// `const char* const` is not).
+bool DeclIsConstOrThreadLocal(const std::vector<const Token*>& sig, size_t b, size_t e) {
+  bool is_const = false;
+  int angle = 0;
+  for (size_t k = b; k < e; ++k) {
+    const Token* t = sig[k];
+    if (IsIdent(t, "constexpr") || IsIdent(t, "thread_local")) {
+      return true;
+    }
+    if (IsPunct(t, "<")) {
+      angle++;
+    } else if (IsPunct(t, ">") || IsPunct(t, ">>")) {
+      angle -= IsPunct(t, ">>") ? 2 : 1;
+    } else if (angle <= 0 && IsPunct(t, "*")) {
+      is_const = false;
+    } else if (angle <= 0 && IsIdent(t, "const")) {
+      is_const = true;
+    }
+  }
+  return is_const;
+}
+
+// Index of the first top-level token in [b, e) that ends a declaration's
+// specifiers: `=`, `{`, `(`, `[` or `;` (e if none). Sets `*function` when
+// that token is `(` or the declaration names an operator.
+size_t DeclSpecEnd(const std::vector<const Token*>& sig, size_t b, size_t e, bool* function) {
+  int angle = 0;
+  for (size_t k = b; k < e; ++k) {
+    const Token* t = sig[k];
+    if (IsIdent(t, "operator")) {
+      *function = true;
+      return k;
+    }
+    if (IsPunct(t, "<")) {
+      angle++;
+    } else if (IsPunct(t, ">") || IsPunct(t, ">>")) {
+      angle -= IsPunct(t, ">>") ? 2 : 1;
+    } else if (angle <= 0 &&
+               (IsPunct(t, "=") || IsPunct(t, "{") || IsPunct(t, "(") || IsPunct(t, ";") ||
+                // `name[` (array declarator), not an `[[attribute]]`
+                (IsPunct(t, "[") && k > b && sig[k - 1]->kind == TokKind::kIdentifier))) {
+      *function = IsPunct(t, "(");
+      return k;
+    }
+  }
+  *function = false;
+  return e;
+}
+
+// Scope opened by the `{` at sig[brace], given the statement [stmt, brace)
+// before it and the enclosing scope.
+Scope ClassifyBrace(const std::vector<const Token*>& sig, size_t stmt, size_t brace,
+                    Scope enclosing) {
+  if (enclosing == Scope::kFunction || enclosing == Scope::kOther) {
+    return Scope::kFunction;  // blocks, lambda bodies, nested initializers
+  }
+  size_t b = stmt;
+  if (b < brace && IsIdent(sig[b], "template")) {
+    int angle = 0;
+    for (++b; b < brace; ++b) {
+      if (IsPunct(sig[b], "<")) {
+        angle++;
+      } else if (IsPunct(sig[b], ">") || IsPunct(sig[b], ">>")) {
+        angle -= IsPunct(sig[b], ">>") ? 2 : 1;
+        if (angle <= 0) {
+          ++b;
+          break;
+        }
+      }
+    }
+  }
+  if (b >= brace) {
+    return Scope::kFunction;  // a body after a constructor's brace-init list
+  }
+  const Token* first = sig[b];
+  for (size_t k = b; k < brace; ++k) {
+    if (IsIdent(sig[k], "namespace")) {
+      return Scope::kNamespace;  // also `inline namespace`
+    }
+  }
+  if (IsIdent(first, "extern") && b + 1 < brace && sig[b + 1]->kind == TokKind::kString) {
+    return Scope::kNamespace;  // extern "C" { ... }
+  }
+  if (IsIdent(first, "enum")) {
+    return Scope::kOther;
+  }
+  if (IsIdent(first, "class") || IsIdent(first, "struct") || IsIdent(first, "union")) {
+    return Scope::kClass;
+  }
+  bool function = false;
+  size_t end = DeclSpecEnd(sig, b, brace, &function);
+  if (end < brace && IsPunct(sig[end], "=")) {
+    return Scope::kOther;  // `T x = {...}`
+  }
+  return function ? Scope::kFunction : Scope::kOther;  // `T x{...}` otherwise
+}
+
+// A namespace-scope statement [b, e) ended by `;` or a brace initializer.
+void CheckNamespaceDecl(const std::vector<const Token*>& sig, size_t b, size_t e,
+                        Reporter& rep) {
+  if (b >= e) {
+    return;
+  }
+  constexpr std::array<std::string_view, 10> kNonVariableLeads = {
+      "using",  "typedef", "namespace", "template",      "class",
+      "struct", "union",   "enum",      "static_assert", "friend"};
+  if (Contains(kNonVariableLeads, sig[b]->text)) {
+    return;
+  }
+  bool function = false;
+  size_t end = DeclSpecEnd(sig, b, e, &function);
+  if (function || DeclIsConstOrThreadLocal(sig, b, end)) {
+    return;
+  }
+  rep.Report("mutable-global", sig[b]->line, sig[b]->col,
+             "mutable namespace-scope variable; make it const/constexpr, per-thread "
+             "(thread_local) simulation state, or a member of its Cluster");
+}
+
+// A `static` at sig[i] starting a statement in a function body or class.
+void CheckStaticDecl(const std::vector<const Token*>& sig, size_t i, bool in_function,
+                     Reporter& rep) {
+  bool function = false;
+  size_t end = DeclSpecEnd(sig, i + 1, sig.size(), &function);
+  if ((function && !in_function) || DeclIsConstOrThreadLocal(sig, i + 1, end)) {
+    return;
+  }
+  rep.Report("mutable-global", sig[i]->line, sig[i]->col,
+             in_function ? "mutable function-local static; state that outlives the call "
+                           "must be owned by its Cluster or be thread_local"
+                         : "mutable static data member; state shared by every instance "
+                           "must be owned by its Cluster or be thread_local");
+}
+
+void CheckMutableGlobal(const std::vector<const Token*>& all, Reporter& rep) {
+  if (!rep.RuleEnabled("mutable-global")) {
+    return;
+  }
+  std::vector<const Token*> sig;
+  for (const Token* t : all) {
+    if (!t->in_directive) {
+      sig.push_back(t);
+    }
+  }
+  // Braces inside parentheses (`f(Options{})`, lambda arguments) belong to
+  // an expression: they neither end the statement nor open a declaration
+  // scope of their own.
+  struct Open {
+    Scope scope;
+    bool in_expr;
+    int parens;  // paren depth to restore on close, for in_expr braces
+  };
+  std::vector<Open> open;  // empty: file scope
+  auto current = [&open] { return open.empty() ? Scope::kNamespace : open.back().scope; };
+  size_t stmt = 0;  // first token of the current statement
+  int parens = 0;
+  for (size_t i = 0; i < sig.size(); ++i) {
+    const Token* t = sig[i];
+    if (IsPunct(t, "(")) {
+      parens++;
+    } else if (IsPunct(t, ")")) {
+      parens--;
+    } else if (IsPunct(t, "{") && parens > 0) {
+      open.push_back({Scope::kFunction, true, parens});
+      parens = 0;
+    } else if (IsPunct(t, "{")) {
+      Scope s = ClassifyBrace(sig, stmt, i, current());
+      if (s == Scope::kOther && current() == Scope::kNamespace) {
+        CheckNamespaceDecl(sig, stmt, i, rep);
+      }
+      open.push_back({s, false, 0});
+      stmt = i + 1;
+    } else if (IsPunct(t, "}")) {
+      if (!open.empty() && open.back().in_expr) {
+        parens = open.back().parens;
+      } else {
+        stmt = i + 1;
+        parens = 0;
+      }
+      if (!open.empty()) {
+        open.pop_back();
+      }
+    } else if (IsPunct(t, ";")) {
+      if (current() == Scope::kNamespace) {
+        CheckNamespaceDecl(sig, stmt, i, rep);
+      }
+      stmt = i + 1;
+      parens = 0;
+    } else if (IsPunct(t, ":") && i > 0 &&
+               (IsIdent(sig[i - 1], "public") || IsIdent(sig[i - 1], "private") ||
+                IsIdent(sig[i - 1], "protected"))) {
+      stmt = i + 1;
+    } else if (i == stmt && IsIdent(t, "static") &&
+               (current() == Scope::kFunction || current() == Scope::kClass)) {
+      CheckStaticDecl(sig, i, current() == Scope::kFunction, rep);
+    }
+  }
+}
+
 // Suppression hygiene: an allow() naming an unknown rule silently suppresses
 // nothing and usually means a typo left a real diagnostic unguarded.
 void CheckAllowHygiene(const FileInput& file, Reporter& rep) {
@@ -536,6 +750,7 @@ std::vector<Diagnostic> Linter::Lint(const FileInput& file,
   CheckChaosRng(sig, rep);
   CheckKeyTypes(sig, rep);
   CheckRecorderPod(file, sig, rep);
+  CheckMutableGlobal(sig, rep);
   CheckHeaderHygiene(file, sig, rep);
   CheckAllowHygiene(file, rep);
   if (rep.RuleEnabled("bad-allow")) {
