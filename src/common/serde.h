@@ -2,12 +2,14 @@
 //
 // Records written into FaRM ring-buffer logs travel through (simulated)
 // one-sided RDMA writes, so they must be flat byte sequences. BufWriter and
-// BufReader provide bounds-checked little-endian packing.
+// BufReader provide bounds-checked little-endian packing; SharedBytes lets
+// many parsed records point at one copy of their bytes.
 #ifndef SRC_COMMON_SERDE_H_
 #define SRC_COMMON_SERDE_H_
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,8 @@ namespace farm {
 class BufWriter {
  public:
   BufWriter() = default;
+  // Reserves `capacity` bytes up front: a writer sized exactly never grows.
+  explicit BufWriter(size_t capacity) { buf_.reserve(capacity); }
 
   void PutU8(uint8_t v) { Append(&v, 1); }
   void PutU16(uint16_t v) { Append(&v, 2); }
@@ -73,6 +77,13 @@ class BufReader {
     pos_ += len;
   }
 
+  // Skips `len` bytes; returns their offset.
+  size_t Skip(size_t len) {
+    FARM_CHECK(pos_ + len <= len_) << "BufReader overrun";
+    pos_ += len;
+    return pos_ - len;
+  }
+
   size_t remaining() const { return len_ - pos_; }
   bool AtEnd() const { return pos_ == len_; }
 
@@ -89,6 +100,41 @@ class BufReader {
   const uint8_t* data_;
   size_t len_;
   size_t pos_ = 0;
+};
+
+// An immutable, reference-counted byte slice: copies share the bytes, so a
+// write value reaches every record that carries it, and a parsed record's
+// values point into the one buffer it was parsed from, without byte copies.
+class SharedBytes {
+ public:
+  SharedBytes() = default;
+  explicit SharedBytes(std::vector<uint8_t> bytes)
+      : buf_(std::make_shared<const std::vector<uint8_t>>(std::move(bytes))),
+        len_(static_cast<uint32_t>(buf_->size())) {}
+
+  const uint8_t* data() const { return buf_ == nullptr ? nullptr : buf_->data() + off_; }
+  size_t size() const { return len_; }
+  bool empty() const { return len_ == 0; }
+
+  // The bytes [off, off + len) of this slice, sharing its buffer.
+  SharedBytes Sub(size_t off, size_t len) const {
+    FARM_CHECK(off + len <= len_) << "SharedBytes::Sub out of range";
+    SharedBytes s = *this;
+    s.off_ += static_cast<uint32_t>(off);
+    s.len_ = static_cast<uint32_t>(len);
+    return s;
+  }
+
+  std::vector<uint8_t> ToVector() const { return std::vector<uint8_t>(data(), data() + len_); }
+
+  friend bool operator==(const SharedBytes& a, const SharedBytes& b) {
+    return a.len_ == b.len_ && (a.len_ == 0 || std::memcmp(a.data(), b.data(), a.len_) == 0);
+  }
+
+ private:
+  std::shared_ptr<const std::vector<uint8_t>> buf_;
+  uint32_t off_ = 0;
+  uint32_t len_ = 0;
 };
 
 }  // namespace farm

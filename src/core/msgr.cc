@@ -71,10 +71,12 @@ void Messenger::ReleaseLogReservation(MachineId dst, uint32_t payload_len) {
 
 Future<NetResult> Messenger::AppendLog(MachineId dst, const TxLogRecord& rec,
                                        uint32_t reserved_len, int thread_idx) {
-  std::vector<uint8_t> payload = rec.Serialize();
-  log_bytes_sent_ += payload.size();
+  uint32_t len = static_cast<uint32_t>(rec.SerializedSize());
+  BufWriter w = StartFrame(len);
+  rec.SerializeTo(w);
+  log_bytes_sent_ += len;
   HwThread* thread = thread_idx >= 0 ? &machine_.thread(thread_idx) : nullptr;
-  return outbound_.at(dst).txlog->Append(std::move(payload), reserved_len, thread);
+  return outbound_.at(dst).txlog->Append(FinishFrame(w), reserved_len, thread);
 }
 
 void Messenger::TruncateLogRecord(MachineId from, uint64_t seq) {
@@ -91,11 +93,10 @@ void Messenger::SendMessage(MachineId dst, MsgType type, std::vector<uint8_t> pa
                             int thread_idx) {
   auto it = outbound_.find(dst);
   FARM_CHECK(it != outbound_.end()) << "no ring to machine " << dst;
-  BufWriter w;
+  uint32_t len = static_cast<uint32_t>(1 + payload.size());
+  BufWriter w = StartFrame(len);
   w.PutU8(static_cast<uint8_t>(type));
   w.Append(payload.data(), payload.size());
-  std::vector<uint8_t> framed = w.Take();
-  uint32_t len = static_cast<uint32_t>(framed.size());
   // Messages are short-lived; if the queue is momentarily full the sender
   // spins on the reservation (receivers free messages as they process).
   FARM_CHECK(it->second.msgq->Reserve(len)) << "message queue to " << dst << " overflow";
@@ -107,7 +108,7 @@ void Messenger::SendMessage(MachineId dst, MsgType type, std::vector<uint8_t> pa
     // that routes traffic for this peer (the handler's thread).
     machine_.thread(WorkerFor(dst)).InjectBusy(fabric_.cost().cpu_rpc_issue / 2);
   }
-  (void)it->second.msgq->Append(std::move(framed), len, thread);
+  (void)it->second.msgq->Append(FinishFrame(w), len, thread);
 }
 
 void Messenger::SchedulePoll(MachineId from, bool is_log) {
@@ -138,22 +139,23 @@ void Messenger::ProcessInbound(MachineId from, bool is_log) {
   CostModel& cost = fabric_.cost();
   if (is_log) {
     in.txlog_poll_scheduled = false;
-    in.txlog->Drain([&](uint64_t seq, std::vector<uint8_t> payload) {
-      worker.InjectBusy(cost.cpu_log_poll + cost.CpuBytes(payload.size()));
-      BufReader r(payload);
-      TxLogRecord rec = TxLogRecord::Parse(r);
-      in.stored[seq] = rec;
+    in.txlog->Drain([&](uint64_t seq, const uint8_t* p, uint32_t n) {
+      worker.InjectBusy(cost.cpu_log_poll + cost.CpuBytes(n));
+      // One copy out of ring memory, which truncation zeroes and a wrap
+      // reuses; the record's write values are slices of this copy.
+      TxLogRecord& rec = in.stored[seq] =
+          TxLogRecord::Parse(SharedBytes(std::vector<uint8_t>(p, p + n)));
       if (log_handler_) {
-        log_handler_(from, seq, in.stored[seq]);
+        log_handler_(from, seq, rec);
       }
     });
   } else {
     in.msgq_poll_scheduled = false;
-    in.msgq->Drain([&](uint64_t seq, std::vector<uint8_t> payload) {
-      worker.InjectBusy(cost.cpu_log_poll + cost.CpuBytes(payload.size()));
-      BufReader r(payload);
-      MsgType type = static_cast<MsgType>(r.GetU8());
-      std::vector<uint8_t> body(payload.begin() + 1, payload.end());
+    in.msgq->Drain([&](uint64_t seq, const uint8_t* p, uint32_t n) {
+      worker.InjectBusy(cost.cpu_log_poll + cost.CpuBytes(n));
+      FARM_CHECK(n >= 1) << "message without a type";
+      MsgType type = static_cast<MsgType>(p[0]);
+      std::vector<uint8_t> body(p + 1, p + n);  // before MarkFreeable zeroes it
       in.msgq->MarkFreeable(seq);
       if (msg_handler_) {
         msg_handler_(from, type, std::move(body));

@@ -9,9 +9,6 @@ namespace farm {
 
 namespace {
 
-// Piggybacked truncation ids per log record.
-constexpr size_t kMaxPiggybackTruncations = 8;
-
 constexpr SimDuration kRefRequestTimeout = 50 * kMillisecond;
 constexpr SimDuration kBlockedRegionPollInterval = 500 * kMicrosecond;
 // How long queued truncation ids wait for a carrier record before an
@@ -420,7 +417,7 @@ void Node::FlushTruncations() {
     }
     TxLogRecord rec;
     rec.type = LogRecordType::kTruncate;
-    rec.truncate_ids = TakeTruncationsFor(m, kMaxPiggybackTruncations);
+    rec.truncate_ids = TakeTruncationsFor(m, kMaxPiggyback);
     if (rec.truncate_ids.empty()) {
       continue;
     }

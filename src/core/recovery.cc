@@ -447,8 +447,7 @@ Detached Node::FinishLockRecovery(RegionId region) {
       auto reply =
           co_await Request(b, MsgType::kFetchTxState, w.Take(), 0, 20 * kMillisecond);
       if (reply.ok() && !reply->empty()) {
-        BufReader rr2(*reply);
-        t.merged.contents = TxLogRecord::Parse(rr2);
+        t.merged.contents = TxLogRecord::Parse(SharedBytes(std::move(*reply)));
         t.merged.has_contents = true;
         break;
       }
@@ -564,8 +563,7 @@ void Node::HandleReplicateTxState(MachineId from, BufReader& r) {
   if (cid == config_.id) {
     // Store the state as a synthetic pending entry so a future promotion of
     // this backup can recover it.
-    BufReader rr(bytes);
-    TxLogRecord rec = TxLogRecord::Parse(rr);
+    TxLogRecord rec = TxLogRecord::Parse(SharedBytes(std::move(bytes)));
     auto& pending = pending_[tid];
     if (pending.lock_record.writes.empty()) {
       pending.coordinator = tid.machine;

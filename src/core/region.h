@@ -19,8 +19,9 @@ namespace farm {
 class RegionReplica {
  public:
   RegionReplica(RegionId id, uint32_t size, uint32_t object_stride, NvramStore* store)
-      : id_(id), size_(size), object_stride_(object_stride), store_(store) {
-    base_ = store_->Allocate(size);
+      : id_(id), size_(size), object_stride_(object_stride) {
+    base_ = store->Allocate(size);
+    data_ = store->Data(base_, size);  // NVRAM segments never move
   }
 
   RegionId id() const { return id_; }
@@ -34,7 +35,7 @@ class RegionReplica {
 
   uint8_t* Ptr(uint32_t offset, uint32_t len) {
     FARM_CHECK(static_cast<uint64_t>(offset) + len <= size_);
-    return store_->Data(base_ + offset, len);
+    return data_ + offset;
   }
   const uint8_t* Ptr(uint32_t offset, uint32_t len) const {
     return const_cast<RegionReplica*>(this)->Ptr(offset, len);
@@ -49,10 +50,12 @@ class RegionReplica {
 
   // Local CAS on the header (what LOCK-record processing does).
   bool CasHeader(uint32_t offset, uint64_t expected, uint64_t desired) {
-    uint64_t observed;
-    bool ok = store_->RdmaCas(base_ + offset, expected, desired, &observed);
-    FARM_CHECK(ok);
-    return observed == expected;
+    FARM_CHECK(offset % 8 == 0) << "unaligned header";
+    if (ReadHeader(offset) != expected) {
+      return false;
+    }
+    WriteHeader(offset, desired);
+    return true;
   }
 
   void WriteData(uint32_t offset, const uint8_t* data, uint32_t len) {
@@ -70,8 +73,8 @@ class RegionReplica {
   RegionId id_;
   uint32_t size_;
   uint32_t object_stride_;
-  NvramStore* store_;
   uint64_t base_ = 0;
+  uint8_t* data_ = nullptr;
   bool active_ = true;
 };
 

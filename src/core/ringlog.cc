@@ -8,19 +8,44 @@
 namespace farm {
 
 uint32_t FrameCheck(const uint8_t* payload, uint32_t len) {
-  return static_cast<uint32_t>(HashCombine(Fnv1a(payload, len), len)) | 1u;
+  // FNV-1a over 8-byte words (the last one zero-padded), folding the high
+  // half down after each multiply so every input bit reaches the kept 32.
+  uint64_t h = 14695981039346656037ULL;
+  for (uint32_t i = 0; i < len; i += 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, payload + i, len - i >= 8 ? 8 : len - i);
+    h = (h ^ word) * 1099511628211ULL;
+    h ^= h >> 32;
+  }
+  return static_cast<uint32_t>(HashCombine(h, len)) | 1u;
 }
 
-RingReceiver::RingReceiver(NvramStore* store, uint32_t capacity)
-    : store_(store), cap_(capacity) {
+BufWriter StartFrame(uint32_t payload_len) {
+  BufWriter w(FramedLen(payload_len));
+  w.PutU32(payload_len);
+  w.PutU32(0);  // check: RingSender::Append fills it in
+  return w;
+}
+
+std::vector<uint8_t> FinishFrame(BufWriter& w) {
+  std::vector<uint8_t> frame = w.Take();
+  uint32_t len;
+  std::memcpy(&len, frame.data(), 4);
+  FARM_CHECK(frame.size() == kFrameHeaderBytes + len) << "payload differs from its frame header";
+  frame.resize(FramedLen(len));
+  return frame;
+}
+
+RingReceiver::RingReceiver(NvramStore* store, uint32_t capacity) : cap_(capacity) {
   FARM_CHECK(capacity % 8 == 0 && capacity >= 64);
-  base_ = store_->Allocate(8 + capacity);  // [u64 persisted head][data]
+  base_ = store->Allocate(8 + capacity);  // [u64 persisted head][data]
+  head_word_ = store->Data(base_, 8 + capacity);
 }
 
 uint8_t* RingReceiver::At(uint64_t abs, uint32_t len) {
   uint64_t off = abs % cap_;
   FARM_CHECK(off + len <= cap_) << "frame straddles ring end";
-  return store_->Data(data_base() + off, len);
+  return head_word_ + 8 + off;
 }
 
 uint32_t RingReceiver::PeekLen(uint64_t abs) {
@@ -29,8 +54,7 @@ uint32_t RingReceiver::PeekLen(uint64_t abs) {
   return len;
 }
 
-int RingReceiver::Drain(
-    const std::function<void(uint64_t seq, std::vector<uint8_t> payload)>& fn) {
+int RingReceiver::Drain(Visitor fn) {
   int surfaced = 0;
   for (;;) {
     uint64_t off = parse_ % cap_;
@@ -64,13 +88,11 @@ int RingReceiver::Drain(
       NoteTorn();  // torn payload (or checksum word): stop at the tear
       break;
     }
-    std::vector<uint8_t> payload(len);
-    std::memcpy(payload.data(), f + kFrameHeaderBytes, len);
     uint64_t seq = next_seq_++;
     frames_.push_back(Frame{parse_, framed, false, false, seq});
     parse_ += framed;
     surfaced++;
-    fn(seq, std::move(payload));
+    fn(seq, f + kFrameHeaderBytes, len);
   }
   return surfaced;
 }
@@ -98,7 +120,7 @@ void RingReceiver::AdvanceHead() {
   }
   if (moved) {
     // Persist the head so power-failure recovery knows where to re-parse.
-    std::memcpy(store_->Data(base_, 8), &head_, 8);
+    std::memcpy(head_word_, &head_, 8);
   }
 }
 
@@ -113,7 +135,7 @@ void RingReceiver::NoteTorn() {
 
 void RingReceiver::RebuildFromNvram() {
   frames_.clear();
-  std::memcpy(&head_, store_->Data(base_, 8), 8);
+  std::memcpy(&head_, head_word_, 8);
   parse_ = head_;
   next_seq_ = 0;
 }
@@ -126,14 +148,14 @@ RingSender::RingSender(Fabric* fabric, MachineId self, MachineId peer, uint64_t 
       peer_(peer),
       data_base_(ring_data_base),
       cap_(capacity),
-      feedback_addr_(feedback_addr),
+      feedback_(self_store->Data(feedback_addr, 8)),
       self_store_(self_store),
       local_receiver_(local_receiver),
       poke_receiver_(std::move(poke_receiver)) {}
 
 uint64_t RingSender::HeadView() const {
   uint64_t head;
-  std::memcpy(&head, self_store_->Data(feedback_addr_, 8), 8);
+  std::memcpy(&head, feedback_, 8);
   return head;
 }
 
@@ -159,11 +181,13 @@ void RingSender::ReleaseReservation(uint32_t payload_len) {
   reserved_ -= give;
 }
 
-Future<NetResult> RingSender::Append(std::vector<uint8_t> payload, uint32_t reserved_len,
+Future<NetResult> RingSender::Append(std::vector<uint8_t> frame, uint32_t reserved_len,
                                      HwThread* thread) {
-  uint32_t len = static_cast<uint32_t>(payload.size());
+  uint32_t len;
+  std::memcpy(&len, frame.data(), 4);
+  uint32_t framed = static_cast<uint32_t>(frame.size());
+  FARM_CHECK(framed == FramedLen(len)) << "not a frame from StartFrame/FinishFrame";
   FARM_CHECK(len <= reserved_len) << "record larger than its reservation";
-  uint32_t framed = FramedLen(len);
   uint32_t effect = fabric_->sinks().HitPoint(self_, "ringlog-append", peer_);
   ReleaseReservation(reserved_len);
   FARM_CHECK(tail_ - HeadView() + framed <= cap_) << "ring overflow despite reservation";
@@ -172,9 +196,7 @@ Future<NetResult> RingSender::Append(std::vector<uint8_t> payload, uint32_t rese
   uint32_t contiguous = cap_ - off;
   if (framed > contiguous) {
     // Emit a wrap marker and continue at the ring start.
-    std::vector<uint8_t> marker(4);
-    uint32_t m = kWrapMarker;
-    std::memcpy(marker.data(), &m, 4);
+    std::vector<uint8_t> marker(4, 0xFF);  // kWrapMarker
     if (local_receiver_ != nullptr) {
       std::memcpy(self_store_->Data(data_base_ + off, 4), marker.data(), 4);
     } else {
@@ -186,11 +208,8 @@ Future<NetResult> RingSender::Append(std::vector<uint8_t> payload, uint32_t rese
     FARM_CHECK(tail_ - HeadView() + framed <= cap_) << "ring overflow after wrap";
   }
 
-  std::vector<uint8_t> frame(framed, 0);
-  std::memcpy(frame.data(), &len, 4);
-  uint32_t check = FrameCheck(payload.data(), len);
+  uint32_t check = FrameCheck(frame.data() + kFrameHeaderBytes, len);
   std::memcpy(frame.data() + 4, &check, 4);
-  std::memcpy(frame.data() + kFrameHeaderBytes, payload.data(), payload.size());
   tail_ += framed;
 
   // Torn write: only the first half of the frame reaches NVRAM (at least

@@ -24,8 +24,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
+#include "src/common/serde.h"
 #include "src/common/status.h"
 #include "src/net/fabric.h"
 #include "src/nvram/nvram.h"
@@ -47,6 +49,13 @@ inline uint32_t FramedLen(uint32_t payload_len) {
   return (kFrameHeaderBytes + payload_len + 7) & ~7u;
 }
 
+// Starts the frame of a `payload_len`-byte payload: the writer holds the
+// header (length set, check still zero) and has room for exactly the frame.
+BufWriter StartFrame(uint32_t payload_len);
+// Pads a frame whose payload has been written; the result is what
+// RingSender::Append takes.
+std::vector<uint8_t> FinishFrame(BufWriter& w);
+
 // Receiver half: owns the NVRAM ring, parses frames, tracks which records
 // may be freed, and advances the head over freeable prefixes.
 class RingReceiver {
@@ -56,10 +65,28 @@ class RingReceiver {
   uint64_t data_base() const { return base_ + 8; }  // senders write here
   uint32_t capacity() const { return cap_; }
 
-  // Parses complete records at the parse position. fn(seq, payload) is
-  // invoked per record; seq identifies the record for MarkFreeable.
-  // Returns the number of records surfaced.
-  int Drain(const std::function<void(uint64_t seq, std::vector<uint8_t> payload)>& fn);
+  // Non-owning reference to a Drain callback fn(seq, payload, len). The
+  // payload points into ring memory, valid only during the call (freed
+  // frames are zeroed and reused): anything kept must be copied out.
+  class Visitor {
+   public:
+    template <typename F>
+    Visitor(F&& f)  // NOLINT(runtime/explicit): lambdas bind directly
+        : fn_(const_cast<void*>(static_cast<const void*>(&f))),
+          call_([](void* fn, uint64_t seq, const uint8_t* p, uint32_t n) {
+            (*static_cast<std::remove_reference_t<F>*>(fn))(seq, p, n);
+          }) {}
+    void operator()(uint64_t seq, const uint8_t* p, uint32_t n) const { call_(fn_, seq, p, n); }
+
+   private:
+    void* fn_;
+    void (*call_)(void*, uint64_t, const uint8_t*, uint32_t);
+  };
+
+  // Parses complete records at the parse position and calls fn once per
+  // record; seq identifies the record for MarkFreeable. Returns the number
+  // of records surfaced.
+  int Drain(Visitor fn);
 
   // Marks a surfaced record freeable; frees (zeroes) any freeable prefix
   // and persists the new head to NVRAM.
@@ -89,8 +116,8 @@ class RingReceiver {
   void AdvanceHead();
   void NoteTorn();
 
-  NvramStore* store_;
   uint64_t base_;
+  uint8_t* head_word_;  // [u64 head][data]; NVRAM segments never move
   uint32_t cap_;
   uint64_t head_ = 0;
   uint64_t parse_ = 0;
@@ -118,12 +145,12 @@ class RingSender {
   bool Reserve(uint32_t payload_len);
   void ReleaseReservation(uint32_t payload_len);
 
-  // Appends one record, consuming a prior reservation made with
-  // Reserve(reserved_len); payload.size() must be <= reserved_len. The
-  // returned future completes on the NIC hardware ack (remote) or
+  // Appends one frame built with StartFrame/FinishFrame, consuming a prior
+  // reservation made with Reserve(reserved_len); its payload must be at most
+  // reserved_len bytes. Fills in the frame's checksum and writes the buffer
+  // as is. The returned future completes on the NIC hardware ack (remote) or
   // immediately after the local copy (same machine).
-  Future<NetResult> Append(std::vector<uint8_t> payload, uint32_t reserved_len,
-                           HwThread* thread);
+  Future<NetResult> Append(std::vector<uint8_t> frame, uint32_t reserved_len, HwThread* thread);
 
   uint64_t FreeBytes() const;
   uint64_t tail() const { return tail_; }
@@ -137,7 +164,7 @@ class RingSender {
   MachineId peer_;
   uint64_t data_base_;
   uint32_t cap_;
-  uint64_t feedback_addr_;
+  const uint8_t* feedback_;  // the feedback word, in our own NVRAM
   NvramStore* self_store_;
   RingReceiver* local_receiver_;
   std::function<void()> poke_receiver_;

@@ -9,8 +9,6 @@ namespace farm {
 
 namespace {
 
-constexpr size_t kMaxPiggyback = 8;
-
 // Safety net: a commit phase still waiting after this long gives up and
 // reports the transaction unresolved.
 constexpr SimDuration kCommitResolutionTimeout = 500 * kMillisecond;
@@ -19,12 +17,10 @@ constexpr SimDuration kCommitResolutionTimeout = 500 * kMillisecond;
 // RDMA reads; above it, one validation RPC.
 constexpr int kValidateRpcThreshold = 4;
 
-// Reservation size for small records (COMMIT-PRIMARY / ABORT) with room for
-// piggybacked truncation ids.
-uint32_t SmallRecordReservation() {
-  TxLogRecord rec;
-  rec.truncate_ids.resize(kMaxPiggyback);
-  return static_cast<uint32_t>(rec.SerializedSize());
+// Reservation for a LOCK / COMMIT-BACKUP record carrying `writes`, with room
+// for a full truncation piggyback.
+uint32_t WriteRecordReservation(const std::vector<WireWrite>& writes, size_t regions) {
+  return static_cast<uint32_t>(TxLogRecord::SizeFor(writes, regions, kMaxPiggyback));
 }
 
 }  // namespace
@@ -55,7 +51,7 @@ Task<StatusOr<std::vector<uint8_t>>> Transaction::Read(GlobalAddr addr, uint32_t
   // Read-your-writes.
   auto wit = writes_.find(addr);
   if (wit != writes_.end() && !wit->second.value.empty()) {
-    co_return wit->second.value;
+    co_return wit->second.value.ToVector();
   }
   // Successive reads of the same object return the same data (section 3).
   auto rit = reads_.find(addr);
@@ -116,7 +112,7 @@ Status Transaction::Write(GlobalAddr addr, std::vector<uint8_t> value) {
     if (wit->second.clear_alloc) {
       return Status(StatusCode::kFailedPrecondition, "write to freed object");
     }
-    wit->second.value = std::move(value);
+    wit->second.value = SharedBytes(std::move(value));
     return OkStatus();
   }
   auto rit = reads_.find(addr);
@@ -127,7 +123,7 @@ Status Transaction::Write(GlobalAddr addr, std::vector<uint8_t> value) {
   WriteEntry e;
   e.expected_version = VersionWord::Version(rit->second.word);
   e.expected_alloc = VersionWord::IsAllocated(rit->second.word);
-  e.value = std::move(value);
+  e.value = SharedBytes(std::move(value));
   writes_[addr] = std::move(e);
   return OkStatus();
 }
@@ -212,14 +208,12 @@ void Transaction::ResolveByRecovery(bool committed) {
 StatusOr<Transaction::Participants> Transaction::BuildParticipants() const {
   Participants p;
   const Configuration& cfg = node_->config();
-  std::set<RegionId> regions;
-  std::set<MachineId> holders;
   for (const auto& [addr, w] : writes_) {
     const RegionPlacement* placement = cfg.Placement(addr.region);
     if (placement == nullptr) {
       return NotFoundStatus("written region has no placement");
     }
-    regions.insert(addr.region);
+    p.written_regions.push_back(addr.region);
     WireWrite ww;
     ww.addr = addr;
     ww.expected_version = w.expected_version;
@@ -228,14 +222,16 @@ StatusOr<Transaction::Participants> Transaction::BuildParticipants() const {
     ww.clear_alloc = w.clear_alloc;
     ww.value = w.value;
     p.primary_writes[placement->primary].push_back(ww);
-    holders.insert(placement->primary);
+    p.all_holders.push_back(placement->primary);
     for (MachineId b : placement->backups) {
       p.backup_writes[b].push_back(ww);
-      holders.insert(b);
+      p.all_holders.push_back(b);
     }
   }
-  p.written_regions.assign(regions.begin(), regions.end());
-  p.all_holders.assign(holders.begin(), holders.end());
+  for (auto* ids : {&p.written_regions, &p.all_holders}) {
+    std::sort(ids->begin(), ids->end());
+    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+  }
   return p;
 }
 
@@ -269,30 +265,20 @@ bool Transaction::ReserveLogs(const Participants& p) {
     taken.push_back({m, len});
     return true;
   };
-  uint32_t small = SmallRecordReservation();
+  const size_t regions = p.written_regions.size();
   bool ok = true;
   for (const auto& [m, writes] : p.primary_writes) {
-    TxLogRecord probe;
-    probe.tx = id_;
-    probe.written_regions = p.written_regions;
-    probe.writes = writes;
-    probe.truncate_ids.resize(kMaxPiggyback);
-    ok = ok && reserve(m, static_cast<uint32_t>(probe.SerializedSize()));  // LOCK
-    ok = ok && reserve(m, small);                                          // CP / ABORT
-    ok = ok && reserve(m, small);                                          // TRUNCATE
+    ok = ok && reserve(m, WriteRecordReservation(writes, regions));  // LOCK
+    ok = ok && reserve(m, kSmallRecordReservation);                  // CP / ABORT
+    ok = ok && reserve(m, kSmallRecordReservation);                  // TRUNCATE
     if (!ok) {
       break;
     }
   }
   if (ok) {
     for (const auto& [m, writes] : p.backup_writes) {
-      TxLogRecord probe;
-      probe.tx = id_;
-      probe.written_regions = p.written_regions;
-      probe.writes = writes;
-      probe.truncate_ids.resize(kMaxPiggyback);
-      ok = ok && reserve(m, static_cast<uint32_t>(probe.SerializedSize()));  // CB
-      ok = ok && reserve(m, small);                                          // TRUNCATE
+      ok = ok && reserve(m, WriteRecordReservation(writes, regions));  // CB
+      ok = ok && reserve(m, kSmallRecordReservation);                  // TRUNCATE
       if (!ok) {
         break;
       }
@@ -376,9 +362,9 @@ Task<Status> Transaction::Commit() {
     lock_replies_pending_ = static_cast<int>(p.primary_writes.size());
     lock_all_ok_ = true;
     for (const auto& [m, writes] : p.primary_writes) {
+      // Each record consumes exactly the reservation ReserveLogs took for it.
       TxLogRecord rec = MakeRecord(LogRecordType::kLock, m, &writes, p.written_regions);
-      uint32_t reserved = static_cast<uint32_t>(
-          rec.SerializedSize() + PiggybackSlack(kMaxPiggyback, rec.truncate_ids.size()));
+      uint32_t reserved = WriteRecordReservation(writes, p.written_regions.size());
       (void)node_->messenger().AppendLog(m, rec, reserved, thread_);
     }
     // NSDI'14-protocol ablation: LOCK records also go to backups (and are
@@ -443,8 +429,7 @@ Task<Status> Transaction::Commit() {
     for (const auto& [m, writes] : p.backup_writes) {
       TxLogRecord rec = MakeRecord(LogRecordType::kCommitBackup, m, &writes,
                                    p.written_regions);
-      uint32_t reserved = static_cast<uint32_t>(
-          rec.SerializedSize() + PiggybackSlack(kMaxPiggyback, rec.truncate_ids.size()));
+      uint32_t reserved = WriteRecordReservation(writes, p.written_regions.size());
       wg.Add();
       auto alive = alive_;
       node_->messenger()
@@ -525,11 +510,9 @@ Task<Status> Transaction::Commit() {
       (void)writes;
       // COMMIT-PRIMARY carries only the transaction id (Table 1).
       TxLogRecord rec = MakeRecord(LogRecordType::kCommitPrimary, m, nullptr, {});
-      uint32_t reserved = static_cast<uint32_t>(
-          rec.SerializedSize() + PiggybackSlack(kMaxPiggyback, rec.truncate_ids.size()));
       auto alive = alive_;
       node_->messenger()
-          .AppendLog(m, rec, reserved, thread_)
+          .AppendLog(m, rec, kSmallRecordReservation, thread_)
           .OnReady([cp, alive, this](NetResult& r) {
             cp->pending--;
             // Hardware acks are rejected once the transaction is recovering.
@@ -544,9 +527,8 @@ Task<Status> Transaction::Commit() {
               // All primaries acked: the coordinator may lazily truncate.
               // The per-role TRUNCATE reservations are handed back; the
               // flush path re-reserves when it actually writes records.
-              uint32_t small_len = SmallRecordReservation();
               for (MachineId h : cp->reserved_slots) {
-                cp->node->messenger().ReleaseLogReservation(h, small_len);
+                cp->node->messenger().ReleaseLogReservation(h, kSmallRecordReservation);
               }
               cp->node->QueueTruncation(cp->id, cp->holders);
             }
@@ -686,25 +668,18 @@ void Transaction::AbortParticipants(const Participants& p) {
   for (const auto& [m, writes] : p.primary_writes) {
     (void)writes;
     TxLogRecord rec = MakeRecord(LogRecordType::kAbort, m, nullptr, {});
-    uint32_t reserved = static_cast<uint32_t>(
-        rec.SerializedSize() + PiggybackSlack(kMaxPiggyback, rec.truncate_ids.size()));
-    (void)node_->messenger().AppendLog(m, rec, reserved, thread_);
+    (void)node_->messenger().AppendLog(m, rec, kSmallRecordReservation, thread_);
   }
-  uint32_t small_len = SmallRecordReservation();
   // Backups never saw a record for this transaction; release their
   // COMMIT-BACKUP and TRUNCATE reservations.
   for (const auto& [m, writes] : p.backup_writes) {
-    TxLogRecord probe;
-    probe.tx = id_;
-    probe.written_regions = p.written_regions;
-    probe.writes = writes;
-    probe.truncate_ids.resize(kMaxPiggyback);
-    node_->messenger().ReleaseLogReservation(m, static_cast<uint32_t>(probe.SerializedSize()));
-    node_->messenger().ReleaseLogReservation(m, small_len);
+    node_->messenger().ReleaseLogReservation(
+        m, WriteRecordReservation(writes, p.written_regions.size()));
+    node_->messenger().ReleaseLogReservation(m, kSmallRecordReservation);
   }
   for (const auto& [m, writes] : p.primary_writes) {
     (void)writes;
-    node_->messenger().ReleaseLogReservation(m, small_len);  // TRUNCATE slot
+    node_->messenger().ReleaseLogReservation(m, kSmallRecordReservation);  // TRUNCATE slot
   }
   // The aborted transaction's LOCK/ABORT records still get truncated.
   std::vector<MachineId> primaries;

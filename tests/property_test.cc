@@ -284,10 +284,10 @@ TEST(RingProperty, RandomSizesSurviveWraps) {
     }
     sent_crc = HashCombine(sent_crc, Fnv1a(payload.data(), payload.size()));
     ASSERT_TRUE(tx.Reserve(len)) << "iteration " << i;
-    (void)tx.Append(payload, len, nullptr);
+    (void)tx.Append(FramePayload(payload), len, nullptr);
     sim.Run();
-    rx.Drain([&](uint64_t seq, std::vector<uint8_t> p) {
-      recv_crc = HashCombine(recv_crc, Fnv1a(p.data(), p.size()));
+    rx.Drain([&](uint64_t seq, const uint8_t* p, uint32_t n) {
+      recv_crc = HashCombine(recv_crc, Fnv1a(p, n));
       received++;
       rx.MarkFreeable(seq);
     });
@@ -299,8 +299,86 @@ TEST(RingProperty, RandomSizesSurviveWraps) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire records: SerializedSize() must track Serialize() exactly (log-space
-// reservations are computed from it), over randomized record shapes.
+// Every tear of an append -- any prefix of its frame from the length word up
+// to all but the last byte -- either loses a nonzero byte and never surfaces
+// (counted once as a torn frame), or loses only zeros (padding, or a payload
+// that ends in zeros), leaving the whole frame in NVRAM, which then surfaces
+// intact. Payloads of 1-300 bytes cover partial and whole tail words.
+// ---------------------------------------------------------------------------
+
+TEST(RingProperty, TornAtEveryOffsetNeverSurfaces) {
+  Simulator sim;
+  Fabric fabric(sim, CostModel{});
+  Machine m0(sim, 0, 2, 0);
+  Machine m1(sim, 1, 2, 1);
+  NvramStore s0;
+  NvramStore s1;
+  fabric.AddMachine(&m0, &s0);
+  fabric.AddMachine(&m1, &s1);
+
+  Pcg32 rng(29);
+  std::vector<uint32_t> lens = {1, 7, 8, 9, 16, 24, 63, 64, 65, 255, 256, 300};
+  for (int i = 0; i < 8; i++) {
+    lens.push_back(rng.Uniform(300) + 1);
+  }
+  int torn = 0;
+  int whole = 0;
+  for (size_t li = 0; li < lens.size(); li++) {
+    uint32_t len = lens[li];
+    std::vector<uint8_t> payload(len);
+    for (auto& b : payload) {
+      b = static_cast<uint8_t>(rng.Uniform(255) + 1);
+    }
+    if (li % 2 == 1) {
+      // An all-zero tail: tears inside it lose nothing.
+      std::fill(payload.end() - rng.Uniform(len + 1), payload.end(), 0);
+    }
+    // The frame exactly as Append writes it.
+    std::vector<uint8_t> frame = FramePayload(payload);
+    uint32_t check = FrameCheck(payload.data(), len);
+    std::memcpy(frame.data() + 4, &check, 4);
+    const uint32_t framed = static_cast<uint32_t>(frame.size());
+
+    for (uint32_t keep = 4; keep < framed; keep++) {
+      SCOPED_TRACE(testing::Message() << "len " << len << " keep " << keep);
+      RingReceiver rx(&s1, 1024);
+      uint64_t fb = s0.Allocate(8);
+      RingSender tx(&fabric, 0, 1, rx.data_base(), 1024, fb, &s0, nullptr, []() {});
+      // A whole record first, so tears land at varying ring offsets.
+      std::vector<uint8_t> lead(keep % 40 + 1, 0x3C);
+      ASSERT_TRUE(tx.Reserve(static_cast<uint32_t>(lead.size())));
+      (void)tx.Append(FramePayload(lead), static_cast<uint32_t>(lead.size()), nullptr);
+      sim.Run();
+      ASSERT_EQ(rx.Drain([](uint64_t, const uint8_t*, uint32_t) {}), 1);
+
+      ASSERT_TRUE(tx.Reserve(len));
+      s1.ArmTornWrite(keep);
+      (void)tx.Append(FramePayload(payload), len, nullptr);
+      sim.Run();
+      std::vector<std::vector<uint8_t>> got;
+      auto collect = [&](uint64_t, const uint8_t* p, uint32_t n) { got.emplace_back(p, p + n); };
+      rx.Drain(collect);
+      rx.Drain(collect);  // re-polling the same tear neither surfaces nor recounts it
+      if (std::any_of(frame.begin() + keep, frame.end(), [](uint8_t b) { return b != 0; })) {
+        EXPECT_TRUE(got.empty());
+        EXPECT_EQ(rx.torn_frames(), 1u);
+        torn++;
+      } else {
+        ASSERT_EQ(got.size(), 1u);
+        EXPECT_EQ(got[0], payload);
+        EXPECT_EQ(rx.torn_frames(), 0u);
+        whole++;
+      }
+    }
+  }
+  EXPECT_GT(torn, 0);
+  EXPECT_GT(whole, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Wire records: SerializedSize() must track Serialize() and the framed form
+// exactly (log-space reservations are computed from it), over randomized
+// record shapes; the parse of those bytes gives back the same record.
 // ---------------------------------------------------------------------------
 
 TEST(WireProperty, SerializedSizeMatchesSerialize) {
@@ -324,14 +402,15 @@ TEST(WireProperty, SerializedSizeMatchesSerialize) {
       w.expected_version = rng.Next64();
       w.expected_alloc = rng.Bernoulli(0.5);
       w.set_alloc = rng.Bernoulli(0.25);
-      w.value.resize(rng.Uniform(101));  // includes zero-length values
-      for (auto& b : w.value) {
+      std::vector<uint8_t> value(rng.Uniform(101));  // includes zero-length values
+      for (auto& b : value) {
         b = static_cast<uint8_t>(rng.Next());
       }
+      w.value = SharedBytes(std::move(value));
       rec.writes.push_back(std::move(w));
     }
-    // Past kMaxPiggyback on purpose: reservation code must saturate, and
-    // the size formula must still match for oversize id lists.
+    // Past kMaxPiggyback on purpose: the size formula must match for
+    // oversize id lists too.
     uint32_t truncs = rng.Uniform(13);
     for (uint32_t i = 0; i < truncs; i++) {
       rec.truncate_ids.push_back(TxId{1, static_cast<MachineId>(i), 0, rng.Next64()});
@@ -339,12 +418,113 @@ TEST(WireProperty, SerializedSizeMatchesSerialize) {
 
     auto bytes = rec.Serialize();
     ASSERT_EQ(bytes.size(), rec.SerializedSize()) << "iteration " << iter;
-    BufReader r(bytes);
-    TxLogRecord parsed = TxLogRecord::Parse(r);
+    // The framed form the messenger appends: header, the same bytes, zero
+    // padding, in one buffer of exactly FramedLen bytes.
+    const uint32_t len = static_cast<uint32_t>(rec.SerializedSize());
+    BufWriter fw = StartFrame(len);
+    rec.SerializeTo(fw);
+    std::vector<uint8_t> frame = FinishFrame(fw);
+    ASSERT_EQ(frame.size(), FramedLen(len)) << "iteration " << iter;
+    uint32_t header_len;
+    std::memcpy(&header_len, frame.data(), 4);
+    EXPECT_EQ(header_len, len);
+    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), frame.begin() + kFrameHeaderBytes));
+    EXPECT_TRUE(std::all_of(frame.begin() + kFrameHeaderBytes + len, frame.end(),
+                            [](uint8_t b) { return b == 0; }));
+
+    TxLogRecord parsed = TxLogRecord::Parse(SharedBytes(bytes));
     EXPECT_EQ(parsed.tx, rec.tx);
-    EXPECT_EQ(parsed.writes.size(), rec.writes.size());
+    ASSERT_EQ(parsed.writes.size(), rec.writes.size());
+    for (size_t i = 0; i < rec.writes.size(); i++) {
+      EXPECT_EQ(parsed.writes[i].value, rec.writes[i].value) << "iteration " << iter;
+    }
     EXPECT_EQ(parsed.truncate_ids.size(), rec.truncate_ids.size());
+    EXPECT_EQ(parsed.Serialize(), bytes);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Parsed records own their bytes: after their frames are truncated (zeroed)
+// and the ring wraps over that space with new records, the copies a receiver
+// keeps -- the messenger's stored record and a primary's PendingTx copy of a
+// LOCK record -- still hold exactly the bytes that were sent.
+// ---------------------------------------------------------------------------
+
+TEST(WireProperty, StoredRecordsOutliveRingSpace) {
+  Simulator sim;
+  Fabric fabric(sim, CostModel{});
+  Machine m0(sim, 0, 2, 0);
+  Machine m1(sim, 1, 2, 1);
+  NvramStore s0;
+  NvramStore s1;
+  fabric.AddMachine(&m0, &s0);
+  fabric.AddMachine(&m1, &s1);
+  Messenger::Options opts;
+  opts.txlog_capacity = 4 << 10;
+  opts.msgq_capacity = 4 << 10;
+  opts.worker_threads = 2;
+  Messenger a(fabric, m0, s0, opts);
+  Messenger b(fabric, m1, s1, opts);
+  Messenger::Connect(a, b);
+
+  std::map<uint64_t, TxLogRecord> pending;  // seq -> copy, as PendingTx keeps
+  uint64_t surfaced = 0;
+  b.SetHandlers(
+      [&](MachineId, uint64_t seq, const TxLogRecord& rec) {
+        EXPECT_EQ(seq, surfaced++);
+        if (rec.type == LogRecordType::kLock) {
+          pending[seq] = rec;
+        }
+      },
+      [](MachineId, MsgType, std::vector<uint8_t>) {});
+
+  Pcg32 rng(37);
+  std::vector<std::vector<uint8_t>> sent;  // by seq: one sender, ring order
+  std::vector<uint64_t> live;              // seqs not yet truncated
+  for (int round = 0; round < 40; round++) {
+    for (int k = 0; k < 3; k++) {
+      TxLogRecord rec;
+      rec.type = rng.Bernoulli(0.5) ? LogRecordType::kLock : LogRecordType::kCommitBackup;
+      rec.tx = TxId{1, 0, 0, sent.size()};
+      rec.written_regions = {rng.Next() % 4};
+      uint32_t writes = rng.Uniform(3) + 1;
+      for (uint32_t i = 0; i < writes; i++) {
+        WireWrite w;
+        w.addr = GlobalAddr{rec.written_regions[0], rng.Next() % 4096};
+        w.expected_version = rng.Next64();
+        std::vector<uint8_t> value(rng.Uniform(64) + 1);
+        for (auto& v : value) {
+          v = static_cast<uint8_t>(rng.Next());
+        }
+        w.value = SharedBytes(std::move(value));
+        rec.writes.push_back(std::move(w));
+      }
+      uint32_t len = static_cast<uint32_t>(rec.SerializedSize());
+      ASSERT_TRUE(a.ReserveLog(1, len)) << "round " << round;
+      (void)a.AppendLog(1, rec, len, 0);
+      live.push_back(sent.size());
+      sent.push_back(rec.Serialize());
+    }
+    sim.Run();
+    ASSERT_EQ(surfaced, sent.size());
+    // Truncate all but the newest record: their frames are zeroed, and the
+    // next rounds' appends wrap over the freed space.
+    while (live.size() > 1) {
+      b.TruncateLogRecord(0, live.front());
+      ASSERT_EQ(b.GetStoredLog(0, live.front()), nullptr);
+      live.erase(live.begin());
+    }
+    sim.Run();
+    const TxLogRecord* kept = b.GetStoredLog(0, live.front());
+    ASSERT_NE(kept, nullptr);
+    EXPECT_EQ(kept->Serialize(), sent[live.front()]) << "round " << round;
+    for (const auto& [seq, rec] : pending) {
+      ASSERT_EQ(rec.Serialize(), sent[seq]) << "round " << round << " seq " << seq;
+    }
+  }
+  // The ring wrapped over freed space more than once.
+  EXPECT_GT(a.log_bytes_sent(), 2u * opts.txlog_capacity);
+  EXPECT_FALSE(pending.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include "src/core/ringlog.h"
 #include "src/core/wire.h"
 #include "src/nvram/nvram.h"
+#include "tests/test_util.h"
 
 namespace farm {
 namespace {
@@ -21,19 +22,18 @@ TEST(WireTest, TxLogRecordRoundTrip) {
   w1.addr = GlobalAddr{1, 128};
   w1.expected_version = 42;
   w1.expected_alloc = true;
-  w1.value = {9, 8, 7};
+  w1.value = SharedBytes({9, 8, 7});
   rec.writes.push_back(w1);
   WireWrite w2;
   w2.addr = GlobalAddr{5, 64};
   w2.set_alloc = true;
-  w2.value = {1};
+  w2.value = SharedBytes({1});
   rec.writes.push_back(w2);
   rec.truncate_ids.push_back(TxId{2, 3, 1, 50});
 
   auto bytes = rec.Serialize();
   EXPECT_EQ(bytes.size(), rec.SerializedSize());
-  BufReader r(bytes);
-  TxLogRecord parsed = TxLogRecord::Parse(r);
+  TxLogRecord parsed = TxLogRecord::Parse(SharedBytes(bytes));
   EXPECT_EQ(parsed.type, LogRecordType::kLock);
   EXPECT_EQ(parsed.tx, rec.tx);
   EXPECT_EQ(parsed.written_regions, rec.written_regions);
@@ -89,12 +89,14 @@ TEST_F(RingTest, AppendDrainTruncate) {
 
   std::vector<uint8_t> payload = {1, 2, 3, 4, 5};
   ASSERT_TRUE(tx.Reserve(5));
-  (void)tx.Append(payload, 5, nullptr);
+  (void)tx.Append(FramePayload(payload), 5, nullptr);
   sim_.Run();
   EXPECT_EQ(pokes, 1);
 
   std::vector<std::pair<uint64_t, std::vector<uint8_t>>> got;
-  rx.Drain([&](uint64_t seq, std::vector<uint8_t> p) { got.push_back({seq, std::move(p)}); });
+  rx.Drain([&](uint64_t seq, const uint8_t* p, uint32_t n) {
+    got.push_back({seq, std::vector<uint8_t>(p, p + n)});
+  });
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].second, payload);
   EXPECT_EQ(rx.head(), 0u);
@@ -113,10 +115,10 @@ TEST_F(RingTest, WrapAround) {
   for (int i = 0; i < 40; i++) {
     std::vector<uint8_t> payload(20, static_cast<uint8_t>(i));
     ASSERT_TRUE(tx.Reserve(20)) << "iteration " << i;
-    (void)tx.Append(payload, 20, nullptr);
+    (void)tx.Append(FramePayload(payload), 20, nullptr);
     sim_.Run();
-    rx.Drain([&](uint64_t seq, std::vector<uint8_t> p) {
-      EXPECT_EQ(p.size(), 20u);
+    rx.Drain([&](uint64_t seq, const uint8_t* p, uint32_t n) {
+      EXPECT_EQ(n, 20u);
       EXPECT_EQ(p[0], static_cast<uint8_t>(received));
       received++;
       rx.MarkFreeable(seq);
@@ -153,11 +155,11 @@ TEST_F(RingTest, TruncateOutOfOrderStillFreesPrefix) {
   for (int i = 0; i < 3; i++) {
     std::vector<uint8_t> p(16, static_cast<uint8_t>(i));
     ASSERT_TRUE(tx.Reserve(16));
-    (void)tx.Append(p, 16, nullptr);
+    (void)tx.Append(FramePayload(p), 16, nullptr);
   }
   sim_.Run();
   std::vector<uint64_t> seqs;
-  rx.Drain([&](uint64_t seq, std::vector<uint8_t>) { seqs.push_back(seq); });
+  rx.Drain([&](uint64_t seq, const uint8_t*, uint32_t) { seqs.push_back(seq); });
   ASSERT_EQ(seqs.size(), 3u);
   // Free the middle record: the head must not move (record 0 not freeable).
   rx.MarkFreeable(seqs[1]);
@@ -174,16 +176,16 @@ TEST_F(RingTest, RebuildFromNvramReparsesUntruncated) {
   for (int i = 0; i < 3; i++) {
     std::vector<uint8_t> p(16, static_cast<uint8_t>(i + 1));
     ASSERT_TRUE(tx.Reserve(16));
-    (void)tx.Append(p, 16, nullptr);
+    (void)tx.Append(FramePayload(p), 16, nullptr);
   }
   sim_.Run();
   std::vector<uint64_t> seqs;
-  rx.Drain([&](uint64_t seq, std::vector<uint8_t>) { seqs.push_back(seq); });
+  rx.Drain([&](uint64_t seq, const uint8_t*, uint32_t) { seqs.push_back(seq); });
   rx.MarkFreeable(seqs[0]);  // truncate the first record only
 
   rx.RebuildFromNvram();  // power failure: volatile state lost
   std::vector<std::vector<uint8_t>> again;
-  rx.Drain([&](uint64_t, std::vector<uint8_t> p) { again.push_back(std::move(p)); });
+  rx.Drain([&](uint64_t, const uint8_t* p, uint32_t n) { again.emplace_back(p, p + n); });
   ASSERT_EQ(again.size(), 2u);  // the truncated record does not reappear
   EXPECT_EQ(again[0][0], 2);
   EXPECT_EQ(again[1][0], 3);
@@ -222,9 +224,11 @@ TEST_F(RingTest, TornAppendDetectedAndDrainStopsCleanly) {
 
   std::vector<uint8_t> good(16, 0x5A);
   ASSERT_TRUE(tx.Reserve(16));
-  (void)tx.Append(good, 16, nullptr);
+  (void)tx.Append(FramePayload(good), 16, nullptr);
   sim_.Run();
-  int surfaced = rx.Drain([&](uint64_t, std::vector<uint8_t> p) { EXPECT_EQ(p, good); });
+  int surfaced = rx.Drain([&](uint64_t, const uint8_t* p, uint32_t n) {
+    EXPECT_EQ(std::vector<uint8_t>(p, p + n), good);
+  });
   EXPECT_EQ(surfaced, 1);
   EXPECT_EQ(rx.torn_frames(), 0u);
 
@@ -233,14 +237,15 @@ TEST_F(RingTest, TornAppendDetectedAndDrainStopsCleanly) {
   std::vector<uint8_t> torn(16, 0x77);
   ASSERT_TRUE(tx.Reserve(16));
   stores_[1]->ArmTornWrite(kFrameHeaderBytes);
-  (void)tx.Append(torn, 16, nullptr);
+  (void)tx.Append(FramePayload(torn), 16, nullptr);
   sim_.Run();
 
-  surfaced = rx.Drain([&](uint64_t, std::vector<uint8_t>) { FAIL() << "torn record surfaced"; });
+  surfaced =
+      rx.Drain([&](uint64_t, const uint8_t*, uint32_t) { FAIL() << "torn record surfaced"; });
   EXPECT_EQ(surfaced, 0);
   EXPECT_EQ(rx.torn_frames(), 1u);
   // Re-polling the same tear does not recount it.
-  rx.Drain([&](uint64_t, std::vector<uint8_t>) {});
+  rx.Drain([&](uint64_t, const uint8_t*, uint32_t) {});
   EXPECT_EQ(rx.torn_frames(), 1u);
 }
 
@@ -251,19 +256,19 @@ TEST_F(RingTest, RebuildFromNvramStopsAtTear) {
 
   std::vector<uint8_t> first(16, 0x11);
   ASSERT_TRUE(tx.Reserve(16));
-  (void)tx.Append(first, 16, nullptr);
+  (void)tx.Append(FramePayload(first), 16, nullptr);
   sim_.Run();
   std::vector<uint8_t> second(16, 0x22);
   ASSERT_TRUE(tx.Reserve(16));
   stores_[1]->ArmTornWrite(kFrameHeaderBytes + 4);  // header + part of payload
-  (void)tx.Append(second, 16, nullptr);
+  (void)tx.Append(FramePayload(second), 16, nullptr);
   sim_.Run();
 
   // Power failure before the receiver ever polled: recovery re-parses from
   // the persisted head, surfaces the intact record, and stops at the tear.
   rx.RebuildFromNvram();
   std::vector<std::vector<uint8_t>> got;
-  rx.Drain([&](uint64_t, std::vector<uint8_t> p) { got.push_back(std::move(p)); });
+  rx.Drain([&](uint64_t, const uint8_t* p, uint32_t n) { got.emplace_back(p, p + n); });
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], first);
   EXPECT_EQ(rx.torn_frames(), 1u);
@@ -332,12 +337,18 @@ TEST_F(RingTest, MessengerSelfRings) {
   EXPECT_EQ(got, 1);
 }
 
-TEST(WireTest, PiggybackSlackSaturates) {
-  EXPECT_EQ(PiggybackSlack(8, 0), 8 * kTxIdWireBytes);
-  EXPECT_EQ(PiggybackSlack(8, 8), 0u);
-  // Regression: more ids than slots must not wrap to a huge reservation.
-  EXPECT_EQ(PiggybackSlack(8, 9), 0u);
-  EXPECT_EQ(PiggybackSlack(8, 1000), 0u);
+TEST(WireTest, SmallRecordReservationMatchesSerializedSize) {
+  // COMMIT-PRIMARY / ABORT / TRUNCATE records carry no writes; with a full
+  // piggyback they are exactly kSmallRecordReservation bytes.
+  for (LogRecordType type :
+       {LogRecordType::kCommitPrimary, LogRecordType::kAbort, LogRecordType::kTruncate}) {
+    TxLogRecord rec;
+    rec.type = type;
+    rec.tx = TxId{4, 2, 1, 77};
+    rec.truncate_ids.assign(kMaxPiggyback, TxId{3, 1, 0, 9});
+    EXPECT_EQ(kSmallRecordReservation, rec.SerializedSize());
+    EXPECT_EQ(kSmallRecordReservation, rec.Serialize().size());
+  }
 }
 
 TEST(AllocatorTest, ReserveFormatsBlocksAndReturnsSlots) {

@@ -40,6 +40,14 @@ bool RunUntil(Cluster& cluster, Pred pred, SimDuration timeout) {
   return pred();
 }
 
+// Frames `payload` for RingSender::Append the way the messenger frames a
+// record.
+inline std::vector<uint8_t> FramePayload(const std::vector<uint8_t>& payload) {
+  BufWriter w = StartFrame(static_cast<uint32_t>(payload.size()));
+  w.Append(payload.data(), payload.size());
+  return FinishFrame(w);
+}
+
 inline ClusterOptions SmallClusterOptions(int machines = 4, uint64_t seed = 1) {
   ClusterOptions opts;
   opts.machines = machines;
