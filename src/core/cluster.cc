@@ -13,6 +13,33 @@ thread_local const Cluster* t_live_cluster = nullptr;
 // Two NICs per machine, as in the paper's testbed (two 56 Gbps ConnectX-3).
 constexpr int kNicsPerMachine = 2;
 
+// Registry cell names of the plain stats structs, for the teardown dump.
+constexpr std::pair<const char*, uint64_t NodeStats::*> kNodeStatCells[] = {
+    {"tx_committed", &NodeStats::tx_committed},
+    {"tx_aborted_lock", &NodeStats::tx_aborted_lock},
+    {"tx_aborted_validate", &NodeStats::tx_aborted_validate},
+    {"tx_unresolved", &NodeStats::tx_unresolved},
+    {"tx_recovered_commit", &NodeStats::tx_recovered_commit},
+    {"tx_recovered_abort", &NodeStats::tx_recovered_abort},
+    {"lockfree_reads", &NodeStats::lockfree_reads},
+    {"recovering_txs_seen", &NodeStats::recovering_txs_seen},
+    {"regions_rereplicated", &NodeStats::regions_rereplicated},
+    {"reconfigurations", &NodeStats::reconfigurations},
+};
+constexpr std::pair<const char*, uint64_t FabricStats::*> kFabricStatCells[] = {
+    {"fabric_rdma_reads", &FabricStats::rdma_reads},
+    {"fabric_rdma_writes", &FabricStats::rdma_writes},
+    {"fabric_rdma_cas", &FabricStats::rdma_cas},
+    {"fabric_rpcs", &FabricStats::rpcs},
+    {"fabric_datagrams", &FabricStats::datagrams},
+    {"fabric_rdma_bytes", &FabricStats::rdma_bytes},
+    {"fabric_rpc_bytes", &FabricStats::rpc_bytes},
+    {"fabric_fault_dropped", &FabricStats::faults_dropped},
+    {"fabric_fault_delayed", &FabricStats::faults_delayed},
+    {"fabric_fault_duplicated", &FabricStats::faults_duplicated},
+    {"fabric_fault_reordered", &FabricStats::faults_reordered},
+};
+
 }  // namespace
 
 Cluster::Cluster(ClusterOptions options)
@@ -23,7 +50,6 @@ Cluster::Cluster(ClusterOptions options)
   sinks_.tracer = options_.tracer;
   fabric_ = std::make_unique<Fabric>(sim_, options_.cost, sinks_);
   fabric_->SeedFaultRng(options_.fault_seed);
-  fabric_->BindStats(registry_);
   SetLogClock(&SimNowForLog, &sim_);
 
   int farm_machines = options_.machines;
@@ -102,6 +128,15 @@ Cluster::~Cluster() {
     flight::AppendDump(options_.flight_out, FlightPostmortem(), section);
   }
   if (!options_.metrics_out.empty()) {
+    for (const auto& node : nodes_) {
+      metrics::Labels labels = {{"node", "m" + std::to_string(node->id())}};
+      for (const auto& [name, field] : kNodeStatCells) {
+        registry_.GetCounter(name, labels).Inc(node->stats().*field);
+      }
+    }
+    for (const auto& [name, field] : kFabricStatCells) {
+      registry_.GetCounter(name).Inc(fabric_->stats().*field);
+    }
     metrics::AppendDump(options_.metrics_out, registry_, section);
   }
   // The tracer outlives the cluster; detach so it cannot stamp events with a
@@ -189,17 +224,9 @@ void Cluster::NoteRegionRereplicated(RegionId r) {
 NodeStats Cluster::TotalStats() const {
   NodeStats total;
   for (const auto& node : nodes_) {
-    const NodeStats& s = node->stats();
-    total.tx_committed += s.tx_committed;
-    total.tx_aborted_lock += s.tx_aborted_lock;
-    total.tx_aborted_validate += s.tx_aborted_validate;
-    total.tx_unresolved += s.tx_unresolved;
-    total.tx_recovered_commit += s.tx_recovered_commit;
-    total.tx_recovered_abort += s.tx_recovered_abort;
-    total.lockfree_reads += s.lockfree_reads;
-    total.recovering_txs_seen += s.recovering_txs_seen;
-    total.regions_rereplicated += s.regions_rereplicated;
-    total.reconfigurations += s.reconfigurations;
+    for (const auto& [name, field] : kNodeStatCells) {
+      total.*field += node->stats().*field;
+    }
   }
   return total;
 }

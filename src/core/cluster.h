@@ -65,7 +65,8 @@ class Cluster {
   CoordinationService& zk() { return *zk_; }
   Pcg32& rng() { return rng_; }
   const ClusterOptions& options() const { return options_; }
-  // Per-cluster metric cells (node + fabric counters bind here), so
+  // Per-cluster metric cells (the emitter's phase histograms and abort
+  // reasons; node and fabric stats join them at the teardown dump), so
   // sequential clusters in one process do not bleed counts into each other.
   metrics::Registry& metrics_registry() { return registry_; }
   // The sinks every layer of this cluster reports to.

@@ -168,16 +168,7 @@ Detached Node::RunRegionCreate(MachineId from, uint64_t correlation, uint32_t si
   // by machines; the CM is their source of truth).
   BufWriter b;
   b.PutU32(rid);
-  b.PutU32(p.primary);
-  b.PutU32(static_cast<uint32_t>(p.backups.size()));
-  for (MachineId m : p.backups) {
-    b.PutU32(m);
-  }
-  b.PutU32(p.size);
-  b.PutU64(p.last_primary_change);
-  b.PutU64(p.last_replica_change);
-  b.PutU32(p.colocate_with);
-  b.PutU32(p.object_stride);
+  PutPlacement(b, p);
   std::vector<uint8_t> msg = b.Take();
   for (MachineId m : config_.machines) {
     if (m != id()) {

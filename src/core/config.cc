@@ -2,6 +2,34 @@
 
 namespace farm {
 
+void PutPlacement(BufWriter& w, const RegionPlacement& p) {
+  w.PutU32(p.primary);
+  w.PutU32(static_cast<uint32_t>(p.backups.size()));
+  for (MachineId b : p.backups) {
+    w.PutU32(b);
+  }
+  w.PutU32(p.size);
+  w.PutU64(p.last_primary_change);
+  w.PutU64(p.last_replica_change);
+  w.PutU32(p.colocate_with);
+  w.PutU32(p.object_stride);
+}
+
+RegionPlacement GetPlacement(BufReader& r) {
+  RegionPlacement p;
+  p.primary = r.GetU32();
+  uint32_t nb = r.GetU32();
+  for (uint32_t i = 0; i < nb; i++) {
+    p.backups.push_back(r.GetU32());
+  }
+  p.size = r.GetU32();
+  p.last_primary_change = r.GetU64();
+  p.last_replica_change = r.GetU64();
+  p.colocate_with = r.GetU32();
+  p.object_stride = r.GetU32();
+  return p;
+}
+
 std::vector<uint8_t> Configuration::Serialize() const {
   BufWriter w;
   w.PutU64(id);
@@ -16,16 +44,7 @@ std::vector<uint8_t> Configuration::Serialize() const {
   w.PutU32(static_cast<uint32_t>(regions.size()));
   for (const auto& [rid, p] : regions) {
     w.PutU32(rid);
-    w.PutU32(p.primary);
-    w.PutU32(static_cast<uint32_t>(p.backups.size()));
-    for (MachineId b : p.backups) {
-      w.PutU32(b);
-    }
-    w.PutU32(p.size);
-    w.PutU64(p.last_primary_change);
-    w.PutU64(p.last_replica_change);
-    w.PutU32(p.colocate_with);
-    w.PutU32(p.object_stride);
+    PutPlacement(w, p);
   }
   return w.Take();
 }
@@ -45,18 +64,7 @@ Configuration Configuration::Parse(BufReader& r) {
   uint32_t nr = r.GetU32();
   for (uint32_t i = 0; i < nr; i++) {
     RegionId rid = r.GetU32();
-    RegionPlacement p;
-    p.primary = r.GetU32();
-    uint32_t nb = r.GetU32();
-    for (uint32_t j = 0; j < nb; j++) {
-      p.backups.push_back(r.GetU32());
-    }
-    p.size = r.GetU32();
-    p.last_primary_change = r.GetU64();
-    p.last_replica_change = r.GetU64();
-    p.colocate_with = r.GetU32();
-    p.object_stride = r.GetU32();
-    c.regions[rid] = std::move(p);
+    c.regions[rid] = GetPlacement(r);
   }
   return c;
 }

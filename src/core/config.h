@@ -53,6 +53,11 @@ struct RegionPlacement {
   }
 };
 
+// Wire codec of one placement (NEW-CONFIG, the stored configuration and the
+// CM's region-mapping broadcast all carry this field sequence).
+void PutPlacement(BufWriter& w, const RegionPlacement& p);
+RegionPlacement GetPlacement(BufReader& r);
+
 struct Configuration {
   ConfigId id = 0;
   std::vector<MachineId> machines;            // S, sorted

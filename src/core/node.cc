@@ -17,20 +17,6 @@ constexpr SimDuration kTruncateFlushInterval = 200 * kMicrosecond;
 
 }  // namespace
 
-void NodeStats::BindTo(metrics::Registry& reg, const std::string& node_label) {
-  metrics::Labels labels = {{"node", node_label}};
-  tx_committed = reg.GetCounter("tx_committed", labels);
-  tx_aborted_lock = reg.GetCounter("tx_aborted_lock", labels);
-  tx_aborted_validate = reg.GetCounter("tx_aborted_validate", labels);
-  tx_unresolved = reg.GetCounter("tx_unresolved", labels);
-  tx_recovered_commit = reg.GetCounter("tx_recovered_commit", labels);
-  tx_recovered_abort = reg.GetCounter("tx_recovered_abort", labels);
-  lockfree_reads = reg.GetCounter("lockfree_reads", labels);
-  recovering_txs_seen = reg.GetCounter("recovering_txs_seen", labels);
-  regions_rereplicated = reg.GetCounter("regions_rereplicated", labels);
-  reconfigurations = reg.GetCounter("reconfigurations", labels);
-}
-
 Node::Node(Cluster* cluster, Machine* machine, NvramStore* store, NodeOptions options)
     : cluster_(cluster),
       machine_(machine),
@@ -41,7 +27,6 @@ Node::Node(Cluster* cluster, Machine* machine, NvramStore* store, NodeOptions op
   // Worker threads + one dedicated lease-manager thread (section 5.1).
   FARM_CHECK(machine_->NumThreads() == options_.worker_threads + 1)
       << "machine must have worker_threads + 1 hardware threads";
-  stats_.BindTo(cluster_->metrics_registry(), "m" + std::to_string(machine_->id()));
   options_.msgr.worker_threads = options_.worker_threads;
   messenger_ = std::make_unique<Messenger>(fabric(), *machine_, *store_, options_.msgr);
   messenger_->SetHandlers(
@@ -781,18 +766,7 @@ void Node::HandleMessage(MachineId from, MsgType type, std::vector<uint8_t> payl
     case MsgType::kRegionCreateReply: {
       // CM broadcast: new region mapping.
       RegionId rid = r.GetU32();
-      RegionPlacement p;
-      p.primary = r.GetU32();
-      uint32_t nb = r.GetU32();
-      for (uint32_t i = 0; i < nb; i++) {
-        p.backups.push_back(r.GetU32());
-      }
-      p.size = r.GetU32();
-      p.last_primary_change = r.GetU64();
-      p.last_replica_change = r.GetU64();
-      p.colocate_with = r.GetU32();
-      p.object_stride = r.GetU32();
-      config_.regions[rid] = p;
+      config_.regions[rid] = GetPlacement(r);
       if (rid >= config_.next_region_id) {
         config_.next_region_id = rid + 1;
       }
@@ -864,6 +838,14 @@ void Node::HandleMessage(MachineId from, MsgType type, std::vector<uint8_t> payl
     default:
       FARM_LOG(Warn) << "node " << id() << ": unhandled message type "
                      << static_cast<int>(type);
+  }
+}
+
+void Node::Deliver(MachineId dst, MsgType type, std::vector<uint8_t> payload) {
+  if (dst == id()) {
+    HandleMessage(id(), type, std::move(payload));
+  } else {
+    messenger_->SendMessage(dst, type, std::move(payload), -1);
   }
 }
 

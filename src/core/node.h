@@ -36,7 +36,6 @@
 #include "src/core/wire.h"
 #include "src/net/fabric.h"
 #include "src/nvram/nvram.h"
-#include "src/obs/metrics.h"
 #include "src/sim/task.h"
 #include "src/zk/coord.h"
 
@@ -64,24 +63,19 @@ struct NodeOptions {
   bool chaos_skip_backup_ack = false;
 };
 
-// Per-node counters, backed by metrics cells. Copying a NodeStats snapshots
-// the current values into detached cells, so aggregation code like
-// Cluster::TotalStats and point-in-time comparisons keep value semantics.
+// Per-node counters. Cluster::TotalStats sums them and the cluster's
+// teardown dump writes them as tx_committed{node="m3"}-style cells.
 struct NodeStats {
-  metrics::Counter tx_committed;
-  metrics::Counter tx_aborted_lock;
-  metrics::Counter tx_aborted_validate;
-  metrics::Counter tx_unresolved;      // gave up waiting (failures)
-  metrics::Counter tx_recovered_commit;
-  metrics::Counter tx_recovered_abort;
-  metrics::Counter lockfree_reads;
-  metrics::Counter recovering_txs_seen;   // counted at vote coordinators
-  metrics::Counter regions_rereplicated;
-  metrics::Counter reconfigurations;
-
-  // Rebinds every field to labeled cells in `reg` (e.g. tx_committed{node="m3"}),
-  // so the registry dump breaks counts down per node.
-  void BindTo(metrics::Registry& reg, const std::string& node_label);
+  uint64_t tx_committed = 0;
+  uint64_t tx_aborted_lock = 0;
+  uint64_t tx_aborted_validate = 0;
+  uint64_t tx_unresolved = 0;        // gave up waiting (failures)
+  uint64_t tx_recovered_commit = 0;  // coordinator learned the outcome from recovery
+  uint64_t tx_recovered_abort = 0;
+  uint64_t lockfree_reads = 0;
+  uint64_t recovering_txs_seen = 0;  // counted at vote coordinators
+  uint64_t regions_rereplicated = 0;
+  uint64_t reconfigurations = 0;
 };
 
 class Node {
@@ -115,7 +109,6 @@ class Node {
   RegionReplica* replica(RegionId r);
   RegionAllocator* allocator(RegionId r);
   const NodeStats& stats() const { return stats_; }
-  NodeStats& mutable_stats() { return stats_; }
   // Reports this machine's protocol steps to the cluster's sinks.
   Emitter& emit() { return emit_; }
   Machine& machine() { return *machine_; }
@@ -220,6 +213,8 @@ class Node {
   // ---- participant-side processing (node.cc) ----
   void HandleLogRecord(MachineId from, uint64_t seq, const TxLogRecord& rec);
   void HandleMessage(MachineId from, MsgType type, std::vector<uint8_t> payload);
+  // Sends a message to `dst`, or handles it in place when `dst` is this node.
+  void Deliver(MachineId dst, MsgType type, std::vector<uint8_t> payload);
   void ProcessLock(MachineId from, uint64_t seq, const TxLogRecord& rec);
   void ProcessCommitPrimary(MachineId from, const TxLogRecord& rec);
   void ProcessAbort(MachineId from, const TxLogRecord& rec);

@@ -659,13 +659,7 @@ void Node::SendVotesForRegion(RegionId region) {
       w.PutU32(rr);
     }
     w.PutU8(static_cast<uint8_t>(pv.vote));
-    if (coord == id()) {
-      std::vector<uint8_t> bytes = w.Take();
-      BufReader rr(bytes);
-      HandleRecoveryVote(id(), rr);
-    } else {
-      messenger_->SendMessage(coord, MsgType::kRecoveryVote, w.Take(), -1);
-    }
+    Deliver(coord, MsgType::kRecoveryVote, w.Take());
   }
 }
 
@@ -756,13 +750,7 @@ void Node::ArmVoteTimer(const TxId& tid) {
       w.PutU64(config_.id);
       w.PutU32(r);
       PutTxId(w, tid);
-      if (p->primary == id()) {
-        std::vector<uint8_t> bytes = w.Take();
-        BufReader rr(bytes);
-        HandleRequestVote(id(), rr);
-      } else {
-        messenger_->SendMessage(p->primary, MsgType::kRequestVote, w.Take(), -1);
-      }
+      Deliver(p->primary, MsgType::kRequestVote, w.Take());
     }
     MaybeDecide(tid);
     ArmVoteTimerTick(tid, cid);
@@ -812,13 +800,7 @@ void Node::HandleRequestVote(MachineId from, BufReader& r) {
     w.PutU32(m);
   }
   w.PutU8(static_cast<uint8_t>(v));
-  if (from == id()) {
-    std::vector<uint8_t> bytes = w.Take();
-    BufReader rr(bytes);
-    HandleRecoveryVote(id(), rr);
-  } else {
-    messenger_->SendMessage(from, MsgType::kRecoveryVote, w.Take(), -1);
-  }
+  Deliver(from, MsgType::kRecoveryVote, w.Take());
 }
 
 // ---------------------------------------------------------------------------
@@ -905,15 +887,11 @@ void Node::Decide(const TxId& tid, bool commit) {
   PutTxId(w, tid);
   std::vector<uint8_t> msg = w.Take();
   MsgType type = commit ? MsgType::kCommitRecovery : MsgType::kAbortRecovery;
+  // Remote replicas first: the local delivery can finish the decision.
   for (MachineId m : replicas) {
     if (m != id()) {
-      messenger_->SendMessage(m, type, msg, -1);
+      Deliver(m, type, msg);
     }
-  }
-  if (commit) {
-    stats_.tx_recovered_commit++;
-  } else {
-    stats_.tx_recovered_abort++;
   }
   if (replicas.empty()) {
     // No participant holds state (read-only abort): expose immediately.
@@ -921,8 +899,7 @@ void Node::Decide(const TxId& tid, bool commit) {
     return;
   }
   if (replicas.count(id()) != 0) {
-    BufReader rr(msg);
-    HandleRecoveryDecision(id(), type, rr);
+    Deliver(id(), type, std::move(msg));
   }
 }
 
@@ -980,13 +957,9 @@ void Node::HandleRecoveryDecision(MachineId from, MsgType type, BufReader& r) {
   }
   if (contents == nullptr && region_states.empty()) {
     // Nothing to do here (e.g. we only coordinated).
-    if (from != id()) {
-      BufWriter w;
-      PutTxId(w, tid);
-      messenger_->SendMessage(from, MsgType::kRecoveryDecisionAck, w.Take(), -1);
-    } else {
-      OnRecoveryDecisionAck(id(), tid);
-    }
+    BufWriter w(kTxIdWireBytes);
+    PutTxId(w, tid);
+    Deliver(from, MsgType::kRecoveryDecisionAck, w.Take());
     return;
   }
 
@@ -1039,13 +1012,9 @@ void Node::HandleRecoveryDecision(MachineId from, MsgType type, BufReader& r) {
     }
   }
 
-  if (from != id()) {
-    BufWriter w;
-    PutTxId(w, tid);
-    messenger_->SendMessage(from, MsgType::kRecoveryDecisionAck, w.Take(), -1);
-  } else {
-    OnRecoveryDecisionAck(id(), tid);
-  }
+  BufWriter w(kTxIdWireBytes);
+  PutTxId(w, tid);
+  Deliver(from, MsgType::kRecoveryDecisionAck, w.Take());
 }
 
 void Node::OnRecoveryDecisionAck(MachineId from, const TxId& tid) {
@@ -1078,13 +1047,10 @@ void Node::OnRecoveryDecisionAck(MachineId from, const TxId& tid) {
     PutTxId(w, tid);
     w.PutU8(d.committed ? 1 : 0);
     std::vector<uint8_t> msg = w.Take();
+    // The last delivery takes the message; the others copy it.
+    size_t left = replicas.size();
     for (MachineId m : replicas) {
-      if (m == id()) {
-        BufReader rr(msg);
-        HandleTruncateRecovery(id(), rr);
-      } else {
-        messenger_->SendMessage(m, MsgType::kTruncateRecovery, msg, -1);
-      }
+      Deliver(m, MsgType::kTruncateRecovery, --left == 0 ? std::move(msg) : msg);
     }
   }
 }
@@ -1118,13 +1084,7 @@ void Node::CheckAllRegionsActive() {
   regions_active_sent_ = true;
   BufWriter w;
   w.PutU64(config_.id);
-  if (IsCm()) {
-    std::vector<uint8_t> bytes = w.Take();
-    BufReader r(bytes);
-    HandleRegionsActive(id(), r);
-  } else {
-    messenger_->SendMessage(config_.cm, MsgType::kRegionsActive, w.Take(), -1);
-  }
+  Deliver(config_.cm, MsgType::kRegionsActive, w.Take());
 }
 
 }  // namespace farm

@@ -1,6 +1,7 @@
 #include "src/core/tx.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/core/cluster.h"
 #include "src/core/node.h"
@@ -22,6 +23,40 @@ constexpr int kValidateRpcThreshold = 4;
 uint32_t WriteRecordReservation(const std::vector<WireWrite>& writes, size_t regions) {
   return static_cast<uint32_t>(TxLogRecord::SizeFor(writes, regions, kMaxPiggyback));
 }
+
+// Finish's two commit outcomes, outside flight::AbortReason's values.
+constexpr auto kCommitted = static_cast<flight::AbortReason>(0);
+constexpr auto kRecoveredCommit = static_cast<flight::AbortReason>(flight::kNumAbortReasons + 1);
+
+// When an exit hands back the transaction's reserved allocation slots.
+enum class Release : uint8_t {
+  kLater,         // never (committed) or in the destructor (unresolved)
+  kBeforeRecord,  // before the kAbort flight record
+  kAfterRecord,   // after it
+};
+
+// What each outcome of a commit attempt does, indexed by the outcome.
+struct ExitRule {
+  bool committed;                // counts tx_committed; otherwise writes kAbort
+  uint64_t NodeStats::*counter;  // the outcome's own counter, if any
+  bool abort_participants;       // writes ABORT to primaries holding LOCK records
+  Release release;
+};
+constexpr ExitRule kExitRules[] = {
+    {true, nullptr, false, Release::kLater},                                 // committed
+    {false, &NodeStats::tx_aborted_lock, true, Release::kBeforeRecord},      // lock_conflict
+    {false, &NodeStats::tx_aborted_validate, true, Release::kBeforeRecord},  // validate_conflict
+    {false, &NodeStats::tx_aborted_lock, false, Release::kBeforeRecord},     // no_placement
+    {false, &NodeStats::tx_aborted_lock, false, Release::kBeforeRecord},     // log_reservation
+    {false, &NodeStats::tx_recovered_abort, false, Release::kAfterRecord},   // recovery_abort
+    // unresolved_lock, unresolved_backup_ack, unresolved_backup_failure, unresolved_primary_ack
+    {false, &NodeStats::tx_unresolved, false, Release::kLater},
+    {false, &NodeStats::tx_unresolved, false, Release::kLater},
+    {false, &NodeStats::tx_unresolved, false, Release::kLater},
+    {false, &NodeStats::tx_unresolved, false, Release::kLater},
+    {true, &NodeStats::tx_recovered_commit, false, Release::kLater},         // recovered commit
+};
+static_assert(std::size(kExitRules) == flight::kNumAbortReasons + 2);
 
 }  // namespace
 
@@ -323,37 +358,22 @@ Task<Status> Transaction::Commit() {
       // no log record to attest to the validation).
       co_return FinishFromRecovery();
     }
-    node_->UnregisterInflight(id_);
-    registered_ = false;
-    if (v.ok()) {
-      validate.End();
-      committed_ = true;
-      node_->mutable_stats().tx_committed++;
-    } else {
-      node_->mutable_stats().tx_aborted_validate++;
-      emit.Abort(id_, flight::AbortReason::kValidateConflict);
+    if (!v.ok()) {
+      co_return Finish(flight::AbortReason::kValidateConflict, std::move(v));
     }
-    co_return v;
+    validate.End();
+    co_return Finish(kCommitted, OkStatus());
   }
 
   auto participants = BuildParticipants();
   if (!participants.ok()) {
-    node_->UnregisterInflight(id_);
-    registered_ = false;
-    ReleaseAllocs();
-    node_->mutable_stats().tx_aborted_lock++;
-    emit.Abort(id_, flight::AbortReason::kNoPlacement);
-    co_return participants.status();
+    co_return Finish(flight::AbortReason::kNoPlacement, participants.status());
   }
   Participants& p = *participants;
 
   if (!ReserveLogs(p)) {
-    node_->UnregisterInflight(id_);
-    registered_ = false;
-    ReleaseAllocs();
-    node_->mutable_stats().tx_aborted_lock++;
-    emit.Abort(id_, flight::AbortReason::kLogReservation);
-    co_return Status(StatusCode::kResourceExhausted, "log reservation failed");
+    co_return Finish(flight::AbortReason::kLogReservation,
+                     Status(StatusCode::kResourceExhausted, "log reservation failed"));
   }
 
   // ---- Phase 1: LOCK ----
@@ -384,20 +404,11 @@ Task<Status> Transaction::Commit() {
       co_return FinishFromRecovery();
     }
     if (!woke) {
-      node_->mutable_stats().tx_unresolved++;
-      node_->UnregisterInflight(id_);
-      registered_ = false;
-      emit.Abort(id_, flight::AbortReason::kUnresolvedLock);
-      co_return UnavailableStatus("commit unresolved: lock phase");
+      co_return Finish(flight::AbortReason::kUnresolvedLock,
+                       UnavailableStatus("commit unresolved: lock phase"));
     }
     if (!lock_all_ok_) {
-      AbortParticipants(p);
-      ReleaseAllocs();
-      node_->UnregisterInflight(id_);
-      registered_ = false;
-      node_->mutable_stats().tx_aborted_lock++;
-      emit.Abort(id_, flight::AbortReason::kLockConflict);
-      co_return AbortedStatus("lock conflict");
+      co_return Finish(flight::AbortReason::kLockConflict, AbortedStatus("lock conflict"), &p);
     }
     lock.End();
   }
@@ -410,13 +421,7 @@ Task<Status> Transaction::Commit() {
       co_return FinishFromRecovery();
     }
     if (!v.ok()) {
-      AbortParticipants(p);
-      ReleaseAllocs();
-      node_->UnregisterInflight(id_);
-      registered_ = false;
-      node_->mutable_stats().tx_aborted_validate++;
-      emit.Abort(id_, flight::AbortReason::kValidateConflict);
-      co_return v;
+      co_return Finish(flight::AbortReason::kValidateConflict, std::move(v), &p);
     }
     validate.End();
   }
@@ -455,11 +460,8 @@ Task<Status> Transaction::Commit() {
         co_return FinishFromRecovery();
       }
       if (!woke2) {
-        node_->mutable_stats().tx_unresolved++;
-        node_->UnregisterInflight(id_);
-        registered_ = false;
-        emit.Abort(id_, flight::AbortReason::kUnresolvedBackupAck);
-        co_return UnavailableStatus("commit unresolved: backup acks");
+        co_return Finish(flight::AbortReason::kUnresolvedBackupAck,
+                         UnavailableStatus("commit unresolved: backup acks"));
       }
     }
     // Serializability across failures requires ALL backup acks before any
@@ -471,11 +473,8 @@ Task<Status> Transaction::Commit() {
         co_return FinishFromRecovery();
       }
       (void)resolved;
-      node_->mutable_stats().tx_unresolved++;
-      node_->UnregisterInflight(id_);
-      registered_ = false;
-      emit.Abort(id_, flight::AbortReason::kUnresolvedBackupFailure);
-      co_return UnavailableStatus("commit unresolved: backup failure");
+      co_return Finish(flight::AbortReason::kUnresolvedBackupFailure,
+                       UnavailableStatus("commit unresolved: backup failure"));
     }
     commit_backup.End();
   }
@@ -540,40 +539,53 @@ Task<Status> Transaction::Commit() {
         co_return FinishFromRecovery();
       }
       if (!woke3 || !cp->any_ok) {
-        node_->mutable_stats().tx_unresolved++;
-        node_->UnregisterInflight(id_);
-        registered_ = false;
-        emit.Abort(id_, flight::AbortReason::kUnresolvedPrimaryAck);
-        co_return UnavailableStatus("commit unresolved: primary acks");
+        co_return Finish(flight::AbortReason::kUnresolvedPrimaryAck,
+                         UnavailableStatus("commit unresolved: primary acks"));
       }
     }
     commit_primary.End();
   }
 
-  committed_ = true;
-  node_->mutable_stats().tx_committed++;
-  node_->UnregisterInflight(id_);
-  registered_ = false;
-  co_return OkStatus();
+  co_return Finish(kCommitted, OkStatus());
 }
 
-Status Transaction::FinishFromRecovery() {
+Status Transaction::Finish(flight::AbortReason outcome, Status status, const Participants* p) {
+  // Kept orders (each append is a fault point): ABORT records to the
+  // participants, then the slot releases, then the kAbort flight record --
+  // except that a recovery abort writes its record before releasing.
+  const ExitRule& rule = kExitRules[static_cast<int>(outcome)];
   LogTxScope log_tx(id_.config, id_.machine, id_.thread, id_.local);
-  bool committed = *recovery_resolution_;
-  committed_ = committed;
   if (registered_) {
     node_->UnregisterInflight(id_);
     registered_ = false;
   }
-  if (committed) {
-    node_->mutable_stats().tx_committed++;
-    node_->mutable_stats().tx_recovered_commit++;
-    return OkStatus();
+  if (rule.abort_participants && p != nullptr) {
+    AbortParticipants(*p);
   }
-  node_->mutable_stats().tx_recovered_abort++;
-  node_->emit().Abort(id_, flight::AbortReason::kRecoveryAbort);
-  ReleaseAllocs();
-  return AbortedStatus("aborted by recovery");
+  if (rule.release == Release::kBeforeRecord) {
+    ReleaseAllocs();
+  }
+  NodeStats& stats = node_->stats_;
+  if (rule.counter != nullptr) {
+    stats.*rule.counter += 1;
+  }
+  if (rule.committed) {
+    committed_ = true;
+    stats.tx_committed++;
+  } else {
+    node_->emit().Abort(id_, outcome);
+  }
+  if (rule.release == Release::kAfterRecord) {
+    ReleaseAllocs();
+  }
+  return status;
+}
+
+Status Transaction::FinishFromRecovery() {
+  if (*recovery_resolution_) {
+    return Finish(kRecoveredCommit, OkStatus());
+  }
+  return Finish(flight::AbortReason::kRecoveryAbort, AbortedStatus("aborted by recovery"));
 }
 
 Task<Status> Transaction::ValidatePhase() {
@@ -664,7 +676,6 @@ Task<Status> Transaction::ValidatePhase() {
 }
 
 void Transaction::AbortParticipants(const Participants& p) {
-  LogTxScope log_tx(id_.config, id_.machine, id_.thread, id_.local);
   for (const auto& [m, writes] : p.primary_writes) {
     (void)writes;
     TxLogRecord rec = MakeRecord(LogRecordType::kAbort, m, nullptr, {});

@@ -26,6 +26,7 @@
 #include "src/common/status.h"
 #include "src/core/types.h"
 #include "src/core/wire.h"
+#include "src/obs/flight_recorder.h"
 #include "src/sim/task.h"
 
 namespace farm {
@@ -107,6 +108,12 @@ class Transaction {
   };
   StatusOr<Participants> BuildParticipants() const;
   bool ReserveLogs(const Participants& p);
+  // Ends the commit attempt; every exit of Commit returns through here.
+  // `outcome` is the flight::AbortReason of an abort or unresolved exit, or
+  // one of the commit outcomes defined in tx.cc. `p` is set once LOCK
+  // records are out, so an abort can release them. Returns `status`.
+  Status Finish(flight::AbortReason outcome, Status status, const Participants* p = nullptr);
+  // Finish with the outcome recovery decided.
   Status FinishFromRecovery();
   Task<Status> ValidatePhase();
   void AbortParticipants(const Participants& p);

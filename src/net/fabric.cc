@@ -54,34 +54,6 @@ void TraceFault(trace::Tracer* tracer, const char* name, MachineId src) {
 
 }  // namespace
 
-void FabricStats::BindTo(metrics::Registry& reg) {
-  rdma_reads = reg.GetCounter("fabric_rdma_reads");
-  rdma_writes = reg.GetCounter("fabric_rdma_writes");
-  rdma_cas = reg.GetCounter("fabric_rdma_cas");
-  rpcs = reg.GetCounter("fabric_rpcs");
-  datagrams = reg.GetCounter("fabric_datagrams");
-  rdma_bytes = reg.GetCounter("fabric_rdma_bytes");
-  rpc_bytes = reg.GetCounter("fabric_rpc_bytes");
-  faults_dropped = reg.GetCounter("fabric_fault_dropped");
-  faults_delayed = reg.GetCounter("fabric_fault_delayed");
-  faults_duplicated = reg.GetCounter("fabric_fault_duplicated");
-  faults_reordered = reg.GetCounter("fabric_fault_reordered");
-}
-
-void FabricStats::Reset() {
-  rdma_reads.Reset();
-  rdma_writes.Reset();
-  rdma_cas.Reset();
-  rpcs.Reset();
-  datagrams.Reset();
-  rdma_bytes.Reset();
-  rpc_bytes.Reset();
-  faults_dropped.Reset();
-  faults_delayed.Reset();
-  faults_duplicated.Reset();
-  faults_reordered.Reset();
-}
-
 void Fabric::AddMachine(Machine* machine, RdmaMemory* memory, int num_nics) {
   MachineId id = machine->id();
   if (id >= endpoints_.size()) {

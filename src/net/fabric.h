@@ -19,7 +19,6 @@
 #include "src/common/status.h"
 #include "src/net/cost_model.h"
 #include "src/net/rdma_memory.h"
-#include "src/obs/metrics.h"
 #include "src/obs/sinks.h"
 #include "src/sim/machine.h"
 #include "src/sim/simulator.h"
@@ -54,31 +53,23 @@ struct LinkFaults {
   }
 };
 
-// Fabric counters, backed by metrics cells. Copying a FabricStats takes a
-// point-in-time snapshot (detached cells), so `FabricStats before =
-// fabric.stats();` keeps its historical value-semantics meaning.
+// Fabric counters; the cluster's teardown dump writes them as fabric_* cells.
 struct FabricStats {
-  metrics::Counter rdma_reads;
-  metrics::Counter rdma_writes;
-  metrics::Counter rdma_cas;
-  metrics::Counter rpcs;
-  metrics::Counter datagrams;
-  metrics::Counter rdma_bytes;
-  metrics::Counter rpc_bytes;
+  uint64_t rdma_reads = 0;
+  uint64_t rdma_writes = 0;
+  uint64_t rdma_cas = 0;
+  uint64_t rpcs = 0;
+  uint64_t datagrams = 0;
+  uint64_t rdma_bytes = 0;
+  uint64_t rpc_bytes = 0;
   // Injected-fault counters (chaos layer); only move when LinkFaults are set.
-  metrics::Counter faults_dropped;
-  metrics::Counter faults_delayed;
-  metrics::Counter faults_duplicated;
-  metrics::Counter faults_reordered;
+  uint64_t faults_dropped = 0;
+  uint64_t faults_delayed = 0;
+  uint64_t faults_duplicated = 0;
+  uint64_t faults_reordered = 0;
 
   // One-sided ops + 2x RPCs (request + reply), i.e. messages on the wire.
   uint64_t WireMessages() const { return rdma_reads + rdma_writes + rdma_cas + 2 * rpcs + datagrams; }
-
-  // Rebinds every field to cells in `reg` (names "fabric_rdma_reads", ...),
-  // so the registry dump sees live fabric counts.
-  void BindTo(metrics::Registry& reg);
-  // Zeroes all counters in place, preserving any registry binding.
-  void Reset();
 };
 
 class Fabric {
@@ -98,10 +89,6 @@ class Fabric {
   CostModel& cost() { return cost_; }
   const obs::Sinks& sinks() const { return sinks_; }
   const FabricStats& stats() const { return stats_; }
-  void ResetStats() { stats_.Reset(); }
-  // Binds the fabric counters into `reg`; called by Cluster so every
-  // cluster's registry dump includes fabric traffic.
-  void BindStats(metrics::Registry& reg) { stats_.BindTo(reg); }
   // Attaches m's flight-recorder ring; RPC sends/handler invocations on that
   // machine then leave msg-send / msg-recv records (null detaches).
   void SetFlightRecorder(MachineId m, flight::Recorder* rec);

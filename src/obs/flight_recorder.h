@@ -83,8 +83,10 @@ enum class AbortReason : uint8_t {
   kUnresolvedPrimaryAck,
 };
 constexpr int kNumAbortReasons = 9;
-// Reasons [1, kNumCountedAbortReasons] are bona fide aborts: their
-// counters sum to tx_aborted_lock + tx_aborted_validate + tx_recovered_abort.
+// Reasons [1, kNumCountedAbortReasons] are bona fide aborts. Each
+// coordinator outcome is counted once, where the coordinator finishes the
+// transaction (Transaction::Finish), so their counters sum exactly to
+// tx_aborted_lock + tx_aborted_validate + tx_recovered_abort.
 constexpr int kNumCountedAbortReasons = 5;
 
 // Steps of the section-5 recovery/reconfiguration flow (arg of

@@ -130,14 +130,14 @@ TEST_F(TwoPcTest, MessageCountMatchesAnalysis) {
   // replicas: prepare (1 rpc + 2 replication rpcs) and commit (1 + 2) per
   // participant, plus the coordinator decision (1 + 2). Each RPC is two
   // messages on the wire.
-  fabric_.ResetStats();
+  const uint64_t rpcs_before = fabric_.stats().rpcs;
   auto run = [&]() -> Task<void> {
     std::vector<uint64_t> keys = {1, 2, 3};
     (void)co_await system_->RunTx(12, keys);
   };
   Spawn(run());
   sim_.Run();
-  uint64_t rpcs = fabric_.stats().rpcs;
+  uint64_t rpcs = fabric_.stats().rpcs - rpcs_before;
   // P participants: 2 phases x (1 leader rpc + 2 follower rpcs) = 18, plus
   // coordinator decision: 1 + 2 = 3. Total 21 RPCs = 42 messages.
   EXPECT_EQ(rpcs, 21u);

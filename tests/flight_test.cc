@@ -265,11 +265,50 @@ TEST(AbortReasonTest, CountersSumToAbortTotalsUnderContention) {
                      .value();
   }
   NodeStats total = cluster->TotalStats();
-  uint64_t aborts = total.tx_aborted_lock.value() + total.tx_aborted_validate.value() +
-                    total.tx_recovered_abort.value();
+  uint64_t aborts = total.tx_aborted_lock + total.tx_aborted_validate + total.tx_recovered_abort;
   EXPECT_EQ(by_reason, aborts)
       << "every counted abort carries exactly one reason";
   EXPECT_GT(by_reason, 0u);
+}
+
+// A coordinator's recovery-decided outcome is counted once, where it
+// finishes, however many machines took part in deciding it.
+TEST(AbortReasonTest, RecoveredOutcomesCountedOnceAcrossAKill) {
+  for (uint64_t seed : {21, 22, 23}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto cluster = MakeStartedCluster(SmallClusterOptions(6, seed));
+    TatpOptions topts;
+    topts.subscribers = 200;
+    auto db = RunTask(
+        *cluster,
+        [](Cluster* c, TatpOptions o) -> Task<StatusOr<TatpDb>> {
+          co_return co_await TatpDb::Create(*c, o);
+        }(cluster.get(), topts),
+        60 * kSecond);
+    ASSERT_TRUE(db.has_value() && db->ok());
+    db->value().RegisterServices(*cluster);
+
+    DriverOptions dopts;
+    dopts.threads_per_machine = 2;
+    dopts.concurrency_per_thread = 8;
+    DriverRun run = StartWorkers(*cluster, db->value().MakeWorkload(), dopts);
+    cluster->RunFor(20 * kMillisecond);
+    cluster->Kill(static_cast<MachineId>(seed % 6));
+    cluster->RunFor(200 * kMillisecond);
+    StopWorkers(*cluster, run);
+
+    NodeStats total = cluster->TotalStats();
+    EXPECT_GT(total.recovering_txs_seen, 0u) << "the kill must leave recovering txs";
+    EXPECT_LE(total.tx_recovered_commit + total.tx_recovered_abort, total.recovering_txs_seen);
+    uint64_t by_reason = 0;
+    for (int i = 1; i <= flight::kNumCountedAbortReasons; i++) {
+      by_reason += cluster->metrics_registry().GetCounter(
+          "tx_abort_reason",
+          {{"reason", flight::AbortReasonName(static_cast<flight::AbortReason>(i))}});
+    }
+    EXPECT_EQ(by_reason,
+              total.tx_aborted_lock + total.tx_aborted_validate + total.tx_recovered_abort);
+  }
 }
 
 // ---------------------------------------------------------------------------

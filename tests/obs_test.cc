@@ -2,7 +2,10 @@
 // semantics and trace determinism.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,33 +34,12 @@ TEST(RegistryTest, LookupSharesCellAcrossLabelOrder) {
   metrics::Counter b = reg.GetCounter("ops", {{"kind", "read"}, {"node", "m0"}});
   a.Inc(5);
   EXPECT_EQ(b.value(), 5u);  // same cell, despite different label order
-  EXPECT_EQ(reg.CellCount(), 1u);
+  EXPECT_EQ(reg.ToText(), "ops{kind=\"read\",node=\"m0\"} 5\n");
 
   metrics::Counter c = reg.GetCounter("ops", {{"kind", "write"}, {"node", "m0"}});
   c.Inc();
   EXPECT_EQ(a.value(), 5u);  // different label set, different cell
-  EXPECT_EQ(reg.CellCount(), 2u);
-}
-
-TEST(RegistryTest, CounterCopySnapshotsMoveBinds) {
-  metrics::Registry reg;
-  metrics::Counter bound = reg.GetCounter("n");  // lookup returns by value: move-bound
-  bound.Inc(3);
-  EXPECT_EQ(reg.GetCounter("n").value(), 3u);
-
-  // Copying snapshots the value into a detached cell.
-  metrics::Counter snap = bound;
-  bound.Inc(4);
-  EXPECT_EQ(snap.value(), 3u);
-  EXPECT_EQ(bound.value(), 7u);
-  snap.Inc();  // mutating the snapshot does not touch the registry
-  EXPECT_EQ(reg.GetCounter("n").value(), 7u);
-
-  // Reset zeroes in place, keeping the binding.
-  bound.Reset();
-  EXPECT_EQ(reg.GetCounter("n").value(), 0u);
-  bound.Inc();
-  EXPECT_EQ(reg.GetCounter("n").value(), 1u);
+  EXPECT_EQ(reg.ToText(), "ops{kind=\"read\",node=\"m0\"} 5\nops{kind=\"write\",node=\"m0\"} 1\n");
 }
 
 TEST(RegistryTest, CounterOperators) {
@@ -66,53 +48,24 @@ TEST(RegistryTest, CounterOperators) {
   ++c;
   c++;
   c += 10;
-  uint64_t v = c;  // implicit conversion, as the migrated stats structs use
+  uint64_t v = c;  // implicit conversion
   EXPECT_EQ(v, 12u);
+  EXPECT_EQ(reg.GetCounter("c").value(), 12u);
 }
 
-TEST(RegistryTest, GaugeAndHistogram) {
+TEST(RegistryTest, HistogramClearsByAssignment) {
   metrics::Registry reg;
-  metrics::Gauge g = reg.GetGauge("depth");
-  g.Set(5);
-  g.Add(-8);
-  EXPECT_EQ(g.value(), -3);
-
   metrics::HistogramMetric h = reg.GetHistogram("latency");
   h.Record(100);
   h.Record(200);
   EXPECT_EQ(reg.GetHistogram("latency").histogram().count(), 2u);
-  EXPECT_EQ(reg.CellCount(), 2u);
-}
 
-TEST(RegistryTest, SnapshotDiff) {
-  metrics::Registry reg;
-  metrics::Counter c = reg.GetCounter("tx", {{"node", "m0"}});
-  metrics::Gauge g = reg.GetGauge("backlog");
-  c.Inc(10);
-  g.Set(4);
-
-  metrics::Snapshot before = reg.TakeSnapshot();
-  c.Inc(7);
-  g.Set(1);
-  metrics::Counter fresh = reg.GetCounter("aborts");  // created after `before`
-  fresh.Inc(2);
-  metrics::Snapshot after = reg.TakeSnapshot();
-
-  metrics::Snapshot d = metrics::Snapshot::Diff(after, before);
-  EXPECT_EQ(d.counters.at("tx{node=\"m0\"}"), 7u);
-  EXPECT_EQ(d.counters.at("aborts"), 2u);  // absent from `before`: counts from 0
-  EXPECT_EQ(d.gauges.at("backlog"), -3);   // gauges diff signed
-}
-
-TEST(RegistryTest, ResetKeepsRegistrations) {
-  metrics::Registry reg;
-  metrics::Counter c = reg.GetCounter("c");
-  c.Inc(9);
-  reg.Reset();
-  EXPECT_EQ(reg.CellCount(), 1u);
-  EXPECT_EQ(c.value(), 0u);  // the handle stays bound to the zeroed cell
-  c.Inc();
-  EXPECT_EQ(reg.GetCounter("c").value(), 1u);
+  // Assigning a default histogram clears the registered cell in place.
+  metrics::HistogramMetric empty;
+  h = empty;
+  EXPECT_EQ(reg.GetHistogram("latency").histogram().count(), 0u);
+  h.Record(7);
+  EXPECT_EQ(reg.GetHistogram("latency").histogram().count(), 1u);
 }
 
 TEST(RegistryTest, DumpsContainCells) {
@@ -139,6 +92,56 @@ TEST(RegistryTest, EmptyHistogramDumpsZeroMin) {
   reg.GetHistogram("latency_empty").Record(9);
   std::string json2 = reg.ToJson();
   EXPECT_NE(json2.find("\"latency_empty\":{\"count\":1,\"min\":9"), std::string::npos) << json2;
+}
+
+// The teardown dump (ClusterOptions::metrics_out) writes the plain node and
+// fabric stats as registry cells, one `key value` line each.
+TEST(RegistryTest, TeardownDumpCarriesNodeAndFabricStats) {
+  const std::string path = ::testing::TempDir() + "obs_test_teardown_dump.txt";
+  std::remove(path.c_str());
+  ClusterOptions opts = SmallClusterOptions(4, 5);
+  opts.metrics_out = path;
+  auto cluster = MakeStartedCluster(opts);
+  RegionId rid = MustCreateRegion(*cluster, 64 << 10, 16);
+  auto work = [](Cluster* c, RegionId r) -> Task<int> {
+    int committed = 0;
+    for (int i = 0; i < 8; i++) {
+      auto tx = c->node(i % 4).Begin(0);
+      GlobalAddr addr{r, static_cast<uint32_t>((i % 4) * 16)};
+      if (!(co_await tx->Read(addr, 8)).ok()) {
+        continue;
+      }
+      (void)tx->Write(addr, std::vector<uint8_t>(8, static_cast<uint8_t>(i + 1)));
+      committed += (co_await tx->Commit()).ok() ? 1 : 0;
+    }
+    co_return committed;
+  };
+  auto committed = RunTask(*cluster, work(cluster.get(), rid));
+  ASSERT_TRUE(committed.has_value());
+  EXPECT_GT(*committed, 0);
+
+  std::map<std::string, uint64_t> want;
+  for (int m = 0; m < 4; m++) {
+    want["tx_committed{node=\"m" + std::to_string(m) + "\"}"] =
+        cluster->node(static_cast<MachineId>(m)).stats().tx_committed;
+  }
+  want["fabric_rdma_reads"] = cluster->fabric().stats().rdma_reads;
+  EXPECT_GT(want["fabric_rdma_reads"], 0u);
+  cluster.reset();
+
+  std::ifstream in(path);
+  std::map<std::string, std::string> dumped;
+  for (std::string line; std::getline(in, line);) {
+    size_t sp = line.rfind(' ');
+    if (sp != std::string::npos) {
+      dumped[line.substr(0, sp)] = line.substr(sp + 1);
+    }
+  }
+  for (const auto& [key, value] : want) {
+    ASSERT_EQ(dumped.count(key), 1u) << key;
+    EXPECT_EQ(dumped[key], std::to_string(value)) << key;
+  }
+  std::remove(path.c_str());
 }
 
 // Without a tracer attached, every trace path of a cluster is a no-op: a
