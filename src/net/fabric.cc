@@ -423,7 +423,7 @@ Future<NetResult> Fabric::Call(MachineId src, MachineId dst, uint16_t service,
   op->refs = 2;  // the timeout event and the request chain
 
   SimTime issue_done = thread != nullptr ? thread->AcquireCpu(cost_.cpu_rpc_issue) : sim_.Now();
-  sim_.At(issue_done + timeout, [op]() { op->fabric->RpcTimeout(op); });
+  op->timeout = sim_.At(issue_done + timeout, [op]() { op->fabric->RpcTimeout(op); });
   if (effect & fault::kEffectDropMessage) {
     // Injected drop: the request never reaches the wire (same shape as the
     // request-leg drop in RpcSend); the timeout completes the call.
@@ -435,12 +435,17 @@ Future<NetResult> Fabric::Call(MachineId src, MachineId dst, uint16_t service,
 }
 
 // First completion (reply or timeout) wins: the `decided` guard makes the
-// client-visible completion at-most-once over an at-least-once wire.
+// client-visible completion at-most-once over an at-least-once wire. A reply
+// that wins cancels the timeout and drops its ref; the caller's chain still
+// holds one, so the record outlives this call.
 void Fabric::RpcComplete(RpcOp* op, NetResult r) {
   if (op->decided) {
     return;
   }
   op->decided = true;
+  if (sim_.Cancel(op->timeout)) {
+    DropRpcRef(op);
+  }
   if (!IsAlive(op->src)) {
     return;
   }

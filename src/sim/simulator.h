@@ -18,8 +18,16 @@
 //     is no const_cast through priority_queue::top() (which was undefined
 //     behavior) and a closure that throws or schedules new events
 //     reentrantly leaves the queue consistent.
+//   - Scheduling returns an EventId (slot, seq). Cancel() destroys the
+//     closure and frees the slot at once, but leaves the heap entry in
+//     place: an entry is live only while its slot still carries its seq.
+//     Dead entries are dropped uncounted when they reach the top, and
+//     filtered out wholesale (then re-heapified) once they outnumber the
+//     live ones. Timeouts that lose their race are cancelled this way, so
+//     the queue holds live events rather than a long tail of dead timers.
 // The (time, seq) key is a total order, so pop order -- and therefore
-// trace byte-identity -- is independent of the heap's internal layout.
+// trace byte-identity -- is independent of the heap's internal layout,
+// of cancellation and of compaction.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -33,6 +41,13 @@
 
 namespace farm {
 
+// Names one scheduled event for Simulator::Cancel. The default value names
+// no event.
+struct EventId {
+  uint32_t slot = 0;
+  uint64_t seq = ~uint64_t{0};
+};
+
 class Simulator {
  public:
   Simulator() = default;
@@ -43,14 +58,14 @@ class Simulator {
 
   // Schedules fn at absolute time t (>= Now()).
   template <typename F>
-  void At(SimTime t, F&& fn) {
-    AtGuarded(t, nullptr, 0, std::forward<F>(fn));
+  EventId At(SimTime t, F&& fn) {
+    return AtGuarded(t, nullptr, 0, std::forward<F>(fn));
   }
 
   // Schedules fn after the given delay.
   template <typename F>
-  void After(SimDuration delay, F&& fn) {
-    At(now_ + delay, std::forward<F>(fn));
+  EventId After(SimDuration delay, F&& fn) {
+    return At(now_ + delay, std::forward<F>(fn));
   }
 
   // Schedules fn at t, to run only if *guard still equals expected at fire
@@ -59,9 +74,10 @@ class Simulator {
   // captures) in a second, larger closure. The guard word must stay valid
   // until the simulator itself is destroyed (machines are; they outlive all
   // stepping). A skipped event still counts as processed, matching the old
-  // behavior where the epoch-check wrapper ran and did nothing.
+  // behavior where the epoch-check wrapper ran and did nothing; a cancelled
+  // one never does.
   template <typename F>
-  void AtGuarded(SimTime t, const uint64_t* guard, uint64_t expected, F&& fn) {
+  EventId AtGuarded(SimTime t, const uint64_t* guard, uint64_t expected, F&& fn) {
     FARM_CHECK(t >= now_) << "scheduling into the past: " << t << " < " << now_;
     uint32_t slot;
     if (!free_slots_.empty()) {
@@ -71,17 +87,35 @@ class Simulator {
       slot = static_cast<uint32_t>(slots_.size());
       slots_.emplace_back();
     }
+    uint64_t seq = next_seq_++;
     Slot& s = slots_[slot];
+    s.seq = seq;
     s.guard = guard;
     s.guard_expected = expected;
     s.fn.Assign(std::forward<F>(fn));  // constructs the closure in place
-    heap_.push_back(Entry{t, next_seq_++, slot});
+    heap_.push_back(Entry{t, seq, slot});
     SiftUp(heap_.size() - 1);
+    return EventId{slot, seq};
+  }
+
+  // Cancels a scheduled event: its closure is destroyed now and it will
+  // never run or count as processed. Returns false, doing nothing, if the
+  // event already ran (or is running) or was cancelled before.
+  bool Cancel(EventId id) {
+    if (id.seq == kFreeSeq || id.slot >= slots_.size() || slots_[id.slot].seq != id.seq) {
+      return false;
+    }
+    SmallFn fn = ReleaseSlot(id.slot);
+    dead_entries_++;
+    if (dead_entries_ * 2 > heap_.size()) {
+      Compact();
+    }
+    return true;  // fn's captures are destroyed here, with the queue consistent
   }
 
   // Processes the next event; returns false if the queue is empty.
   bool Step() {
-    if (heap_.empty()) {
+    if (!DropDeadTops()) {
       return false;
     }
     Entry ev = PopTop();
@@ -92,9 +126,7 @@ class Simulator {
     // throw, and either must leave the queue consistent.
     Slot& s = slots_[ev.slot];
     bool runnable = s.guard == nullptr || *s.guard == s.guard_expected;
-    SmallFn fn = std::move(s.fn);
-    s.guard = nullptr;
-    free_slots_.push_back(ev.slot);
+    SmallFn fn = ReleaseSlot(ev.slot);
     if (runnable) {
       fn();
     }
@@ -109,7 +141,7 @@ class Simulator {
 
   // Runs all events with time <= t, then advances the clock to t.
   void RunUntil(SimTime t) {
-    while (!heap_.empty() && heap_.front().time <= t) {
+    while (DropDeadTops() && heap_.front().time <= t) {
       Step();
     }
     if (t > now_) {
@@ -120,9 +152,9 @@ class Simulator {
   // Runs for the given additional duration of simulated time.
   void RunFor(SimDuration d) { RunUntil(now_ + d); }
 
-  bool Idle() const { return heap_.empty(); }
+  bool Idle() const { return pending_events() == 0; }
   uint64_t events_processed() const { return events_processed_; }
-  size_t pending_events() const { return heap_.size(); }
+  size_t pending_events() const { return heap_.size() - dead_entries_; }
 
  private:
   // Heap entry: POD, 24 bytes. The closure is looked up by slot only when
@@ -133,11 +165,48 @@ class Simulator {
     uint32_t slot;
   };
 
+  // Marks a slot that holds no pending event.
+  static constexpr uint64_t kFreeSeq = ~uint64_t{0};
+
   struct Slot {
+    uint64_t seq = kFreeSeq;  // seq of the pending event held here
     const uint64_t* guard = nullptr;  // nullptr = unconditional
     uint64_t guard_expected = 0;
     SmallFn fn;
   };
+
+  // An entry whose slot no longer carries its seq was cancelled.
+  bool Dead(const Entry& e) const { return slots_[e.slot].seq != e.seq; }
+
+  // Takes the closure out of a slot and returns the slot to the free list.
+  SmallFn ReleaseSlot(uint32_t slot) {
+    Slot& s = slots_[slot];
+    SmallFn fn = std::move(s.fn);
+    s.seq = kFreeSeq;
+    s.guard = nullptr;
+    free_slots_.push_back(slot);
+    return fn;
+  }
+
+  // Pops cancelled entries off the top, uncounted and without touching the
+  // clock; returns whether a live one is left. RunUntil needs this before it
+  // compares the top's time with its bound.
+  bool DropDeadTops() {
+    while (!heap_.empty() && Dead(heap_.front())) {
+      PopTop();
+      dead_entries_--;
+    }
+    return !heap_.empty();
+  }
+
+  // Filters out every cancelled entry and rebuilds the heap from the rest.
+  void Compact() {
+    std::erase_if(heap_, [this](const Entry& e) { return Dead(e); });
+    for (size_t i = 1; i < heap_.size(); i++) {
+      SiftUp(i);
+    }
+    dead_entries_ = 0;
+  }
 
   // The (time, seq) pair compared as one 128-bit key. A single integer
   // compare lets the sift loops run branchlessly (cmov instead of a
@@ -205,6 +274,7 @@ class Simulator {
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
+  size_t dead_entries_ = 0;  // cancelled entries still in heap_
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;

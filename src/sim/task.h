@@ -321,22 +321,17 @@ inline auto SleepFor(Simulator& sim, SimDuration d) {
   return Awaiter{sim, d};
 }
 
-// Awaits the future with a deadline; nullopt on timeout. The losing side's
-// completion is dropped.
+// Awaits the future with a deadline; nullopt on timeout. A value that wins
+// cancels the timer, so it leaves nothing in the event queue; a value that
+// arrives after the timeout is dropped.
 template <typename T>
 Task<std::optional<T>> AwaitWithTimeout(Simulator& sim, Future<T> future, SimDuration timeout) {
   Future<std::optional<T>> out;
-  auto decided = std::make_shared<bool>(false);
-  future.OnReady([out, decided](T& v) {
-    if (!*decided) {
-      *decided = true;
+  EventId timer = sim.After(timeout, [out]() { out.Set(std::nullopt); });
+  future.OnReady([out, &sim, timer](T& v) {
+    if (!out.Ready()) {
+      sim.Cancel(timer);
       out.Set(std::optional<T>(std::move(v)));
-    }
-  });
-  sim.After(timeout, [out, decided]() {
-    if (!*decided) {
-      *decided = true;
-      out.Set(std::nullopt);
     }
   });
   co_return co_await out;

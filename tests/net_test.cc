@@ -203,6 +203,61 @@ TEST_F(FabricTest, RpcUnknownServiceFails) {
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
 }
 
+// A reply that wins its race cancels the call's timeout, so it leaves no
+// event behind; a timeout that wins (dropped reply) still fires at exactly
+// issue time + timeout; a duplicated reply is still absorbed.
+TEST_F(FabricTest, RpcReplyCancelsTimeout) {
+  fabric_.RegisterRpcService(1, 7, 0, 0,
+                             [](MachineId, std::vector<uint8_t> req, Fabric::ReplyFn reply) {
+                               reply(std::move(req));
+                             });
+  constexpr SimDuration kTimeout = 500 * kMicrosecond;
+  HwThread* thread = &machines_[0]->thread(0);
+  int completions = 0;
+  Status status = OkStatus();
+  SimTime completed_at = 0;
+  auto call = [&]() -> Task<void> {
+    std::vector<uint8_t> req = {1};
+    NetResult r = co_await fabric_.Call(0, 1, 7, req, thread, kTimeout);
+    completions++;
+    status = r.status;
+    completed_at = sim_.Now();
+  };
+
+  // Replied: the queue empties at the completion, not at the timeout.
+  Spawn(call());
+  sim_.Run();
+  EXPECT_EQ(completions, 1);
+  EXPECT_TRUE(status.ok());
+  EXPECT_LT(completed_at, kTimeout);
+  EXPECT_EQ(sim_.Now(), completed_at);
+
+  // Dropped reply: the timeout fires at issue_done + timeout, and the
+  // completion poll follows on the issuing thread.
+  LinkFaults drop;
+  drop.drop = 1.0;
+  fabric_.SetLinkFaults(1, 0, drop);
+  SimTime issue_done = sim_.Now() + fabric_.cost().cpu_rpc_issue;
+  Spawn(call());
+  sim_.Run();
+  EXPECT_EQ(completions, 2);
+  EXPECT_EQ(status.code(), StatusCode::kTimedOut);
+  EXPECT_EQ(completed_at, issue_done + kTimeout + fabric_.cost().cpu_rpc_completion);
+
+  // Duplicated reply: one completion, and the queue drains long before the
+  // timeout would have fired.
+  LinkFaults dup;
+  dup.dup = 1.0;
+  fabric_.SetLinkFaults(1, 0, dup);
+  SimTime issued = sim_.Now();
+  Spawn(call());
+  sim_.Run();
+  EXPECT_EQ(completions, 3);
+  EXPECT_TRUE(status.ok());
+  EXPECT_EQ(fabric_.stats().faults_duplicated, 1u);
+  EXPECT_LT(sim_.Now(), issued + kTimeout);
+}
+
 TEST_F(FabricTest, DatagramDelivered) {
   std::vector<uint8_t> got;
   MachineId got_from = kInvalidMachine;

@@ -1,8 +1,12 @@
 // Unit tests for the discrete-event simulator, CPU model, and coroutines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -198,6 +202,9 @@ TEST(TaskTest, AwaitWithTimeoutValueWins) {
   sim.Run();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 3);
+  // The winning value cancelled the timer: nothing fires at t=1000.
+  EXPECT_EQ(sim.Now(), 100u);
+  EXPECT_TRUE(sim.Idle());
 }
 
 TEST(TaskTest, AwaitWithTimeoutTimerWins) {
@@ -391,6 +398,345 @@ TEST(SimulatorTest, EqualTimestampFifoProperty) {
     }
   }
   EXPECT_GT(collisions, 100u);  // the property was actually exercised
+}
+
+TEST(SimulatorTest, CancelledEventNeverRunsOrCounts) {
+  Simulator sim;
+  std::vector<int> order;
+  EventId a = sim.At(10, [&]() { order.push_back(1); });
+  EventId b = sim.At(20, [&]() { order.push_back(2); });
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_TRUE(sim.Cancel(a));
+  EXPECT_FALSE(sim.Cancel(a));          // already cancelled
+  EXPECT_FALSE(sim.Cancel(EventId{}));  // names no event
+  EXPECT_EQ(sim.pending_events(), 1u);
+  // a's slot is reused; the stale id must not cancel the new occupant.
+  EventId c = sim.At(30, [&]() { order.push_back(3); });
+  EXPECT_EQ(c.slot, a.slot);
+  EXPECT_FALSE(sim.Cancel(a));
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{2, 3}));
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_EQ(sim.Now(), 30u);
+  EXPECT_FALSE(sim.Cancel(b));  // already ran
+}
+
+TEST(SimulatorTest, CancelDestroysClosureAtOnce) {
+  Simulator sim;
+  auto witness = std::make_shared<int>(0);
+  EventId id = sim.At(10, [witness]() {});
+  EXPECT_EQ(witness.use_count(), 2);
+  sim.Cancel(id);
+  EXPECT_EQ(witness.use_count(), 1);
+}
+
+// A cancelled top must not let RunUntil(t) run the next live event when that
+// event is due after t.
+TEST(SimulatorTest, RunUntilSkipsCancelledTopWithoutOverrunning) {
+  Simulator sim;
+  bool late_ran = false;
+  EventId early = sim.At(10, []() {});
+  sim.At(20, [&]() { late_ran = true; });
+  sim.Cancel(early);
+  sim.RunUntil(15);
+  EXPECT_FALSE(late_ran);
+  EXPECT_EQ(sim.Now(), 15u);
+  EXPECT_EQ(sim.events_processed(), 0u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.RunUntil(20);
+  EXPECT_TRUE(late_ran);
+  EXPECT_TRUE(sim.Idle());
+}
+
+// One event cancels most of the queue from inside its closure, which
+// compacts the heap mid-step; the survivors still fire in (time, seq) order.
+TEST(SimulatorTest, CompactionMidRunKeepsOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 100; i++) {
+    ids.push_back(sim.At(1 + i / 3, [&order, i]() { order.push_back(i); }));
+  }
+  sim.At(0, [&]() {
+    for (int i = 0; i < 100; i++) {
+      if (i % 5 != 0) {
+        EXPECT_TRUE(sim.Cancel(ids[i]));
+      }
+    }
+    EXPECT_EQ(sim.pending_events(), 20u);
+  });
+  sim.Run();
+  std::vector<int> want;
+  for (int i = 0; i < 100; i += 5) {
+    want.push_back(i);
+  }
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(sim.events_processed(), 21u);
+  EXPECT_EQ(sim.Now(), 1u + 95 / 3);
+}
+
+// Property: Cancel behaves exactly like deleting the event from an ideal
+// queue. Random interleavings of At/AtGuarded/Cancel/Step/RunUntil, with
+// closures that cancel themselves, their successor or a run of later events,
+// or schedule children, run against a reference model: an ordered set of the
+// live events, keyed (time, scheduling order). After every operation the
+// pop order, the results of every Cancel, events_processed(), Now(), Idle()
+// and pending_events() must match the model. Timestamps collide heavily,
+// stale ids (slots since reused) are cancelled often, and span cancels inside
+// closures push the dead entries past half the heap, forcing compaction
+// mid-run.
+class CancelModel {
+ public:
+  enum class Act { kNone, kCancelSelf, kCancelNext, kCancelSpan, kSpawn };
+  struct Spec {
+    Act act = Act::kNone;
+    SimDuration delay = 0;  // kSpawn: child delay
+    uint32_t child = 0;     // kSpawn: label the child got when the parent ran
+    int guard = -1;         // -1: unguarded; else index into guards_
+    uint64_t expected = 0;
+  };
+  struct Fired {
+    uint32_t label;
+    SimTime at;
+  };
+
+  explicit CancelModel(uint64_t seed) : rng_(seed) {}
+
+  void RunOps(int ops) {
+    for (int i = 0; i < ops; i++) {
+      uint32_t r = Draw(100);
+      if (r < 30) {
+        Spec spec;
+        uint32_t a = Draw(10);
+        spec.act = a < 4 ? Act::kNone
+                 : a < 5 ? Act::kCancelSelf
+                 : a < 7 ? Act::kCancelNext
+                 : a < 8 ? Act::kCancelSpan
+                         : Act::kSpawn;
+        spec.delay = Draw(4);
+        if (Draw(4) == 0) {
+          spec.guard = static_cast<int>(Draw(2));
+          spec.expected = guards_[spec.guard] ^ Draw(2);
+        }
+        Schedule(now_ + Draw(6), spec);
+      } else if (r < 50) {
+        CancelLabel(Draw(static_cast<uint32_t>(specs_.size()) + 1));
+      } else if (r < 55 && !queue_.empty()) {
+        // Cancel the live top, then run exactly up to its time: the next
+        // live event may be later and must stay queued.
+        auto [t, seq, label] = *queue_.begin();
+        CancelLabel(label);
+        RunUntil(t);
+      } else if (r < 75) {
+        StepOnce();
+      } else if (r < 95) {
+        RunUntil(now_ + Draw(8));
+      } else {
+        guards_[Draw(2)] ^= 1;
+      }
+      CheckCounters();
+      if (::testing::Test::HasFailure()) {
+        return;
+      }
+    }
+    // Drain.
+    size_t from = fired_.size();
+    size_t cancels_from = cancels_.size();
+    sim_.Run();
+    std::vector<Fired> want;
+    std::vector<bool> want_cancels;
+    while (!queue_.empty()) {
+      ModelPop(&want, &want_cancels);
+    }
+    ExpectLogs(from, cancels_from, want, want_cancels);
+    CheckCounters();
+  }
+
+  uint64_t cancels_hit() const { return cancels_hit_; }
+  uint64_t fired() const { return fired_.size(); }
+
+ private:
+  using Key = std::tuple<SimTime, uint64_t, uint32_t>;  // time, model seq, label
+
+  uint32_t Draw(uint32_t n) {
+    rng_ = rng_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<uint32_t>((rng_ >> 33) % n);
+  }
+
+  // Schedules in the simulator only; returns the new event's label.
+  uint32_t SimSchedule(SimTime t, Spec spec) {
+    uint32_t label = static_cast<uint32_t>(specs_.size());
+    specs_.push_back(spec);
+    auto fn = [this, label]() { Run(label); };
+    ids_.push_back(spec.guard < 0 ? sim_.At(t, fn)
+                                  : sim_.AtGuarded(t, &guards_[spec.guard], spec.expected, fn));
+    return label;
+  }
+
+  void Schedule(SimTime t, Spec spec) { ModelSchedule(t, SimSchedule(t, spec)); }
+
+  void ModelSchedule(SimTime t, uint32_t label) {
+    Key k{t, model_seq_++, label};
+    queue_.insert(k);
+    pending_[label] = k;
+  }
+
+  bool ModelCancel(uint32_t label) {
+    auto it = pending_.find(label);
+    if (it == pending_.end()) {
+      return false;
+    }
+    queue_.erase(it->second);
+    pending_.erase(it);
+    return true;
+  }
+
+  EventId IdOf(uint32_t label) const { return label < ids_.size() ? ids_[label] : EventId{}; }
+
+  // The closure of every simulator event.
+  void Run(uint32_t label) {
+    fired_.push_back({label, sim_.Now()});
+    Spec spec = specs_[label];
+    switch (spec.act) {
+      case Act::kNone:
+        break;
+      case Act::kCancelSelf:
+        cancels_.push_back(sim_.Cancel(IdOf(label)));
+        break;
+      case Act::kCancelNext:
+        cancels_.push_back(sim_.Cancel(IdOf(label + 1)));
+        break;
+      case Act::kCancelSpan:
+        for (uint32_t l = label + 1; l < label + 24; l++) {
+          cancels_.push_back(sim_.Cancel(IdOf(l)));
+        }
+        break;
+      case Act::kSpawn: {
+        // The model schedules the child itself when it replays this event.
+        Spec child;
+        child.act = label % 3 == 0 ? Act::kCancelNext : Act::kNone;
+        uint32_t c = SimSchedule(sim_.Now() + spec.delay, child);
+        specs_[label].child = c;
+        break;
+      }
+    }
+  }
+
+  // Pops the model's next event and replays its closure on the model.
+  void ModelPop(std::vector<Fired>* fired, std::vector<bool>* cancels) {
+    auto [t, seq, label] = *queue_.begin();
+    queue_.erase(queue_.begin());
+    pending_.erase(label);
+    now_ = t;
+    processed_++;
+    const Spec spec = specs_[label];
+    if (spec.guard >= 0 && guards_[spec.guard] != spec.expected) {
+      return;  // guard-skipped: counted, never run
+    }
+    fired->push_back({label, t});
+    switch (spec.act) {
+      case Act::kNone:
+        break;
+      case Act::kCancelSelf:
+        cancels->push_back(ModelCancel(label));
+        break;
+      case Act::kCancelNext:
+        cancels->push_back(ModelCancel(label + 1));
+        break;
+      case Act::kCancelSpan:
+        for (uint32_t l = label + 1; l < label + 24; l++) {
+          cancels->push_back(ModelCancel(l));
+        }
+        break;
+      case Act::kSpawn:
+        ModelSchedule(t + spec.delay, spec.child);
+        break;
+    }
+  }
+
+  void CancelLabel(uint32_t label) {
+    bool want = ModelCancel(label);
+    EXPECT_EQ(sim_.Cancel(IdOf(label)), want) << "label " << label;
+    cancels_hit_ += want ? 1 : 0;
+  }
+
+  void StepOnce() {
+    size_t from = fired_.size();
+    size_t cancels_from = cancels_.size();
+    bool stepped = sim_.Step();
+    EXPECT_EQ(stepped, !queue_.empty());
+    std::vector<Fired> want;
+    std::vector<bool> want_cancels;
+    if (!queue_.empty()) {
+      ModelPop(&want, &want_cancels);
+    }
+    ExpectLogs(from, cancels_from, want, want_cancels);
+  }
+
+  void RunUntil(SimTime t) {
+    size_t from = fired_.size();
+    size_t cancels_from = cancels_.size();
+    sim_.RunUntil(t);
+    std::vector<Fired> want;
+    std::vector<bool> want_cancels;
+    while (!queue_.empty() && std::get<0>(*queue_.begin()) <= t) {
+      ModelPop(&want, &want_cancels);
+    }
+    now_ = std::max(now_, t);
+    for (size_t i = from; i < fired_.size(); i++) {
+      EXPECT_LE(fired_[i].at, t) << "RunUntil ran label " << fired_[i].label << " past " << t;
+    }
+    ExpectLogs(from, cancels_from, want, want_cancels);
+  }
+
+  void ExpectLogs(size_t from, size_t cancels_from, const std::vector<Fired>& want,
+                  const std::vector<bool>& want_cancels) {
+    std::vector<Fired> got(fired_.begin() + static_cast<std::ptrdiff_t>(from), fired_.end());
+    std::vector<bool> got_cancels(cancels_.begin() + static_cast<std::ptrdiff_t>(cancels_from),
+                                  cancels_.end());
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); i++) {
+      EXPECT_EQ(got[i].label, want[i].label) << "pop " << i;
+      EXPECT_EQ(got[i].at, want[i].at) << "pop " << i;
+    }
+    EXPECT_EQ(got_cancels, want_cancels);
+  }
+
+  void CheckCounters() {
+    EXPECT_EQ(sim_.Now(), now_);
+    EXPECT_EQ(sim_.events_processed(), processed_);
+    EXPECT_EQ(sim_.Idle(), queue_.empty());
+    EXPECT_EQ(sim_.pending_events(), queue_.size());
+  }
+
+  uint64_t rng_;
+  Simulator sim_;
+  uint64_t guards_[2] = {0, 0};
+  std::vector<Spec> specs_;
+  std::vector<EventId> ids_;
+  std::vector<Fired> fired_;
+  std::vector<bool> cancels_;
+  uint64_t cancels_hit_ = 0;
+  // Reference model.
+  SimTime now_ = 0;
+  uint64_t processed_ = 0;
+  uint64_t model_seq_ = 0;
+  std::set<Key> queue_;
+  std::map<uint32_t, Key> pending_;
+};
+
+TEST(SimulatorTest, CancelMatchesReferenceModel) {
+  uint64_t hits = 0;
+  uint64_t fired = 0;
+  for (uint64_t seed = 1; seed <= 24; seed++) {
+    CancelModel model(seed);
+    model.RunOps(4000);
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "seed " << seed;
+    hits += model.cancels_hit();
+    fired += model.fired();
+  }
+  EXPECT_GT(hits, 1000u);  // the property was actually exercised
+  EXPECT_GT(fired, 10000u);
 }
 
 }  // namespace
