@@ -91,7 +91,7 @@ void Node::ColdRestart() {
   truncate_pending_.clear();
   pending_.clear();
   log_index_.clear();
-  truncated_.clear();
+  truncated_ = TruncatedSet();
   pending_requests_.clear();
   restart_recover_all_ = false;
   pending_reconfig_.reset();
@@ -161,9 +161,13 @@ Task<StatusOr<std::vector<uint8_t>>> Node::LockFreeRead(GlobalAddr addr, uint32_
                                                         int thread) {
   stats_.lockfree_reads++;
   for (int attempt = 0; attempt < 64; attempt++) {
-    auto ref = co_await ResolveRef(addr.region, thread);
-    if (!ref.ok()) {
-      co_return ref.status();
+    std::optional<RegionRef> ref = CachedRef(addr.region);
+    if (!ref) {
+      auto resolved = co_await ResolveRef(addr.region, thread);
+      if (!resolved.ok()) {
+        co_return resolved.status();
+      }
+      ref = *resolved;
     }
     uint64_t word = 0;
     std::vector<uint8_t> value;
@@ -186,7 +190,8 @@ Task<StatusOr<std::vector<uint8_t>>> Node::LockFreeRead(GlobalAddr addr, uint32_
         co_return r.status;
       }
       std::memcpy(&word, r.data.data(), 8);
-      value.assign(r.data.begin() + 8, r.data.end());
+      r.data.erase(r.data.begin(), r.data.begin() + 8);
+      value = std::move(r.data);
     }
     if (!VersionWord::IsLocked(word)) {
       co_return value;
@@ -218,6 +223,9 @@ Task<StatusOr<RegionId>> Node::CreateRegion(uint32_t size, uint32_t object_strid
 // ---------------------------------------------------------------------------
 
 Task<StatusOr<Node::RegionRef>> Node::ResolveRef(RegionId region, int thread) {
+  if (std::optional<RegionRef> cached = CachedRef(region)) {
+    co_return *cached;
+  }
   const RegionPlacement* p = config_.Placement(region);
   if (p == nullptr) {
     co_return NotFoundStatus("unknown region");
@@ -226,12 +234,6 @@ Task<StatusOr<Node::RegionRef>> Node::ResolveRef(RegionId region, int thread) {
   // reassigns config_ and frees it. Copy what we need so the pointer is dead
   // before the first suspension point.
   const MachineId primary = p->primary;
-  const ConfigId last_primary_change = p->last_primary_change;
-  auto it = ref_cache_.find(region);
-  if (it != ref_cache_.end() && it->second.primary == primary &&
-      it->second.as_of >= last_primary_change) {
-    co_return it->second;
-  }
   if (primary == id()) {
     // Local references are blocked while the region recovers locks
     // (section 5.3 step 1).
@@ -245,9 +247,7 @@ Task<StatusOr<Node::RegionRef>> Node::ResolveRef(RegionId region, int thread) {
       }
       co_await SleepFor(sim(), kBlockedRegionPollInterval);
     }
-    RegionRef ref{config_.id, id(), replica(region)->base()};
-    ref_cache_[region] = ref;
-    co_return ref;
+    co_return CacheRef(region, RegionRef{config_.id, id(), replica(region)->base()});
   }
   if (!InConfig(primary)) {
     co_return UnavailableStatus("primary not in configuration");
@@ -260,9 +260,27 @@ Task<StatusOr<Node::RegionRef>> Node::ResolveRef(RegionId region, int thread) {
     co_return reply.status();
   }
   BufReader rr(*reply);
-  RegionRef ref{config_.id, primary, rr.GetU64()};
+  co_return CacheRef(region, RegionRef{config_.id, primary, rr.GetU64()});
+}
+
+std::optional<Node::RegionRef> Node::CachedRef(RegionId region) const {
+  const RegionPlacement* p = config_.Placement(region);
+  if (p == nullptr || region >= ref_cache_.size()) {
+    return std::nullopt;
+  }
+  const RegionRef& ref = ref_cache_[region];
+  if (ref.primary != p->primary || ref.as_of < p->last_primary_change) {
+    return std::nullopt;
+  }
+  return ref;
+}
+
+Node::RegionRef Node::CacheRef(RegionId region, RegionRef ref) {
+  if (region >= ref_cache_.size()) {
+    ref_cache_.resize(region + 1);
+  }
   ref_cache_[region] = ref;
-  co_return ref;
+  return ref;
 }
 
 Task<StatusOr<RegionAllocator::Slot>> Node::AllocSlot(RegionId region, uint32_t payload_size,
@@ -647,18 +665,9 @@ void Node::ProcessAbort(MachineId from, const TxLogRecord& rec) {
   }
 }
 
-void Node::RecordTruncated(const TxId& id) {
-  truncated_[{id.machine, id.thread}].Insert(id.local);
-}
-
-bool Node::WasTruncated(const TxId& id) const {
-  auto it = truncated_.find({id.machine, id.thread});
-  return it != truncated_.end() && it->second.Contains(id.local);
-}
-
 void Node::ProcessTruncation(MachineId from, const TxId& id, bool apply_backup_writes) {
   emit_.TxStep(id, flight::EventKind::kTruncateRecord, 0, from);
-  RecordTruncated(id);
+  truncated_.Insert(id);
   auto it = log_index_.find(id);
   if (it != log_index_.end()) {
     for (const auto& [m, seq] : it->second) {

@@ -24,6 +24,7 @@
 #include <set>
 #include <vector>
 
+#include "src/common/flat_map.h"
 #include "src/common/status.h"
 #include "src/core/alloc.h"
 #include "src/core/config.h"
@@ -76,6 +77,35 @@ struct NodeStats {
   uint64_t recovering_txs_seen = 0;  // counted at vote coordinators
   uint64_t regions_rereplicated = 0;
   uint64_t reconfigurations = 0;
+};
+
+// The ids of the transactions this node truncated, which recovery asks
+// about (section 5.3). One bitmap per coordinator (machine, thread) over
+// the coordinator's local ids: a node hands out locals from one counter,
+// so a coordinator's bitmap has a bit for every local id its node issued
+// up to the highest one truncated here. Nothing tells a participant which
+// ids it may forget, so a bitmap only grows.
+class TruncatedSet {
+ public:
+  void Insert(const TxId& id) {
+    std::vector<uint64_t>& words = bits_.try_emplace({id.machine, id.thread}).first->second;
+    const uint64_t word = id.local >> 6;
+    if (word >= words.size()) {
+      words.resize(word + 1);
+    }
+    words[word] |= uint64_t{1} << (id.local & 63);
+  }
+  bool Contains(const TxId& id) const {
+    auto it = bits_.find({id.machine, id.thread});
+    if (it == bits_.end()) {
+      return false;
+    }
+    const uint64_t word = id.local >> 6;
+    return word < it->second.size() && (it->second[word] >> (id.local & 63) & 1) != 0;
+  }
+
+ private:
+  FlatMap<std::pair<MachineId, uint16_t>, std::vector<uint64_t>> bits_;
 };
 
 class Node {
@@ -163,6 +193,10 @@ class Node {
   // Resolves the RDMA reference for a region (may wait for an active
   // primary; fails if the region is unknown or the primary unreachable).
   Task<StatusOr<RegionRef>> ResolveRef(RegionId region, int thread);
+  // The cached reference for a region if it is still valid (same primary,
+  // cached no earlier than the primary's last change), without suspending;
+  // nullopt means ResolveRef must fetch it.
+  std::optional<RegionRef> CachedRef(RegionId region) const;
 
   TxId NextTxId(int thread);
   void RegisterInflight(Transaction* tx);
@@ -223,8 +257,8 @@ class Node {
   void ProcessTruncation(MachineId from, const TxId& id, bool apply_backup_writes = true);
   void ApplyWriteAtPrimary(const WireWrite& w);
   void ApplyWriteAtBackup(const WireWrite& w);
-  void RecordTruncated(const TxId& id);
-  bool WasTruncated(const TxId& id) const;
+  // Stores `ref` in ref_cache_ and returns it.
+  RegionRef CacheRef(RegionId region, RegionRef ref);
 
   void HandleValidate(MachineId from, BufReader& r);
   void HandleAllocRequest(MachineId from, BufReader& r);
@@ -327,7 +361,9 @@ class Node {
 
   std::map<RegionId, std::unique_ptr<RegionReplica>> replicas_;
   std::map<RegionId, std::unique_ptr<RegionAllocator>> allocators_;
-  std::map<RegionId, RegionRef> ref_cache_;
+  // Indexed by RegionId (the CM hands ids out densely); a slot whose
+  // primary is kInvalidMachine was never filled.
+  std::vector<RegionRef> ref_cache_;
   // Ref requests deferred while a region is blocked (section 5.3 step 1).
   std::map<RegionId, std::vector<std::pair<MachineId, uint64_t>>> deferred_refs_;
 
@@ -359,26 +395,7 @@ class Node {
   std::map<TxId, PendingTx> pending_;
   // txid -> stored log records (from, seq) for truncation.
   std::map<TxId, std::vector<std::pair<MachineId, uint64_t>>> log_index_;
-  // Truncated-transaction sets per coordinator (machine, thread), compacted
-  // with a low bound on the local sequence component.
-  struct TruncatedSet {
-    uint64_t low_bound = 0;
-    std::set<uint64_t> sparse;
-    void Insert(uint64_t local) {
-      if (local < low_bound) {
-        return;
-      }
-      sparse.insert(local);
-      while (!sparse.empty() && *sparse.begin() == low_bound) {
-        sparse.erase(sparse.begin());
-        low_bound++;
-      }
-    }
-    bool Contains(uint64_t local) const {
-      return local < low_bound || sparse.count(local) != 0;
-    }
-  };
-  std::map<std::pair<MachineId, uint16_t>, TruncatedSet> truncated_;
+  TruncatedSet truncated_;
 
   // Request/reply correlation.
   uint64_t next_correlation_ = 1;

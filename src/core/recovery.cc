@@ -211,7 +211,7 @@ void Node::BeginTransactionStateRecovery() {
   // these, a second failure during recovery can flip an outcome that was
   // already exposed to the application.
   for (const auto& [ptid, pend] : pending_) {
-    if (WasTruncated(ptid)) {
+    if (truncated_.Contains(ptid)) {
       continue;
     }
     bool has_rec = !pend.lock_record.writes.empty();
@@ -786,7 +786,7 @@ void Node::HandleRequestVote(MachineId from, BufReader& r) {
     t.voted = true;
     v = ComputeVote(t);
     modified = t.merged.contents.written_regions;
-  } else if (WasTruncated(tid)) {
+  } else if (truncated_.Contains(tid)) {
     v = Vote::kTruncated;
   } else {
     v = Vote::kUnknown;

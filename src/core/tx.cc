@@ -95,9 +95,13 @@ Task<StatusOr<std::vector<uint8_t>>> Transaction::Read(GlobalAddr addr, uint32_t
   }
 
   const SimTime read_start = node_->sim().Now();
-  auto ref = co_await node_->ResolveRef(addr.region, thread_);
-  if (!ref.ok()) {
-    co_return ref.status();
+  std::optional<Node::RegionRef> ref = node_->CachedRef(addr.region);
+  if (!ref) {
+    auto resolved = co_await node_->ResolveRef(addr.region, thread_);
+    if (!resolved.ok()) {
+      co_return resolved.status();
+    }
+    ref = *resolved;
   }
   uint64_t word = 0;
   std::vector<uint8_t> value;
@@ -122,7 +126,8 @@ Task<StatusOr<std::vector<uint8_t>>> Transaction::Read(GlobalAddr addr, uint32_t
       co_return r.status;
     }
     std::memcpy(&word, r.data.data(), 8);
-    value.assign(r.data.begin() + 8, r.data.end());
+    r.data.erase(r.data.begin(), r.data.begin() + 8);
+    value = std::move(r.data);
   }
   // A locked object may be mid-commit by another transaction; we record the
   // unlocked view of the header. If the writer commits, the version moves
@@ -131,8 +136,7 @@ Task<StatusOr<std::vector<uint8_t>>> Transaction::Read(GlobalAddr addr, uint32_t
   ReadEntry entry;
   entry.word = VersionWord::WithoutLock(word);
   entry.value = value;
-  entry.read_from = ref->primary;
-  reads_[addr] = std::move(entry);
+  reads_.insert_or_assign(addr, std::move(entry));
   if (trace::Tracer* tracer = node_->emit().tracer()) {
     tracer->CompleteSpan(static_cast<uint32_t>(node_->id()), static_cast<uint32_t>(thread_),
                          "tx", "read", read_start);
@@ -159,7 +163,7 @@ Status Transaction::Write(GlobalAddr addr, std::vector<uint8_t> value) {
   e.expected_version = VersionWord::Version(rit->second.word);
   e.expected_alloc = VersionWord::IsAllocated(rit->second.word);
   e.value = SharedBytes(std::move(value));
-  writes_[addr] = std::move(e);
+  writes_.insert_or_assign(addr, std::move(e));
   return OkStatus();
 }
 
@@ -173,7 +177,7 @@ Task<StatusOr<GlobalAddr>> Transaction::Alloc(RegionId region, uint32_t payload_
   e.expected_version = VersionWord::Version(slot->header_word);
   e.expected_alloc = false;
   e.set_alloc = true;
-  writes_[slot->addr] = std::move(e);
+  writes_.insert_or_assign(slot->addr, std::move(e));
   allocs_.push_back(slot->addr);
   co_return slot->addr;
 }
@@ -188,7 +192,7 @@ Status Transaction::Free(GlobalAddr addr) {
   e.expected_version = VersionWord::Version(rit->second.word);
   e.expected_alloc = VersionWord::IsAllocated(rit->second.word);
   e.clear_alloc = true;
-  writes_[addr] = std::move(e);
+  writes_.insert_or_assign(addr, std::move(e));
   return OkStatus();
 }
 
@@ -256,10 +260,10 @@ StatusOr<Transaction::Participants> Transaction::BuildParticipants() const {
     ww.set_alloc = w.set_alloc;
     ww.clear_alloc = w.clear_alloc;
     ww.value = w.value;
-    p.primary_writes[placement->primary].push_back(ww);
+    p.primary_writes.try_emplace(placement->primary).first->second.push_back(ww);
     p.all_holders.push_back(placement->primary);
     for (MachineId b : placement->backups) {
-      p.backup_writes[b].push_back(ww);
+      p.backup_writes.try_emplace(b).first->second.push_back(ww);
       p.all_holders.push_back(b);
     }
   }
@@ -590,7 +594,7 @@ Status Transaction::FinishFromRecovery() {
 
 Task<Status> Transaction::ValidatePhase() {
   // Group read-only objects by primary.
-  std::map<MachineId, std::vector<std::pair<GlobalAddr, uint64_t>>> by_primary;
+  FlatMap<MachineId, std::vector<std::pair<GlobalAddr, uint64_t>>> by_primary;
   for (const auto& [addr, entry] : reads_) {
     if (writes_.count(addr) != 0) {
       continue;  // locking covers written objects
@@ -599,7 +603,7 @@ Task<Status> Transaction::ValidatePhase() {
     if (placement == nullptr) {
       co_return UnavailableStatus("read region lost");
     }
-    by_primary[placement->primary].push_back({addr, entry.word});
+    by_primary.try_emplace(placement->primary).first->second.push_back({addr, entry.word});
   }
   if (by_primary.empty()) {
     co_return OkStatus();

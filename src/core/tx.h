@@ -18,11 +18,11 @@
 #define SRC_CORE_TX_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "src/common/flat_map.h"
 #include "src/common/status.h"
 #include "src/core/types.h"
 #include "src/core/wire.h"
@@ -86,7 +86,6 @@ class Transaction {
   struct ReadEntry {
     uint64_t word = 0;  // unlocked view of the header observed at read time
     std::vector<uint8_t> value;
-    MachineId read_from = kInvalidMachine;
   };
 
   struct WriteEntry {
@@ -100,9 +99,9 @@ class Transaction {
   // Commit-phase helpers (tx.cc).
   struct Participants {
     // primary machine -> writes shipped in its LOCK record
-    std::map<MachineId, std::vector<WireWrite>> primary_writes;
+    FlatMap<MachineId, std::vector<WireWrite>> primary_writes;
     // backup machine -> writes shipped in its COMMIT-BACKUP record
-    std::map<MachineId, std::vector<WireWrite>> backup_writes;
+    FlatMap<MachineId, std::vector<WireWrite>> backup_writes;
     std::vector<RegionId> written_regions;
     std::vector<MachineId> all_holders;  // every machine holding log records
   };
@@ -137,8 +136,9 @@ class Transaction {
   bool commit_started_ = false;
   bool registered_ = false;
 
-  std::map<GlobalAddr, ReadEntry> reads_;
-  std::map<GlobalAddr, WriteEntry> writes_;
+  // Sorted by address, iterated in std::map order (src/common/flat_map.h).
+  FlatMap<GlobalAddr, ReadEntry> reads_;
+  FlatMap<GlobalAddr, WriteEntry> writes_;
   std::vector<GlobalAddr> allocs_;  // reserved slots to release on abort
 
   Future<Unit> phase_wake_;

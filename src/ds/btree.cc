@@ -146,8 +146,9 @@ Task<Status> BTree::WriteMeta(Transaction& tx, const Meta& m) const {
 // Cached traversal
 // ---------------------------------------------------------------------------
 
-Task<StatusOr<BTree::NodeData>> BTree::ReadCached(Node& node, GlobalAddr addr,
-                                                  int thread) const {
+Task<StatusOr<std::shared_ptr<const BTree::NodeData>>> BTree::ReadCached(Node& node,
+                                                                         GlobalAddr addr,
+                                                                         int thread) const {
   auto it = cache_->nodes.find(addr.Packed());
   if (it != cache_->nodes.end()) {
     co_return it->second;
@@ -156,8 +157,8 @@ Task<StatusOr<BTree::NodeData>> BTree::ReadCached(Node& node, GlobalAddr addr,
   if (!bytes.ok()) {
     co_return bytes.status();
   }
-  NodeData n = NodeData::Unpack(*bytes);
-  if (!n.leaf) {
+  auto n = std::make_shared<const NodeData>(NodeData::Unpack(*bytes));
+  if (!n->leaf) {
     if (cache_->nodes.size() >= options_.cache_cap) {
       cache_->nodes.clear();
     }
@@ -177,10 +178,11 @@ Task<StatusOr<GlobalAddr>> BTree::TraverseToLeaf(Node& node, uint64_t key, int t
   GlobalAddr cur = meta->root;
   for (uint32_t depth = 1; depth < meta->height; depth++) {
     path->push_back(cur);
-    auto n = co_await ReadCached(node, cur, thread);
-    if (!n.ok()) {
-      co_return n.status();
+    auto cached = co_await ReadCached(node, cur, thread);
+    if (!cached.ok()) {
+      co_return cached.status();
     }
+    const NodeData* n = cached->get();
     if (n->leaf || key < n->fence_low || key >= n->fence_high) {
       co_return AbortedStatus("stale btree cache");
     }
@@ -216,7 +218,6 @@ Task<StatusOr<GlobalAddr>> BTree::FindLeaf(Transaction& tx, uint64_t key, int at
 // ---------------------------------------------------------------------------
 
 Task<StatusOr<std::optional<uint64_t>>> BTree::Get(Transaction& tx, uint64_t key) const {
-  (void)0;
   for (int attempt = 0; attempt < kTraverseRetries; attempt++) {
     std::vector<GlobalAddr> path;
     auto leaf_addr = co_await FindLeaf(tx, key, attempt, &path);
@@ -248,7 +249,6 @@ Task<StatusOr<std::optional<uint64_t>>> BTree::Get(Transaction& tx, uint64_t key
 }
 
 Task<Status> BTree::Insert(Transaction& tx, uint64_t key, uint64_t value) const {
-  (void)0;
   for (int attempt = 0; attempt < kTraverseRetries; attempt++) {
     std::vector<GlobalAddr> path;
     auto leaf_addr = co_await FindLeaf(tx, key, attempt, &path);
@@ -286,7 +286,6 @@ Task<Status> BTree::Insert(Transaction& tx, uint64_t key, uint64_t value) const 
 }
 
 Task<Status> BTree::Remove(Transaction& tx, uint64_t key) const {
-  (void)0;
   for (int attempt = 0; attempt < kTraverseRetries; attempt++) {
     std::vector<GlobalAddr> path;
     auto leaf_addr = co_await FindLeaf(tx, key, attempt, &path);
@@ -322,7 +321,6 @@ Task<Status> BTree::Remove(Transaction& tx, uint64_t key) const {
 Task<StatusOr<std::vector<std::pair<uint64_t, uint64_t>>>> BTree::Scan(Transaction& tx,
                                                                        uint64_t lo, uint64_t hi,
                                                                        size_t max) const {
-  (void)0;
   std::vector<std::pair<uint64_t, uint64_t>> out;
   for (int attempt = 0; attempt < kTraverseRetries; attempt++) {
     out.clear();

@@ -83,7 +83,9 @@ class BTree {
   Task<Status> WriteMeta(Transaction& tx, const Meta& m) const;
 
   // Cached / lock-free read of an internal node (not in the tx read set).
-  Task<StatusOr<NodeData>> ReadCached(Node& node, GlobalAddr addr, int thread) const;
+  // Cached nodes are immutable and shared with the cache.
+  Task<StatusOr<std::shared_ptr<const NodeData>>> ReadCached(Node& node, GlobalAddr addr,
+                                                             int thread) const;
   void Invalidate(GlobalAddr addr) const;
 
   // Descends via the cache; returns the leaf address for `key` plus the
@@ -109,7 +111,7 @@ class BTree {
   struct Cache {
     // farmlint: allow(unordered-decl): keyed lookup/erase only, never
     // iterated, so hash order cannot reach reads or the fabric.
-    std::unordered_map<uint64_t, NodeData> nodes;  // by packed address
+    std::unordered_map<uint64_t, std::shared_ptr<const NodeData>> nodes;  // by packed address
   };
   std::shared_ptr<Cache> cache_;
 };

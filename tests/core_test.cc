@@ -1,8 +1,15 @@
 // Cluster-level tests for the FaRM core: region creation, the transaction
 // protocol (normal case), lock-free reads, allocation, and concurrency
-// control semantics.
+// control semantics; plus the flat containers on the transaction path
+// (FlatMap, the truncated-id bitmaps, the region-reference cache).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <tuple>
+
+#include "src/common/flat_map.h"
+#include "src/common/rand.h"
 #include "tests/test_util.h"
 
 namespace farm {
@@ -546,6 +553,162 @@ TEST_F(CoreTest, ColocatedRegionSharesReplicas) {
   ASSERT_NE(p1, nullptr);
   ASSERT_NE(p2, nullptr);
   EXPECT_EQ(p1->Replicas(), p2->Replicas());
+}
+
+// FlatMap must keep std::map's membership and iteration order exactly:
+// read/write sets are walked to build records and messages.
+TEST(FlatMapTest, MatchesStdMapModel) {
+  Pcg32 rng(19);
+  FlatMap<GlobalAddr, uint64_t> flat;
+  std::map<GlobalAddr, uint64_t> model;
+  for (int step = 0; step < 4000; step++) {
+    // Few regions and offsets, so keys repeat and both insert paths run.
+    GlobalAddr key{rng.Uniform(4), 16 * rng.Uniform(48)};
+    uint64_t value = rng.Next64();
+    switch (rng.Uniform(4)) {
+      case 0: {
+        auto [it, inserted] = flat.try_emplace(key, value);
+        auto [mit, minserted] = model.try_emplace(key, value);
+        ASSERT_EQ(inserted, minserted);
+        ASSERT_EQ(it->first, key);
+        ASSERT_EQ(it->second, mit->second);
+        break;
+      }
+      case 1: {
+        auto [it, inserted] = flat.insert_or_assign(key, value);
+        auto [mit, minserted] = model.insert_or_assign(key, value);
+        ASSERT_EQ(inserted, minserted);
+        ASSERT_EQ(it->first, key);
+        ASSERT_EQ(it->second, value);
+        break;
+      }
+      case 2: {
+        auto it = flat.find(key);
+        auto mit = model.find(key);
+        ASSERT_EQ(it == flat.end(), mit == model.end());
+        if (mit != model.end()) {
+          ASSERT_EQ(it->second, mit->second);
+        }
+        break;
+      }
+      default:
+        ASSERT_EQ(flat.count(key), model.count(key));
+        break;
+    }
+    ASSERT_EQ(flat.size(), model.size());
+    ASSERT_EQ(flat.empty(), model.empty());
+    auto it = flat.begin();
+    for (const auto& [k, v] : model) {
+      ASSERT_EQ(it->first, k) << "step " << step;
+      ASSERT_EQ(it->second, v) << "step " << step;
+      ++it;
+    }
+  }
+}
+
+class NodeTest : public CoreTest {};
+
+// The per-coordinator bitmaps answer exactly like a set of (machine,
+// thread, local) ids; the configuration component plays no part.
+TEST_F(NodeTest, TruncatedSetMatchesSetModel) {
+  Pcg32 rng(23);
+  TruncatedSet set;
+  std::set<std::tuple<MachineId, uint16_t, uint64_t>> model;
+  auto random_id = [&]() {
+    // Local 0, both sides of the first word boundaries, dense small ids
+    // and far-apart ones.
+    constexpr uint64_t kEdges[] = {0, 1, 62, 63, 64, 65, 127, 128, 1 << 20, (1 << 20) + 63};
+    uint64_t local = rng.Bernoulli(0.3) ? kEdges[rng.Uniform(std::size(kEdges))]
+                                        : rng.Uniform(rng.Bernoulli(0.5) ? 300 : 1 << 16);
+    return TxId{rng.Uniform(5), static_cast<MachineId>(rng.Uniform(3)),
+                static_cast<uint16_t>(rng.Uniform(2)), local};
+  };
+  for (uint64_t local : {0, 63, 64, 1 << 20}) {
+    set.Insert(TxId{1, 0, 0, local});
+    model.insert({0, 0, local});
+  }
+  for (int step = 0; step < 6000; step++) {
+    TxId id = random_id();
+    if (rng.Bernoulli(0.4)) {
+      set.Insert(id);
+      model.insert({id.machine, id.thread, id.local});
+    }
+    TxId q = random_id();
+    for (uint64_t local : {q.local, q.local + 1, q.local - (q.local > 0 ? 1 : 0)}) {
+      q.local = local;
+      ASSERT_EQ(set.Contains(q), model.count({q.machine, q.thread, q.local}) != 0)
+          << "step " << step << " m" << q.machine << " t" << q.thread << " l" << q.local;
+    }
+  }
+}
+
+// A reference stays cached across a reconfiguration only while its
+// region's primary did not move: the region whose primary died misses the
+// cache and is re-requested from the new primary, the other keeps its
+// reference (a re-request would restamp it with the new configuration).
+TEST_F(NodeTest, CachedRefDropsOnPrimaryChange) {
+  Boot(5);
+  std::vector<RegionId> regions;
+  for (int i = 0; i < 6; i++) {
+    regions.push_back(MustCreateRegion(*cluster_, 64 << 10, 16));
+  }
+  const Configuration& cfg = cluster_->node(0).config();
+  // Victim: the primary of `moved`. Coordinator: a live machine outside
+  // `moved`'s replicas, so its new reference must come over the wire.
+  // `kept`: a region whose primary is neither the victim nor the coordinator.
+  RegionId moved = regions[0];
+  MachineId victim = cfg.Placement(moved)->primary;
+  MachineId coord = kInvalidMachine;
+  for (MachineId m : cfg.machines) {
+    if (m != cfg.cm && !cfg.Placement(moved)->Contains(m)) {
+      coord = m;
+    }
+  }
+  ASSERT_NE(coord, kInvalidMachine);
+  RegionId kept = kInvalidRegion;
+  for (RegionId r : regions) {
+    MachineId primary = cfg.Placement(r)->primary;
+    if (primary != victim && primary != coord) {
+      kept = r;
+    }
+  }
+  ASSERT_NE(kept, kInvalidRegion);
+
+  ASSERT_TRUE(RunTask(*cluster_, WriteValue(coord, GlobalAddr{moved, 0}, 7))->ok());
+  ASSERT_TRUE(RunTask(*cluster_, WriteValue(coord, GlobalAddr{kept, 0}, 9))->ok());
+  Node& node = cluster_->node(coord);
+  ASSERT_TRUE(node.CachedRef(moved).has_value());
+  ASSERT_TRUE(node.CachedRef(kept).has_value());
+  const Node::RegionRef before = *node.CachedRef(kept);
+
+  cluster_->Kill(victim);
+  ASSERT_TRUE(RunUntil(*cluster_, [&]() { return !node.config().Contains(victim); },
+                       500 * kMillisecond));
+  const MachineId new_primary = node.config().Placement(moved)->primary;
+  ASSERT_NE(new_primary, victim);
+  ASSERT_EQ(node.config().Placement(kept)->primary, before.primary);
+  ASSERT_GT(node.config().id, before.as_of);
+  EXPECT_FALSE(node.CachedRef(moved).has_value());
+  ASSERT_TRUE(node.CachedRef(kept).has_value());
+
+  auto moved_value = RunTask(*cluster_, ReadValue(coord, GlobalAddr{moved, 0}));
+  ASSERT_TRUE(moved_value.has_value() && moved_value->ok());
+  EXPECT_EQ(moved_value->value(), 7u);
+  auto kept_value = RunTask(*cluster_, ReadValue(coord, GlobalAddr{kept, 0}));
+  ASSERT_TRUE(kept_value.has_value() && kept_value->ok());
+  EXPECT_EQ(kept_value->value(), 9u);
+
+  // The moved region's reference was re-requested from its new primary ...
+  std::optional<Node::RegionRef> moved_ref = node.CachedRef(moved);
+  ASSERT_TRUE(moved_ref.has_value());
+  EXPECT_EQ(moved_ref->primary, new_primary);
+  EXPECT_GE(moved_ref->as_of, node.config().Placement(moved)->last_primary_change);
+  // ... while the kept region's is the one cached before the failure.
+  std::optional<Node::RegionRef> kept_ref = node.CachedRef(kept);
+  ASSERT_TRUE(kept_ref.has_value());
+  EXPECT_EQ(kept_ref->as_of, before.as_of);
+  EXPECT_EQ(kept_ref->primary, before.primary);
+  EXPECT_EQ(kept_ref->base, before.base);
 }
 
 // The coroutine-frame arena, the parked-frame list and the log clock are

@@ -380,11 +380,11 @@ Provenance ScanInit(const std::vector<const Token*>& sig, size_t b, size_t e,
   return none;
 }
 
-constexpr std::array<std::string_view, 16> kMutators = {
+constexpr std::array<std::string_view, 17> kMutators = {
     "insert",       "erase",      "emplace",   "emplace_back", "emplace_front",
     "push_back",    "push_front", "pop_back",  "pop_front",    "clear",
     "resize",       "rehash",     "reserve",   "assign",       "shrink_to_fit",
-    "try_emplace"};
+    "try_emplace",  "insert_or_assign"};
 
 const char* YieldName(Yield y) {
   switch (y) {
@@ -817,7 +817,7 @@ void AnalyzeAwaitSafety(const FileInput& file, const AwaitConfig& config,
     }
     // Range expression must be a simple (possibly member) identifier; calls
     // and casts are out of scope for this check.
-    if (close - colon != 1 || sig[colon + 1]->kind != TokKind::kIdentifier) {
+    if (close - colon != 2 || sig[colon + 1]->kind != TokKind::kIdentifier) {
       continue;
     }
     const std::string& cont = sig[colon + 1]->text;

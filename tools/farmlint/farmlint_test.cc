@@ -267,7 +267,7 @@ TEST(AwaitRuleTest, LockAcrossAwaitTriple) {
 
 TEST(AwaitRuleTest, IteratorInvalidateTriple) {
   auto bad = LintFixture("iter_invalidate_bad.cc", DefaultRules());
-  EXPECT_GE(bad["iterator-invalidate"], 2);
+  EXPECT_GE(bad["iterator-invalidate"], 4);
   EXPECT_EQ(bad.size(), 1u) << "only iterator-invalidate may fire";
   EXPECT_TRUE(LintFixture("iter_invalidate_good.cc", DefaultRules()).empty());
   EXPECT_TRUE(LintFixture("iter_invalidate_suppressed.cc", DefaultRules()).empty());

@@ -1,5 +1,5 @@
 // Fixture: iterators/references used after the container they point into was
-// mutated. All three functions must fire iterator-invalidate (and nothing
+// mutated. Every function must fire iterator-invalidate (and nothing
 // else). No coroutines needed: invalidation is a same-scope bug.
 #include <map>
 #include <vector>
@@ -22,4 +22,10 @@ void MutateInRangeFor() {
       pending_.erase(s.id);  // invalidates the loop's hidden iterator
     }
   }
+}
+
+uint64_t AssignWhileHeld(GlobalAddr addr, GlobalAddr other) {
+  auto it = reads_.find(addr);
+  reads_.insert_or_assign(other, ReadEntry{});  // a FlatMap insert shifts entries
+  return it->second.word;
 }
