@@ -204,8 +204,9 @@ void Cluster::RestartMachineEmpty(MachineId m) {
   machines_[m]->Reboot();
   nodes_[m]->ColdRestart();
   for (int j = 0; j < options_.machines; j++) {
-    Messenger::Reconnect(nodes_[m]->messenger(),
-                         nodes_[static_cast<size_t>(j)]->messenger());
+    Node& peer = *nodes_[static_cast<size_t>(j)];
+    Messenger::Reconnect(nodes_[m]->messenger(), peer.messenger());
+    peer.DropLogRecordsFrom(m);
   }
   nodes_[m]->BeginJoin();
 }

@@ -4,10 +4,14 @@
 
 namespace farm {
 
-Messenger::Messenger(Fabric& fabric, Machine& machine, NvramStore& store, Options options)
-    : fabric_(fabric), machine_(machine), store_(store), options_(options) {
-  FARM_CHECK(options_.worker_threads >= 1 &&
-             options_.worker_threads <= machine_.NumThreads());
+Messenger::Messenger(Fabric& fabric, Machine& machine, NvramStore& store, Options options,
+                     int worker_threads)
+    : fabric_(fabric),
+      machine_(machine),
+      store_(store),
+      options_(options),
+      worker_threads_(worker_threads) {
+  FARM_CHECK(worker_threads_ >= 1 && worker_threads_ <= machine_.NumThreads());
 }
 
 void Messenger::SetHandlers(LogRecordHandler log_handler, MessageHandler msg_handler) {
@@ -84,7 +88,6 @@ void Messenger::TruncateLogRecord(MachineId from, uint64_t seq) {
   if (it == inbound_.end()) {
     return;
   }
-  it->second.stored.erase(seq);
   it->second.txlog->MarkFreeable(seq);
   MaybeSendFeedback(from);
 }
@@ -143,10 +146,9 @@ void Messenger::ProcessInbound(MachineId from, bool is_log) {
       worker.InjectBusy(cost.cpu_log_poll + cost.CpuBytes(n));
       // One copy out of ring memory, which truncation zeroes and a wrap
       // reuses; the record's write values are slices of this copy.
-      TxLogRecord& rec = in.stored[seq] =
-          TxLogRecord::Parse(SharedBytes(std::vector<uint8_t>(p, p + n)));
+      TxLogRecord rec = TxLogRecord::Parse(SharedBytes(std::vector<uint8_t>(p, p + n)));
       if (log_handler_) {
-        log_handler_(from, seq, rec);
+        log_handler_(from, seq, std::move(rec));
       }
     });
   } else {
@@ -192,7 +194,6 @@ void Messenger::MaybeSendFeedback(MachineId from) {
 void Messenger::RebuildFromNvram() {
   for (auto& [from, in] : inbound_) {
     (void)from;
-    in.stored.clear();
     in.txlog_poll_scheduled = false;
     in.msgq_poll_scheduled = false;
     in.txlog->RebuildFromNvram();
@@ -205,24 +206,6 @@ void Messenger::DrainAllNow() {
     (void)in;
     ProcessInbound(from, /*is_log=*/true);
     ProcessInbound(from, /*is_log=*/false);
-  }
-}
-
-const TxLogRecord* Messenger::GetStoredLog(MachineId from, uint64_t seq) const {
-  auto it = inbound_.find(from);
-  if (it == inbound_.end()) {
-    return nullptr;
-  }
-  auto rit = it->second.stored.find(seq);
-  return rit == it->second.stored.end() ? nullptr : &rit->second;
-}
-
-void Messenger::ForEachStoredLog(
-    const std::function<void(MachineId from, uint64_t seq, const TxLogRecord&)>& fn) const {
-  for (const auto& [from, in] : inbound_) {
-    for (const auto& [seq, rec] : in.stored) {
-      fn(from, seq, rec);
-    }
   }
 }
 

@@ -27,16 +27,17 @@ class Messenger {
   struct Options {
     uint32_t txlog_capacity = 1 << 20;
     uint32_t msgq_capacity = 1 << 19;
-    int worker_threads = 4;  // inbound processing runs on threads [0, n)
   };
 
-  // seq identifies the stored record for TruncateLogRecord.
-  using LogRecordHandler =
-      std::function<void(MachineId from, uint64_t seq, const TxLogRecord& rec)>;
+  // The handler owns the parsed record; seq names its frame for
+  // TruncateLogRecord.
+  using LogRecordHandler = std::function<void(MachineId from, uint64_t seq, TxLogRecord rec)>;
   using MessageHandler =
       std::function<void(MachineId from, MsgType type, std::vector<uint8_t> payload)>;
 
-  Messenger(Fabric& fabric, Machine& machine, NvramStore& store, Options options);
+  // Inbound processing runs on threads [0, worker_threads).
+  Messenger(Fabric& fabric, Machine& machine, NvramStore& store, Options options,
+            int worker_threads);
 
   void SetHandlers(LogRecordHandler log_handler, MessageHandler msg_handler);
 
@@ -66,7 +67,7 @@ class Messenger {
   // serialized size). Future completes on the hardware ack.
   Future<NetResult> AppendLog(MachineId dst, const TxLogRecord& rec, uint32_t reserved_len,
                               int thread_idx);
-  // Marks a stored inbound record truncated (space becomes reusable).
+  // Frees an inbound record's frame (its space becomes reusable).
   void TruncateLogRecord(MachineId from, uint64_t seq);
 
   // ---- messages ----
@@ -77,11 +78,6 @@ class Messenger {
   // (section 5.3 step 2, "drain logs"). CPU cost is charged as one lump on
   // thread 0 by the caller's recovery logic.
   void DrainAllNow();
-  // Iterates stored (surfaced, non-truncated) inbound log records.
-  void ForEachStoredLog(
-      const std::function<void(MachineId from, uint64_t seq, const TxLogRecord&)>& fn) const;
-  // Looks up one stored record (nullptr if truncated/unknown).
-  const TxLogRecord* GetStoredLog(MachineId from, uint64_t seq) const;
 
   // Power-failure restart: drops all volatile ring state and re-parses the
   // NVRAM rings from their persisted heads. Non-truncated records surface
@@ -90,13 +86,10 @@ class Messenger {
 
   // Total log payload bytes appended (stats).
   uint64_t log_bytes_sent() const { return log_bytes_sent_; }
-  // Debug: outbound tx-log space (free bytes, reserved bytes).
-  std::pair<uint64_t, uint64_t> LogSpace(MachineId dst) const {
-    auto it = outbound_.find(dst);
-    if (it == outbound_.end()) {
-      return {0, 0};
-    }
-    return {it->second.txlog->FreeBytes(), it->second.txlog->reserved()};
+
+  // The worker thread that polls `peer`'s rings and runs its handlers.
+  int WorkerFor(MachineId peer) const {
+    return static_cast<int>(peer % static_cast<MachineId>(worker_threads_));
   }
 
  private:
@@ -110,7 +103,6 @@ class Messenger {
     uint64_t reported_msgq_freed = 0;
     bool txlog_poll_scheduled = false;
     bool msgq_poll_scheduled = false;
-    std::map<uint64_t, TxLogRecord> stored;  // surfaced log records by seq
   };
 
   struct Outbound {
@@ -121,14 +113,12 @@ class Messenger {
   void SchedulePoll(MachineId from, bool is_log);
   void ProcessInbound(MachineId from, bool is_log);
   void MaybeSendFeedback(MachineId from);
-  int WorkerFor(MachineId from) const {
-    return static_cast<int>(from % static_cast<MachineId>(options_.worker_threads));
-  }
 
   Fabric& fabric_;
   Machine& machine_;
   NvramStore& store_;
   Options options_;
+  int worker_threads_;
   LogRecordHandler log_handler_;
   MessageHandler msg_handler_;
   std::map<MachineId, Inbound> inbound_;

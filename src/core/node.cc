@@ -1,6 +1,7 @@
 #include "src/core/node.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/common/logging.h"
 #include "src/core/cluster.h"
@@ -27,11 +28,11 @@ Node::Node(Cluster* cluster, Machine* machine, NvramStore* store, NodeOptions op
   // Worker threads + one dedicated lease-manager thread (section 5.1).
   FARM_CHECK(machine_->NumThreads() == options_.worker_threads + 1)
       << "machine must have worker_threads + 1 hardware threads";
-  options_.msgr.worker_threads = options_.worker_threads;
-  messenger_ = std::make_unique<Messenger>(fabric(), *machine_, *store_, options_.msgr);
+  messenger_ = std::make_unique<Messenger>(fabric(), *machine_, *store_, options_.msgr,
+                                           options_.worker_threads);
   messenger_->SetHandlers(
-      [this](MachineId from, uint64_t seq, const TxLogRecord& rec) {
-        HandleLogRecord(from, seq, rec);
+      [this](MachineId from, uint64_t seq, TxLogRecord rec) {
+        HandleLogRecord(from, seq, std::move(rec));
       },
       [this](MachineId from, MsgType type, std::vector<uint8_t> payload) {
         HandleMessage(from, type, std::move(payload));
@@ -58,7 +59,7 @@ void Node::Bootstrap(const Configuration& initial) {
 
 void Node::ReplayNvramLogs() {
   pending_.clear();
-  log_index_.clear();
+  logged_.clear();
   messenger_->RebuildFromNvram();
   messenger_->DrainAllNow();
 }
@@ -90,7 +91,7 @@ void Node::ColdRestart() {
   truncate_flush_armed_ = false;
   truncate_pending_.clear();
   pending_.clear();
-  log_index_.clear();
+  logged_.clear();
   truncated_ = TruncatedSet();
   pending_requests_.clear();
   restart_recover_all_ = false;
@@ -99,7 +100,6 @@ void Node::ColdRestart() {
   pending_joins_.clear();
   region_recovery_.clear();
   decisions_.clear();
-  vote_timers_.clear();
   new_backup_regions_.clear();
   promoted_regions_.clear();
   regions_active_sent_ = false;
@@ -107,6 +107,22 @@ void Node::ColdRestart() {
   data_recovery_inflight_ = 0;
   messenger_->Reset();
   lease_->ColdRestart();
+}
+
+void Node::DropLogRecordsFrom(MachineId m) {
+  for (auto it = logged_.begin(); it != logged_.end();) {
+    std::erase_if(it->second, [m](const LoggedRecord& l) { return l.from == m; });
+    it = it->second.empty() ? logged_.erase(it) : std::next(it);
+  }
+}
+
+size_t Node::logged_records() const {
+  size_t n = 0;
+  for (const auto& [tid, records] : logged_) {
+    (void)tid;
+    n += records.size();
+  }
+  return n;
 }
 
 void Node::BeginJoin() {
@@ -481,52 +497,47 @@ void Node::Respond(MachineId dst, uint64_t correlation, Status status,
 // Log record processing (participant side)
 // ---------------------------------------------------------------------------
 
-void Node::HandleLogRecord(MachineId from, uint64_t seq, const TxLogRecord& rec) {
-  // `rec` references the messenger's stored copy, which TruncateLogRecord
-  // erases; copy the piggybacked ids before any truncation can run.
+void Node::HandleLogRecord(MachineId from, uint64_t seq, TxLogRecord rec) {
+  // The kept record keeps its piggybacked ids, and truncating them may drop
+  // the kept record itself; copy them first.
   std::vector<TxId> piggyback = rec.truncate_ids;
 
-  // Records from configurations already drained are rejected if their
-  // transaction is recovering -- recovery owns its outcome (section 5.3).
-  if (rec.type != LogRecordType::kTruncate && rec.tx.config <= last_drained_ &&
-      rec.tx.config < config_.id && IsRecoveringTx(rec, config_)) {
+  if (rec.type == LogRecordType::kTruncate) {
     messenger_->TruncateLogRecord(from, seq);
-    for (const TxId& t : piggyback) {
-      ProcessTruncation(from, t);
+  } else if (rec.tx.config <= last_drained_ && rec.tx.config < config_.id &&
+             IsRecoveringTx(rec, config_)) {
+    // Records from configurations already drained are rejected if their
+    // transaction is recovering -- recovery owns its outcome (section 5.3).
+    messenger_->TruncateLogRecord(from, seq);
+  } else {
+    std::vector<LoggedRecord>& kept = logged_[rec.tx];
+    kept.push_back({from, seq, std::move(rec)});
+    const TxLogRecord& r = kept.back().rec;
+    switch (r.type) {
+      case LogRecordType::kLock:
+        ProcessLock(from, r);
+        break;
+      case LogRecordType::kCommitBackup:
+        // No foreground CPU work at backups: the record just sits in the
+        // non-volatile log until truncation applies it (section 4).
+        emit_.TxStep(r.tx, flight::EventKind::kCommitBackupRecord, 0, from);
+        break;
+      case LogRecordType::kCommitPrimary:
+        ProcessCommitPrimary(from, r);
+        break;
+      case LogRecordType::kAbort:
+        ProcessAbort(from, r);
+        break;
+      case LogRecordType::kTruncate:  // never kept
+        break;
     }
-    return;
-  }
-
-  if (rec.type != LogRecordType::kTruncate) {
-    log_index_[rec.tx].push_back({from, seq});
-  }
-
-  switch (rec.type) {
-    case LogRecordType::kLock:
-      ProcessLock(from, seq, rec);
-      break;
-    case LogRecordType::kCommitBackup:
-      // No foreground CPU work at backups: the record just sits in the
-      // non-volatile log until truncation applies it (section 4).
-      emit_.TxStep(rec.tx, flight::EventKind::kCommitBackupRecord, 0, from);
-      break;
-    case LogRecordType::kCommitPrimary:
-      ProcessCommitPrimary(from, rec);
-      break;
-    case LogRecordType::kAbort:
-      ProcessAbort(from, rec);
-      break;
-    case LogRecordType::kTruncate:
-      messenger_->TruncateLogRecord(from, seq);
-      break;
   }
   for (const TxId& t : piggyback) {
     ProcessTruncation(from, t);
   }
 }
 
-void Node::ProcessLock(MachineId from, uint64_t seq, const TxLogRecord& rec) {
-  (void)seq;
+void Node::ProcessLock(MachineId from, const TxLogRecord& rec) {
   LogTxScope log_tx(rec.tx.config, rec.tx.machine, rec.tx.thread, rec.tx.local);
   // The NSDI'14-protocol ablation also writes LOCK records to backups; a
   // backup just stores the record (no CAS, no reply) -- replies come only
@@ -541,8 +552,7 @@ void Node::ProcessLock(MachineId from, uint64_t seq, const TxLogRecord& rec) {
   if (!any_primary) {
     return;
   }
-  HwThread& worker_thread = machine_->thread(static_cast<int>(
-      from % static_cast<MachineId>(options_.worker_threads)));
+  HwThread& worker_thread = machine_->thread(messenger_->WorkerFor(from));
   PendingTx pending;
   pending.coordinator = from;
   pending.lock_record = rec;
@@ -637,8 +647,7 @@ void Node::ProcessCommitPrimary(MachineId from, const TxLogRecord& rec) {
     return;  // already handled (possibly by recovery)
   }
   emit_.TxStep(rec.tx, flight::EventKind::kCommitPrimaryRecord, 0, from);
-  HwThread& worker_thread = machine_->thread(static_cast<int>(
-      rec.tx.machine % static_cast<MachineId>(options_.worker_threads)));
+  HwThread& worker_thread = machine_->thread(messenger_->WorkerFor(rec.tx.machine));
   for (const WireWrite& w : it->second.lock_record.writes) {
     worker_thread.InjectBusy(fabric().cost().cpu_lock_per_object);
     ApplyWriteAtPrimary(w);
@@ -668,29 +677,23 @@ void Node::ProcessAbort(MachineId from, const TxLogRecord& rec) {
 void Node::ProcessTruncation(MachineId from, const TxId& id, bool apply_backup_writes) {
   emit_.TxStep(id, flight::EventKind::kTruncateRecord, 0, from);
   truncated_.Insert(id);
-  auto it = log_index_.find(id);
-  if (it != log_index_.end()) {
-    for (const auto& [m, seq] : it->second) {
+  auto it = logged_.find(id);
+  if (it != logged_.end()) {
+    for (const LoggedRecord& l : it->second) {
       // Backups apply the buffered updates to their region copies at
       // truncation time (section 4, step 5).
-      const TxLogRecord* rec = messenger_->GetStoredLog(m, seq);
-      if (apply_backup_writes && rec != nullptr &&
-          rec->type == LogRecordType::kCommitBackup) {
-        HwThread& worker_thread = machine_->thread(static_cast<int>(
-            m % static_cast<MachineId>(options_.worker_threads)));
-        for (const WireWrite& w : rec->writes) {
+      if (apply_backup_writes && l.rec.type == LogRecordType::kCommitBackup) {
+        HwThread& worker_thread = machine_->thread(messenger_->WorkerFor(l.from));
+        for (const WireWrite& w : l.rec.writes) {
           worker_thread.InjectBusy(fabric().cost().cpu_lock_per_object);
           ApplyWriteAtBackup(w);
         }
       }
-      messenger_->TruncateLogRecord(m, seq);
+      messenger_->TruncateLogRecord(l.from, l.seq);
     }
-    log_index_.erase(it);
+    logged_.erase(it);
   }
-  auto pit = pending_.find(id);
-  if (pit != pending_.end()) {
-    pending_.erase(pit);
-  }
+  pending_.erase(id);
 }
 
 // ---------------------------------------------------------------------------
@@ -766,10 +769,6 @@ void Node::HandleMessage(MachineId from, MsgType type, std::vector<uint8_t> payl
         InstallReplica(rid, size, stride);
       }
       Respond(from, correlation, OkStatus(), {}, -1);
-      break;
-    }
-    case MsgType::kRegionCommit: {
-      // Mapping activation is carried by the kRegionCreateReply broadcast.
       break;
     }
     case MsgType::kRegionCreateReply: {

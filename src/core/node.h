@@ -147,6 +147,8 @@ class Node {
   NodeOptions& options() { return options_; }
   Cluster& cluster() { return *cluster_; }
   ConfigId last_drained() const { return last_drained_; }
+  // Inbound log records kept until their transaction is truncated.
+  size_t logged_records() const;
   uint64_t control_block_addr() const { return control_block_addr_; }
 
   // ---------------- Lifecycle (called by Cluster) ----------------
@@ -173,6 +175,9 @@ class Node {
   // fold into transaction ids. Cluster re-wires rings, then BeginJoin()
   // petitions the CM until this machine is back in a configuration.
   void ColdRestart();
+  // Forgets the records kept from `m`'s rings, which Cluster re-wires when
+  // `m` restarts empty: their frames are gone with the old rings.
+  void DropLogRecordsFrom(MachineId m);
   // Spawns the join-retry loop (reads the configuration from the
   // coordination service, sends kJoinRequest to its CM).
   void BeginJoin();
@@ -245,15 +250,15 @@ class Node {
   friend class Transaction;
 
   // ---- participant-side processing (node.cc) ----
-  void HandleLogRecord(MachineId from, uint64_t seq, const TxLogRecord& rec);
+  void HandleLogRecord(MachineId from, uint64_t seq, TxLogRecord rec);
   void HandleMessage(MachineId from, MsgType type, std::vector<uint8_t> payload);
   // Sends a message to `dst`, or handles it in place when `dst` is this node.
   void Deliver(MachineId dst, MsgType type, std::vector<uint8_t> payload);
-  void ProcessLock(MachineId from, uint64_t seq, const TxLogRecord& rec);
+  void ProcessLock(MachineId from, const TxLogRecord& rec);
   void ProcessCommitPrimary(MachineId from, const TxLogRecord& rec);
   void ProcessAbort(MachineId from, const TxLogRecord& rec);
   // `apply_backup_writes` is false only for TRUNCATE-RECOVERY after an abort
-  // decision: the stored COMMIT-BACKUP records must be discarded, not applied.
+  // decision: the kept COMMIT-BACKUP records must be discarded, not applied.
   void ProcessTruncation(MachineId from, const TxId& id, bool apply_backup_writes = true);
   void ApplyWriteAtPrimary(const WireWrite& w);
   void ApplyWriteAtBackup(const WireWrite& w);
@@ -338,7 +343,8 @@ class Node {
   void HandleTruncateRecovery(MachineId from, BufReader& r);
   void MaybeDecide(const TxId& id);
   void ArmVoteTimer(const TxId& id);
-  void ArmVoteTimerTick(const TxId& id, ConfigId cid);
+  // One vote-timeout round; re-arms itself until the decision is made.
+  void VoteTimerTick(const TxId& id, ConfigId cid);
   void Decide(const TxId& id, bool commit);
 
   // ---- data recovery (data_recovery.cc) ----
@@ -393,8 +399,17 @@ class Node {
     bool abort_recovered = false;
   };
   std::map<TxId, PendingTx> pending_;
-  // txid -> stored log records (from, seq) for truncation.
-  std::map<TxId, std::vector<std::pair<MachineId, uint64_t>>> log_index_;
+  // Every inbound record but TRUNCATE, kept until its transaction is
+  // truncated (section 4): backups apply COMMIT-BACKUP writes then, and
+  // recovery finds recovering transactions here (section 5.3). A
+  // transaction's records all come from its coordinator's ring, so each
+  // vector is in ring order; (from, seq) names the record's frame.
+  struct LoggedRecord {
+    MachineId from;
+    uint64_t seq;
+    TxLogRecord rec;
+  };
+  std::map<TxId, std::vector<LoggedRecord>> logged_;
   TruncatedSet truncated_;
 
   // Request/reply correlation.
@@ -422,7 +437,6 @@ class Node {
   uint64_t eviction_monitor_generation_ = 0;
   std::map<RegionId, RegionRecovery> region_recovery_;
   std::map<TxId, DecisionState> decisions_;
-  std::map<TxId, std::function<void()>> vote_timers_;
   std::set<RegionId> new_backup_regions_;   // to re-replicate after active
   std::set<RegionId> promoted_regions_;     // allocator free lists to rebuild
   bool regions_active_sent_ = false;

@@ -178,32 +178,31 @@ void Node::BeginTransactionStateRecovery() {
   // written-region list and the writes; COMMIT-PRIMARY carries only the id,
   // so its strength is joined with the region list learned from the others.
   struct TxView {
-    Vote strength = Vote::kUnknown;
-    bool saw_abort = false;
+    ReplicaTxState state;
     std::vector<RegionId> regions;
-    TxLogRecord contents;
-    bool has_contents = false;
   };
   std::map<TxId, TxView> by_tx;
-  messenger_->ForEachStoredLog([&](MachineId lfrom, uint64_t seq, const TxLogRecord& rec) {
-    (void)lfrom;
-    (void)seq;
-    if (rec.type == LogRecordType::kTruncate || rec.type == LogRecordType::kAbort) {
-      return;
-    }
-    TxView& v = by_tx[rec.tx];
-    Vote s = StrengthOf(rec.type);
-    if (Stronger(s, v.strength)) {
-      v.strength = s;
-    }
-    if (rec.type == LogRecordType::kLock || rec.type == LogRecordType::kCommitBackup) {
-      v.regions = rec.written_regions;
-      if (!v.has_contents) {
-        v.has_contents = true;
-        v.contents = rec;
+  for (const auto& [tid, records] : logged_) {
+    for (const LoggedRecord& l : records) {
+      const TxLogRecord& rec = l.rec;
+      if (rec.type == LogRecordType::kAbort) {
+        continue;
+      }
+      TxView& tv = by_tx[tid];
+      ReplicaTxState& v = tv.state;
+      Vote s = StrengthOf(rec.type);
+      if (Stronger(s, v.strength)) {
+        v.strength = s;
+      }
+      if (rec.type == LogRecordType::kLock || rec.type == LogRecordType::kCommitBackup) {
+        tv.regions = rec.written_regions;
+        if (!v.has_contents) {
+          v.has_contents = true;
+          v.contents = rec;
+        }
       }
     }
-  });
+  }
 
   // Recovery state that lives outside the inbound rings: lock records
   // replicated by a previous recovery round (step 5) and durable decision
@@ -218,14 +217,15 @@ void Node::BeginTransactionStateRecovery() {
     if (!has_rec && !pend.commit_recovered && !pend.abort_recovered) {
       continue;
     }
-    TxView& v = by_tx[ptid];
+    TxView& tv = by_tx[ptid];
+    ReplicaTxState& v = tv.state;
     if (has_rec) {
       Vote s = StrengthOf(pend.lock_record.type);
       if (Stronger(s, v.strength)) {
         v.strength = s;
       }
-      if (v.regions.empty()) {
-        v.regions = pend.lock_record.written_regions;
+      if (tv.regions.empty()) {
+        tv.regions = pend.lock_record.written_regions;
       }
       if (!v.has_contents) {
         v.has_contents = true;
@@ -236,37 +236,27 @@ void Node::BeginTransactionStateRecovery() {
       v.strength = Vote::kCommitPrimary;
     }
     if (pend.abort_recovered) {
-      v.saw_abort = true;
+      v.saw_abort_recovery = true;
     }
   }
 
-  // Pass 2: distribute per hosted region.
-  struct LocalInfo {
-    ReplicaTxState state;
-  };
-  std::map<RegionId, std::map<TxId, LocalInfo>> local;
-  for (auto& [tid, v] : by_tx) {
-    if (!v.has_contents) {
+  // Pass 2: distribute per hosted region, keeping only that region's writes.
+  std::map<RegionId, std::map<TxId, ReplicaTxState>> local;
+  for (const auto& [tid, tv] : by_tx) {
+    if (!tv.state.has_contents) {
       continue;  // only a CP/ABORT trace: regions unknown, nothing to recover
     }
-    if (!IsRecoveringTx(v.contents, config_)) {
+    if (!IsRecoveringTx(tv.state.contents, config_)) {
       continue;
     }
-    for (RegionId r : v.regions) {
+    for (RegionId r : tv.regions) {
       const RegionPlacement* p = config_.Placement(r);
       if (p == nullptr || !p->Contains(id())) {
         continue;
       }
-      LocalInfo& info = local[r][tid];
-      if (Stronger(v.strength, info.state.strength)) {
-        info.state.strength = v.strength;
-      }
-      info.state.saw_abort_recovery = info.state.saw_abort_recovery || v.saw_abort;
-      if (!info.state.has_contents) {
-        info.state.has_contents = true;
-        info.state.contents = v.contents;
-        // Keep only the writes for this region.
-        auto& ws = info.state.contents.writes;
+      auto [it, fresh] = local[r].try_emplace(tid, tv.state);
+      if (fresh) {
+        auto& ws = it->second.contents.writes;
         ws.erase(std::remove_if(ws.begin(), ws.end(),
                                 [r](const WireWrite& w) { return w.addr.region != r; }),
                  ws.end());
@@ -284,14 +274,14 @@ void Node::BeginTransactionStateRecovery() {
       }
       auto lit = local.find(rid);
       if (lit != local.end()) {
-        for (auto& [tid, info] : lit->second) {
+        for (auto& [tid, state] : lit->second) {
           RegionRecoveryTx& t = rr.txs[tid];
-          if (Stronger(info.state.strength, t.merged.strength)) {
-            t.merged.strength = info.state.strength;
+          if (Stronger(state.strength, t.merged.strength)) {
+            t.merged.strength = state.strength;
           }
-          if (info.state.has_contents && !t.merged.has_contents) {
+          if (state.has_contents && !t.merged.has_contents) {
             t.merged.has_contents = true;
-            t.merged.contents = info.state.contents;
+            t.merged.contents = state.contents;
           }
         }
       }
@@ -305,11 +295,11 @@ void Node::BeginTransactionStateRecovery() {
       uint32_t n = lit == local.end() ? 0 : static_cast<uint32_t>(lit->second.size());
       w.PutU32(n);
       if (lit != local.end()) {
-        for (auto& [tid, info] : lit->second) {
+        for (auto& [tid, state] : lit->second) {
           PutTxId(w, tid);
-          w.PutU8(static_cast<uint8_t>(info.state.strength));
-          w.PutU8(info.state.saw_abort_recovery ? 1 : 0);
-          w.PutU8(info.state.has_contents ? 1 : 0);
+          w.PutU8(static_cast<uint8_t>(state.strength));
+          w.PutU8(state.saw_abort_recovery ? 1 : 0);
+          w.PutU8(state.has_contents ? 1 : 0);
         }
       }
       messenger_->SendMessage(p.primary, MsgType::kNeedRecovery, w.Take(), -1);
@@ -533,16 +523,16 @@ void Node::HandleFetchTxState(MachineId from, BufReader& r) {
   RegionId rid = r.GetU32();
   TxId tid = GetTxId(r);
   (void)cid;
-  // Look for a stored LOCK/COMMIT-BACKUP record for this transaction.
+  // The last kept LOCK/COMMIT-BACKUP record for this transaction.
   const TxLogRecord* found = nullptr;
-  messenger_->ForEachStoredLog([&](MachineId lf, uint64_t seq, const TxLogRecord& rec) {
-    (void)lf;
-    (void)seq;
-    if (rec.tx == tid &&
-        (rec.type == LogRecordType::kLock || rec.type == LogRecordType::kCommitBackup)) {
-      found = &rec;
+  auto it = logged_.find(tid);
+  if (it != logged_.end()) {
+    for (const LoggedRecord& l : it->second) {
+      if (l.rec.type == LogRecordType::kLock || l.rec.type == LogRecordType::kCommitBackup) {
+        found = &l.rec;
+      }
     }
-  });
+  }
   if (found == nullptr) {
     Respond(from, correlation, NotFoundStatus("no state for tx"), {}, -1);
     return;
@@ -720,52 +710,44 @@ void Node::ArmVoteTimer(const TxId& tid) {
   }
   it->second.vote_timer_armed = true;
   it->second.timer_rounds = 0;
-  ConfigId cid = config_.id;
-  std::function<void()> tick = [this, tid, cid]() {
-    auto dit = decisions_.find(tid);
-    if (dit == decisions_.end() || dit->second.decided || config_.id != cid ||
-        !machine_->alive()) {
-      return;
-    }
-    DecisionState& d = dit->second;
-    d.timer_rounds++;
-    if (d.timer_rounds > kMaxVoteTimerRounds) {
-      // Regions never answered (lost or wedged): abort is the safe outcome
-      // only if no region could have exposed the commit; a commit-primary
-      // vote would have decided already, so abort here.
-      Decide(tid, false);
-      return;
-    }
-    // Explicit vote requests to regions that have not voted (step 6).
-    for (RegionId r : d.regions) {
-      if (d.votes.count(r) != 0) {
-        continue;
-      }
-      const RegionPlacement* p = config_.Placement(r);
-      if (p == nullptr) {
-        d.votes[r] = Vote::kUnknown;
-        continue;
-      }
-      BufWriter w;
-      w.PutU64(config_.id);
-      w.PutU32(r);
-      PutTxId(w, tid);
-      Deliver(p->primary, MsgType::kRequestVote, w.Take());
-    }
-    MaybeDecide(tid);
-    ArmVoteTimerTick(tid, cid);
-  };
-  vote_timers_[tid] = tick;
-  sim().After(kVoteTimeout, tick);
+  sim().After(kVoteTimeout, [this, tid, cid = config_.id]() { VoteTimerTick(tid, cid); });
 }
 
-void Node::ArmVoteTimerTick(const TxId& tid, ConfigId cid) {
-  auto fit = vote_timers_.find(tid);
-  if (fit == vote_timers_.end()) {
+void Node::VoteTimerTick(const TxId& tid, ConfigId cid) {
+  auto dit = decisions_.find(tid);
+  if (dit == decisions_.end() || dit->second.decided || config_.id != cid ||
+      !machine_->alive()) {
     return;
   }
-  (void)cid;
-  sim().After(kVoteTimeout, fit->second);
+  DecisionState& d = dit->second;
+  d.timer_rounds++;
+  if (d.timer_rounds > kMaxVoteTimerRounds) {
+    // Regions never answered (lost or wedged): abort is the safe outcome
+    // only if no region could have exposed the commit; a commit-primary
+    // vote would have decided already, so abort here.
+    Decide(tid, false);
+    return;
+  }
+  // Explicit vote requests to regions that have not voted (step 6).
+  for (RegionId r : d.regions) {
+    if (d.votes.count(r) != 0) {
+      continue;
+    }
+    const RegionPlacement* p = config_.Placement(r);
+    if (p == nullptr) {
+      d.votes[r] = Vote::kUnknown;
+      continue;
+    }
+    BufWriter w;
+    w.PutU64(config_.id);
+    w.PutU32(r);
+    PutTxId(w, tid);
+    Deliver(p->primary, MsgType::kRequestVote, w.Take());
+  }
+  MaybeDecide(tid);
+  if (!d.decided) {
+    sim().After(kVoteTimeout, [this, tid, cid]() { VoteTimerTick(tid, cid); });
+  }
 }
 
 void Node::HandleRequestVote(MachineId from, BufReader& r) {
@@ -862,7 +844,6 @@ void Node::Decide(const TxId& tid, bool commit) {
   DecisionState& d = it->second;
   d.decided = true;
   d.committed = commit;
-  vote_timers_.erase(tid);
   LogTxScope log_tx(tid.config, tid.machine, tid.thread, tid.local);
   emit_.TxStep(tid, flight::EventKind::kRecoveryStep,
                static_cast<uint8_t>(commit ? flight::RecoveryStep::kDecideCommit

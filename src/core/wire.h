@@ -33,7 +33,6 @@ enum class MsgType : uint8_t {
   // Transaction state recovery (section 5.3).
   kNeedRecovery = 10,
   kFetchTxState = 11,
-  kSendTxState = 12,
   kReplicateTxState = 13,
   kReplicateTxStateAck = 14,
   kRecoveryVote = 15,
@@ -52,12 +51,9 @@ enum class MsgType : uint8_t {
   kJoinRequest = 36,      // restarted machine asks the CM to re-admit it
   // Region allocation (section 3) and slab allocation (section 5.5).
   kRegionPrepare = 40,
-  kRegionPrepareAck = 41,
-  kRegionCommit = 42,
   kRegionCreate = 43,     // app -> CM: allocate a new region
   kRegionCreateReply = 44,
   kAllocRequest = 45,
-  kAllocReply = 46,
   kAllocRelease = 47,
   kBlockHeader = 48,      // primary -> backups: replicate slab block header
   kRefRequest = 49,       // fetch a region's RDMA reference from its primary

@@ -446,8 +446,8 @@ TEST(WireProperty, SerializedSizeMatchesSerialize) {
 // ---------------------------------------------------------------------------
 // Parsed records own their bytes: after their frames are truncated (zeroed)
 // and the ring wraps over that space with new records, the copies a receiver
-// keeps -- the messenger's stored record and a primary's PendingTx copy of a
-// LOCK record -- still hold exactly the bytes that were sent.
+// keeps -- the record a node keeps until truncation and a primary's PendingTx
+// copy of a LOCK record -- still hold exactly the bytes that were sent.
 // ---------------------------------------------------------------------------
 
 TEST(WireProperty, StoredRecordsOutliveRingSpace) {
@@ -462,19 +462,20 @@ TEST(WireProperty, StoredRecordsOutliveRingSpace) {
   Messenger::Options opts;
   opts.txlog_capacity = 4 << 10;
   opts.msgq_capacity = 4 << 10;
-  opts.worker_threads = 2;
-  Messenger a(fabric, m0, s0, opts);
-  Messenger b(fabric, m1, s1, opts);
+  Messenger a(fabric, m0, s0, opts, 2);
+  Messenger b(fabric, m1, s1, opts, 2);
   Messenger::Connect(a, b);
 
+  std::map<uint64_t, TxLogRecord> kept;     // seq -> record until truncated, as a node keeps
   std::map<uint64_t, TxLogRecord> pending;  // seq -> copy, as PendingTx keeps
   uint64_t surfaced = 0;
   b.SetHandlers(
-      [&](MachineId, uint64_t seq, const TxLogRecord& rec) {
+      [&](MachineId, uint64_t seq, TxLogRecord rec) {
         EXPECT_EQ(seq, surfaced++);
         if (rec.type == LogRecordType::kLock) {
           pending[seq] = rec;
         }
+        kept.emplace(seq, std::move(rec));
       },
       [](MachineId, MsgType, std::vector<uint8_t>) {});
 
@@ -511,13 +512,13 @@ TEST(WireProperty, StoredRecordsOutliveRingSpace) {
     // next rounds' appends wrap over the freed space.
     while (live.size() > 1) {
       b.TruncateLogRecord(0, live.front());
-      ASSERT_EQ(b.GetStoredLog(0, live.front()), nullptr);
+      ASSERT_EQ(kept.erase(live.front()), 1u);
       live.erase(live.begin());
     }
     sim.Run();
-    const TxLogRecord* kept = b.GetStoredLog(0, live.front());
-    ASSERT_NE(kept, nullptr);
-    EXPECT_EQ(kept->Serialize(), sent[live.front()]) << "round " << round;
+    ASSERT_EQ(kept.size(), 1u);
+    ASSERT_EQ(kept.begin()->first, live.front());
+    EXPECT_EQ(kept.begin()->second.Serialize(), sent[live.front()]) << "round " << round;
     for (const auto& [seq, rec] : pending) {
       ASSERT_EQ(rec.Serialize(), sent[seq]) << "round " << round << " seq " << seq;
     }

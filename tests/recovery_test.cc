@@ -68,6 +68,35 @@ class RecoveryTest : public ::testing::Test {
         timeout);
   }
 
+  // Appends `rec` from `src`'s log to `dst`'s ring, as a coordinator does,
+  // and runs until `dst` has processed it.
+  void AppendRecord(MachineId src, MachineId dst, const TxLogRecord& rec) {
+    Messenger& msgr = cluster_->node(src).messenger();
+    uint32_t len = static_cast<uint32_t>(rec.SerializedSize());
+    ASSERT_TRUE(msgr.ReserveLog(dst, len));
+    (void)msgr.AppendLog(dst, rec, len, 0);
+    cluster_->RunFor(kMillisecond);
+  }
+
+  // A LOCK or COMMIT-BACKUP record of an untruncated transaction `src`
+  // coordinates, writing one object in each of `regions`.
+  TxLogRecord CraftRecord(LogRecordType type, MachineId src, uint64_t local,
+                          const std::vector<RegionId>& regions) {
+    TxLogRecord rec;
+    rec.type = type;
+    rec.tx = TxId{cluster_->node(src).config().id, src, 0, local};
+    rec.written_regions = regions;
+    for (RegionId r : regions) {
+      WireWrite w;
+      w.addr = GlobalAddr{r, 0};
+      w.value = SharedBytes(U64Bytes(r + local));
+      rec.writes.push_back(std::move(w));
+    }
+    // A never-issued id (locals come from one counter shared by threads).
+    rec.truncate_ids = {TxId{rec.tx.config, src, 1, 1}};
+    return rec;
+  }
+
   MachineId LiveCoordinator() {
     for (int i = 0; i < cluster_->num_machines(); i++) {
       if (cluster_->machine(static_cast<MachineId>(i)).alive()) {
@@ -543,6 +572,89 @@ TEST_F(RecoveryTest, RestartedEmptyMachineRejoins) {
   ASSERT_TRUE(s.has_value());
   EXPECT_TRUE(s->ok()) << s->ToString();
   EXPECT_FALSE(cluster_->AnyRegionLost());
+}
+
+// FETCH-TX-STATE (section 5.3 step 4): a backup answers with the last LOCK
+// or COMMIT-BACKUP record it keeps for the transaction, cut down to the
+// asked region's writes and stripped of piggybacked truncation ids.
+TEST_F(RecoveryTest, FetchTxStateAnswersWithKeptRecord) {
+  Boot(5);
+  RegionId rid = MustCreateRegion(*cluster_, 64 << 10, 16);
+  cluster_->RunFor(50 * kMillisecond);  // truncate everything so far
+  const RegionPlacement* p = cluster_->node(0).config().Placement(rid);
+  const MachineId backup = p->backups[0];
+  const MachineId coord = p->primary;
+  const RegionId elsewhere = rid + 100;  // hosted nowhere: never locked
+  ASSERT_EQ(cluster_->node(backup).logged_records(), 0u);
+
+  TxLogRecord lock = CraftRecord(LogRecordType::kLock, coord, 1000, {rid, elsewhere});
+  TxLogRecord cb = CraftRecord(LogRecordType::kCommitBackup, coord, 1000, {elsewhere, rid});
+  cb.writes[1].value = SharedBytes(U64Bytes(77));
+  AppendRecord(coord, backup, lock);
+  AppendRecord(coord, backup, cb);
+  EXPECT_EQ(cluster_->node(backup).logged_records(), 2u);
+
+  auto fetch = [&](const TxId& tid) {
+    BufWriter w;
+    w.PutU64(cluster_->node(coord).config().id);
+    w.PutU32(rid);
+    PutTxId(w, tid);
+    auto reply = RunTask(*cluster_, cluster_->node(coord).Request(
+                                        backup, MsgType::kFetchTxState, w.Take(), 0,
+                                        20 * kMillisecond));
+    EXPECT_TRUE(reply.has_value());
+    return reply.value_or(Status(StatusCode::kTimedOut, "no reply"));
+  };
+
+  auto got = fetch(cb.tx);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  TxLogRecord answer = TxLogRecord::Parse(SharedBytes(std::move(*got)));
+  EXPECT_EQ(answer.type, LogRecordType::kCommitBackup);
+  EXPECT_EQ(answer.tx, cb.tx);
+  EXPECT_EQ(answer.written_regions, cb.written_regions);
+  ASSERT_EQ(answer.writes.size(), 1u);
+  EXPECT_EQ(answer.writes[0].addr, (GlobalAddr{rid, 0}));
+  EXPECT_EQ(answer.writes[0].value.ToVector(), U64Bytes(77));
+  EXPECT_TRUE(answer.truncate_ids.empty());
+
+  TxId unknown = cb.tx;
+  unknown.local++;
+  auto missing = fetch(unknown);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+
+  // Answering keeps the records: they wait for the coordinator's truncation.
+  EXPECT_EQ(cluster_->node(backup).logged_records(), 2u);
+}
+
+// A machine restarted empty gets new rings; its peers forget every record
+// they kept from its old ones, and only those.
+TEST_F(RecoveryTest, RestartEmptyDropsPeersRecordsFromOldRing) {
+  Boot(5);
+  RegionId rid = MustCreateRegion(*cluster_, 64 << 10, 16);
+  cluster_->RunFor(50 * kMillisecond);  // truncate everything so far
+  const RegionPlacement* p = cluster_->node(0).config().Placement(rid);
+  const MachineId holder = p->backups[0];
+  const MachineId victim = p->primary;
+  MachineId other = kInvalidMachine;
+  for (MachineId m = 0; m < 5; m++) {
+    if (m != holder && m != victim) {
+      other = m;
+      break;
+    }
+  }
+  const RegionId elsewhere = rid + 100;
+  AppendRecord(victim, holder, CraftRecord(LogRecordType::kLock, victim, 1000, {elsewhere}));
+  AppendRecord(victim, holder,
+               CraftRecord(LogRecordType::kCommitBackup, victim, 1000, {elsewhere}));
+  AppendRecord(other, holder,
+               CraftRecord(LogRecordType::kCommitBackup, other, 1000, {elsewhere}));
+  ASSERT_EQ(cluster_->node(holder).logged_records(), 3u);
+
+  cluster_->RestartMachineEmpty(victim);
+  for (MachineId m = 0; m < 5; m++) {
+    EXPECT_EQ(cluster_->node(m).logged_records(), m == holder ? 1u : 0u) << "machine " << m;
+  }
 }
 
 TEST_F(RecoveryTest, CommittedDataIsInNvramOfAllReplicas) {
