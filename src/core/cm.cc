@@ -23,6 +23,38 @@ constexpr SimDuration kEvictionCheckInterval = 20 * kMillisecond;
 // k backup CMs: the CM's successors on the consistent-hash ring.
 constexpr size_t kBackupCms = 2;
 
+// Appends `candidates` to `chosen`, in order, until it holds `need` machines.
+// Each addition is a member, not yet chosen, and in a failure domain no
+// chosen machine is in (section 3's placement rule).
+void FillDistinctDomains(const Configuration& cfg, const std::vector<MachineId>& candidates,
+                         int need, std::vector<MachineId>& chosen) {
+  std::set<int> domains;
+  for (MachineId m : chosen) {
+    domains.insert(cfg.DomainOf(m));
+  }
+  for (MachineId m : candidates) {
+    if (static_cast<int>(chosen.size()) >= need) {
+      return;
+    }
+    if (!cfg.Contains(m) || std::find(chosen.begin(), chosen.end(), m) != chosen.end() ||
+        domains.count(cfg.DomainOf(m)) != 0) {
+      continue;
+    }
+    chosen.push_back(m);
+    domains.insert(cfg.DomainOf(m));
+  }
+}
+
+// The members of `cfg`, fewest replicas first (ties by id).
+std::vector<MachineId> MembersByLoad(const Configuration& cfg) {
+  std::map<MachineId, int> load = cfg.ReplicaLoad();
+  std::vector<MachineId> out = cfg.machines;
+  std::sort(out.begin(), out.end(), [&](MachineId a, MachineId b) {
+    return load[a] != load[b] ? load[a] < load[b] : a < b;
+  });
+  return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -37,24 +69,17 @@ void Node::HandleRegionCreate(MachineId from, BufReader& r) {
   RunRegionCreate(from, correlation, size, stride, colocate);
 }
 
-StatusOr<std::vector<MachineId>> Node::PickReplicas(uint32_t size, RegionId colocate_with,
-                                                    const std::vector<MachineId>& exclude) const {
-  (void)size;
-  int need = options_.replication_factor;
+StatusOr<std::vector<MachineId>> Node::PickReplicas(RegionId colocate_with) const {
+  const int need = options_.replication_factor;
   // Locality constraint: co-locate with the target region's replicas
   // (section 3) when they are all still members.
   if (colocate_with != kInvalidRegion) {
     const RegionPlacement* target = config_.Placement(colocate_with);
     if (target != nullptr) {
       std::vector<MachineId> same = target->Replicas();
-      bool usable = static_cast<int>(same.size()) == need;
-      for (MachineId m : same) {
-        if (!config_.Contains(m) ||
-            std::find(exclude.begin(), exclude.end(), m) != exclude.end()) {
-          usable = false;
-        }
-      }
-      if (usable) {
+      if (static_cast<int>(same.size()) == need &&
+          std::all_of(same.begin(), same.end(),
+                      [this](MachineId m) { return config_.Contains(m); })) {
         return same;
       }
     }
@@ -63,59 +88,19 @@ StatusOr<std::vector<MachineId>> Node::PickReplicas(uint32_t size, RegionId colo
   // replica per failure domain. Primary load is balanced separately --
   // otherwise deterministic tie-breaking concentrates every primary (and
   // therefore all lock/validation work) on a few machines.
-  std::map<MachineId, int> load;
   std::map<MachineId, int> primary_load;
-  for (MachineId m : config_.machines) {
-    load[m] = 0;
-    primary_load[m] = 0;
-  }
   for (const auto& [rid, p] : config_.regions) {
     (void)rid;
-    for (MachineId m : p.Replicas()) {
-      if (load.count(m) != 0) {
-        load[m]++;
-      }
-    }
-    if (primary_load.count(p.primary) != 0) {
-      primary_load[p.primary]++;
-    }
+    primary_load[p.primary]++;
   }
-  std::vector<MachineId> candidates;
-  for (MachineId m : config_.machines) {
-    if (std::find(exclude.begin(), exclude.end(), m) == exclude.end()) {
-      candidates.push_back(m);
-    }
-  }
-  auto domain_of = [&](MachineId m) {
-    auto fit = config_.failure_domains.find(m);
-    return fit == config_.failure_domains.end() ? static_cast<int>(m) : fit->second;
-  };
-  std::vector<MachineId> chosen;
-  std::set<int> domains;
+  std::vector<MachineId> candidates = MembersByLoad(config_);
   // The primary: least primaries first, then least replicas.
-  std::sort(candidates.begin(), candidates.end(), [&](MachineId a, MachineId b) {
-    if (primary_load[a] != primary_load[b]) {
-      return primary_load[a] < primary_load[b];
-    }
-    return load[a] != load[b] ? load[a] < load[b] : a < b;
-  });
-  chosen.push_back(candidates.front());
-  domains.insert(domain_of(candidates.front()));
+  std::vector<MachineId> chosen = {
+      *std::min_element(candidates.begin(), candidates.end(), [&](MachineId a, MachineId b) {
+        return primary_load[a] < primary_load[b];
+      })};
   // Backups: least replicas first.
-  std::sort(candidates.begin(), candidates.end(), [&](MachineId a, MachineId b) {
-    return load[a] != load[b] ? load[a] < load[b] : a < b;
-  });
-  for (MachineId m : candidates) {
-    if (static_cast<int>(chosen.size()) == need) {
-      return chosen;
-    }
-    if (domains.count(domain_of(m)) != 0 ||
-        std::find(chosen.begin(), chosen.end(), m) != chosen.end()) {
-      continue;
-    }
-    chosen.push_back(m);
-    domains.insert(domain_of(m));
-  }
+  FillDistinctDomains(config_, candidates, need, chosen);
   if (static_cast<int>(chosen.size()) == need) {
     return chosen;
   }
@@ -129,7 +114,7 @@ Detached Node::RunRegionCreate(MachineId from, uint64_t correlation, uint32_t si
     Respond(from, correlation, Status(StatusCode::kFailedPrecondition, "not the CM"), {}, -1);
     co_return;
   }
-  auto replicas = PickReplicas(size, colocate_with, {});
+  auto replicas = PickReplicas(colocate_with);
   if (!replicas.ok()) {
     Respond(from, correlation, replicas.status(), {}, -1);
     co_return;
@@ -313,94 +298,40 @@ void Node::StartReconfiguration(std::vector<MachineId> suspects, const char* rea
 void Node::RemapRegions(Configuration& cfg) const {
   for (auto it = cfg.regions.begin(); it != cfg.regions.end();) {
     RegionPlacement& p = it->second;
-    std::vector<MachineId> survivors;
+    // The surviving replicas, the primary first if it survived.
+    std::vector<MachineId> replicas;
     for (MachineId m : p.Replicas()) {
       if (cfg.Contains(m)) {
-        survivors.push_back(m);
+        replicas.push_back(m);
       }
     }
-    if (survivors.empty()) {
+    if (replicas.empty()) {
       cluster_->NoteRegionLost(it->first);
       it = cfg.regions.erase(it);
       continue;
     }
-    bool changed = static_cast<int>(survivors.size()) != options_.replication_factor ||
-                   survivors[0] != p.primary;
-    if (!changed) {
+    // Promote a surviving backup when the primary failed (fast recovery:
+    // no bulk data movement before the region serves again).
+    const bool primary_failed = replicas[0] != p.primary;
+    if (static_cast<int>(replicas.size()) == options_.replication_factor && !primary_failed) {
       ++it;
       continue;
     }
-    // Promote a surviving backup when the primary failed (fast recovery:
-    // no bulk data movement before the region serves again).
-    bool primary_failed = !cfg.Contains(p.primary);
-    MachineId new_primary = primary_failed ? survivors[0] : p.primary;
     // Re-replicate to restore f+1, balancing load and respecting failure
-    // domains and locality.
-    std::map<MachineId, int> load;
-    for (MachineId m : cfg.machines) {
-      load[m] = 0;
-    }
-    for (const auto& [orid, op] : cfg.regions) {
-      (void)orid;
-      for (MachineId m : op.Replicas()) {
-        if (load.count(m) != 0) {
-          load[m]++;
-        }
-      }
-    }
-    std::set<int> used_domains;
-    auto domain_of = [&](MachineId m) {
-      auto fit = cfg.failure_domains.find(m);
-      return fit == cfg.failure_domains.end() ? static_cast<int>(m) : fit->second;
-    };
-    for (MachineId m : survivors) {
-      used_domains.insert(domain_of(m));
-    }
-    std::vector<MachineId> additions;
-    // Locality: try the colocation target's machines first.
-    std::vector<MachineId> preferred;
+    // domains and locality: the colocation target's machines come first.
+    // Load is recounted per region because earlier remaps move it.
+    std::vector<MachineId> candidates;
     if (p.colocate_with != kInvalidRegion) {
       const RegionPlacement* target = cfg.Placement(p.colocate_with);
       if (target != nullptr) {
-        preferred = target->Replicas();
+        candidates = target->Replicas();
       }
     }
-    std::vector<MachineId> candidates = preferred;
-    {
-      std::vector<MachineId> rest = cfg.machines;
-      std::sort(rest.begin(), rest.end(), [&](MachineId a, MachineId b) {
-        return load[a] != load[b] ? load[a] < load[b] : a < b;
-      });
-      candidates.insert(candidates.end(), rest.begin(), rest.end());
-    }
-    for (MachineId m : candidates) {
-      if (static_cast<int>(survivors.size() + additions.size()) >=
-          options_.replication_factor) {
-        break;
-      }
-      if (!cfg.Contains(m)) {
-        continue;
-      }
-      if (std::find(survivors.begin(), survivors.end(), m) != survivors.end() ||
-          std::find(additions.begin(), additions.end(), m) != additions.end()) {
-        continue;
-      }
-      if (used_domains.count(domain_of(m)) != 0) {
-        continue;
-      }
-      additions.push_back(m);
-      used_domains.insert(domain_of(m));
-    }
-    p.primary = new_primary;
-    p.backups.clear();
-    for (MachineId m : survivors) {
-      if (m != new_primary) {
-        p.backups.push_back(m);
-      }
-    }
-    for (MachineId m : additions) {
-      p.backups.push_back(m);
-    }
+    std::vector<MachineId> by_load = MembersByLoad(cfg);
+    candidates.insert(candidates.end(), by_load.begin(), by_load.end());
+    FillDistinctDomains(cfg, candidates, options_.replication_factor, replicas);
+    p.primary = replicas[0];
+    p.backups.assign(replicas.begin() + 1, replicas.end());
     if (primary_failed) {
       p.last_primary_change = cfg.id;
     }
@@ -462,13 +393,9 @@ Detached Node::RunReconfiguration(std::vector<MachineId> suspects) {
   std::sort(responders.begin(), responders.end());
   next.machines = responders;
   next.cm = id();
-  {
-    std::map<MachineId, int> fd;
-    for (MachineId m : next.machines) {
-      auto it = old.failure_domains.find(m);
-      fd[m] = it == old.failure_domains.end() ? static_cast<int>(m) : it->second;
-    }
-    next.failure_domains = std::move(fd);
+  next.failure_domains.clear();
+  for (MachineId m : next.machines) {
+    next.failure_domains[m] = old.DomainOf(m);
   }
   // Admit machines waiting to rejoin after a restart with empty state. They
   // enter with no regions; RemapRegions below may immediately assign them as

@@ -30,6 +30,23 @@ RegionPlacement GetPlacement(BufReader& r) {
   return p;
 }
 
+std::map<MachineId, int> Configuration::ReplicaLoad() const {
+  std::map<MachineId, int> load;
+  for (MachineId m : machines) {
+    load[m] = 0;
+  }
+  for (const auto& [rid, p] : regions) {
+    (void)rid;
+    for (MachineId m : p.Replicas()) {
+      auto it = load.find(m);
+      if (it != load.end()) {
+        it->second++;
+      }
+    }
+  }
+  return load;
+}
+
 std::vector<uint8_t> Configuration::Serialize() const {
   BufWriter w;
   w.PutU64(id);

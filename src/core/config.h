@@ -80,6 +80,15 @@ struct Configuration {
     return it == regions.end() ? nullptr : &it->second;
   }
 
+  // The failure domain of `m`; a machine with none listed is its own.
+  int DomainOf(MachineId m) const {
+    auto it = failure_domains.find(m);
+    return it == failure_domains.end() ? static_cast<int>(m) : it->second;
+  }
+
+  // The number of region replicas each member hosts (0 for an idle member).
+  std::map<MachineId, int> ReplicaLoad() const;
+
   std::vector<uint8_t> Serialize() const;
   static Configuration Parse(BufReader& r);
   static Configuration ParseBytes(const std::vector<uint8_t>& bytes);

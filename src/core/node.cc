@@ -375,13 +375,18 @@ void Node::QueueTruncation(const TxId& tx_id, const std::vector<MachineId>& hold
                  static_cast<uint8_t>(flight::Phase::kTruncate), 0, "truncate");
     truncate_pending_[tx_id] = {sim().Now(), static_cast<int>(holders.size())};
   }
-  if (!truncate_flush_armed_) {
-    truncate_flush_armed_ = true;
-    sim().After(kTruncateFlushInterval, [this]() {
-      truncate_flush_armed_ = false;
-      FlushTruncations();
-    });
+  ArmTruncateFlush();
+}
+
+void Node::ArmTruncateFlush() {
+  if (truncate_flush_armed_) {
+    return;
   }
+  truncate_flush_armed_ = true;
+  sim().After(kTruncateFlushInterval, [this]() {
+    truncate_flush_armed_ = false;
+    FlushTruncations();
+  });
 }
 
 std::vector<TxId> Node::TakeTruncationsFor(MachineId dst, size_t max) {
@@ -450,12 +455,8 @@ void Node::FlushTruncations() {
     }
     (void)messenger_->AppendLog(m, rec, len, 0);
   }
-  if (!pending_truncations_.empty() && !truncate_flush_armed_) {
-    truncate_flush_armed_ = true;
-    sim().After(kTruncateFlushInterval, [this]() {
-      truncate_flush_armed_ = false;
-      FlushTruncations();
-    });
+  if (!pending_truncations_.empty()) {
+    ArmTruncateFlush();
   }
 }
 
@@ -554,7 +555,6 @@ void Node::ProcessLock(MachineId from, const TxLogRecord& rec) {
   }
   HwThread& worker_thread = machine_->thread(messenger_->WorkerFor(from));
   PendingTx pending;
-  pending.coordinator = from;
   pending.lock_record = rec;
 
   // Precise membership (section 3): reject lock requests from coordinators
@@ -570,34 +570,28 @@ void Node::ProcessLock(MachineId from, const TxLogRecord& rec) {
     return;
   }
 
-  bool ok = true;
-  RegionId conflict_region = 0;
-  std::vector<const WireWrite*> locked;
-  for (const WireWrite& w : rec.writes) {
+  size_t locked = 0;
+  for (; locked < rec.writes.size(); locked++) {
+    const WireWrite& w = rec.writes[locked];
     RegionReplica* rep = replica(w.addr.region);
     if (rep == nullptr || !IsPrimaryOf(w.addr.region) || !rep->active()) {
-      ok = false;
-      conflict_region = w.addr.region;
       break;
     }
     worker_thread.InjectBusy(fabric().cost().cpu_lock_per_object);
     uint64_t expected = w.ExpectedWord();
-    uint64_t desired = VersionWord::WithLock(expected);
-    if (!rep->CasHeader(w.addr.offset, expected, desired)) {
-      ok = false;
-      conflict_region = w.addr.region;
+    if (!rep->CasHeader(w.addr.offset, expected, VersionWord::WithLock(expected))) {
       break;
     }
-    locked.push_back(&w);
   }
+  const bool ok = locked == rec.writes.size();
   if (!ok) {
     // Roll back the locks taken by this record and report failure; the
     // coordinator will write an ABORT record.
-    for (const WireWrite* w : locked) {
-      RegionReplica* rep = replica(w->addr.region);
-      rep->WriteHeader(w->addr.offset, w->ExpectedWord());
+    for (size_t i = 0; i < locked; i++) {
+      Unlock(rec.writes[i]);
     }
-    emit_.TxStep(rec.tx, flight::EventKind::kLockReject, /*arg=*/0, conflict_region);
+    emit_.TxStep(rec.tx, flight::EventKind::kLockReject, /*arg=*/0,
+                 rec.writes[locked].addr.region);
   } else {
     pending.locks_held = true;
     pending_[rec.tx] = std::move(pending);
@@ -612,32 +606,35 @@ void Node::ProcessLock(MachineId from, const TxLogRecord& rec) {
   messenger_->SendMessage(from, MsgType::kLockReply, w.Take(), -1);
 }
 
-void Node::ApplyWriteAtPrimary(const WireWrite& w) {
+bool Node::ApplyWrite(const WireWrite& w) {
   RegionReplica* rep = replica(w.addr.region);
-  FARM_CHECK(rep != nullptr);
-  uint64_t word = VersionWord::Pack(w.expected_version + 1, w.AllocAfter(), false);
+  // A missing replica means placement changed and data recovery brings this
+  // machine up to date; a later version means a newer transaction applied.
+  if (rep == nullptr ||
+      VersionWord::Version(rep->ReadHeader(w.addr.offset)) > w.expected_version) {
+    return false;
+  }
   rep->WriteData(w.addr.offset, w.value.data(), static_cast<uint32_t>(w.value.size()));
-  rep->WriteHeader(w.addr.offset, word);
-  if (w.clear_alloc) {
+  rep->WriteHeader(w.addr.offset,
+                   VersionWord::Pack(w.expected_version + 1, w.AllocAfter(), false));
+  if (w.clear_alloc && IsPrimaryOf(w.addr.region)) {
     RegionAllocator* alloc = allocator(w.addr.region);
     if (alloc != nullptr) {
       alloc->OnFreeCommitted(w.addr);
     }
   }
+  return true;
 }
 
-void Node::ApplyWriteAtBackup(const WireWrite& w) {
+void Node::Unlock(const WireWrite& w) {
   RegionReplica* rep = replica(w.addr.region);
   if (rep == nullptr) {
-    return;  // placement changed; data recovery will bring us up to date
+    return;
   }
   uint64_t current = rep->ReadHeader(w.addr.offset);
-  uint64_t new_version = w.expected_version + 1;
-  if (VersionWord::Version(current) >= new_version) {
-    return;  // a newer transaction already applied here
+  if (VersionWord::Version(current) == w.expected_version && VersionWord::IsLocked(current)) {
+    rep->WriteHeader(w.addr.offset, w.ExpectedWord());
   }
-  rep->WriteData(w.addr.offset, w.value.data(), static_cast<uint32_t>(w.value.size()));
-  rep->WriteHeader(w.addr.offset, VersionWord::Pack(new_version, w.AllocAfter(), false));
 }
 
 void Node::ProcessCommitPrimary(MachineId from, const TxLogRecord& rec) {
@@ -650,7 +647,8 @@ void Node::ProcessCommitPrimary(MachineId from, const TxLogRecord& rec) {
   HwThread& worker_thread = machine_->thread(messenger_->WorkerFor(rec.tx.machine));
   for (const WireWrite& w : it->second.lock_record.writes) {
     worker_thread.InjectBusy(fabric().cost().cpu_lock_per_object);
-    ApplyWriteAtPrimary(w);
+    // The held lock pins the object at `expected_version`.
+    FARM_CHECK(ApplyWrite(w));
   }
   it->second.applied = true;
   it->second.locks_held = false;
@@ -665,10 +663,7 @@ void Node::ProcessAbort(MachineId from, const TxLogRecord& rec) {
   emit_.TxStep(rec.tx, flight::EventKind::kAbortRecord, 0, from);
   if (it->second.locks_held && !it->second.applied) {
     for (const WireWrite& w : it->second.lock_record.writes) {
-      RegionReplica* rep = replica(w.addr.region);
-      if (rep != nullptr) {
-        rep->WriteHeader(w.addr.offset, w.ExpectedWord());
-      }
+      Unlock(w);
     }
     it->second.locks_held = false;
   }
@@ -686,7 +681,7 @@ void Node::ProcessTruncation(MachineId from, const TxId& id, bool apply_backup_w
         HwThread& worker_thread = machine_->thread(messenger_->WorkerFor(l.from));
         for (const WireWrite& w : l.rec.writes) {
           worker_thread.InjectBusy(fabric().cost().cpu_lock_per_object);
-          ApplyWriteAtBackup(w);
+          ApplyWrite(w);
         }
       }
       messenger_->TruncateLogRecord(l.from, l.seq);
@@ -947,14 +942,18 @@ void Node::ShipPendingBlockHeaders(RegionId rid) {
     return;
   }
   auto headers = alloc->TakePendingBlockHeaders();
-  if (headers.empty()) {
-    return;
+  if (!headers.empty()) {
+    SendBlockHeaders(rid, headers);
   }
+}
+
+void Node::SendBlockHeaders(RegionId rid,
+                            const std::vector<RegionAllocator::BlockHeader>& headers) {
   const RegionPlacement* p = config_.Placement(rid);
   if (p == nullptr) {
     return;
   }
-  BufWriter w;
+  BufWriter w(8 + 8 * headers.size());
   w.PutU32(rid);
   w.PutU32(static_cast<uint32_t>(headers.size()));
   for (const auto& h : headers) {

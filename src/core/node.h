@@ -260,8 +260,13 @@ class Node {
   // `apply_backup_writes` is false only for TRUNCATE-RECOVERY after an abort
   // decision: the kept COMMIT-BACKUP records must be discarded, not applied.
   void ProcessTruncation(MachineId from, const TxId& id, bool apply_backup_writes = true);
-  void ApplyWriteAtPrimary(const WireWrite& w);
-  void ApplyWriteAtBackup(const WireWrite& w);
+  // Installs a committed write at this replica unless the replica is gone or
+  // the object is already past `expected_version`; at the region's primary a
+  // slot the write freed goes back to the allocator. False if skipped.
+  bool ApplyWrite(const WireWrite& w);
+  // Releases the lock a write's transaction holds: restores the header only
+  // while it is locked at `expected_version`.
+  void Unlock(const WireWrite& w);
   // Stores `ref` in ref_cache_ and returns it.
   RegionRef CacheRef(RegionId region, RegionRef ref);
 
@@ -270,10 +275,13 @@ class Node {
   void HandleRefRequest(MachineId from, BufReader& r);
   void HandleBlockHeader(MachineId from, BufReader& r);
   void FlushTruncations();  // periodic explicit TRUNCATE records
+  void ArmTruncateFlush();   // schedules FlushTruncations unless one is due
   // One holder's truncation id left the queue; records the truncate phase
   // once the last holder's copy is dispatched (or abandons it for dead peers).
   void TruncationDequeued(const TxId& id, bool dispatched);
   void ShipPendingBlockHeaders(RegionId r);
+  // Sends `headers` of region `r` to its backups (section 5.5).
+  void SendBlockHeaders(RegionId r, const std::vector<RegionAllocator::BlockHeader>& headers);
 
   // ---- CM-side duties (cm.cc) ----
   void HandleJoinRequest(MachineId from, BufReader& r);
@@ -288,8 +296,11 @@ class Node {
   Detached RunRegionCreate(MachineId from, uint64_t correlation, uint32_t size,
                            uint32_t object_stride, RegionId colocate_with);
   Detached RunReconfiguration(std::vector<MachineId> suspects);
-  StatusOr<std::vector<MachineId>> PickReplicas(uint32_t size, RegionId colocate_with,
-                                                const std::vector<MachineId>& exclude) const;
+  // f+1 members in distinct failure domains for a new region: the
+  // colocation target's replicas if all are members, else the least loaded.
+  StatusOr<std::vector<MachineId>> PickReplicas(RegionId colocate_with) const;
+  // Drops failed replicas from `cfg`'s placements, promotes a surviving
+  // backup where the primary failed, and refills each region to f+1.
   void RemapRegions(Configuration& cfg) const;
   void HandleRegionsActive(MachineId from, BufReader& r);
   void BroadcastAllRegionsActive();
@@ -300,13 +311,15 @@ class Node {
     bool saw_abort_recovery = false;
     bool has_contents = false;
     TxLogRecord contents;  // lock-record contents (writes for this machine)
+
+    // Folds in one piece of evidence: keeps the stronger vote and the first
+    // contents seen (`rec` may be null).
+    void Merge(Vote s, const TxLogRecord* rec);
   };
   struct RegionRecoveryTx {
     ReplicaTxState merged;
     std::set<MachineId> backups_with_state;
-    std::set<MachineId> backups_missing_state;
     int replicate_acks_pending = 0;
-    bool locks_taken = false;
     bool voted = false;
   };
   struct RegionRecovery {
@@ -331,6 +344,10 @@ class Node {
   Detached FinishLockRecovery(RegionId region);
   void CheckAllRegionsActive();
   void SendVotesForRegion(RegionId region);
+  void SendVote(MachineId dst, RegionId region, const TxId& id, Vote v,
+                const std::vector<RegionId>& written_regions);
+  // Every replica of `regions` in the current configuration.
+  std::set<MachineId> ReplicasOf(const std::set<RegionId>& regions) const;
   Vote ComputeVote(const RegionRecoveryTx& t) const;
   MachineId RecoveryCoordinatorFor(const TxId& id) const;
   void HandleNeedRecovery(MachineId from, BufReader& r);
@@ -387,7 +404,6 @@ class Node {
 
   // Participant-side state.
   struct PendingTx {
-    MachineId coordinator = kInvalidMachine;
     TxLogRecord lock_record;
     bool locks_held = false;
     bool applied = false;

@@ -32,6 +32,16 @@ bool Stronger(Vote a, Vote b) { return static_cast<int>(a) < static_cast<int>(b)
 
 }  // namespace
 
+void Node::ReplicaTxState::Merge(Vote s, const TxLogRecord* rec) {
+  if (Stronger(s, strength)) {
+    strength = s;
+  }
+  if (rec != nullptr && !has_contents) {
+    has_contents = true;
+    contents = *rec;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Recovering-transaction identification (step 3)
 // ---------------------------------------------------------------------------
@@ -189,17 +199,11 @@ void Node::BeginTransactionStateRecovery() {
         continue;
       }
       TxView& tv = by_tx[tid];
-      ReplicaTxState& v = tv.state;
-      Vote s = StrengthOf(rec.type);
-      if (Stronger(s, v.strength)) {
-        v.strength = s;
-      }
-      if (rec.type == LogRecordType::kLock || rec.type == LogRecordType::kCommitBackup) {
+      const bool carries_writes =
+          rec.type == LogRecordType::kLock || rec.type == LogRecordType::kCommitBackup;
+      tv.state.Merge(StrengthOf(rec.type), carries_writes ? &rec : nullptr);
+      if (carries_writes) {
         tv.regions = rec.written_regions;
-        if (!v.has_contents) {
-          v.has_contents = true;
-          v.contents = rec;
-        }
       }
     }
   }
@@ -218,25 +222,17 @@ void Node::BeginTransactionStateRecovery() {
       continue;
     }
     TxView& tv = by_tx[ptid];
-    ReplicaTxState& v = tv.state;
     if (has_rec) {
-      Vote s = StrengthOf(pend.lock_record.type);
-      if (Stronger(s, v.strength)) {
-        v.strength = s;
-      }
+      tv.state.Merge(StrengthOf(pend.lock_record.type), &pend.lock_record);
       if (tv.regions.empty()) {
         tv.regions = pend.lock_record.written_regions;
       }
-      if (!v.has_contents) {
-        v.has_contents = true;
-        v.contents = pend.lock_record;
-      }
     }
-    if (pend.commit_recovered && Stronger(Vote::kCommitPrimary, v.strength)) {
-      v.strength = Vote::kCommitPrimary;
+    if (pend.commit_recovered) {
+      tv.state.Merge(Vote::kCommitPrimary, nullptr);
     }
     if (pend.abort_recovered) {
-      v.saw_abort_recovery = true;
+      tv.state.saw_abort_recovery = true;
     }
   }
 
@@ -275,14 +271,8 @@ void Node::BeginTransactionStateRecovery() {
       auto lit = local.find(rid);
       if (lit != local.end()) {
         for (auto& [tid, state] : lit->second) {
-          RegionRecoveryTx& t = rr.txs[tid];
-          if (Stronger(state.strength, t.merged.strength)) {
-            t.merged.strength = state.strength;
-          }
-          if (state.has_contents && !t.merged.has_contents) {
-            t.merged.has_contents = true;
-            t.merged.contents = state.contents;
-          }
+          rr.txs[tid].merged.Merge(state.strength,
+                                   state.has_contents ? &state.contents : nullptr);
         }
       }
       MaybeStartLockRecovery(rid);
@@ -329,7 +319,8 @@ void Node::BeginTransactionStateRecovery() {
   }
 
   // Ship full allocator block headers for regions whose replica set changed
-  // (new primaries/backups need them for recovery; section 5.5).
+  // (new primaries/backups need them for recovery; section 5.5), even when
+  // no block is formatted yet.
   for (const auto& [rid, p] : config_.regions) {
     if (p.primary != id() || p.last_replica_change != config_.id) {
       continue;
@@ -339,24 +330,13 @@ void Node::BeginTransactionStateRecovery() {
       continue;
     }
     const auto& payloads = alloc->block_slot_payloads();
-    BufWriter w;
-    w.PutU32(rid);
-    uint32_t count = 0;
+    std::vector<RegionAllocator::BlockHeader> headers;
     for (uint32_t b = 0; b < payloads.size(); b++) {
       if (payloads[b] != 0) {
-        count++;
+        headers.push_back({b, payloads[b]});
       }
     }
-    w.PutU32(count);
-    for (uint32_t b = 0; b < payloads.size(); b++) {
-      if (payloads[b] != 0) {
-        w.PutU32(b);
-        w.PutU32(payloads[b]);
-      }
-    }
-    for (MachineId bm : p.backups) {
-      messenger_->SendMessage(bm, MsgType::kBlockHeader, w.bytes(), -1);
-    }
+    SendBlockHeaders(rid, headers);
   }
 
   CheckAllRegionsActive();
@@ -384,14 +364,10 @@ void Node::HandleNeedRecovery(MachineId from, BufReader& r) {
     bool saw_abort = r.GetU8() != 0;
     bool has_contents = r.GetU8() != 0;
     RegionRecoveryTx& t = rr.txs[tid];
-    if (Stronger(strength, t.merged.strength)) {
-      t.merged.strength = strength;
-    }
+    t.merged.Merge(strength, nullptr);
     t.merged.saw_abort_recovery = t.merged.saw_abort_recovery || saw_abort;
     if (has_contents) {
       t.backups_with_state.insert(from);
-    } else {
-      t.backups_missing_state.insert(from);
     }
   }
   // Backups that reported nothing for a transaction other backups know
@@ -473,7 +449,6 @@ Detached Node::FinishLockRecovery(RegionId region) {
         rep->WriteHeader(w.addr.offset, VersionWord::WithLock(w.ExpectedWord()));
       }
     }
-    t.locks_taken = true;
   }
 
   // The region becomes active: new transactions may read and commit here in
@@ -556,8 +531,7 @@ void Node::HandleReplicateTxState(MachineId from, BufReader& r) {
     TxLogRecord rec = TxLogRecord::Parse(SharedBytes(std::move(bytes)));
     auto& pending = pending_[tid];
     if (pending.lock_record.writes.empty()) {
-      pending.coordinator = tid.machine;
-      pending.lock_record = rec;
+      pending.lock_record = std::move(rec);
     }
   }
   BufWriter w;
@@ -639,18 +613,22 @@ void Node::SendVotesForRegion(RegionId region) {
     out.push_back({tid, ComputeVote(t), t.merged.contents.written_regions});
   }
   for (const PendingVote& pv : out) {
-    MachineId coord = RecoveryCoordinatorFor(pv.tid);
-    BufWriter w;
-    w.PutU64(config_.id);
-    w.PutU32(region);
-    PutTxId(w, pv.tid);
-    w.PutU32(static_cast<uint32_t>(pv.regions.size()));
-    for (RegionId rr : pv.regions) {
-      w.PutU32(rr);
-    }
-    w.PutU8(static_cast<uint8_t>(pv.vote));
-    Deliver(coord, MsgType::kRecoveryVote, w.Take());
+    SendVote(RecoveryCoordinatorFor(pv.tid), region, pv.tid, pv.vote, pv.regions);
   }
+}
+
+void Node::SendVote(MachineId dst, RegionId region, const TxId& tid, Vote v,
+                    const std::vector<RegionId>& written_regions) {
+  BufWriter w;
+  w.PutU64(config_.id);
+  w.PutU32(region);
+  PutTxId(w, tid);
+  w.PutU32(static_cast<uint32_t>(written_regions.size()));
+  for (RegionId r : written_regions) {
+    w.PutU32(r);
+  }
+  w.PutU8(static_cast<uint8_t>(v));
+  Deliver(dst, MsgType::kRecoveryVote, w.Take());
 }
 
 void Node::HandleRecoveryVote(MachineId from, BufReader& r) {
@@ -757,8 +735,6 @@ void Node::HandleRequestVote(MachineId from, BufReader& r) {
   if (cid != config_.id) {
     return;
   }
-  Vote v;
-  std::vector<RegionId> modified;
   auto it = region_recovery_.find(rid);
   if (it != region_recovery_.end() && it->second.txs.count(tid) != 0) {
     RegionRecoveryTx& t = it->second.txs[tid];
@@ -766,23 +742,10 @@ void Node::HandleRequestVote(MachineId from, BufReader& r) {
       return;  // vote after replication completes (SendVotesForRegion)
     }
     t.voted = true;
-    v = ComputeVote(t);
-    modified = t.merged.contents.written_regions;
-  } else if (truncated_.Contains(tid)) {
-    v = Vote::kTruncated;
-  } else {
-    v = Vote::kUnknown;
+    SendVote(from, rid, tid, ComputeVote(t), t.merged.contents.written_regions);
+    return;
   }
-  BufWriter w;
-  w.PutU64(config_.id);
-  w.PutU32(rid);
-  PutTxId(w, tid);
-  w.PutU32(static_cast<uint32_t>(modified.size()));
-  for (RegionId m : modified) {
-    w.PutU32(m);
-  }
-  w.PutU8(static_cast<uint8_t>(v));
-  Deliver(from, MsgType::kRecoveryVote, w.Take());
+  SendVote(from, rid, tid, truncated_.Contains(tid) ? Vote::kTruncated : Vote::kUnknown, {});
 }
 
 // ---------------------------------------------------------------------------
@@ -850,16 +813,7 @@ void Node::Decide(const TxId& tid, bool commit) {
                                            : flight::RecoveryStep::kDecideAbort),
                0, commit ? "decide-commit" : "decide-abort");
 
-  std::set<MachineId> replicas;
-  for (RegionId r : d.regions) {
-    const RegionPlacement* p = config_.Placement(r);
-    if (p == nullptr) {
-      continue;
-    }
-    for (MachineId m : p->Replicas()) {
-      replicas.insert(m);
-    }
-  }
+  const std::set<MachineId> replicas = ReplicasOf(d.regions);
   // Count all acks before delivering anything: the local delivery below acks
   // synchronously, and an early zero would broadcast TRUNCATE-RECOVERY ahead
   // of the decision itself.
@@ -897,6 +851,18 @@ void Node::ResolveInflightByRecovery(const TxId& tid, bool commit) {
   }
 }
 
+std::set<MachineId> Node::ReplicasOf(const std::set<RegionId>& regions) const {
+  std::set<MachineId> out;
+  for (RegionId r : regions) {
+    const RegionPlacement* p = config_.Placement(r);
+    if (p != nullptr) {
+      out.insert(p->primary);
+      out.insert(p->backups.begin(), p->backups.end());
+    }
+  }
+  return out;
+}
+
 void Node::HandleRecoveryDecision(MachineId from, MsgType type, BufReader& r) {
   TxId tid = GetTxId(r);
   bool commit = type == MsgType::kCommitRecovery;
@@ -912,9 +878,6 @@ void Node::HandleRecoveryDecision(MachineId from, MsgType type, BufReader& r) {
   // resurrected from a stale COMMIT-BACKUP record.
   {
     auto& mem = pending_[tid];
-    if (mem.coordinator == kInvalidMachine) {
-      mem.coordinator = tid.machine;
-    }
     if (commit) {
       mem.commit_recovered = true;
     } else {
@@ -944,33 +907,14 @@ void Node::HandleRecoveryDecision(MachineId from, MsgType type, BufReader& r) {
     return;
   }
 
+  // Commit installs the writes; abort releases the (recovery or normal)
+  // locks, restoring the pre-transaction headers.
   auto apply = [&](const TxLogRecord& rec) {
     for (const WireWrite& w : rec.writes) {
-      RegionReplica* rep = replica(w.addr.region);
-      if (rep == nullptr) {
-        continue;
-      }
-      uint64_t current = rep->ReadHeader(w.addr.offset);
       if (commit) {
-        if (VersionWord::Version(current) <= w.expected_version) {
-          rep->WriteData(w.addr.offset, w.value.data(),
-                         static_cast<uint32_t>(w.value.size()));
-          rep->WriteHeader(w.addr.offset,
-                           VersionWord::Pack(w.expected_version + 1, w.AllocAfter(), false));
-          if (w.clear_alloc && IsPrimaryOf(w.addr.region)) {
-            RegionAllocator* alloc = allocator(w.addr.region);
-            if (alloc != nullptr) {
-              alloc->OnFreeCommitted(w.addr);
-            }
-          }
-        }
+        ApplyWrite(w);
       } else {
-        // Abort: release the (recovery or normal) lock, restoring the
-        // pre-transaction header.
-        if (VersionWord::Version(current) == w.expected_version &&
-            VersionWord::IsLocked(current)) {
-          rep->WriteHeader(w.addr.offset, w.ExpectedWord());
-        }
+        Unlock(w);
       }
     }
   };
@@ -1012,16 +956,7 @@ void Node::OnRecoveryDecisionAck(MachineId from, const TxId& tid) {
     // Decision durable at every participant: expose the outcome, then
     // TRUNCATE-RECOVERY to every replica.
     ResolveInflightByRecovery(tid, d.committed);
-    std::set<MachineId> replicas;
-    for (RegionId r : d.regions) {
-      const RegionPlacement* p = config_.Placement(r);
-      if (p == nullptr) {
-        continue;
-      }
-      for (MachineId m : p->Replicas()) {
-        replicas.insert(m);
-      }
-    }
+    const std::set<MachineId> replicas = ReplicasOf(d.regions);
     // The truncation carries the decision: after an abort, stale
     // COMMIT-BACKUP records must be discarded, not applied.
     BufWriter w;

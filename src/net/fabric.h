@@ -160,12 +160,10 @@ class Fabric {
  private:
   struct NicPort {
     SimTime busy_until = 0;
-    SimDuration total_busy = 0;
 
     SimTime Acquire(SimTime now, SimDuration occupancy) {
       SimTime start = now > busy_until ? now : busy_until;
       busy_until = start + occupancy;
-      total_busy += occupancy;
       return busy_until;
     }
   };

@@ -165,14 +165,10 @@ Detached CoordinationService::SyncAndServe(size_t replica_idx, std::function<voi
   if (*responses >= majority) {
     rep.value = *best;
     rep.synced = true;
-    then();
-  } else {
-    // Cannot obtain a consistent view; refuse to serve.
-    BufWriter out;
-    out.PutU8(static_cast<uint8_t>(WireStatus::kUnavailable));
-    (void)out;
-    then();  // serve() will run against an unsynced replica; mark unavailable
   }
+  // Without a majority the replica stays unsynced, and serve() answers
+  // kUnavailable.
+  then();
 }
 
 void CoordinationService::ProcessCas(size_t replica_idx, std::vector<uint8_t> req,

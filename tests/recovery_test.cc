@@ -3,6 +3,12 @@
 // invariants under failures (sections 5.1-5.5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+
+#include "src/obs/fault_hook.h"
 #include "tests/test_util.h"
 
 namespace farm {
@@ -387,6 +393,182 @@ TEST_F(RecoveryTest, AllocatorFreeListsRecoverOnPromotedPrimary) {
   auto more = RunTask(*cluster_, alloc_some(rid, 5, coord));
   ASSERT_TRUE(more.has_value());
   EXPECT_TRUE(more->ok()) << more->ToString();
+}
+
+// Kills `victim` once, right after it reaches fault point `point`. Like the
+// chaos explorer's injector, it defers the kill through the simulator. It is
+// the cluster's fault hook while it lives.
+class KillAtPoint : public fault::Hook {
+ public:
+  KillAtPoint(Cluster* cluster, MachineId victim, std::string point)
+      : cluster_(cluster), victim_(victim), point_(std::move(point)) {
+    cluster_->SetFaultHook(this);
+  }
+  ~KillAtPoint() override { cluster_->SetFaultHook(nullptr); }
+  KillAtPoint(const KillAtPoint&) = delete;
+  KillAtPoint& operator=(const KillAtPoint&) = delete;
+
+  uint32_t OnPoint(uint32_t machine, const char* point, uint64_t arg) override {
+    (void)arg;
+    if (!fired_ && machine == victim_ && point_ == point) {
+      fired_ = true;
+      Cluster* c = cluster_;
+      MachineId m = victim_;
+      c->sim().At(c->sim().Now(), [c, m]() { c->Kill(m); });
+    }
+    return fault::kEffectNone;
+  }
+  bool fired() const { return fired_; }
+
+ private:
+  Cluster* cluster_;
+  MachineId victim_;
+  std::string point_;
+  bool fired_ = false;
+};
+
+// A free whose coordinator dies before COMMIT-PRIMARY is committed by
+// recovery: every surviving replica installs it, and only the primary gets
+// the freed slot back (backups keep no free lists).
+TEST_F(RecoveryTest, RecoveryCommittedFreeReturnsSlotAtPrimaryOnly) {
+  Boot();
+  RegionId rid = MustCreateRegion(*cluster_, 256 << 10, 0);  // slab-managed
+  const RegionPlacement p = *cluster_->node(0).config().Placement(rid);
+  MachineId coord = kInvalidMachine;
+  for (int i = 0; i < cluster_->num_machines(); i++) {
+    MachineId m = static_cast<MachineId>(i);
+    if (!p.Contains(m) && m != cluster_->node(0).config().cm) {
+      coord = m;
+      break;
+    }
+  }
+  ASSERT_NE(coord, kInvalidMachine);
+
+  auto alloc = [](Cluster* c, MachineId node, RegionId r) -> Task<StatusOr<GlobalAddr>> {
+    auto tx = c->node(node).Begin(0);
+    auto a = co_await tx->Alloc(r, 32);
+    if (!a.ok()) {
+      co_return a.status();
+    }
+    (void)tx->Write(*a, std::vector<uint8_t>(32, 7));
+    Status s = co_await tx->Commit();
+    if (!s.ok()) {
+      co_return s;
+    }
+    co_return *a;
+  };
+  auto addr = RunTask(*cluster_, alloc(cluster_.get(), coord, rid));
+  ASSERT_TRUE(addr.has_value() && addr->ok());
+  const GlobalAddr obj = **addr;
+  cluster_->RunFor(20 * kMillisecond);  // truncation installs it at the backups
+
+  std::map<MachineId, size_t> free_before;
+  for (MachineId m : p.Replicas()) {
+    free_before[m] = cluster_->node(m).allocator(rid)->FreeSlots();
+  }
+  const uint64_t header = cluster_->node(p.primary).replica(rid)->ReadHeader(obj.offset);
+  ASSERT_TRUE(VersionWord::IsAllocated(header));
+  const uint64_t version = VersionWord::Version(header);
+
+  KillAtPoint hook(cluster_.get(), coord, "phase-begin:commit_primary");
+  auto free_tx = [](Cluster* c, MachineId node, GlobalAddr a) -> Task<void> {
+    auto tx = c->node(node).Begin(0);
+    auto r = co_await tx->Read(a, 32);
+    if (r.ok() && tx->Free(a).ok()) {
+      (void)co_await tx->Commit();
+    }
+  };
+  Spawn(free_tx(cluster_.get(), coord, obj));
+  ASSERT_TRUE(RunUntil(*cluster_, [&]() { return hook.fired(); }, kSecond));
+  cluster_->RunFor(kMicrosecond);  // runs the deferred kill
+  ASSERT_FALSE(cluster_->machine(coord).alive());
+  ASSERT_TRUE(WaitEvicted(coord));
+
+  // The coordinator never wrote COMMIT-PRIMARY, so only recovery can
+  // install the free.
+  ASSERT_TRUE(RunUntil(
+      *cluster_,
+      [&]() {
+        for (MachineId m : p.Replicas()) {
+          uint64_t w = cluster_->node(m).replica(rid)->ReadHeader(obj.offset);
+          if (VersionWord::Version(w) != version + 1) {
+            return false;
+          }
+        }
+        return true;
+      },
+      2 * kSecond));
+  EXPECT_GE(cluster_->TotalStats().recovering_txs_seen, 1u);
+  for (MachineId m : p.Replicas()) {
+    uint64_t w = cluster_->node(m).replica(rid)->ReadHeader(obj.offset);
+    EXPECT_FALSE(VersionWord::IsAllocated(w)) << "machine " << m;
+    EXPECT_FALSE(VersionWord::IsLocked(w)) << "machine " << m;
+    size_t expected = free_before[m] + (m == p.primary ? 1 : 0);
+    EXPECT_EQ(cluster_->node(m).allocator(rid)->FreeSlots(), expected) << "machine " << m;
+  }
+}
+
+// Section 3's placement rule: f+1 replicas in distinct failure domains, at
+// creation (where a colocated region shares its target's replicas) and
+// again after a failure remaps the regions that lost a replica. With 6
+// machines in 3 domains the remap has one machine to pick from; with 9 it
+// has two, so only the colocation preference makes the colocated region
+// pick its target's new backup.
+TEST_F(RecoveryTest, PlacementKeepsReplicasInDistinctFailureDomains) {
+  for (int machines : {6, 9}) {
+    SCOPED_TRACE(testing::Message() << machines << " machines");
+    ClusterOptions opts = SmallClusterOptions(machines, 1);
+    opts.failure_domains = 3;
+    cluster_.reset();
+    cluster_ = MakeStartedCluster(opts);
+    auto distinct_domains = [this](const RegionPlacement& p) {
+      std::set<int> domains;
+      for (MachineId m : p.Replicas()) {
+        domains.insert(cluster_->FailureDomainOf(m));
+      }
+      return p.Replicas().size() == 3 && domains.size() == 3;
+    };
+    auto sorted_replicas = [](const RegionPlacement& p) {
+      std::vector<MachineId> r = p.Replicas();
+      std::sort(r.begin(), r.end());
+      return r;
+    };
+
+    std::vector<RegionId> regions;
+    for (int i = 0; i < 4; i++) {
+      regions.push_back(MustCreateRegion(*cluster_, 64 << 10, 16));
+    }
+    const RegionId target = regions[1];
+    const RegionId colocated = MustCreateRegion(*cluster_, 64 << 10, 16, target);
+    regions.push_back(colocated);
+    const Configuration& before = cluster_->node(0).config();
+    for (RegionId r : regions) {
+      ASSERT_NE(before.Placement(r), nullptr);
+      EXPECT_TRUE(distinct_domains(*before.Placement(r))) << "region " << r;
+    }
+    EXPECT_EQ(before.Placement(colocated)->Replicas(), before.Placement(target)->Replicas());
+
+    MachineId victim = kInvalidMachine;
+    for (MachineId m : before.Placement(target)->Replicas()) {
+      if (m != before.cm) {
+        victim = m;
+        break;
+      }
+    }
+    ASSERT_NE(victim, kInvalidMachine);
+    cluster_->Kill(victim);
+    ASSERT_TRUE(WaitEvicted(victim));
+
+    const Configuration& after = cluster_->node(LiveCoordinator()).config();
+    for (RegionId r : regions) {
+      const RegionPlacement* p = after.Placement(r);
+      ASSERT_NE(p, nullptr);
+      EXPECT_FALSE(p->Contains(victim)) << "region " << r;
+      EXPECT_TRUE(distinct_domains(*p)) << "region " << r;
+    }
+    EXPECT_EQ(sorted_replicas(*after.Placement(colocated)),
+              sorted_replicas(*after.Placement(target)));
+  }
 }
 
 TEST_F(RecoveryTest, MinorityPartitionStalls) {
