@@ -19,7 +19,7 @@ DriverResult RunVariant(bool function_ship) {
   TatpOptions topts;
   topts.subscribers = 20000;
   topts.function_ship_updates = function_ship;
-  auto db = bench::AwaitTask(
+  auto db = RunTask(
       *cluster,
       [](Cluster* c, TatpOptions o) -> Task<StatusOr<TatpDb>> {
         co_return co_await TatpDb::Create(*c, o);

@@ -27,7 +27,7 @@ void Run() {
   topts.customers = 48;
   topts.items = 300;
   topts.init_orders = 12;
-  auto db = bench::AwaitTask(
+  auto db = RunTask(
       *cluster,
       [](Cluster* c, TpccOptions o) -> Task<StatusOr<TpccDb>> {
         co_return co_await TpccDb::Create(*c, o);

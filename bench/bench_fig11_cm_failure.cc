@@ -18,7 +18,7 @@ bench::TimelineResult RunOne(MachineId victim, const char* label) {
 
   TatpOptions topts;
   topts.subscribers = 12000;
-  auto db = bench::AwaitTask(
+  auto db = RunTask(
       *cluster,
       [](Cluster* c, TatpOptions o) -> Task<StatusOr<TatpDb>> {
         co_return co_await TatpDb::Create(*c, o);

@@ -27,7 +27,7 @@ RunResult OneRun(uint64_t seed) {
   TatpOptions topts;
   topts.subscribers = 6000;  // smaller data set, as in the paper's variant
   topts.load_seed = seed;
-  auto db = bench::AwaitTask(
+  auto db = RunTask(
       *cluster,
       [](Cluster* c, TatpOptions o) -> Task<StatusOr<TatpDb>> {
         co_return co_await TatpDb::Create(*c, o);

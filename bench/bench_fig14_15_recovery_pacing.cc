@@ -31,7 +31,7 @@ PacingResult RunTatp(uint32_t block_bytes, SimDuration interval, int concurrent,
 
   TatpOptions topts;
   topts.subscribers = 40000;
-  auto db = bench::AwaitTask(
+  auto db = RunTask(
       *cluster,
       [](Cluster* c, TatpOptions o) -> Task<StatusOr<TatpDb>> {
         co_return co_await TatpDb::Create(*c, o);
@@ -116,7 +116,7 @@ void Run() {
     topts.customers = 48;
     topts.items = 300;
     topts.init_orders = 12;
-    auto db = bench::AwaitTask(
+    auto db = RunTask(
         *cluster,
         [](Cluster* c, TpccOptions o) -> Task<StatusOr<TpccDb>> {
           co_return co_await TpccDb::Create(*c, o);

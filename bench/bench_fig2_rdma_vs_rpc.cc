@@ -31,11 +31,11 @@ struct Rig {
 
 std::unique_ptr<Rig> MakeRig() {
   auto rig = std::make_unique<Rig>();
-  rig->fabric = std::make_unique<Fabric>(rig->sim, CostModel{});
+  rig->fabric = std::make_unique<Fabric>(rig->sim);
   for (MachineId m = 0; m < kMachines; m++) {
     rig->machines.push_back(std::make_unique<Machine>(rig->sim, m, kThreads, m));
     rig->stores.push_back(std::make_unique<NvramStore>());
-    rig->fabric->AddMachine(rig->machines.back().get(), rig->stores.back().get(), 2);
+    rig->fabric->AddMachine(rig->machines.back().get(), rig->stores.back().get());
     rig->blobs.push_back(rig->stores.back()->Allocate(4096));
   }
   return rig;

@@ -24,7 +24,7 @@ void Run() {
 
   TatpOptions topts;
   topts.subscribers = 60000;  // keep ~2.5k subscribers/machine at 24 machines
-  auto db = bench::AwaitTask(
+  auto db = RunTask(
       *cluster,
       [](Cluster* c, TatpOptions o) -> Task<StatusOr<TatpDb>> {
         co_return co_await TatpDb::Create(*c, o);

@@ -30,7 +30,7 @@ void Run() {
   topts.customers = 32;
   topts.items = 200;
   topts.init_orders = 10;
-  auto db = bench::AwaitTask(
+  auto db = RunTask(
       *cluster,
       [](Cluster* c, TpccOptions o) -> Task<StatusOr<TpccDb>> {
         co_return co_await TpccDb::Create(*c, o);

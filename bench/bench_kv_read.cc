@@ -23,7 +23,7 @@ void Run() {
 
   KvOptions kopts;
   kopts.keys = 50000;
-  auto db = bench::AwaitTask(
+  auto db = RunTask(
       *cluster,
       [](Cluster* c, KvOptions o) -> Task<StatusOr<KvDb>> {
         co_return co_await KvDb::Create(*c, o);

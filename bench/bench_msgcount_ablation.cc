@@ -29,12 +29,13 @@ FarmCounts MeasureFarm(bool backup_lock_records, int num_regions, int read_only_
 
   std::vector<RegionId> regions;
   for (int i = 0; i < num_regions + 1; i++) {
-    auto rid = bench::AwaitTask(
+    auto rid = RunTask(
         *cluster,
         [](Cluster* c, int idx) -> Task<StatusOr<RegionId>> {
           (void)idx;
           co_return co_await c->node(0).CreateRegion(64 << 10, 64, kInvalidRegion, 0);
-        }(cluster.get(), i));
+        }(cluster.get(), i),
+        10 * kSecond);
     FARM_CHECK(rid.has_value() && rid->ok());
     regions.push_back(rid->value());
   }
@@ -86,11 +87,11 @@ FarmCounts MeasureFarm(bool backup_lock_records, int num_regions, int read_only_
     co_return committed;
   };
   // Warm up (also seeds versions).
-  (void)bench::AwaitTask(*cluster, run(cluster.get(), coordinator, regions, num_regions,
-                                       read_only_objects, 32),
-                         60 * kSecond);
+  (void)RunTask(*cluster,
+                run(cluster.get(), coordinator, regions, num_regions, read_only_objects, 32),
+                60 * kSecond);
   FabricStats before = cluster->fabric().stats();
-  auto committed = bench::AwaitTask(
+  auto committed = RunTask(
       *cluster, run(cluster.get(), coordinator, regions, num_regions, read_only_objects, kTxs),
       120 * kSecond);
   FARM_CHECK(committed.has_value() && *committed > 0);
@@ -107,7 +108,7 @@ FarmCounts MeasureFarm(bool backup_lock_records, int num_regions, int read_only_
 
 double MeasureTwoPc(int participants) {
   Simulator sim;
-  Fabric fabric(sim, CostModel{});
+  Fabric fabric(sim);
   std::vector<std::unique_ptr<Machine>> machines;
   std::vector<std::unique_ptr<NvramStore>> stores;
   int total = (participants + 1) * 3 + 1;

@@ -54,7 +54,7 @@ LocalResult RunLocal(bool logging) {
   LocalOccEngine::Options opts;
   opts.threads = 8;
   opts.logging = logging;
-  LocalOccEngine engine(sim, machine, CostModel{}, opts);
+  LocalOccEngine engine(sim, machine, opts);
   const uint64_t kKeys = 20000;
   for (uint64_t k = 1; k <= kKeys; k++) {
     engine.Seed(k, 40);
@@ -91,7 +91,7 @@ double RunFarm(int machines) {
   // Scale the database with the cluster (the paper's per-machine data is
   // constant) so contention does not rise artificially with machine count.
   topts.subscribers = static_cast<uint64_t>(machines) * 4000;
-  auto db = bench::AwaitTask(
+  auto db = RunTask(
       *cluster,
       [](Cluster* c, TatpOptions o) -> Task<StatusOr<TatpDb>> {
         co_return co_await TatpDb::Create(*c, o);

@@ -299,30 +299,6 @@ inline void PrintHeader(const std::string& title, const std::string& paper_ref,
   std::printf("==============================================================\n");
 }
 
-// Steps until pred() or timeout; returns whether pred held.
-template <typename Pred>
-bool StepUntil(Cluster& cluster, Pred pred, SimDuration timeout) {
-  SimTime deadline = cluster.sim().Now() + timeout;
-  while (!pred() && cluster.sim().Now() < deadline) {
-    if (!cluster.sim().Step()) {
-      break;
-    }
-  }
-  return pred();
-}
-
-// Runs a coroutine to completion against the cluster's simulator.
-template <typename T>
-std::optional<T> AwaitTask(Cluster& cluster, Task<T> task, SimDuration timeout = 10 * kSecond) {
-  auto result = std::make_shared<std::optional<T>>();
-  auto wrapper = [](Task<T> inner, std::shared_ptr<std::optional<T>> out) -> Task<void> {
-    out->emplace(co_await std::move(inner));
-  };
-  Spawn(wrapper(std::move(task), result));
-  StepUntil(cluster, [&]() { return result->has_value(); }, timeout);
-  return *result;
-}
-
 // Time (relative to `from`) at which per-ms throughput first returns to
 // `fraction` of `baseline_per_ms` and stays there for `sustain_ms` intervals.
 inline SimTime TimeToRecover(const TimeSeries& series, SimTime from, double baseline_per_ms,

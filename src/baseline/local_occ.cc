@@ -1,10 +1,11 @@
 #include "src/baseline/local_occ.h"
 
+#include "src/net/cost_model.h"
+
 namespace farm {
 
-LocalOccEngine::LocalOccEngine(Simulator& sim, Machine& machine, CostModel cost,
-                               Options options)
-    : sim_(sim), machine_(machine), cost_(cost), options_(options) {}
+LocalOccEngine::LocalOccEngine(Simulator& sim, Machine& machine, Options options)
+    : sim_(sim), machine_(machine), options_(options) {}
 
 void LocalOccEngine::Seed(uint64_t key, uint32_t value_bytes) {
   Record rec;
@@ -17,7 +18,7 @@ Future<Unit> LocalOccEngine::JoinLogBatch() {
   batch_waiters_.push_back(f);
   if (!flush_scheduled_) {
     flush_scheduled_ = true;
-    sim_.After(options_.log_flush_interval, [this]() { FlushBatch(); });
+    sim_.After(kLogFlushInterval, [this]() { FlushBatch(); });
   }
   return f;
 }
@@ -26,7 +27,7 @@ void LocalOccEngine::FlushBatch() {
   // One batched SSD write serves the whole epoch (group commit).
   auto waiters = std::exchange(batch_waiters_, {});
   flush_scheduled_ = false;
-  sim_.After(options_.ssd_flush_latency, [waiters = std::move(waiters)]() {
+  sim_.After(kSsdFlushLatency, [waiters = std::move(waiters)]() {
     for (const auto& w : waiters) {
       w.Set(Unit{});
     }
@@ -41,7 +42,7 @@ Task<bool> LocalOccEngine::RunTx(int thread, const std::vector<uint64_t>& reads,
   // walks the caller-ordered `reads` vector, never this map.
   std::unordered_map<uint64_t, uint64_t> read_versions;
   for (uint64_t key : reads) {
-    co_await cpu.Execute(cost_.cpu_tx_read_local);
+    co_await cpu.Execute(kCost.cpu_tx_read_local);
     auto it = store_.find(key);
     if (it == store_.end()) {
       Seed(key, value_bytes);
@@ -49,13 +50,13 @@ Task<bool> LocalOccEngine::RunTx(int thread, const std::vector<uint64_t>& reads,
     }
     read_versions[key] = it->second.version;
   }
-  co_await cpu.Execute(cost_.cpu_tx_commit_setup);
+  co_await cpu.Execute(kCost.cpu_tx_commit_setup);
 
   // Commit: lock writes, validate reads, apply, log, unlock (Silo protocol).
   std::vector<Record*> locked;
   bool ok = true;
   for (uint64_t key : writes) {
-    co_await cpu.Execute(cost_.cpu_lock_per_object);
+    co_await cpu.Execute(kCost.cpu_lock_per_object);
     auto it = store_.find(key);
     if (it == store_.end()) {
       Seed(key, value_bytes);
@@ -93,7 +94,7 @@ Task<bool> LocalOccEngine::RunTx(int thread, const std::vector<uint64_t>& reads,
     co_return false;
   }
   for (Record* rec : locked) {
-    co_await cpu.Execute(cost_.CpuBytes(value_bytes) + cost_.cpu_tx_write_buffer);
+    co_await cpu.Execute(kCost.CpuBytes(value_bytes) + kCost.cpu_tx_write_buffer);
     rec->version++;
     rec->locked = false;
   }

@@ -17,7 +17,6 @@
 
 #include "src/common/histogram.h"
 #include "src/common/rand.h"
-#include "src/net/cost_model.h"
 #include "src/sim/machine.h"
 #include "src/sim/task.h"
 
@@ -28,11 +27,11 @@ class LocalOccEngine {
   struct Options {
     int threads = 4;
     bool logging = true;                      // Silo-with-logging vs without
-    SimDuration log_flush_interval = 50 * kMicrosecond;  // group commit epoch
-    SimDuration ssd_flush_latency = 100 * kMicrosecond;  // one batched fsync
   };
+  static constexpr SimDuration kLogFlushInterval = 50 * kMicrosecond;  // group commit epoch
+  static constexpr SimDuration kSsdFlushLatency = 100 * kMicrosecond;  // one batched fsync
 
-  LocalOccEngine(Simulator& sim, Machine& machine, CostModel cost, Options options);
+  LocalOccEngine(Simulator& sim, Machine& machine, Options options);
 
   // A transaction: read `reads`, then update `writes` (subset semantics are
   // the caller's business; keys identify records). Returns commit success.
@@ -58,7 +57,6 @@ class LocalOccEngine {
 
   Simulator& sim_;
   Machine& machine_;
-  CostModel cost_;
   Options options_;
   // farmlint: allow(unordered-decl): accessed only via find/insert with keys
   // ordered by the caller's (seeded) access pattern; never iterated.

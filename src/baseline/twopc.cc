@@ -13,6 +13,7 @@ enum class Op : uint8_t {
 };
 
 constexpr SimDuration kRpcTimeout = 20 * kMillisecond;
+constexpr uint32_t kValueBytes = 64;
 
 }  // namespace
 
@@ -20,12 +21,12 @@ TwoPcSystem::TwoPcSystem(Fabric& fabric, std::vector<MachineId> machines, Option
     : fabric_(fabric), machines_(std::move(machines)), options_(options) {
   int total_groups = options_.groups + 1;  // + coordinator log group
   FARM_CHECK(static_cast<int>(machines_.size()) ==
-             total_groups * options_.replicas_per_group);
+             total_groups * kReplicasPerGroup);
   store_.resize(static_cast<size_t>(total_groups));
   prepared_.resize(static_cast<size_t>(total_groups));
   for (int g = 0; g < total_groups; g++) {
-    for (int r = 0; r < options_.replicas_per_group; r++) {
-      MachineId m = machines_[static_cast<size_t>(g) * options_.replicas_per_group +
+    for (int r = 0; r < kReplicasPerGroup; r++) {
+      MachineId m = machines_[static_cast<size_t>(g) * kReplicasPerGroup +
                               static_cast<size_t>(r)];
       Machine* machine = fabric_.machine(m);
       fabric_.RegisterRpcService(
@@ -72,12 +73,12 @@ Task<bool> TwoPcSystem::Replicate(int group, std::vector<uint8_t> entry) {
   w.PutU8(static_cast<uint8_t>(Op::kReplicate));
   w.Append(entry.data(), entry.size());
   std::vector<uint8_t> msg = w.Take();
-  int majority = options_.replicas_per_group / 2 + 1;
+  int majority = kReplicasPerGroup / 2 + 1;
   auto acks = std::make_shared<int>(1);  // leader itself
   WaitGroup wg;
   MachineId leader = GroupLeader(group);
-  for (int r = 1; r < options_.replicas_per_group; r++) {
-    MachineId follower = machines_[static_cast<size_t>(group) * options_.replicas_per_group +
+  for (int r = 1; r < kReplicasPerGroup; r++) {
+    MachineId follower = machines_[static_cast<size_t>(group) * kReplicasPerGroup +
                                    static_cast<size_t>(r)];
     if (!fabric_.IsAlive(follower)) {
       continue;  // a dead follower would only stall the quorum wait
@@ -117,7 +118,7 @@ Detached TwoPcSystem::HandleDecide(int group, MachineId from, uint64_t txid, boo
   auto it = prepared_[static_cast<size_t>(group)].find(txid);
   if (ok && commit && it != prepared_[static_cast<size_t>(group)].end()) {
     for (uint64_t key : it->second) {
-      store_[static_cast<size_t>(group)][key].assign(options_.value_bytes, 1);
+      store_[static_cast<size_t>(group)][key].assign(kValueBytes, 1);
     }
   }
   if (it != prepared_[static_cast<size_t>(group)].end()) {

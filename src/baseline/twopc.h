@@ -30,12 +30,11 @@ namespace farm {
 class TwoPcSystem {
  public:
   struct Options {
-    int groups = 3;              // participant groups (data shards)
-    int replicas_per_group = 3;  // 2f+1
-    uint32_t value_bytes = 64;
+    int groups = 3;  // participant groups (data shards)
   };
+  static constexpr int kReplicasPerGroup = 3;  // 2f+1
 
-  // machines must hold (groups + 1) * replicas_per_group entries: group g
+  // machines must hold (groups + 1) * kReplicasPerGroup entries: group g
   // uses machines [g*r, (g+1)*r), the last group is the coordinator log.
   TwoPcSystem(Fabric& fabric, std::vector<MachineId> machines, Options options);
 
@@ -49,7 +48,7 @@ class TwoPcSystem {
   static constexpr uint16_t kServiceId = 210;
 
   MachineId GroupLeader(int group) const {
-    return machines_[static_cast<size_t>(group) * options_.replicas_per_group];
+    return machines_[static_cast<size_t>(group) * kReplicasPerGroup];
   }
   int CoordinatorGroup() const { return options_.groups; }
 

@@ -10,6 +10,9 @@ namespace chaos {
 
 namespace {
 
+// Cap on depth-2 schedules (they multiply fast).
+constexpr int kDepth2Budget = 24;
+
 ChaosPlan MakePlan(const ExploreOptions& o, std::vector<FaultTrigger> triggers) {
   ChaosPlan plan;
   plan.seed = o.seed;
@@ -23,7 +26,6 @@ ChaosPlan MakePlan(const ExploreOptions& o, std::vector<FaultTrigger> triggers) 
 ChaosRunResult RunPlan(const ExploreOptions& o, const ChaosPlan& plan) {
   ChaosRunOptions ro;
   ro.machines = o.machines;
-  ro.accounts = o.accounts;
   ro.seed = o.seed;
   ro.mutate_skip_backup_ack = o.mutate_skip_backup_ack;
   return RunChaosPlan(ro, plan);
@@ -127,7 +129,7 @@ ExploreResult Explore(const ExploreOptions& o) {
     f.failure = r.failure;
     f.failure_class = r.failure_class;
     f.postmortem = r.postmortem;
-    if (o.shrink && res.failing.size() < 4) {
+    if (res.failing.size() < 4) {
       f.shrunk = ShrinkPlan(o, plan, r.failure_class, &res.runs);
       ChaosRunResult r1 = RunPlan(o, f.shrunk);
       ChaosRunResult r2 = RunPlan(o, f.shrunk);
@@ -206,7 +208,7 @@ ExploreResult Explore(const ExploreOptions& o) {
   // ---- depth 2: a second fault at a recovery-era point ----
   int depth2_done = 0;
   for (const auto& [np, seed_trigger] : depth2_seeds) {
-    if (depth2_done >= o.depth2_budget) {
+    if (depth2_done >= kDepth2Budget) {
       say("depth2 budget exhausted; " +
           std::to_string(depth2_seeds.size() - static_cast<size_t>(depth2_done)) +
           " recovery-era points left unswept");

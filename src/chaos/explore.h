@@ -29,13 +29,11 @@ namespace chaos {
 
 struct ExploreOptions {
   int machines = 5;
-  int accounts = 16;
   uint64_t seed = 1;
   // Per-run workload horizon. Shorter than the sweep plans' 900 ms: each
   // schedule injects at most two faults, all anchored near `start`.
   SimTime horizon = 400 * kMillisecond;
   int max_depth = 1;       // 1 = one fault per run, 2 = nested second fault
-  int depth2_budget = 24;  // cap on depth-2 schedules (they multiply fast)
   // Actions to sweep; per point, only the applicable subset runs.
   std::vector<FaultAction> actions = {FaultAction::kKill, FaultAction::kPartition,
                                       FaultAction::kDropMsg, FaultAction::kTornWrite,
@@ -45,8 +43,6 @@ struct ExploreOptions {
   // Thread the deliberate protocol mutation through to every run (the
   // explorer's own regression gate: the sweep must catch it).
   bool mutate_skip_backup_ack = false;
-  // Minimize + replay-check the first failing schedule.
-  bool shrink = true;
   // Coverage counters land here when non-null:
   //   explore_points{state=discovered|exercised|survived}
   //   explore_runs{outcome=pass|fail}
@@ -57,7 +53,7 @@ struct ExploreOptions {
 
 struct ExploreFailure {
   ChaosPlan plan;    // the failing schedule as first found
-  ChaosPlan shrunk;  // minimized reproducer (== plan when shrinking is off)
+  ChaosPlan shrunk;  // minimized reproducer (== plan past the first four failures)
   std::string failure;
   FailureClass failure_class = FailureClass::kNone;
   std::string postmortem;

@@ -21,6 +21,7 @@ namespace {
 // Account layout: 8-byte object header + u64 sequence + i64 balance.
 constexpr uint32_t kStride = 24;
 constexpr uint32_t kPayload = 16;
+constexpr int kAccounts = 16;
 // Accounts start at balance 0 (transfers may go negative); conservation
 // means the final total is still 0, with no seeding transactions needed.
 constexpr int64_t kInitialBalance = 0;
@@ -62,7 +63,6 @@ void DecodeAccount(const std::vector<uint8_t>& b, uint64_t* seq, int64_t* balanc
 struct RunState {
   Cluster* cluster = nullptr;
   RegionId rid = kInvalidRegion;
-  int accounts = 0;
   BankOracle* oracle = nullptr;
   uint64_t next_uid = 0;
   uint64_t commits = 0;
@@ -158,8 +158,8 @@ Task<void> Driver(RunState* st, uint64_t seed, SimTime until, int worker_threads
   Simulator& sim = st->cluster->sim();
   while (sim.Now() < until) {
     uint64_t salt = rng.Next64();
-    int from = static_cast<int>(rng.Uniform(static_cast<uint32_t>(st->accounts)));
-    int to = static_cast<int>(rng.Uniform(static_cast<uint32_t>(st->accounts)));
+    int from = static_cast<int>(rng.Uniform(static_cast<uint32_t>(kAccounts)));
+    int to = static_cast<int>(rng.Uniform(static_cast<uint32_t>(kAccounts)));
     int64_t amount = 1 + rng.Uniform(49);
     MachineId coord = PickCoordinator(*st->cluster, salt);
     if (coord != kInvalidMachine && from != to) {
@@ -482,23 +482,6 @@ std::string FlightSeqWindows(Cluster& c, const std::vector<TxId>& txs) {
   return out.str();
 }
 
-// Minimal local RunTask (tests/test_util.h is not visible from src/).
-template <typename T>
-std::optional<T> RunToCompletion(Cluster& cluster, Task<T> task, SimDuration timeout) {
-  auto result = std::make_shared<std::optional<T>>();
-  auto wrapper = [](Task<T> inner, std::shared_ptr<std::optional<T>> out) -> Task<void> {
-    out->emplace(co_await std::move(inner));
-  };
-  Spawn(wrapper(std::move(task), result));
-  SimTime deadline = cluster.sim().Now() + timeout;
-  while (!result->has_value() && cluster.sim().Now() < deadline) {
-    if (!cluster.sim().Step()) {
-      break;
-    }
-  }
-  return *result;
-}
-
 }  // namespace
 
 const char* FailureClassName(FailureClass c) {
@@ -557,16 +540,15 @@ ChaosRunResult RunChaosPlan(const ChaosRunOptions& options, const ChaosPlan& pla
   auto create = [](Cluster* c) -> Task<StatusOr<RegionId>> {
     co_return co_await c->node(0).CreateRegion(64 << 10, kStride, kInvalidRegion, 0);
   };
-  auto created = RunToCompletion(cluster, create(&cluster), 2 * kSecond);
+  auto created = RunTask(cluster, create(&cluster));
   if (!created.has_value() || !created->ok()) {
     return fail(cluster, FailureClass::kSetup, "bank region creation failed");
   }
 
-  BankOracle oracle(options.accounts, kInitialBalance);
+  BankOracle oracle(kAccounts, kInitialBalance);
   RunState st;
   st.cluster = &cluster;
   st.rid = created->value();
-  st.accounts = options.accounts;
   st.oracle = &oracle;
   st.fault_deadline = plan.LastFaultTime();
   st.event_log = &res.event_log;
@@ -688,8 +670,8 @@ ChaosRunResult RunChaosPlan(const ChaosRunOptions& options, const ChaosPlan& pla
     return fail(cluster, FailureClass::kRegionLost,
                 "primary is missing its bank region replica");
   }
-  std::vector<FinalAccount> final_state(static_cast<size_t>(options.accounts));
-  for (int a = 0; a < options.accounts; a++) {
+  std::vector<FinalAccount> final_state(static_cast<size_t>(kAccounts));
+  for (int a = 0; a < kAccounts; a++) {
     FinalAccount& fin = final_state[static_cast<size_t>(a)];
     std::memcpy(&fin.seq, rep->Ptr(static_cast<uint32_t>(a) * kStride + 8, 8), 8);
     std::memcpy(&fin.balance, rep->Ptr(static_cast<uint32_t>(a) * kStride + 16, 8), 8);

@@ -33,7 +33,6 @@ const char* FailureClassName(FailureClass c);
 
 struct ChaosRunOptions {
   int machines = 6;
-  int accounts = 16;
   uint64_t seed = 1;
   PlanOptions plan;  // plan.machines is forced to `machines`
   // Deliberately UNSAFE protocol mutation (skip waiting for backup hardware

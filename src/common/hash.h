@@ -52,7 +52,6 @@ class ConsistentHashRing {
   void AddNode(uint64_t node_id);
   void RemoveNode(uint64_t node_id);
   bool Contains(uint64_t node_id) const;
-  size_t NumNodes() const { return num_nodes_; }
 
   // First node clockwise from hash(key). Ring must be non-empty.
   uint64_t Owner(uint64_t key) const;

@@ -71,12 +71,6 @@ class BufReader {
     return std::string(b.begin(), b.end());
   }
 
-  void ReadRaw(void* out, size_t len) {
-    FARM_CHECK(pos_ + len <= len_) << "BufReader overrun";
-    std::memcpy(out, data_ + pos_, len);
-    pos_ += len;
-  }
-
   // Skips `len` bytes; returns their offset.
   size_t Skip(size_t len) {
     FARM_CHECK(pos_ + len <= len_) << "BufReader overrun";

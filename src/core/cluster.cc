@@ -10,9 +10,6 @@ uint64_t SimNowForLog(void* ctx) { return static_cast<Simulator*>(ctx)->Now(); }
 // cluster.h).
 thread_local const Cluster* t_live_cluster = nullptr;
 
-// Two NICs per machine, as in the paper's testbed (two 56 Gbps ConnectX-3).
-constexpr int kNicsPerMachine = 2;
-
 // Registry cell names of the plain stats structs, for the teardown dump.
 constexpr std::pair<const char*, uint64_t NodeStats::*> kNodeStatCells[] = {
     {"tx_committed", &NodeStats::tx_committed},
@@ -48,7 +45,7 @@ Cluster::Cluster(ClusterOptions options)
       << "a Cluster is already live on this thread; run independent clusters on separate threads";
   t_live_cluster = this;
   sinks_.tracer = options_.tracer;
-  fabric_ = std::make_unique<Fabric>(sim_, options_.cost, sinks_);
+  fabric_ = std::make_unique<Fabric>(sim_, sinks_);
   fabric_->SeedFaultRng(options_.fault_seed);
   SetLogClock(&SimNowForLog, &sim_);
 
@@ -61,7 +58,7 @@ Cluster::Cluster(ClusterOptions options)
     machines_.push_back(
         std::make_unique<Machine>(sim_, static_cast<MachineId>(i), threads, domain));
     stores_.push_back(std::make_unique<NvramStore>());
-    fabric_->AddMachine(machines_.back().get(), stores_.back().get(), kNicsPerMachine);
+    fabric_->AddMachine(machines_.back().get(), stores_.back().get());
   }
 
   // One flight-recorder ring per FaRM machine; the fabric stamps
@@ -218,7 +215,6 @@ void Cluster::NoteRegionLost(RegionId r) {
 
 void Cluster::NoteRegionRereplicated(RegionId r) {
   (void)r;
-  regions_rereplicated_++;
   rereplication_times_.push_back(sim_.Now());
 }
 

@@ -7,6 +7,7 @@
 #define SRC_CORE_CLUSTER_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,6 @@ struct ClusterOptions {
   int machines = 5;
   int zk_replicas = 3;
   NodeOptions node;
-  CostModel cost;
   // Machines are assigned round-robin to this many failure domains
   // (0 = every machine is its own domain).
   int failure_domains = 0;
@@ -117,7 +117,8 @@ class Cluster {
   }
   const std::vector<std::pair<std::string, SimTime>>& milestones() const { return milestones_; }
   void ClearMilestones() { milestones_.clear(); }
-  // Last occurrence of a milestone at/after `from` (kSimTimeNever if none).
+  // First occurrence of a milestone at/after `from` (kSimTimeNever if none);
+  // perfbench's recovery.* timings rely on it being the first.
   SimTime MilestoneAfter(const std::string& name, SimTime from) const {
     for (const auto& [n, t] : milestones_) {
       if (n == name && t >= from) {
@@ -132,7 +133,7 @@ class Cluster {
   const std::vector<RegionId>& lost_regions() const { return lost_regions_; }
   // Data-recovery completions (Figure 9b/10b dashed lines).
   void NoteRegionRereplicated(RegionId r);
-  uint64_t regions_rereplicated() const { return regions_rereplicated_; }
+  uint64_t regions_rereplicated() const { return rereplication_times_.size(); }
   const std::vector<SimTime>& rereplication_times() const { return rereplication_times_; }
 
   NodeStats TotalStats() const;
@@ -153,9 +154,36 @@ class Cluster {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::pair<std::string, SimTime>> milestones_;
   std::vector<RegionId> lost_regions_;
-  uint64_t regions_rereplicated_ = 0;
   std::vector<SimTime> rereplication_times_;
 };
+
+// Steps the cluster's simulator until pred() holds or `timeout` of
+// simulated time elapses; returns whether pred held. Lease timers keep the
+// event queue non-empty forever, so runs are bounded by a deadline instead
+// of draining the queue.
+template <typename Pred>
+bool RunUntil(Cluster& cluster, Pred pred, SimDuration timeout) {
+  SimTime deadline = cluster.sim().Now() + timeout;
+  while (!pred() && cluster.sim().Now() < deadline) {
+    if (!cluster.sim().Step()) {
+      break;
+    }
+  }
+  return pred();
+}
+
+// Runs a coroutine to completion against the cluster's simulator. Returns
+// nullopt on timeout.
+template <typename T>
+std::optional<T> RunTask(Cluster& cluster, Task<T> task, SimDuration timeout = 2 * kSecond) {
+  auto result = std::make_shared<std::optional<T>>();
+  auto wrapper = [](Task<T> inner, std::shared_ptr<std::optional<T>> out) -> Task<void> {
+    out->emplace(co_await std::move(inner));
+  };
+  Spawn(wrapper(std::move(task), result));
+  RunUntil(cluster, [&]() { return result->has_value(); }, timeout);
+  return *result;
+}
 
 }  // namespace farm
 

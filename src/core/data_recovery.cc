@@ -31,7 +31,6 @@ void Node::OnAllRegionsActive() {
     if (p == nullptr || !IsBackupOf(rid)) {
       continue;
     }
-    data_recovery_inflight_++;
     ReplicateRegionFrom(rid, p->primary);
   }
   new_backup_regions_.clear();
@@ -54,14 +53,12 @@ Detached Node::ReplicateRegionFrom(RegionId region, MachineId primary) {
   RegionReplica* rep = replica(region);
   const RegionPlacement* placement = config_.Placement(region);
   if (rep == nullptr || placement == nullptr) {
-    data_recovery_inflight_--;
     co_return;
   }
   ConfigId cfg_at_start = config_.id;
 
   auto ref = co_await ResolveRef(region, 0);
   if (!ref.ok() || ref->primary != primary) {
-    data_recovery_inflight_--;
     co_return;
   }
 
@@ -133,7 +130,6 @@ Detached Node::ReplicateRegionFrom(RegionId region, MachineId primary) {
                       cfg_at_start));
   }
   co_await wg.Wait();
-  data_recovery_inflight_--;
   if (*next_range >= ranges.size() && machine_->alive()) {
     stats_.regions_rereplicated++;
     cluster_->NoteRegionRereplicated(region);

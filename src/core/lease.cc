@@ -9,6 +9,11 @@ namespace farm {
 namespace {
 
 constexpr uint8_t kLeaseMagic = 0x1e;
+// The system timer limits when timer-driven work can be scheduled (0.5 ms
+// resolution in the paper's setup).
+constexpr SimDuration kTimerResolution = 500 * kMicrosecond;
+constexpr SimDuration kInterruptLatency = 3 * kMicrosecond;  // interrupt-driven wakeup cost
+constexpr SimDuration kProcessCost = 400;                    // CPU ns per lease message
 
 }  // namespace
 
@@ -55,13 +60,7 @@ int LeaseManager::ProcessingThread() const {
 }
 
 SimTime LeaseManager::Quantize(SimTime t) const {
-  // The system timer limits when timer-driven work can be scheduled
-  // (0.5 ms resolution in the paper's setup).
-  SimDuration res = options_.timer_resolution;
-  if (res == 0) {
-    return t;
-  }
-  return (t + res - 1) / res * res;
+  return (t + kTimerResolution - 1) / kTimerResolution * kTimerResolution;
 }
 
 void LeaseManager::Send(MachineId dst, uint8_t step) {
@@ -92,7 +91,7 @@ void LeaseManager::OnDatagram(MachineId from, std::vector<uint8_t> payload) {
     case LeaseImpl::kUdDedicatedHighPri: {
       // Interrupt-driven at the highest user-space priority: preempts
       // whatever occupies the CPU, at the cost of interrupt latency.
-      node_->sim().After(options_.interrupt_latency + options_.process_cost,
+      node_->sim().After(kInterruptLatency + kProcessCost,
                          [this, from, step]() { Process(from, step); });
       break;
     }
@@ -100,7 +99,7 @@ void LeaseManager::OnDatagram(MachineId from, std::vector<uint8_t> payload) {
     case LeaseImpl::kUdShared: {
       node_->machine()
           .thread(ProcessingThread())
-          .Run(options_.process_cost, [this, from, step]() { Process(from, step); });
+          .Run(kProcessCost, [this, from, step]() { Process(from, step); });
       break;
     }
     case LeaseImpl::kRpc:
@@ -164,9 +163,7 @@ void LeaseManager::ScheduleRenewTimer() {
 
 void LeaseManager::ScheduleExpiryTimer() {
   uint64_t epoch = epoch_;
-  SimDuration res = options_.timer_resolution > 0 ? options_.timer_resolution
-                                                  : kMillisecond / 2;
-  node_->sim().After(res, [this, epoch]() {
+  node_->sim().After(kTimerResolution, [this, epoch]() {
     if (epoch != epoch_ || !node_->machine().alive()) {
       return;
     }

@@ -37,9 +37,6 @@ enum class LeaseImpl : uint8_t {
 struct LeaseOptions {
   SimDuration duration = 10 * kMillisecond;
   LeaseImpl impl = LeaseImpl::kUdDedicatedHighPri;
-  SimDuration timer_resolution = 500 * kMicrosecond;  // system timer granularity
-  SimDuration interrupt_latency = 3 * kMicrosecond;   // interrupt-driven wakeup cost
-  SimDuration process_cost = 400;                     // CPU ns per lease message
   // When false, expiries are only counted (Figure 16's methodology disables
   // recovery and measures false positives).
   bool trigger_recovery = true;

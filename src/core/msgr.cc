@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "src/net/cost_model.h"
+
 namespace farm {
 
 Messenger::Messenger(Fabric& fabric, Machine& machine, NvramStore& store, Options options,
@@ -109,7 +111,7 @@ void Messenger::SendMessage(MachineId dst, MsgType type, std::vector<uint8_t> pa
   } else {
     // Replies sent from handler context: charge the send cost to the worker
     // that routes traffic for this peer (the handler's thread).
-    machine_.thread(WorkerFor(dst)).InjectBusy(fabric_.cost().cpu_rpc_issue / 2);
+    machine_.thread(WorkerFor(dst)).InjectBusy(kCost.cpu_rpc_issue / 2);
   }
   (void)it->second.msgq->Append(FinishFrame(w), len, thread);
 }
@@ -139,11 +141,10 @@ void Messenger::ProcessInbound(MachineId from, bool is_log) {
   }
   Inbound& in = it->second;
   HwThread& worker = machine_.thread(WorkerFor(from));
-  CostModel& cost = fabric_.cost();
   if (is_log) {
     in.txlog_poll_scheduled = false;
     in.txlog->Drain([&](uint64_t seq, const uint8_t* p, uint32_t n) {
-      worker.InjectBusy(cost.cpu_log_poll + cost.CpuBytes(n));
+      worker.InjectBusy(kCost.cpu_log_poll + kCost.CpuBytes(n));
       // One copy out of ring memory, which truncation zeroes and a wrap
       // reuses; the record's write values are slices of this copy.
       TxLogRecord rec = TxLogRecord::Parse(SharedBytes(std::vector<uint8_t>(p, p + n)));
@@ -154,7 +155,7 @@ void Messenger::ProcessInbound(MachineId from, bool is_log) {
   } else {
     in.msgq_poll_scheduled = false;
     in.msgq->Drain([&](uint64_t seq, const uint8_t* p, uint32_t n) {
-      worker.InjectBusy(cost.cpu_log_poll + cost.CpuBytes(n));
+      worker.InjectBusy(kCost.cpu_log_poll + kCost.CpuBytes(n));
       FARM_CHECK(n >= 1) << "message without a type";
       MsgType type = static_cast<MsgType>(p[0]);
       std::vector<uint8_t> body(p + 1, p + n);  // before MarkFreeable zeroes it

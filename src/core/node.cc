@@ -5,6 +5,7 @@
 
 #include "src/common/logging.h"
 #include "src/core/cluster.h"
+#include "src/net/cost_model.h"
 
 namespace farm {
 
@@ -28,7 +29,7 @@ Node::Node(Cluster* cluster, Machine* machine, NvramStore* store, NodeOptions op
   // Worker threads + one dedicated lease-manager thread (section 5.1).
   FARM_CHECK(machine_->NumThreads() == options_.worker_threads + 1)
       << "machine must have worker_threads + 1 hardware threads";
-  messenger_ = std::make_unique<Messenger>(fabric(), *machine_, *store_, options_.msgr,
+  messenger_ = std::make_unique<Messenger>(fabric(), *machine_, *store_, Messenger::Options{},
                                            options_.worker_threads);
   messenger_->SetHandlers(
       [this](MachineId from, uint64_t seq, TxLogRecord rec) {
@@ -104,7 +105,6 @@ void Node::ColdRestart() {
   promoted_regions_.clear();
   regions_active_sent_ = false;
   regions_active_pending_.clear();
-  data_recovery_inflight_ = 0;
   messenger_->Reset();
   lease_->ColdRestart();
 }
@@ -192,7 +192,7 @@ Task<StatusOr<std::vector<uint8_t>>> Node::LockFreeRead(GlobalAddr addr, uint32_
       if (rep == nullptr) {
         co_return NotFoundStatus("region moved");
       }
-      co_await worker(thread).Execute(fabric().cost().cpu_tx_read_local);
+      co_await worker(thread).Execute(kCost.cpu_tx_read_local);
       word = rep->ReadHeader(addr.offset);
       const uint8_t* p = rep->Ptr(addr.offset + kObjectHeaderBytes, size);
       value.assign(p, p + size);
@@ -313,7 +313,7 @@ Task<StatusOr<RegionAllocator::Slot>> Node::AllocSlot(RegionId region, uint32_t 
     if (alloc == nullptr) {
       co_return Status(StatusCode::kInvalidArgument, "region is app-managed");
     }
-    co_await worker(thread).Execute(fabric().cost().cpu_tx_write_buffer);
+    co_await worker(thread).Execute(kCost.cpu_tx_write_buffer);
     auto slot = alloc->Reserve(payload_size);
     if (slot.ok()) {
       ShipPendingBlockHeaders(region);
@@ -577,7 +577,7 @@ void Node::ProcessLock(MachineId from, const TxLogRecord& rec) {
     if (rep == nullptr || !IsPrimaryOf(w.addr.region) || !rep->active()) {
       break;
     }
-    worker_thread.InjectBusy(fabric().cost().cpu_lock_per_object);
+    worker_thread.InjectBusy(kCost.cpu_lock_per_object);
     uint64_t expected = w.ExpectedWord();
     if (!rep->CasHeader(w.addr.offset, expected, VersionWord::WithLock(expected))) {
       break;
@@ -646,7 +646,7 @@ void Node::ProcessCommitPrimary(MachineId from, const TxLogRecord& rec) {
   emit_.TxStep(rec.tx, flight::EventKind::kCommitPrimaryRecord, 0, from);
   HwThread& worker_thread = machine_->thread(messenger_->WorkerFor(rec.tx.machine));
   for (const WireWrite& w : it->second.lock_record.writes) {
-    worker_thread.InjectBusy(fabric().cost().cpu_lock_per_object);
+    worker_thread.InjectBusy(kCost.cpu_lock_per_object);
     // The held lock pins the object at `expected_version`.
     FARM_CHECK(ApplyWrite(w));
   }
@@ -680,7 +680,7 @@ void Node::ProcessTruncation(MachineId from, const TxId& id, bool apply_backup_w
       if (apply_backup_writes && l.rec.type == LogRecordType::kCommitBackup) {
         HwThread& worker_thread = machine_->thread(messenger_->WorkerFor(l.from));
         for (const WireWrite& w : l.rec.writes) {
-          worker_thread.InjectBusy(fabric().cost().cpu_lock_per_object);
+          worker_thread.InjectBusy(kCost.cpu_lock_per_object);
           ApplyWrite(w);
         }
       }

@@ -48,7 +48,6 @@ struct NodeOptions {
   int worker_threads = 4;                    // foreground event-loop threads
   uint32_t region_size = 4 << 20;            // scaled down from the paper's 2 GB
   uint32_t block_size = 64 << 10;            // scaled down from 1 MB
-  Messenger::Options msgr;
   LeaseOptions lease;
   int replication_factor = 3;                // f+1 copies per region
   // NSDI'14-protocol ablation: also send LOCK records to backups (the
@@ -458,8 +457,6 @@ class Node {
   bool regions_active_sent_ = false;
   // CM-side: REGIONS-ACTIVE collection.
   std::set<MachineId> regions_active_pending_;
-  // Data recovery progress (read by benches via cluster stats).
-  int data_recovery_inflight_ = 0;
 
   NodeStats stats_;
   Emitter emit_;

@@ -4,6 +4,7 @@
 
 #include "src/core/cluster.h"
 #include "src/core/node.h"
+#include "src/net/cost_model.h"
 #include "src/obs/trace.h"
 
 namespace farm {
@@ -442,7 +443,7 @@ Detached Node::FinishLockRecovery(RegionId region) {
       if (w.addr.region != region) {
         continue;
       }
-      thread0.InjectBusy(fabric().cost().cpu_lock_per_object);
+      thread0.InjectBusy(kCost.cpu_lock_per_object);
       uint64_t current = rep->ReadHeader(w.addr.offset);
       if (VersionWord::Version(current) == w.expected_version &&
           !VersionWord::IsLocked(current)) {

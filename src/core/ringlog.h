@@ -93,7 +93,6 @@ class RingReceiver {
   void MarkFreeable(uint64_t seq);
 
   uint64_t head() const { return head_; }
-  uint64_t parse_pos() const { return parse_; }
   uint64_t bytes_freed_total() const { return bytes_freed_total_; }
   // Torn frames observed at the parse position (each tear counts once).
   uint64_t torn_frames() const { return torn_frames_; }

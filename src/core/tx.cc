@@ -5,6 +5,7 @@
 
 #include "src/core/cluster.h"
 #include "src/core/node.h"
+#include "src/net/cost_model.h"
 
 namespace farm {
 
@@ -110,7 +111,7 @@ Task<StatusOr<std::vector<uint8_t>>> Transaction::Read(GlobalAddr addr, uint32_t
     if (rep == nullptr) {
       co_return NotFoundStatus("region moved");
     }
-    co_await node_->worker(thread_).Execute(node_->fabric().cost().cpu_tx_read_local);
+    co_await node_->worker(thread_).Execute(kCost.cpu_tx_read_local);
     word = rep->ReadHeader(addr.offset);
     const uint8_t* p = rep->Ptr(addr.offset + kObjectHeaderBytes, size);
     value.assign(p, p + size);
@@ -336,7 +337,6 @@ Task<Status> Transaction::Commit() {
   FARM_CHECK(!commit_started_) << "Commit called twice";
   commit_started_ = true;
   const NodeOptions& opts = node_->options();
-  CostModel& cost = node_->fabric().cost();
 
   // Read-only transactions: validation only, no logging (section 4:
   // serialization point is the last read).
@@ -351,7 +351,7 @@ Task<Status> Transaction::Commit() {
   emit.PhaseSince(id_, flight::Phase::kExecute, begin_time_);
   TxSpan commit_span(emit, id_, thread_, "commit");
 
-  co_await node_->worker(thread_).Execute(cost.cpu_tx_commit_setup);
+  co_await node_->worker(thread_).Execute(kCost.cpu_tx_commit_setup);
 
   if (writes_.empty()) {
     TxSpan validate(emit, id_, thread_, flight::Phase::kValidate);

@@ -9,6 +9,9 @@ namespace {
 
 constexpr uint32_t kMetaStride = kObjectHeaderBytes + 24;
 constexpr int kTraverseRetries = 6;
+constexpr uint32_t kNodePayload = 512;  // bytes per tree node object
+constexpr size_t kMaxEntries = (kNodePayload - 51) / 16;
+constexpr size_t kCacheCap = 8192;  // cached internal nodes per handle
 
 }  // namespace
 
@@ -16,8 +19,8 @@ constexpr int kTraverseRetries = 6;
 // Node packing
 // ---------------------------------------------------------------------------
 
-std::vector<uint8_t> BTree::NodeData::Pack(uint32_t payload_size) const {
-  std::vector<uint8_t> out(payload_size, 0);
+std::vector<uint8_t> BTree::NodeData::Pack() const {
+  std::vector<uint8_t> out(kNodePayload, 0);
   BufWriter w;
   w.PutU8(leaf ? 1 : 0);
   w.PutU16(static_cast<uint16_t>(entries.size()));
@@ -29,7 +32,7 @@ std::vector<uint8_t> BTree::NodeData::Pack(uint32_t payload_size) const {
     w.PutU64(k);
     w.PutU64(v);
   }
-  FARM_CHECK(w.size() <= payload_size) << "btree node overflow";
+  FARM_CHECK(w.size() <= kNodePayload) << "btree node overflow";
   std::memcpy(out.data(), w.bytes().data(), w.size());
   return out;
 }
@@ -78,13 +81,13 @@ Task<StatusOr<BTree>> BTree::Create(Node& node, Options options, int thread) {
   // Root leaf + meta object, committed atomically.
   for (int attempt = 0; attempt < 4; attempt++) {
     auto tx = node.Begin(thread);
-    auto root = co_await tx->Alloc(tree.node_region_, options.node_payload);
+    auto root = co_await tx->Alloc(tree.node_region_, kNodePayload);
     if (!root.ok()) {
       co_return root.status();
     }
     NodeData leaf;
     leaf.leaf = true;
-    (void)tx->Write(*root, leaf.Pack(options.node_payload));
+    (void)tx->Write(*root, leaf.Pack());
     auto meta_obj = co_await tx->Read(GlobalAddr{tree.meta_region_, 0}, 24);
     if (!meta_obj.ok()) {
       co_return meta_obj.status();
@@ -153,13 +156,13 @@ Task<StatusOr<std::shared_ptr<const BTree::NodeData>>> BTree::ReadCached(Node& n
   if (it != cache_->nodes.end()) {
     co_return it->second;
   }
-  auto bytes = co_await node.LockFreeRead(addr, options_.node_payload, thread);
+  auto bytes = co_await node.LockFreeRead(addr, kNodePayload, thread);
   if (!bytes.ok()) {
     co_return bytes.status();
   }
   auto n = std::make_shared<const NodeData>(NodeData::Unpack(*bytes));
   if (!n->leaf) {
-    if (cache_->nodes.size() >= options_.cache_cap) {
+    if (cache_->nodes.size() >= kCacheCap) {
       cache_->nodes.clear();
     }
     cache_->nodes[addr.Packed()] = n;
@@ -227,7 +230,7 @@ Task<StatusOr<std::optional<uint64_t>>> BTree::Get(Transaction& tx, uint64_t key
       }
       continue;
     }
-    auto bytes = co_await tx.Read(*leaf_addr, options_.node_payload);
+    auto bytes = co_await tx.Read(*leaf_addr, kNodePayload);
     if (!bytes.ok()) {
       co_return bytes.status();
     }
@@ -258,7 +261,7 @@ Task<Status> BTree::Insert(Transaction& tx, uint64_t key, uint64_t value) const 
       }
       continue;
     }
-    auto bytes = co_await tx.Read(*leaf_addr, options_.node_payload);
+    auto bytes = co_await tx.Read(*leaf_addr, kNodePayload);
     if (!bytes.ok()) {
       co_return bytes.status();
     }
@@ -273,11 +276,11 @@ Task<Status> BTree::Insert(Transaction& tx, uint64_t key, uint64_t value) const 
                                 std::make_pair(key, uint64_t{0}));
     if (pos != leaf.entries.end() && pos->first == key) {
       pos->second = value;  // update in place
-      co_return tx.Write(*leaf_addr, leaf.Pack(options_.node_payload));
+      co_return tx.Write(*leaf_addr, leaf.Pack());
     }
-    if (leaf.entries.size() < MaxEntries()) {
+    if (leaf.entries.size() < kMaxEntries) {
       leaf.entries.insert(pos, {key, value});
-      co_return tx.Write(*leaf_addr, leaf.Pack(options_.node_payload));
+      co_return tx.Write(*leaf_addr, leaf.Pack());
     }
     // Leaf full: structural change via the transactional slow path.
     co_return co_await InsertWithSplit(tx, key, value);
@@ -295,7 +298,7 @@ Task<Status> BTree::Remove(Transaction& tx, uint64_t key) const {
       }
       continue;
     }
-    auto bytes = co_await tx.Read(*leaf_addr, options_.node_payload);
+    auto bytes = co_await tx.Read(*leaf_addr, kNodePayload);
     if (!bytes.ok()) {
       co_return bytes.status();
     }
@@ -310,7 +313,7 @@ Task<Status> BTree::Remove(Transaction& tx, uint64_t key) const {
       if (it->first == key) {
         leaf.entries.erase(it);
         // Nodes are left sparse; no rebalancing (write-optimized B-trees).
-        co_return tx.Write(*leaf_addr, leaf.Pack(options_.node_payload));
+        co_return tx.Write(*leaf_addr, leaf.Pack());
       }
     }
     co_return NotFoundStatus("key not in btree");
@@ -336,7 +339,7 @@ Task<StatusOr<std::vector<std::pair<uint64_t, uint64_t>>>> BTree::Scan(Transacti
     bool first = true;
     bool stale = false;
     while (cur.valid() && out.size() < max) {
-      auto bytes = co_await tx.Read(cur, options_.node_payload);
+      auto bytes = co_await tx.Read(cur, kNodePayload);
       if (!bytes.ok()) {
         co_return bytes.status();
       }
@@ -379,7 +382,7 @@ Task<StatusOr<std::vector<std::pair<GlobalAddr, BTree::NodeData>>>> BTree::Trave
   std::vector<std::pair<GlobalAddr, NodeData>> path;
   GlobalAddr cur = meta->root;
   for (;;) {
-    auto bytes = co_await tx.Read(cur, options_.node_payload);
+    auto bytes = co_await tx.Read(cur, kNodePayload);
     if (!bytes.ok()) {
       co_return bytes.status();
     }
@@ -418,7 +421,7 @@ Task<Status> BTree::InsertWithSplit(Transaction& tx, uint64_t key, uint64_t valu
                                 std::make_pair(key, uint64_t{0}));
     if (pos != leaf.entries.end() && pos->first == key) {
       pos->second = value;
-      co_return tx.Write(path.back().first, leaf.Pack(options_.node_payload));
+      co_return tx.Write(path.back().first, leaf.Pack());
     }
     leaf.entries.insert(pos, {key, value});
   }
@@ -436,8 +439,8 @@ Task<Status> BTree::InsertWithSplit(Transaction& tx, uint64_t key, uint64_t valu
       n.entries.insert(pos, {up_key, up_child.Packed()});
       have_carry = false;
     }
-    if (n.entries.size() <= MaxEntries()) {
-      Status ws = tx.Write(addr, n.Pack(options_.node_payload));
+    if (n.entries.size() <= kMaxEntries) {
+      Status ws = tx.Write(addr, n.Pack());
       if (!ws.ok()) {
         co_return ws;
       }
@@ -445,7 +448,7 @@ Task<Status> BTree::InsertWithSplit(Transaction& tx, uint64_t key, uint64_t valu
       co_return OkStatus();
     }
     // Overflow: split into left (n) and right (fresh node).
-    auto right_addr = co_await tx.Alloc(node_region_, options_.node_payload);
+    auto right_addr = co_await tx.Alloc(node_region_, kNodePayload);
     if (!right_addr.ok()) {
       co_return right_addr.status();
     }
@@ -469,8 +472,8 @@ Task<Status> BTree::InsertWithSplit(Transaction& tx, uint64_t key, uint64_t valu
     right.fence_low = sep;
     right.fence_high = n.fence_high;
     n.fence_high = sep;
-    Status w1 = tx.Write(addr, n.Pack(options_.node_payload));
-    Status w2 = tx.Write(*right_addr, right.Pack(options_.node_payload));
+    Status w1 = tx.Write(addr, n.Pack());
+    Status w2 = tx.Write(*right_addr, right.Pack());
     if (!w1.ok() || !w2.ok()) {
       co_return w1.ok() ? w2 : w1;
     }
@@ -482,7 +485,7 @@ Task<Status> BTree::InsertWithSplit(Transaction& tx, uint64_t key, uint64_t valu
 
   if (have_carry) {
     // The root split: grow the tree.
-    auto new_root = co_await tx.Alloc(node_region_, options_.node_payload);
+    auto new_root = co_await tx.Alloc(node_region_, kNodePayload);
     if (!new_root.ok()) {
       co_return new_root.status();
     }
@@ -490,7 +493,7 @@ Task<Status> BTree::InsertWithSplit(Transaction& tx, uint64_t key, uint64_t valu
     root.leaf = false;
     root.child_low = path[0].first;
     root.entries = {{up_key, up_child.Packed()}};
-    Status ws = tx.Write(*new_root, root.Pack(options_.node_payload));
+    Status ws = tx.Write(*new_root, root.Pack());
     if (!ws.ok()) {
       co_return ws;
     }

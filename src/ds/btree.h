@@ -29,9 +29,7 @@ namespace farm {
 class BTree {
  public:
   struct Options {
-    uint32_t node_payload = 512;              // bytes per tree node object
     RegionId colocate_with = kInvalidRegion;  // locality hint
-    size_t cache_cap = 8192;                  // cached internal nodes
   };
 
   // Creates the tree (meta region + first leaf). Each machine should hold
@@ -53,7 +51,6 @@ class BTree {
                                                                   size_t max) const;
 
   const Options& options() const { return options_; }
-  RegionId meta_region() const { return meta_region_; }
   RegionId node_region() const { return node_region_; }
 
  private:
@@ -67,7 +64,7 @@ class BTree {
     GlobalAddr child_low;  // internal: child for keys < entries[0].first
     std::vector<std::pair<uint64_t, uint64_t>> entries;  // key -> value/child
 
-    std::vector<uint8_t> Pack(uint32_t payload_size) const;
+    std::vector<uint8_t> Pack() const;
     static NodeData Unpack(const std::vector<uint8_t>& bytes);
   };
 
@@ -75,8 +72,6 @@ class BTree {
     GlobalAddr root;
     uint32_t height = 1;  // 1 = root is a leaf
   };
-
-  size_t MaxEntries() const { return (options_.node_payload - 51) / 16; }
 
   Task<StatusOr<Meta>> ReadMeta(Node& node, int thread) const;
   Task<StatusOr<Meta>> ReadMetaTx(Transaction& tx) const;

@@ -64,14 +64,14 @@ Task<StatusOr<std::optional<std::vector<uint8_t>>>> HashTable::Get(Transaction& 
                                                                    uint64_t key) const {
   uint32_t slot_bytes = SlotBytes();
   uint64_t home = HomeBucket(key);
-  for (int probe = 0; probe < options_.max_probe; probe++) {
+  for (int probe = 0; probe < kMaxProbe; probe++) {
     GlobalAddr addr = BucketAddr((home + static_cast<uint64_t>(probe)) % options_.buckets);
     auto bucket = co_await tx.Read(addr, BucketPayload());
     if (!bucket.ok()) {
       co_return bucket.status();
     }
     bool has_empty = false;
-    for (int s = 0; s < options_.slots_per_bucket; s++) {
+    for (int s = 0; s < kSlotsPerBucket; s++) {
       uint64_t k = SlotKey(*bucket, slot_bytes, s);
       if (k == key) {
         co_return std::optional<std::vector<uint8_t>>(
@@ -97,14 +97,14 @@ Task<Status> HashTable::Put(Transaction& tx, uint64_t key, std::vector<uint8_t> 
   GlobalAddr insert_addr;
   int insert_slot = -1;
   std::vector<uint8_t> insert_bucket;
-  for (int probe = 0; probe < options_.max_probe; probe++) {
+  for (int probe = 0; probe < kMaxProbe; probe++) {
     GlobalAddr addr = BucketAddr((home + static_cast<uint64_t>(probe)) % options_.buckets);
     auto bucket = co_await tx.Read(addr, BucketPayload());
     if (!bucket.ok()) {
       co_return bucket.status();
     }
     bool has_empty = false;
-    for (int s = 0; s < options_.slots_per_bucket; s++) {
+    for (int s = 0; s < kSlotsPerBucket; s++) {
       uint64_t k = SlotKey(*bucket, slot_bytes, s);
       if (k == key) {
         // Update in place.
@@ -135,14 +135,14 @@ Task<Status> HashTable::Put(Transaction& tx, uint64_t key, std::vector<uint8_t> 
 Task<Status> HashTable::Remove(Transaction& tx, uint64_t key) const {
   uint32_t slot_bytes = SlotBytes();
   uint64_t home = HomeBucket(key);
-  for (int probe = 0; probe < options_.max_probe; probe++) {
+  for (int probe = 0; probe < kMaxProbe; probe++) {
     GlobalAddr addr = BucketAddr((home + static_cast<uint64_t>(probe)) % options_.buckets);
     auto bucket = co_await tx.Read(addr, BucketPayload());
     if (!bucket.ok()) {
       co_return bucket.status();
     }
     bool has_empty = false;
-    for (int s = 0; s < options_.slots_per_bucket; s++) {
+    for (int s = 0; s < kSlotsPerBucket; s++) {
       uint64_t k = SlotKey(*bucket, slot_bytes, s);
       if (k == key) {
         std::vector<uint8_t> updated = *bucket;
@@ -165,14 +165,14 @@ Task<StatusOr<std::optional<std::vector<uint8_t>>>> HashTable::LockFreeGet(Node&
                                                                            int thread) const {
   uint32_t slot_bytes = SlotBytes();
   uint64_t home = HomeBucket(key);
-  for (int probe = 0; probe < options_.max_probe; probe++) {
+  for (int probe = 0; probe < kMaxProbe; probe++) {
     GlobalAddr addr = BucketAddr((home + static_cast<uint64_t>(probe)) % options_.buckets);
     auto bucket = co_await node.LockFreeRead(addr, BucketPayload(), thread);
     if (!bucket.ok()) {
       co_return bucket.status();
     }
     bool has_empty = false;
-    for (int s = 0; s < options_.slots_per_bucket; s++) {
+    for (int s = 0; s < kSlotsPerBucket; s++) {
       uint64_t k = SlotKey(*bucket, slot_bytes, s);
       if (k == key) {
         co_return std::optional<std::vector<uint8_t>>(

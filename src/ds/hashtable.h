@@ -6,7 +6,7 @@
 // read; updates run inside the caller's transaction so they get the full
 // commit protocol.
 //
-// Bucket object payload: slots_per_bucket x [key u64 | value bytes].
+// Bucket object payload: kSlotsPerBucket x [key u64 | value bytes].
 // key 0 = empty slot (never probe past a bucket with an empty slot),
 // key 2^64-1 = tombstone (reusable by inserts, skipped by lookups).
 #ifndef SRC_DS_HASHTABLE_H_
@@ -26,8 +26,6 @@ class HashTable {
   struct Options {
     uint64_t buckets = 1024;
     uint32_t value_size = 32;
-    int slots_per_bucket = 4;
-    int max_probe = 8;
     RegionId colocate_with = kInvalidRegion;  // locality hint for placement
   };
 
@@ -55,6 +53,11 @@ class HashTable {
   // function shipping).
   GlobalAddr KeyBucketAddr(uint64_t key) const { return BucketAddr(HomeBucket(key)); }
 
+  // Each bucket holds kSlotsPerBucket keys; a key lives in one of the
+  // kMaxProbe buckets from its home bucket on.
+  static constexpr int kSlotsPerBucket = 4;
+  static constexpr int kMaxProbe = 8;
+
   // Keys must avoid the two sentinels.
   static constexpr uint64_t kEmptyKey = 0;
   static constexpr uint64_t kTombstoneKey = UINT64_MAX;
@@ -62,7 +65,7 @@ class HashTable {
  private:
   uint32_t SlotBytes() const { return 8 + options_.value_size; }
   uint32_t BucketPayload() const {
-    return static_cast<uint32_t>(options_.slots_per_bucket) * SlotBytes();
+    return static_cast<uint32_t>(kSlotsPerBucket) * SlotBytes();
   }
   GlobalAddr BucketAddr(uint64_t bucket_index) const;
   uint64_t HomeBucket(uint64_t key) const { return Mix64(key) % options_.buckets; }

@@ -3,9 +3,10 @@
 // Calibrated against the paper's measured regime (90 machines, two 56 Gbps
 // ConnectX-3 NICs each): one-sided RDMA reads sustain ~20 ops/us/machine and
 // are CPU bound at small sizes; RPC over RDMA is ~4x slower because it
-// additionally burns remote CPU (Figure 2). The absolute constants are
-// tunable per experiment; the *structure* (one-sided ops charge no remote
-// CPU, RPCs do) is what reproduces the paper's shapes.
+// additionally burns remote CPU (Figure 2). The paper has one testbed, so the
+// model has one value, `kCost` below, which the fabric, the nodes and the
+// local-OCC baseline all read; the *structure* (one-sided ops charge no
+// remote CPU, RPCs do) is what reproduces the paper's shapes.
 #ifndef SRC_NET_COST_MODEL_H_
 #define SRC_NET_COST_MODEL_H_
 
@@ -35,22 +36,23 @@ struct CostModel {
   SimDuration cpu_lock_per_object = 180;      // version CAS + bookkeeping
 
   // --- CPU: transaction execution bookkeeping at the coordinator ---
-  SimDuration cpu_tx_begin = 150;
   SimDuration cpu_tx_read_local = 250;        // local memory read incl. version check
   SimDuration cpu_tx_write_buffer = 200;      // buffer a write locally
   SimDuration cpu_tx_commit_setup = 400;      // reservations + record marshalling
 
   // NIC occupancy of one message carrying `bytes` of payload.
-  SimDuration NicOccupancy(uint64_t bytes) const {
+  constexpr SimDuration NicOccupancy(uint64_t bytes) const {
     SimDuration transfer = static_cast<SimDuration>(static_cast<double>(bytes) / nic_bytes_per_ns);
     return transfer > nic_msg_gap ? transfer : nic_msg_gap;
   }
 
   // CPU time to copy/touch `bytes` in a handler.
-  SimDuration CpuBytes(uint64_t bytes) const {
+  constexpr SimDuration CpuBytes(uint64_t bytes) const {
     return static_cast<SimDuration>(static_cast<double>(bytes) * cpu_per_byte);
   }
 };
+
+inline constexpr CostModel kCost{};
 
 }  // namespace farm
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "src/net/cost_model.h"
 #include "src/obs/flight_recorder.h"
 
 namespace farm {
@@ -29,6 +30,9 @@ constexpr uint32_t kVerbHeaderBytes = 32;
 constexpr uint32_t kCasResponseBytes = 8;
 constexpr uint32_t kAckBytes = 8;
 
+// Two NICs per machine, as in the paper's testbed (two 56 Gbps ConnectX-3).
+constexpr size_t kNicsPerMachine = 2;
+
 // Per-op instant on the initiator's track plus the cumulative byte counter
 // for the op's transport (counter_name may be null for datagrams).
 // High-volume, so double-gated: tracer attached AND capture_net on.
@@ -54,7 +58,7 @@ void TraceFault(trace::Tracer* tracer, const char* name, MachineId src) {
 
 }  // namespace
 
-void Fabric::AddMachine(Machine* machine, RdmaMemory* memory, int num_nics) {
+void Fabric::AddMachine(Machine* machine, RdmaMemory* memory) {
   MachineId id = machine->id();
   if (id >= endpoints_.size()) {
     endpoints_.resize(id + 1);
@@ -63,7 +67,7 @@ void Fabric::AddMachine(Machine* machine, RdmaMemory* memory, int num_nics) {
   Endpoint& ep = endpoints_[id];
   ep.machine = machine;
   ep.memory = memory;
-  ep.nics.assign(static_cast<size_t>(num_nics), NicPort{});
+  ep.nics.assign(kNicsPerMachine, NicPort{});
 }
 
 bool Fabric::IsAlive(MachineId m) const {
@@ -251,7 +255,7 @@ Future<NetResult> Fabric::OneSided(Verb verb, MachineId src, MachineId dst, uint
   op->resp_bytes =
       verb == Verb::kRead ? len : (verb == Verb::kCas ? kCasResponseBytes : kAckBytes);
 
-  SimTime issue_done = thread != nullptr ? thread->AcquireCpu(cost_.cpu_rdma_issue) : sim_.Now();
+  SimTime issue_done = thread != nullptr ? thread->AcquireCpu(kCost.cpu_rdma_issue) : sim_.Now();
   sim_.At(issue_done, [op]() { op->fabric->OneSidedIssue(op); });
   return op->done;
 }
@@ -264,12 +268,12 @@ void Fabric::OneSidedFail(OneSidedOp* op) {
   HwThread* thread = op->thread;
   MachineId src = op->src;
   ReleaseOneSided(op);
-  sim_.At(sim_.Now() + cost_.rc_op_timeout, [this, done, thread, src]() {
+  sim_.At(sim_.Now() + kCost.rc_op_timeout, [this, done, thread, src]() {
     if (!IsAlive(src)) {
       return;  // initiator died; nobody is polling the CQ
     }
     CompleteOnThread(done, NetResult{UnavailableStatus("one-sided op timed out"), {}}, thread,
-                     cost_.cpu_rdma_completion);
+                     kCost.cpu_rdma_completion);
   });
 }
 
@@ -283,8 +287,8 @@ void Fabric::OneSidedIssue(OneSidedOp* op) {
     return;
   }
   NicPort& src_nic = PickNic(Ep(op->src));
-  SimTime sent = src_nic.Acquire(sim_.Now(), cost_.NicOccupancy(op->req_bytes));
-  SimTime arrival = sent + cost_.wire_latency;
+  SimTime sent = src_nic.Acquire(sim_.Now(), kCost.NicOccupancy(op->req_bytes));
+  SimTime arrival = sent + kCost.wire_latency;
   sim_.At(arrival, [op]() { op->fabric->OneSidedArrive(op); });
 }
 
@@ -295,7 +299,7 @@ void Fabric::OneSidedArrive(OneSidedOp* op) {
   }
   NicPort& dst_nic = PickNic(Ep(op->dst));
   // The target NIC serves the verb: DMA in/out of target memory.
-  SimTime served = dst_nic.Acquire(sim_.Now(), cost_.NicOccupancy(op->req_bytes + op->resp_bytes));
+  SimTime served = dst_nic.Acquire(sim_.Now(), kCost.NicOccupancy(op->req_bytes + op->resp_bytes));
   sim_.At(served, [op]() { op->fabric->OneSidedServe(op); });
 }
 
@@ -336,8 +340,8 @@ void Fabric::OneSidedServe(OneSidedOp* op) {
   }
   // Response (data / hardware ack) crosses back through the initiator NIC.
   NicPort& back_nic = PickNic(Ep(op->src));
-  SimTime resp_arrival = sim_.Now() + cost_.wire_latency;
-  SimTime delivered = back_nic.Acquire(resp_arrival, cost_.NicOccupancy(op->resp_bytes));
+  SimTime resp_arrival = sim_.Now() + kCost.wire_latency;
+  SimTime delivered = back_nic.Acquire(resp_arrival, kCost.NicOccupancy(op->resp_bytes));
   sim_.At(delivered, [op]() { op->fabric->OneSidedComplete(op); });
 }
 
@@ -349,7 +353,7 @@ void Fabric::OneSidedComplete(OneSidedOp* op) {
   if (op->thread != nullptr) {
     // The record stays alive until the completion poll runs; if the machine
     // dies first the guard drops the closure and the record is stranded.
-    op->thread->Run(cost_.cpu_rdma_completion, [op]() {
+    op->thread->Run(kCost.cpu_rdma_completion, [op]() {
       op->done.Set(std::move(op->result));
       op->fabric->ReleaseOneSided(op);
     });
@@ -422,7 +426,7 @@ Future<NetResult> Fabric::Call(MachineId src, MachineId dst, uint16_t service,
   op->replied = false;
   op->refs = 2;  // the timeout event and the request chain
 
-  SimTime issue_done = thread != nullptr ? thread->AcquireCpu(cost_.cpu_rpc_issue) : sim_.Now();
+  SimTime issue_done = thread != nullptr ? thread->AcquireCpu(kCost.cpu_rpc_issue) : sim_.Now();
   op->timeout = sim_.At(issue_done + timeout, [op]() { op->fabric->RpcTimeout(op); });
   if (effect & fault::kEffectDropMessage) {
     // Injected drop: the request never reaches the wire (same shape as the
@@ -452,7 +456,7 @@ void Fabric::RpcComplete(RpcOp* op, NetResult r) {
   if (op->thread != nullptr) {
     op->result = std::move(r);
     op->refs++;  // the completion-poll event keeps the record alive
-    op->thread->Run(cost_.cpu_rpc_completion, [op]() {
+    op->thread->Run(kCost.cpu_rpc_completion, [op]() {
       op->done.Set(std::move(op->result));
       op->fabric->DropRpcRef(op);
     });
@@ -479,8 +483,8 @@ void Fabric::RpcSend(RpcOp* op) {
     return;  // timeout will fire
   }
   NicPort& src_nic = PickNic(Ep(op->src));
-  SimTime sent = src_nic.Acquire(sim_.Now(), cost_.NicOccupancy(op->req_bytes));
-  SimTime arrival = sent + cost_.wire_latency + req_fault.delay;
+  SimTime sent = src_nic.Acquire(sim_.Now(), kCost.NicOccupancy(op->req_bytes));
+  SimTime arrival = sent + kCost.wire_latency + req_fault.delay;
   sim_.At(arrival, [op]() { op->fabric->RpcArrive(op); });
 }
 
@@ -490,7 +494,7 @@ void Fabric::RpcArrive(RpcOp* op) {
     return;
   }
   NicPort& dst_nic = PickNic(Ep(op->dst));
-  SimTime received = dst_nic.Acquire(sim_.Now(), cost_.NicOccupancy(op->req_bytes));
+  SimTime received = dst_nic.Acquire(sim_.Now(), kCost.NicOccupancy(op->req_bytes));
   sim_.At(received, [op]() { op->fabric->RpcReceive(op); });
 }
 
@@ -510,7 +514,7 @@ void Fabric::RpcReceive(RpcOp* op) {
   int tid = svc.next_thread;
   svc.next_thread = svc.next_thread >= svc.thread_hi ? svc.thread_lo : svc.next_thread + 1;
   HwThread& handler_thread = dep.machine->thread(tid);
-  SimDuration handler_cost = cost_.cpu_rpc_handler + cost_.CpuBytes(op->request.size());
+  SimDuration handler_cost = kCost.cpu_rpc_handler + kCost.CpuBytes(op->request.size());
   // The chain's ref rides into the handler event; if the machine dies before
   // the handler runs, the guard drops it and the record is stranded.
   handler_thread.Run(handler_cost, [op]() { op->fabric->RpcInvokeHandler(op); });
@@ -551,16 +555,16 @@ void Fabric::RpcReply(RpcOp* op, std::vector<uint8_t> resp) {
   NicPort& out_nic = PickNic(Ep(op->dst));
   uint64_t resp_bytes = kVerbHeaderBytes + resp.size();
   stats_.rpc_bytes += resp.size();
-  SimTime resp_sent = out_nic.Acquire(sim_.Now(), cost_.NicOccupancy(resp_bytes));
+  SimTime resp_sent = out_nic.Acquire(sim_.Now(), kCost.NicOccupancy(resp_bytes));
   if (resp_fault.duplicate) {
     op->refs++;  // the duplicate delivery chain holds its own ref
-    SimTime dup_arrival = resp_sent + cost_.wire_latency + resp_fault.dup_delay;
+    SimTime dup_arrival = resp_sent + kCost.wire_latency + resp_fault.dup_delay;
     std::vector<uint8_t> dup = resp;
     sim_.At(dup_arrival, [op, copy = std::move(dup)]() mutable {
       op->fabric->RpcRespArrive(op, std::move(copy));
     });
   }
-  SimTime resp_arrival = resp_sent + cost_.wire_latency + resp_fault.delay;
+  SimTime resp_arrival = resp_sent + kCost.wire_latency + resp_fault.delay;
   sim_.At(resp_arrival, [op, copy = std::move(resp)]() mutable {
     op->fabric->RpcRespArrive(op, std::move(copy));
   });
@@ -572,7 +576,7 @@ void Fabric::RpcRespArrive(RpcOp* op, std::vector<uint8_t> copy) {
     return;
   }
   NicPort& in_nic = PickNic(Ep(op->src));
-  SimTime delivered = in_nic.Acquire(sim_.Now(), cost_.NicOccupancy(kVerbHeaderBytes + copy.size()));
+  SimTime delivered = in_nic.Acquire(sim_.Now(), kCost.NicOccupancy(kVerbHeaderBytes + copy.size()));
   sim_.At(delivered, [op, copy = std::move(copy)]() mutable {
     op->fabric->RpcComplete(op, NetResult{OkStatus(), std::move(copy)});
     op->fabric->DropRpcRef(op);
@@ -604,21 +608,21 @@ void Fabric::SendDatagram(MachineId src, MachineId dst, std::vector<uint8_t> pay
   if (bypass_nic_queue) {
     // Dedicated lease queue pair: pays transmission time but does not wait
     // behind data operations queued on the shared path.
-    sent = sim_.Now() + cost_.NicOccupancy(bytes);
+    sent = sim_.Now() + kCost.NicOccupancy(bytes);
   } else {
     Endpoint& src_ep = Ep(src);
-    sent = PickNic(src_ep).Acquire(sim_.Now(), cost_.NicOccupancy(bytes));
+    sent = PickNic(src_ep).Acquire(sim_.Now(), kCost.NicOccupancy(bytes));
   }
   // The stage captures below (this + payload + ids + flag) fit SmallFn's
   // inline buffer exactly, so datagram delivery never allocates.
   if (fault.duplicate) {
-    SimTime dup_arrival = sent + cost_.wire_latency + fault.dup_delay;
+    SimTime dup_arrival = sent + kCost.wire_latency + fault.dup_delay;
     std::vector<uint8_t> dup = payload;
     sim_.At(dup_arrival, [this, src, dst, bypass_nic_queue, copy = std::move(dup)]() mutable {
       DatagramArrive(src, dst, bypass_nic_queue, std::move(copy));
     });
   }
-  SimTime arrival = sent + cost_.wire_latency + fault.delay;
+  SimTime arrival = sent + kCost.wire_latency + fault.delay;
   sim_.At(arrival, [this, src, dst, bypass_nic_queue, copy = std::move(payload)]() mutable {
     DatagramArrive(src, dst, bypass_nic_queue, std::move(copy));
   });
@@ -632,10 +636,10 @@ void Fabric::DatagramArrive(MachineId src, MachineId dst, bool bypass_nic_queue,
   uint64_t bytes = kVerbHeaderBytes + copy.size();
   SimTime delivered;
   if (bypass_nic_queue) {
-    delivered = sim_.Now() + cost_.NicOccupancy(bytes);
+    delivered = sim_.Now() + kCost.NicOccupancy(bytes);
   } else {
     Endpoint& dst_ep = Ep(dst);
-    delivered = PickNic(dst_ep).Acquire(sim_.Now(), cost_.NicOccupancy(bytes));
+    delivered = PickNic(dst_ep).Acquire(sim_.Now(), kCost.NicOccupancy(bytes));
   }
   sim_.At(delivered, [this, src, dst, copy = std::move(copy)]() mutable {
     DatagramDeliver(src, dst, std::move(copy));

@@ -17,7 +17,6 @@
 
 #include "src/common/rand.h"
 #include "src/common/status.h"
-#include "src/net/cost_model.h"
 #include "src/net/rdma_memory.h"
 #include "src/obs/sinks.h"
 #include "src/sim/machine.h"
@@ -76,17 +75,16 @@ class Fabric {
  public:
   // `sinks` are the owning cluster's (tracer, fault hook); a standalone
   // fabric reports to none.
-  Fabric(Simulator& sim, CostModel cost, const obs::Sinks& sinks = obs::kNoSinks)
-      : sim_(sim), cost_(cost), sinks_(sinks) {}
+  explicit Fabric(Simulator& sim, const obs::Sinks& sinks = obs::kNoSinks)
+      : sim_(sim), sinks_(sinks) {}
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
   // Registers a machine and its RDMA-accessible memory. Machines are added
   // once at cluster construction; killed machines stay registered but dead.
-  void AddMachine(Machine* machine, RdmaMemory* memory, int num_nics = 2);
+  void AddMachine(Machine* machine, RdmaMemory* memory);
 
   Simulator& sim() { return sim_; }
-  CostModel& cost() { return cost_; }
   const obs::Sinks& sinks() const { return sinks_; }
   const FabricStats& stats() const { return stats_; }
   // Attaches m's flight-recorder ring; RPC sends/handler invocations on that
@@ -132,7 +130,6 @@ class Fabric {
   void SendDatagram(MachineId src, MachineId dst, std::vector<uint8_t> payload,
                     bool bypass_nic_queue = false);
   void set_datagram_loss(double p) { datagram_loss_ = p; }
-  double datagram_loss() const { return datagram_loss_; }
 
   // ---- Link fault injection (chaos layer) ----
   // Reseeds the fault RNG. The default seed reproduces the pre-chaos loss
@@ -294,7 +291,6 @@ class Fabric {
   FaultOutcome DrawFaults(MachineId src, MachineId dst);
 
   Simulator& sim_;
-  CostModel cost_;
   const obs::Sinks& sinks_;
   FabricStats stats_;
   std::vector<Endpoint> endpoints_;

@@ -37,9 +37,6 @@ class NvramStore : public RdmaMemory {
   uint8_t* Data(uint64_t addr, size_t len);
   const uint8_t* Data(uint64_t addr, size_t len) const;
 
-  // Total registered bytes.
-  uint64_t allocated_bytes() const { return next_addr_ - kBaseAddr; }
-
   // RdmaMemory implementation (what the simulated NIC executes).
   bool RdmaRead(uint64_t addr, size_t len, uint8_t* out) override;
   bool RdmaWrite(uint64_t addr, const uint8_t* data, size_t len) override;

@@ -13,6 +13,22 @@
 
 namespace farm {
 
+// Retries a transactional closure on conflicts, as applications do.
+// Returns whether an attempt committed.
+template <typename Fn>
+Task<bool> WithRetries(Fn fn, int attempts = 8) {
+  for (int i = 0; i < attempts; i++) {
+    Status s = co_await fn();
+    if (s.ok()) {
+      co_return true;
+    }
+    if (s.code() != StatusCode::kAborted) {
+      co_return false;
+    }
+  }
+  co_return false;
+}
+
 // Runs one operation; returns true if it committed (false = aborted/retry).
 using WorkloadFn = std::function<Task<bool>(Node& node, int thread, Pcg32& rng)>;
 

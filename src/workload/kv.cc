@@ -4,26 +4,33 @@
 
 namespace farm {
 
+namespace {
+
+constexpr uint32_t kValueSize = 32;  // paper: 16-byte keys, 32-byte values
+constexpr uint64_t kLoadSeed = 3;
+
+}  // namespace
+
 Task<StatusOr<KvDb>> KvDb::Create(Cluster& cluster, KvOptions options) {
   KvDb db;
   db.options_ = options;
   Node& node = cluster.node(0);
   HashTable::Options ht;
   ht.buckets = std::max<uint64_t>(64, options.keys);  // load factor ~0.25
-  ht.value_size = options.value_size;
+  ht.value_size = kValueSize;
   auto table = co_await HashTable::Create(node, ht, 0);
   if (!table.ok()) {
     co_return table.status();
   }
   db.table_ = *table;
 
-  Pcg32 rng(options.load_seed);
+  Pcg32 rng(kLoadSeed);
   for (uint64_t k = 1; k <= options.keys; k += 16) {
     for (int attempt = 0; attempt < 5; attempt++) {
       auto tx = node.Begin(0);
       bool ok = true;
       for (uint64_t j = k; j < k + 16 && j <= options.keys && ok; j++) {
-        std::vector<uint8_t> value(options.value_size);
+        std::vector<uint8_t> value(kValueSize);
         for (auto& b : value) {
           b = static_cast<uint8_t>(rng.Next());
         }
@@ -48,26 +55,6 @@ WorkloadFn KvDb::MakeWorkload() const {
   KvDb db = *this;
   return [db](Node& node, int thread, Pcg32& rng) -> Task<bool> {
     uint64_t key = rng.Uniform64(db.options_.keys) + 1;
-    if (db.options_.write_fraction > 0 && rng.Bernoulli(db.options_.write_fraction)) {
-      for (int attempt = 0; attempt < 8; attempt++) {
-        auto tx = node.Begin(thread);
-        auto v = co_await db.table_.Get(*tx, key);
-        if (!v.ok() || !v->has_value()) {
-          co_return false;
-        }
-        std::vector<uint8_t> updated = **v;
-        updated[0]++;
-        (void)co_await db.table_.Put(*tx, key, std::move(updated));
-        Status s = co_await tx->Commit();
-        if (s.ok()) {
-          co_return true;
-        }
-        if (s.code() != StatusCode::kAborted) {
-          co_return false;
-        }
-      }
-      co_return false;
-    }
     auto v = co_await db.table_.LockFreeGet(node, key, thread);
     co_return v.ok() && v->has_value();
   };

@@ -10,16 +10,13 @@ namespace farm {
 
 struct KvOptions {
   uint64_t keys = 100000;
-  uint32_t value_size = 32;  // paper: 16-byte keys, 32-byte values
-  double write_fraction = 0.0;
-  uint64_t load_seed = 3;
 };
 
 class KvDb {
  public:
   static Task<StatusOr<KvDb>> Create(Cluster& cluster, KvOptions options);
 
-  // Uniform lookups (plus write_fraction transactional updates).
+  // Uniform lock-free lookups.
   WorkloadFn MakeWorkload() const;
 
   const HashTable& table() const { return table_; }

@@ -26,21 +26,6 @@ std::vector<uint8_t> SmallRow(Pcg32& rng, uint32_t size, bool active_flag = true
   return row;
 }
 
-// Retries a transactional closure on conflicts, as applications do.
-template <typename Fn>
-Task<bool> WithRetries(Fn fn, int attempts = 8) {
-  for (int i = 0; i < attempts; i++) {
-    Status s = co_await fn();
-    if (s.ok()) {
-      co_return true;
-    }
-    if (s.code() != StatusCode::kAborted) {
-      co_return false;
-    }
-  }
-  co_return false;
-}
-
 }  // namespace
 
 Task<StatusOr<TatpDb>> TatpDb::Create(Cluster& cluster, TatpOptions options) {

@@ -58,9 +58,6 @@ class TatpDb {
 
   // Table handles (tests and the loader use these).
   const HashTable& SubscriberTable() const { return subscriber_; }
-  const HashTable& AccessInfoTable() const { return access_info_; }
-  const HashTable& SpecialFacilityTable() const { return special_facility_; }
-  const HashTable& CallForwardingTable() const { return call_forwarding_; }
 
   // Value sizes (bytes).
   static constexpr uint32_t kSubscriberBytes = 40;

@@ -6,6 +6,11 @@ namespace farm {
 
 namespace {
 
+// The TPC-C spec's mix fractions.
+constexpr double kRemoteItemFraction = 0.01;      // ~1% of order lines
+constexpr double kRemoteCustomerFraction = 0.15;  // 15% of payments
+constexpr double kRollbackFraction = 0.01;        // 1% of new-orders roll back
+
 void PutU32At(std::vector<uint8_t>* row, size_t off, uint32_t v) {
   std::memcpy(row->data() + off, &v, 4);
 }
@@ -26,20 +31,6 @@ uint64_t U64At(const std::vector<uint8_t>& row, size_t off) {
 uint64_t PackOrderLine(uint32_t item, uint32_t qty, uint32_t amount) {
   return (static_cast<uint64_t>(item) << 32) | (static_cast<uint64_t>(qty & 0xff) << 24) |
          (amount & 0xffffff);
-}
-
-template <typename Fn>
-Task<bool> WithRetries(Fn fn, int attempts = 8) {
-  for (int i = 0; i < attempts; i++) {
-    Status s = co_await fn();
-    if (s.ok()) {
-      co_return true;
-    }
-    if (s.code() != StatusCode::kAborted) {
-      co_return false;
-    }
-  }
-  co_return false;
 }
 
 }  // namespace
@@ -304,7 +295,7 @@ Task<bool> TpccDb::NewOrder(Node& node, int thread, Pcg32& rng) const {
   uint64_t d = rng.Uniform(static_cast<uint32_t>(options_.districts)) + 1;
   uint64_t c = rng.Uniform(static_cast<uint32_t>(options_.customers)) + 1;
   uint32_t lines = rng.Uniform(11) + 5;  // 5-15 order lines
-  if (rng.Bernoulli(options_.rollback_fraction)) {
+  if (rng.Bernoulli(kRollbackFraction)) {
     stats_->rollbacks++;  // spec: ~1% of new-orders roll back (invalid item)
     co_return false;
   }
@@ -318,7 +309,7 @@ Task<bool> TpccDb::NewOrder(Node& node, int thread, Pcg32& rng) const {
     Line line;
     line.item = rng.Uniform(static_cast<uint32_t>(options_.items)) + 1;
     line.supply_w = w;
-    if (options_.warehouses > 1 && rng.Bernoulli(options_.remote_item_fraction)) {
+    if (options_.warehouses > 1 && rng.Bernoulli(kRemoteItemFraction)) {
       do {
         line.supply_w = rng.Uniform64(static_cast<uint64_t>(options_.warehouses)) + 1;
       } while (line.supply_w == w);
@@ -418,7 +409,7 @@ Task<bool> TpccDb::Payment(Node& node, int thread, Pcg32& rng) const {
   uint64_t d = rng.Uniform(static_cast<uint32_t>(options_.districts)) + 1;
   uint64_t cw = w;
   uint64_t cd = d;
-  if (options_.warehouses > 1 && rng.Bernoulli(options_.remote_customer_fraction)) {
+  if (options_.warehouses > 1 && rng.Bernoulli(kRemoteCustomerFraction)) {
     do {
       cw = rng.Uniform64(static_cast<uint64_t>(options_.warehouses)) + 1;
     } while (cw == w);

@@ -30,9 +30,6 @@ struct TpccOptions {
   int customers = 96;            // per district (scaled from 3000)
   int items = 1000;              // global (scaled from 100000)
   int init_orders = 20;          // per district (scaled from 3000)
-  double remote_item_fraction = 0.01;     // spec: ~1% of order lines
-  double remote_customer_fraction = 0.15; // spec: 15% of payments
-  double rollback_fraction = 0.01;        // spec: 1% of new-orders roll back
   uint64_t load_seed = 11;
 };
 

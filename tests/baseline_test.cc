@@ -11,7 +11,7 @@ namespace {
 TEST(LocalOccTest, CommitsAndAdvancesVersions) {
   Simulator sim;
   Machine machine(sim, 0, 4, 0);
-  LocalOccEngine engine(sim, machine, CostModel{}, LocalOccEngine::Options{});
+  LocalOccEngine engine(sim, machine, LocalOccEngine::Options{});
   engine.Seed(1, 32);
   engine.Seed(2, 32);
 
@@ -35,7 +35,7 @@ TEST(LocalOccTest, ConflictingWritersOneAborts) {
   Machine machine(sim, 0, 4, 0);
   LocalOccEngine::Options opts;
   opts.logging = true;
-  LocalOccEngine engine(sim, machine, CostModel{}, opts);
+  LocalOccEngine engine(sim, machine, opts);
   engine.Seed(7, 32);
 
   int commits = 0;
@@ -59,7 +59,7 @@ TEST(LocalOccTest, LoggingAddsLatency) {
   Machine machine(sim, 0, 2, 0);
   LocalOccEngine::Options with_log;
   with_log.logging = true;
-  LocalOccEngine logged(sim, machine, CostModel{}, with_log);
+  LocalOccEngine logged(sim, machine, with_log);
   SimTime t_logged = 0;
   auto run1 = [&]() -> Task<void> {
     std::vector<uint64_t> keys = {1};
@@ -69,13 +69,13 @@ TEST(LocalOccTest, LoggingAddsLatency) {
   Spawn(run1());
   sim.Run();
   // Group commit: at least flush interval + SSD latency.
-  EXPECT_GE(t_logged, with_log.log_flush_interval + with_log.ssd_flush_latency);
+  EXPECT_GE(t_logged, LocalOccEngine::kLogFlushInterval + LocalOccEngine::kSsdFlushLatency);
 
   Simulator sim2;
   Machine machine2(sim2, 0, 2, 0);
   LocalOccEngine::Options no_log;
   no_log.logging = false;
-  LocalOccEngine unlogged(sim2, machine2, CostModel{}, no_log);
+  LocalOccEngine unlogged(sim2, machine2, no_log);
   SimTime t_unlogged = 0;
   auto run2 = [&]() -> Task<void> {
     std::vector<uint64_t> keys = {1};
@@ -91,7 +91,7 @@ class TwoPcTest : public ::testing::Test {
  protected:
   static constexpr int kMachines = 13;  // 3 groups x 3 + coordinator group x 3 + client
 
-  TwoPcTest() : fabric_(sim_, CostModel{}) {
+  TwoPcTest() : fabric_(sim_) {
     for (MachineId i = 0; i < kMachines; i++) {
       machines_.push_back(std::make_unique<Machine>(sim_, i, 4, static_cast<int>(i)));
       stores_.push_back(std::make_unique<NvramStore>());

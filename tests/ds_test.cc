@@ -185,6 +185,67 @@ TEST_F(DsTest, HashTableLockFreeGet) {
   EXPECT_EQ((*v->value())[0], 77);
 }
 
+// A table of kMaxProbe buckets is one probe chain for every key: once its
+// kMaxProbe x kSlotsPerBucket slots hold keys, a new key has nowhere to go.
+TEST_F(DsTest, HashTableFullProbeChain) {
+  Boot();
+  HashTable ht = MakeTable(static_cast<uint64_t>(HashTable::kMaxProbe));
+  const uint64_t capacity =
+      static_cast<uint64_t>(HashTable::kMaxProbe * HashTable::kSlotsPerBucket);
+  for (uint64_t k = 1; k <= capacity; k++) {
+    ASSERT_TRUE(RunTask(*cluster_, HtPut(ht, 0, k, Val(k * 10)))->ok()) << "key " << k;
+  }
+  const uint64_t rejected = capacity + 1;
+  auto put_rejected = [this, &ht, rejected]() -> Task<std::pair<Status, Status>> {
+    auto tx = cluster_->node(1).Begin(0);
+    Status put = co_await ht.Put(*tx, rejected, Val(1));
+    Status commit = co_await tx->Commit();
+    co_return std::make_pair(put, commit);
+  };
+  auto rejected_put = RunTask(*cluster_, put_rejected());
+  ASSERT_TRUE(rejected_put.has_value());
+  EXPECT_EQ(rejected_put->first.code(), StatusCode::kResourceExhausted);
+  ASSERT_TRUE(rejected_put->second.ok()) << rejected_put->second.ToString();
+
+  // The failed Put wrote nothing: every stored key is intact through both
+  // read paths, and the rejected key is absent through both.
+  auto lock_free = [this, &ht](uint64_t key)
+      -> Task<StatusOr<std::optional<std::vector<uint8_t>>>> {
+    co_return co_await ht.LockFreeGet(cluster_->node(3), key, 0);
+  };
+  for (uint64_t k = 1; k <= capacity; k++) {
+    for (auto& v : {RunTask(*cluster_, HtGet(ht, 2, k)), RunTask(*cluster_, lock_free(k))}) {
+      ASSERT_TRUE(v.has_value() && v->ok() && v->value().has_value()) << "key " << k;
+      uint64_t got = 0;
+      std::memcpy(&got, v->value()->data(), 8);
+      EXPECT_EQ(got, k * 10) << "key " << k;
+    }
+  }
+  for (auto& v : {RunTask(*cluster_, HtGet(ht, 2, rejected)),
+                  RunTask(*cluster_, lock_free(rejected))}) {
+    ASSERT_TRUE(v.has_value() && v->ok());
+    EXPECT_FALSE(v->value().has_value());
+  }
+
+  // Removing one key leaves a tombstone the rejected key can take.
+  auto remove = [this, &ht]() -> Task<Status> {
+    auto tx = cluster_->node(1).Begin(0);
+    Status s = co_await ht.Remove(*tx, 7);
+    if (!s.ok()) {
+      co_return s;
+    }
+    co_return co_await tx->Commit();
+  };
+  ASSERT_TRUE(RunTask(*cluster_, remove())->ok());
+  ASSERT_TRUE(RunTask(*cluster_, HtPut(ht, 0, rejected, Val(5)))->ok());
+  auto v = RunTask(*cluster_, HtGet(ht, 2, rejected));
+  ASSERT_TRUE(v.has_value() && v->ok() && v->value().has_value());
+  EXPECT_EQ((*v->value())[0], 5);
+  v = RunTask(*cluster_, HtGet(ht, 2, 7));
+  ASSERT_TRUE(v.has_value() && v->ok());
+  EXPECT_FALSE(v->value().has_value());
+}
+
 TEST_F(DsTest, HashTableCrossKeyAtomicity) {
   // A transaction updating two keys is all-or-nothing under contention.
   Boot(4, 5);

@@ -19,7 +19,7 @@ namespace {
 
 TEST(FabricEdge, ConcurrentCasExactlyOneWinnerPerRound) {
   Simulator sim;
-  Fabric fabric(sim, CostModel{});
+  Fabric fabric(sim);
   std::vector<std::unique_ptr<Machine>> machines;
   std::vector<std::unique_ptr<NvramStore>> stores;
   for (MachineId i = 0; i < 5; i++) {
@@ -56,7 +56,7 @@ TEST(FabricEdge, ConcurrentCasExactlyOneWinnerPerRound) {
 
 TEST(FabricEdge, DatagramLossRateIsRespected) {
   Simulator sim;
-  Fabric fabric(sim, CostModel{});
+  Fabric fabric(sim);
   Machine m0(sim, 0, 2, 0);
   Machine m1(sim, 1, 2, 1);
   NvramStore s0;
@@ -77,7 +77,7 @@ TEST(FabricEdge, DatagramLossRateIsRespected) {
 
 TEST(FabricEdge, PartitionHealingRestoresTraffic) {
   Simulator sim;
-  Fabric fabric(sim, CostModel{});
+  Fabric fabric(sim);
   Machine m0(sim, 0, 2, 0);
   Machine m1(sim, 1, 2, 1);
   NvramStore s0;

@@ -3,6 +3,7 @@
 
 #include <cstring>
 
+#include "src/net/cost_model.h"
 #include "src/net/fabric.h"
 #include "src/nvram/energy_model.h"
 #include "src/nvram/nvram.h"
@@ -14,7 +15,7 @@ class FabricTest : public ::testing::Test {
  protected:
   static constexpr int kMachines = 4;
 
-  FabricTest() : fabric_(sim_, CostModel{}) {
+  FabricTest() : fabric_(sim_) {
     for (int i = 0; i < kMachines; i++) {
       machines_.push_back(std::make_unique<Machine>(sim_, static_cast<MachineId>(i), 4, i));
       stores_.push_back(std::make_unique<NvramStore>());
@@ -56,7 +57,7 @@ TEST_F(FabricTest, ReadHasNetworkLatency) {
   Spawn(coro());
   sim_.Run();
   // At least two wire latencies plus NIC occupancy.
-  EXPECT_GE(completed, 2 * fabric_.cost().wire_latency);
+  EXPECT_GE(completed, 2 * kCost.wire_latency);
   EXPECT_LT(completed, 100 * kMicrosecond);
 }
 
@@ -119,7 +120,7 @@ TEST_F(FabricTest, OpsToDeadMachineTimeOut) {
   Spawn(coro());
   sim_.Run();
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-  EXPECT_GE(sim_.Now(), fabric_.cost().rc_op_timeout);
+  EXPECT_GE(sim_.Now(), kCost.rc_op_timeout);
 }
 
 TEST_F(FabricTest, PartitionBlocksTraffic) {
@@ -175,7 +176,7 @@ TEST_F(FabricTest, RpcChargesRemoteCpu) {
   };
   Spawn(coro());
   sim_.Run();
-  EXPECT_GE(machines_[1]->thread(0).total_busy(), 10 * fabric_.cost().cpu_rpc_handler);
+  EXPECT_GE(machines_[1]->thread(0).total_busy(), 10 * kCost.cpu_rpc_handler);
 }
 
 TEST_F(FabricTest, RpcToDeadMachineTimesOut) {
@@ -237,12 +238,12 @@ TEST_F(FabricTest, RpcReplyCancelsTimeout) {
   LinkFaults drop;
   drop.drop = 1.0;
   fabric_.SetLinkFaults(1, 0, drop);
-  SimTime issue_done = sim_.Now() + fabric_.cost().cpu_rpc_issue;
+  SimTime issue_done = sim_.Now() + kCost.cpu_rpc_issue;
   Spawn(call());
   sim_.Run();
   EXPECT_EQ(completions, 2);
   EXPECT_EQ(status.code(), StatusCode::kTimedOut);
-  EXPECT_EQ(completed_at, issue_done + kTimeout + fabric_.cost().cpu_rpc_completion);
+  EXPECT_EQ(completed_at, issue_done + kTimeout + kCost.cpu_rpc_completion);
 
   // Duplicated reply: one completion, and the queue drains long before the
   // timeout would have fired.
@@ -358,7 +359,7 @@ TEST_F(FabricTest, MachineLinkFaultsCoverBothDirections) {
 TEST(FabricFaultDeterminism, SameSeedSameSchedule) {
   auto run = [](uint64_t seed) {
     Simulator sim;
-    Fabric fabric(sim, CostModel{});
+    Fabric fabric(sim);
     std::vector<std::unique_ptr<Machine>> machines;
     std::vector<std::unique_ptr<NvramStore>> stores;
     for (int i = 0; i < 2; i++) {
@@ -429,7 +430,7 @@ TEST_F(FabricTest, NicRateLimitsThroughput) {
   }
   sim_.Run();
   EXPECT_EQ(completed, 3 * kOpsPerSrc);
-  EXPECT_GT(sim_.Now(), static_cast<SimTime>(kOpsPerSrc) * fabric_.cost().nic_msg_gap);
+  EXPECT_GT(sim_.Now(), static_cast<SimTime>(kOpsPerSrc) * kCost.nic_msg_gap);
 }
 
 TEST(NvramTest, AllocateAndAccess) {

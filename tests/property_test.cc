@@ -259,7 +259,7 @@ TEST(HashTableModelCheck, RandomOpsMatchModel) {
 
 TEST(RingProperty, RandomSizesSurviveWraps) {
   Simulator sim;
-  Fabric fabric(sim, CostModel{});
+  Fabric fabric(sim);
   Machine m0(sim, 0, 2, 0);
   Machine m1(sim, 1, 2, 1);
   NvramStore s0;
@@ -308,7 +308,7 @@ TEST(RingProperty, RandomSizesSurviveWraps) {
 
 TEST(RingProperty, TornAtEveryOffsetNeverSurfaces) {
   Simulator sim;
-  Fabric fabric(sim, CostModel{});
+  Fabric fabric(sim);
   Machine m0(sim, 0, 2, 0);
   Machine m1(sim, 1, 2, 1);
   NvramStore s0;
@@ -452,7 +452,7 @@ TEST(WireProperty, SerializedSizeMatchesSerialize) {
 
 TEST(WireProperty, StoredRecordsOutliveRingSpace) {
   Simulator sim;
-  Fabric fabric(sim, CostModel{});
+  Fabric fabric(sim);
   Machine m0(sim, 0, 2, 0);
   Machine m1(sim, 1, 2, 1);
   NvramStore s0;
@@ -534,7 +534,7 @@ TEST(WireProperty, StoredRecordsOutliveRingSpace) {
 
 TEST(ZkProperty, RacingCasAlwaysSingleWinner) {
   Simulator sim;
-  Fabric fabric(sim, CostModel{});
+  Fabric fabric(sim);
   std::vector<std::unique_ptr<Machine>> machines;
   std::vector<std::unique_ptr<NvramStore>> stores;
   const int kClients = 6;

@@ -66,7 +66,7 @@ TEST(VersionWordTest, PackUnpack) {
 
 class RingTest : public ::testing::Test {
  protected:
-  RingTest() : fabric_(sim_, CostModel{}) {
+  RingTest() : fabric_(sim_) {
     for (MachineId i = 0; i < 2; i++) {
       machines_.push_back(std::make_unique<Machine>(sim_, i, 2, static_cast<int>(i)));
       stores_.push_back(std::make_unique<NvramStore>());

@@ -3,42 +3,10 @@
 #define TESTS_TEST_UTIL_H_
 
 #include <memory>
-#include <optional>
 
 #include "src/core/cluster.h"
 
 namespace farm {
-
-// Runs a coroutine to completion against the cluster's simulator. Lease
-// timers keep the event queue non-empty forever, so we step with a simulated
-// deadline instead of draining the queue. Returns nullopt on timeout.
-template <typename T>
-std::optional<T> RunTask(Cluster& cluster, Task<T> task, SimDuration timeout = 2 * kSecond) {
-  auto result = std::make_shared<std::optional<T>>();
-  auto wrapper = [](Task<T> inner, std::shared_ptr<std::optional<T>> out) -> Task<void> {
-    out->emplace(co_await std::move(inner));
-  };
-  Spawn(wrapper(std::move(task), result));
-  SimTime deadline = cluster.sim().Now() + timeout;
-  while (!result->has_value() && cluster.sim().Now() < deadline) {
-    if (!cluster.sim().Step()) {
-      break;
-    }
-  }
-  return *result;
-}
-
-// Steps the simulator until pred() holds or the timeout elapses.
-template <typename Pred>
-bool RunUntil(Cluster& cluster, Pred pred, SimDuration timeout) {
-  SimTime deadline = cluster.sim().Now() + timeout;
-  while (!pred() && cluster.sim().Now() < deadline) {
-    if (!cluster.sim().Step()) {
-      break;
-    }
-  }
-  return pred();
-}
 
 // Frames `payload` for RingSender::Append the way the messenger frames a
 // record.

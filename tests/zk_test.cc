@@ -16,7 +16,7 @@ class ZkTest : public ::testing::Test {
   static constexpr MachineId kClient = 5;
   static constexpr MachineId kClient2 = 6;
 
-  ZkTest() : fabric_(sim_, CostModel{}) {
+  ZkTest() : fabric_(sim_) {
     for (MachineId i = 0; i < kReplicas + 2; i++) {
       machines_.push_back(std::make_unique<Machine>(sim_, i, 2, static_cast<int>(i)));
       stores_.push_back(std::make_unique<NvramStore>());
