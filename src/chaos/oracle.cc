@@ -75,14 +75,6 @@ std::string DescribeOp(const TransferOp& op) {
 
 }  // namespace
 
-uint64_t BankOracle::CommittedCount() const {
-  uint64_t n = 0;
-  for (const auto& op : ops_) {
-    n += op.outcome == OpOutcome::kCommitted ? 1 : 0;
-  }
-  return n;
-}
-
 bool BankOracle::Check(const std::vector<FinalAccount>& final_state, std::string* failure,
                        CheckDetail* detail) const {
   std::ostringstream why;

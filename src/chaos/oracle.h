@@ -100,7 +100,6 @@ class BankOracle {
              CheckDetail* detail = nullptr) const;
 
   const std::vector<TransferOp>& ops() const { return ops_; }
-  uint64_t CommittedCount() const;
 
  private:
   int accounts_;

@@ -18,16 +18,6 @@ void ConsistentHashRing::AddNode(uint64_t node_id) {
   num_nodes_++;
 }
 
-void ConsistentHashRing::RemoveNode(uint64_t node_id) {
-  size_t before = ring_.size();
-  ring_.erase(std::remove_if(ring_.begin(), ring_.end(),
-                             [node_id](const Point& p) { return p.node_id == node_id; }),
-              ring_.end());
-  if (ring_.size() != before) {
-    num_nodes_--;
-  }
-}
-
 bool ConsistentHashRing::Contains(uint64_t node_id) const {
   return std::any_of(ring_.begin(), ring_.end(),
                      [node_id](const Point& p) { return p.node_id == node_id; });

@@ -43,14 +43,14 @@ inline uint64_t Fnv1a(std::string_view s) { return Fnv1a(s.data(), s.size()); }
 // Consistent-hash ring over integer node ids with virtual nodes.
 //
 // Provides Successors(key, k): the first k distinct nodes at or after the
-// key's position on the ring. Node sets change on reconfiguration.
+// key's position on the ring. Callers build a fresh ring from the current
+// configuration's members; nodes are only ever added.
 class ConsistentHashRing {
  public:
   explicit ConsistentHashRing(int virtual_nodes_per_node = 16)
       : virtual_nodes_(virtual_nodes_per_node) {}
 
   void AddNode(uint64_t node_id);
-  void RemoveNode(uint64_t node_id);
   bool Contains(uint64_t node_id) const;
 
   // First node clockwise from hash(key). Ring must be non-empty.

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -31,7 +30,6 @@ class BufWriter {
     PutU32(static_cast<uint32_t>(len));
     Append(data, len);
   }
-  void PutString(const std::string& s) { PutBytes(s.data(), s.size()); }
 
   // Raw append without a length prefix.
   void Append(const void* data, size_t len) {
@@ -66,11 +64,6 @@ class BufReader {
     return out;
   }
 
-  std::string GetString() {
-    auto b = GetBytes();
-    return std::string(b.begin(), b.end());
-  }
-
   // Skips `len` bytes; returns their offset.
   size_t Skip(size_t len) {
     FARM_CHECK(pos_ + len <= len_) << "BufReader overrun";
@@ -78,7 +71,6 @@ class BufReader {
     return pos_ - len;
   }
 
-  size_t remaining() const { return len_ - pos_; }
   bool AtEnd() const { return pos_ == len_; }
 
  private:

@@ -2,24 +2,6 @@
 
 namespace farm {
 
-const char* VoteName(Vote v) {
-  switch (v) {
-    case Vote::kCommitPrimary:
-      return "commit-primary";
-    case Vote::kCommitBackup:
-      return "commit-backup";
-    case Vote::kLock:
-      return "lock";
-    case Vote::kAbort:
-      return "abort";
-    case Vote::kTruncated:
-      return "truncated";
-    case Vote::kUnknown:
-      return "unknown";
-  }
-  return "?";
-}
-
 void PutTxId(BufWriter& w, const TxId& id) {
   w.PutU64(id.config);
   w.PutU32(id.machine);

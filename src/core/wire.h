@@ -73,8 +73,6 @@ enum class Vote : uint8_t {
   kUnknown = 6,
 };
 
-const char* VoteName(Vote v);
-
 // Serialized size of a TxId (see PutTxId: u64 + u32 + u16 + u64).
 constexpr uint32_t kTxIdWireBytes = 22;
 

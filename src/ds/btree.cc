@@ -55,6 +55,36 @@ BTree::NodeData BTree::NodeData::Unpack(const std::vector<uint8_t>& bytes) {
   return n;
 }
 
+GlobalAddr BTree::NodeData::ChildFor(uint64_t key) const {
+  GlobalAddr child = child_low;
+  for (const auto& [k, v] : entries) {
+    if (key < k) {
+      break;
+    }
+    child = GlobalAddr::FromPacked(v);
+  }
+  return child;
+}
+
+bool BTree::NodeData::Upsert(uint64_t key, uint64_t value) {
+  auto pos = std::lower_bound(entries.begin(), entries.end(), std::make_pair(key, uint64_t{0}));
+  if (pos != entries.end() && pos->first == key) {
+    pos->second = value;
+    return true;
+  }
+  entries.insert(pos, {key, value});
+  return false;
+}
+
+std::vector<uint8_t> BTree::Meta::Pack() const {
+  BufWriter w;
+  w.PutU64(root.Packed());
+  w.PutU32(height);
+  std::vector<uint8_t> mb = w.Take();
+  mb.resize(24, 0);
+  return mb;
+}
+
 // ---------------------------------------------------------------------------
 // Creation / meta
 // ---------------------------------------------------------------------------
@@ -92,12 +122,7 @@ Task<StatusOr<BTree>> BTree::Create(Node& node, Options options, int thread) {
     if (!meta_obj.ok()) {
       co_return meta_obj.status();
     }
-    BufWriter w;
-    w.PutU64(root->Packed());
-    w.PutU32(1);
-    std::vector<uint8_t> mb = w.Take();
-    mb.resize(24, 0);
-    (void)tx->Write(GlobalAddr{tree.meta_region_, 0}, std::move(mb));
+    (void)tx->Write(GlobalAddr{tree.meta_region_, 0}, Meta{*root, 1}.Pack());
     Status s = co_await tx->Commit();
     if (s.ok()) {
       co_return tree;
@@ -112,8 +137,14 @@ BTree BTree::Clone() const {
   return t;
 }
 
-Task<StatusOr<BTree::Meta>> BTree::ReadMeta(Node& node, int thread) const {
-  auto bytes = co_await node.LockFreeRead(GlobalAddr{meta_region_, 0}, 24, thread);
+Task<StatusOr<BTree::Meta>> BTree::ReadMeta(Transaction* tx, Node& node, int thread) const {
+  // An if/else, not `?:`: see the await-in-conditional rule (DESIGN.md).
+  StatusOr<std::vector<uint8_t>> bytes = std::vector<uint8_t>();
+  if (tx != nullptr) {
+    bytes = co_await tx->Read(GlobalAddr{meta_region_, 0}, 24);
+  } else {
+    bytes = co_await node.LockFreeRead(GlobalAddr{meta_region_, 0}, 24, thread);
+  }
   if (!bytes.ok()) {
     co_return bytes.status();
   }
@@ -122,27 +153,6 @@ Task<StatusOr<BTree::Meta>> BTree::ReadMeta(Node& node, int thread) const {
   m.root = GlobalAddr::FromPacked(r.GetU64());
   m.height = r.GetU32();
   co_return m;
-}
-
-Task<StatusOr<BTree::Meta>> BTree::ReadMetaTx(Transaction& tx) const {
-  auto bytes = co_await tx.Read(GlobalAddr{meta_region_, 0}, 24);
-  if (!bytes.ok()) {
-    co_return bytes.status();
-  }
-  BufReader r(bytes->data(), bytes->size());
-  Meta m;
-  m.root = GlobalAddr::FromPacked(r.GetU64());
-  m.height = r.GetU32();
-  co_return m;
-}
-
-Task<Status> BTree::WriteMeta(Transaction& tx, const Meta& m) const {
-  BufWriter w;
-  w.PutU64(m.root.Packed());
-  w.PutU32(m.height);
-  std::vector<uint8_t> mb = w.Take();
-  mb.resize(24, 0);
-  co_return tx.Write(GlobalAddr{meta_region_, 0}, std::move(mb));
 }
 
 // ---------------------------------------------------------------------------
@@ -174,7 +184,7 @@ void BTree::Invalidate(GlobalAddr addr) const { cache_->nodes.erase(addr.Packed(
 
 Task<StatusOr<GlobalAddr>> BTree::TraverseToLeaf(Node& node, uint64_t key, int thread,
                                                  std::vector<GlobalAddr>* path) const {
-  auto meta = co_await ReadMeta(node, thread);
+  auto meta = co_await ReadMeta(nullptr, node, thread);
   if (!meta.ok()) {
     co_return meta.status();
   }
@@ -189,31 +199,40 @@ Task<StatusOr<GlobalAddr>> BTree::TraverseToLeaf(Node& node, uint64_t key, int t
     if (n->leaf || key < n->fence_low || key >= n->fence_high) {
       co_return AbortedStatus("stale btree cache");
     }
-    // Child for `key`: child_low if key < first separator, else the child
-    // of the greatest separator <= key.
-    GlobalAddr child = n->child_low;
-    for (const auto& [k, v] : n->entries) {
-      if (key >= k) {
-        child = GlobalAddr::FromPacked(v);
-      } else {
-        break;
-      }
-    }
-    cur = child;
+    cur = n->ChildFor(key);
   }
   co_return cur;
 }
 
-Task<StatusOr<GlobalAddr>> BTree::FindLeaf(Transaction& tx, uint64_t key, int attempt,
-                                           std::vector<GlobalAddr>* path) const {
+Task<StatusOr<std::optional<BTree::Leaf>>> BTree::ReadLeaf(Transaction& tx, uint64_t key,
+                                                           int attempt) const {
+  std::vector<GlobalAddr> path;  // cached internal nodes to drop on a miss
+  std::optional<GlobalAddr> addr;
   if (attempt < 2) {
-    co_return co_await TraverseToLeaf(*tx.node(), key, tx.thread(), path);
+    auto cached = co_await TraverseToLeaf(*tx.node(), key, tx.thread(), &path);
+    if (cached.ok()) {
+      addr = *cached;
+    }
+  } else {
+    auto tx_path = co_await TraverseTx(tx, key);
+    if (tx_path.ok()) {
+      addr = tx_path->back().first;
+    }
   }
-  auto tx_path = co_await TraverseTx(tx, key);
-  if (!tx_path.ok()) {
-    co_return tx_path.status();
+  if (addr.has_value()) {
+    auto bytes = co_await tx.Read(*addr, kNodePayload);
+    if (!bytes.ok()) {
+      co_return bytes.status();
+    }
+    NodeData n = NodeData::Unpack(*bytes);
+    if (n.leaf && key >= n.fence_low && key < n.fence_high) {
+      co_return std::optional<Leaf>(Leaf{*addr, std::move(n)});
+    }
   }
-  co_return tx_path->back().first;
+  for (GlobalAddr a : path) {
+    Invalidate(a);  // the descent failed or the fences missed: stale cache
+  }
+  co_return std::optional<Leaf>();
 }
 
 // ---------------------------------------------------------------------------
@@ -222,26 +241,14 @@ Task<StatusOr<GlobalAddr>> BTree::FindLeaf(Transaction& tx, uint64_t key, int at
 
 Task<StatusOr<std::optional<uint64_t>>> BTree::Get(Transaction& tx, uint64_t key) const {
   for (int attempt = 0; attempt < kTraverseRetries; attempt++) {
-    std::vector<GlobalAddr> path;
-    auto leaf_addr = co_await FindLeaf(tx, key, attempt, &path);
-    if (!leaf_addr.ok()) {
-      for (GlobalAddr a : path) {
-        Invalidate(a);
-      }
+    auto leaf = co_await ReadLeaf(tx, key, attempt);
+    if (!leaf.ok()) {
+      co_return leaf.status();
+    }
+    if (!leaf->has_value()) {
       continue;
     }
-    auto bytes = co_await tx.Read(*leaf_addr, kNodePayload);
-    if (!bytes.ok()) {
-      co_return bytes.status();
-    }
-    NodeData leaf = NodeData::Unpack(*bytes);
-    if (!leaf.leaf || key < leaf.fence_low || key >= leaf.fence_high) {
-      for (GlobalAddr a : path) {
-        Invalidate(a);
-      }
-      continue;  // fence keys caught a stale cached path
-    }
-    for (const auto& [k, v] : leaf.entries) {
+    for (const auto& [k, v] : (*leaf)->node.entries) {
       if (k == key) {
         co_return std::optional<uint64_t>(v);
       }
@@ -253,70 +260,42 @@ Task<StatusOr<std::optional<uint64_t>>> BTree::Get(Transaction& tx, uint64_t key
 
 Task<Status> BTree::Insert(Transaction& tx, uint64_t key, uint64_t value) const {
   for (int attempt = 0; attempt < kTraverseRetries; attempt++) {
-    std::vector<GlobalAddr> path;
-    auto leaf_addr = co_await FindLeaf(tx, key, attempt, &path);
-    if (!leaf_addr.ok()) {
-      for (GlobalAddr a : path) {
-        Invalidate(a);
-      }
+    auto leaf = co_await ReadLeaf(tx, key, attempt);
+    if (!leaf.ok()) {
+      co_return leaf.status();
+    }
+    if (!leaf->has_value()) {
       continue;
     }
-    auto bytes = co_await tx.Read(*leaf_addr, kNodePayload);
-    if (!bytes.ok()) {
-      co_return bytes.status();
+    NodeData& n = (*leaf)->node;
+    n.Upsert(key, value);
+    if (n.entries.size() > kMaxEntries) {
+      // Leaf full: structural change via the transactional slow path.
+      co_return co_await InsertWithSplit(tx, key, value);
     }
-    NodeData leaf = NodeData::Unpack(*bytes);
-    if (!leaf.leaf || key < leaf.fence_low || key >= leaf.fence_high) {
-      for (GlobalAddr a : path) {
-        Invalidate(a);
-      }
-      continue;
-    }
-    auto pos = std::lower_bound(leaf.entries.begin(), leaf.entries.end(),
-                                std::make_pair(key, uint64_t{0}));
-    if (pos != leaf.entries.end() && pos->first == key) {
-      pos->second = value;  // update in place
-      co_return tx.Write(*leaf_addr, leaf.Pack());
-    }
-    if (leaf.entries.size() < kMaxEntries) {
-      leaf.entries.insert(pos, {key, value});
-      co_return tx.Write(*leaf_addr, leaf.Pack());
-    }
-    // Leaf full: structural change via the transactional slow path.
-    co_return co_await InsertWithSplit(tx, key, value);
+    co_return tx.Write((*leaf)->addr, n.Pack());
   }
   co_return AbortedStatus("btree traversal kept hitting stale caches");
 }
 
 Task<Status> BTree::Remove(Transaction& tx, uint64_t key) const {
   for (int attempt = 0; attempt < kTraverseRetries; attempt++) {
-    std::vector<GlobalAddr> path;
-    auto leaf_addr = co_await FindLeaf(tx, key, attempt, &path);
-    if (!leaf_addr.ok()) {
-      for (GlobalAddr a : path) {
-        Invalidate(a);
-      }
+    auto leaf = co_await ReadLeaf(tx, key, attempt);
+    if (!leaf.ok()) {
+      co_return leaf.status();
+    }
+    if (!leaf->has_value()) {
       continue;
     }
-    auto bytes = co_await tx.Read(*leaf_addr, kNodePayload);
-    if (!bytes.ok()) {
-      co_return bytes.status();
+    NodeData& n = (*leaf)->node;
+    auto it = std::find_if(n.entries.begin(), n.entries.end(),
+                           [key](const auto& e) { return e.first == key; });
+    if (it == n.entries.end()) {
+      co_return NotFoundStatus("key not in btree");
     }
-    NodeData leaf = NodeData::Unpack(*bytes);
-    if (!leaf.leaf || key < leaf.fence_low || key >= leaf.fence_high) {
-      for (GlobalAddr a : path) {
-        Invalidate(a);
-      }
-      continue;
-    }
-    for (auto it = leaf.entries.begin(); it != leaf.entries.end(); ++it) {
-      if (it->first == key) {
-        leaf.entries.erase(it);
-        // Nodes are left sparse; no rebalancing (write-optimized B-trees).
-        co_return tx.Write(*leaf_addr, leaf.Pack());
-      }
-    }
-    co_return NotFoundStatus("key not in btree");
+    n.entries.erase(it);
+    // Nodes are left sparse; no rebalancing (write-optimized B-trees).
+    co_return tx.Write((*leaf)->addr, n.Pack());
   }
   co_return AbortedStatus("btree traversal kept hitting stale caches");
 }
@@ -324,46 +303,30 @@ Task<Status> BTree::Remove(Transaction& tx, uint64_t key) const {
 Task<StatusOr<std::vector<std::pair<uint64_t, uint64_t>>>> BTree::Scan(Transaction& tx,
                                                                        uint64_t lo, uint64_t hi,
                                                                        size_t max) const {
-  std::vector<std::pair<uint64_t, uint64_t>> out;
   for (int attempt = 0; attempt < kTraverseRetries; attempt++) {
-    out.clear();
-    std::vector<GlobalAddr> path;
-    auto leaf_addr = co_await FindLeaf(tx, lo, attempt, &path);
-    if (!leaf_addr.ok()) {
-      for (GlobalAddr a : path) {
-        Invalidate(a);
-      }
+    auto first = co_await ReadLeaf(tx, lo, attempt);
+    if (!first.ok()) {
+      co_return first.status();
+    }
+    if (!first->has_value()) {
       continue;
     }
-    GlobalAddr cur = *leaf_addr;
-    bool first = true;
-    bool stale = false;
-    while (cur.valid() && out.size() < max) {
-      auto bytes = co_await tx.Read(cur, kNodePayload);
-      if (!bytes.ok()) {
-        co_return bytes.status();
-      }
-      NodeData leaf = NodeData::Unpack(*bytes);
-      if (first && (!leaf.leaf || lo < leaf.fence_low || lo >= leaf.fence_high)) {
-        for (GlobalAddr a : path) {
-          Invalidate(a);
-        }
-        stale = true;
-        break;
-      }
-      first = false;
+    NodeData leaf = std::move((*first)->node);
+    std::vector<std::pair<uint64_t, uint64_t>> out;
+    for (;;) {
       for (const auto& [k, v] : leaf.entries) {
         if (k >= lo && k < hi && out.size() < max) {
           out.push_back({k, v});
         }
       }
-      if (leaf.fence_high >= hi) {
-        break;
+      if (leaf.fence_high >= hi || out.size() >= max || !leaf.next.valid()) {
+        co_return out;
       }
-      cur = leaf.next;
-    }
-    if (!stale) {
-      co_return out;
+      auto bytes = co_await tx.Read(leaf.next, kNodePayload);
+      if (!bytes.ok()) {
+        co_return bytes.status();
+      }
+      leaf = NodeData::Unpack(*bytes);
     }
   }
   co_return AbortedStatus("btree traversal kept hitting stale caches");
@@ -375,7 +338,7 @@ Task<StatusOr<std::vector<std::pair<uint64_t, uint64_t>>>> BTree::Scan(Transacti
 
 Task<StatusOr<std::vector<std::pair<GlobalAddr, BTree::NodeData>>>> BTree::TraverseTx(
     Transaction& tx, uint64_t key) const {
-  auto meta = co_await ReadMetaTx(tx);
+  auto meta = co_await ReadMeta(&tx, *tx.node(), tx.thread());
   if (!meta.ok()) {
     co_return meta.status();
   }
@@ -391,15 +354,7 @@ Task<StatusOr<std::vector<std::pair<GlobalAddr, BTree::NodeData>>>> BTree::Trave
     if (n.leaf) {
       co_return path;
     }
-    GlobalAddr child = n.child_low;
-    for (const auto& [k, v] : n.entries) {
-      if (key >= k) {
-        child = GlobalAddr::FromPacked(v);
-      } else {
-        break;
-      }
-    }
-    cur = child;
+    cur = n.ChildFor(key);
   }
 }
 
@@ -409,21 +364,14 @@ Task<Status> BTree::InsertWithSplit(Transaction& tx, uint64_t key, uint64_t valu
     co_return path_or.status();
   }
   auto path = std::move(*path_or);  // root..leaf
-  auto meta = co_await ReadMetaTx(tx);
+  auto meta = co_await ReadMeta(&tx, *tx.node(), tx.thread());
   if (!meta.ok()) {
     co_return meta.status();
   }
 
   // Insert into the leaf (update-in-place if present after re-read).
-  {
-    NodeData& leaf = path.back().second;
-    auto pos = std::lower_bound(leaf.entries.begin(), leaf.entries.end(),
-                                std::make_pair(key, uint64_t{0}));
-    if (pos != leaf.entries.end() && pos->first == key) {
-      pos->second = value;
-      co_return tx.Write(path.back().first, leaf.Pack());
-    }
-    leaf.entries.insert(pos, {key, value});
+  if (path.back().second.Upsert(key, value)) {
+    co_return tx.Write(path.back().first, path.back().second.Pack());
   }
 
   // Split bottom-up while nodes overflow.
@@ -434,9 +382,7 @@ Task<Status> BTree::InsertWithSplit(Transaction& tx, uint64_t key, uint64_t valu
     GlobalAddr addr = path[level].first;
     NodeData& n = path[level].second;
     if (have_carry) {
-      auto pos = std::lower_bound(n.entries.begin(), n.entries.end(),
-                                  std::make_pair(up_key, uint64_t{0}));
-      n.entries.insert(pos, {up_key, up_child.Packed()});
+      n.Upsert(up_key, up_child.Packed());
       have_carry = false;
     }
     if (n.entries.size() <= kMaxEntries) {
@@ -497,10 +443,7 @@ Task<Status> BTree::InsertWithSplit(Transaction& tx, uint64_t key, uint64_t valu
     if (!ws.ok()) {
       co_return ws;
     }
-    Meta m = *meta;
-    m.root = *new_root;
-    m.height++;
-    co_return co_await WriteMeta(tx, m);
+    co_return tx.Write(GlobalAddr{meta_region_, 0}, Meta{*new_root, meta->height + 1}.Pack());
   }
   co_return OkStatus();
 }

@@ -45,7 +45,8 @@ class BTree {
   Task<Status> Insert(Transaction& tx, uint64_t key, uint64_t value) const;
   // kNotFound if absent.
   Task<Status> Remove(Transaction& tx, uint64_t key) const;
-  // Entries with lo <= key < hi, at most `max` of them, in key order.
+  // Entries with lo <= key < hi, at most `max` of them, in key order. The
+  // leaf holding `lo` is read even when max == 0, which no caller passes.
   Task<StatusOr<std::vector<std::pair<uint64_t, uint64_t>>>> Scan(Transaction& tx, uint64_t lo,
                                                                   uint64_t hi,
                                                                   size_t max) const;
@@ -54,8 +55,6 @@ class BTree {
   RegionId node_region() const { return node_region_; }
 
  private:
-  friend class BTreeTestPeer;
-
   struct NodeData {
     bool leaf = true;
     uint64_t fence_low = 0;
@@ -64,6 +63,12 @@ class BTree {
     GlobalAddr child_low;  // internal: child for keys < entries[0].first
     std::vector<std::pair<uint64_t, uint64_t>> entries;  // key -> value/child
 
+    // Internal: child_low if key < first separator, else the child of the
+    // greatest separator <= key.
+    GlobalAddr ChildFor(uint64_t key) const;
+    // Sorted insert, or update in place; returns true if `key` was present.
+    bool Upsert(uint64_t key, uint64_t value);
+
     std::vector<uint8_t> Pack() const;
     static NodeData Unpack(const std::vector<uint8_t>& bytes);
   };
@@ -71,11 +76,17 @@ class BTree {
   struct Meta {
     GlobalAddr root;
     uint32_t height = 1;  // 1 = root is a leaf
+
+    std::vector<uint8_t> Pack() const;
   };
 
-  Task<StatusOr<Meta>> ReadMeta(Node& node, int thread) const;
-  Task<StatusOr<Meta>> ReadMetaTx(Transaction& tx) const;
-  Task<Status> WriteMeta(Transaction& tx, const Meta& m) const;
+  struct Leaf {
+    GlobalAddr addr;
+    NodeData node;
+  };
+
+  // Through tx->Read when tx is set, else a lock-free read.
+  Task<StatusOr<Meta>> ReadMeta(Transaction* tx, Node& node, int thread) const;
 
   // Cached / lock-free read of an internal node (not in the tx read set).
   // Cached nodes are immutable and shared with the cache.
@@ -91,12 +102,15 @@ class BTree {
   // Transactional descent used by structure-modifying operations.
   Task<StatusOr<std::vector<std::pair<GlobalAddr, NodeData>>>> TraverseTx(Transaction& tx,
                                                                           uint64_t key) const;
-  // Finds the leaf for `key`: cached traversal on early attempts, falling
-  // back to a transactional descent. The fallback is what makes a
-  // transaction's own (buffered, uncommitted) splits visible to its later
-  // operations -- the cache only ever sees committed state.
-  Task<StatusOr<GlobalAddr>> FindLeaf(Transaction& tx, uint64_t key, int attempt,
-                                      std::vector<GlobalAddr>* path) const;
+  // One attempt at reading the leaf for `key` into the transaction: a
+  // cached traversal on early attempts, falling back to a transactional
+  // descent. The fallback is what makes a transaction's own (buffered,
+  // uncommitted) splits visible to its later operations -- the cache only
+  // ever sees committed state. Returns nullopt (retry) after invalidating the
+  // cached path if the descent failed or the leaf's fence keys miss `key`;
+  // a failed leaf read is returned as the status.
+  Task<StatusOr<std::optional<Leaf>>> ReadLeaf(Transaction& tx, uint64_t key,
+                                               int attempt) const;
   Task<Status> InsertWithSplit(Transaction& tx, uint64_t key, uint64_t value) const;
 
   Options options_;

@@ -60,29 +60,48 @@ GlobalAddr HashTable::BucketAddr(uint64_t bucket_index) const {
                     static_cast<uint32_t>(within * bucket_stride())};
 }
 
-Task<StatusOr<std::optional<std::vector<uint8_t>>>> HashTable::Get(Transaction& tx,
-                                                                   uint64_t key) const {
-  uint32_t slot_bytes = SlotBytes();
+HashTable::BucketScan HashTable::ScanBucket(const std::vector<uint8_t>& bucket,
+                                            uint64_t key) const {
+  BucketScan scan;
+  for (int s = 0; s < kSlotsPerBucket; s++) {
+    uint64_t k = SlotKey(bucket, SlotBytes(), s);
+    if (k == key) {
+      scan.match = s;
+      break;
+    }
+    if ((k == kEmptyKey || k == kTombstoneKey) && scan.free < 0) {
+      scan.free = s;
+    }
+    if (k == kEmptyKey) {
+      scan.has_empty = true;
+    }
+  }
+  return scan;
+}
+
+Task<StatusOr<std::optional<std::vector<uint8_t>>>> HashTable::Lookup(Transaction* tx,
+                                                                      Node& node, int thread,
+                                                                      uint64_t key) const {
   uint64_t home = HomeBucket(key);
   for (int probe = 0; probe < kMaxProbe; probe++) {
-    GlobalAddr addr = BucketAddr((home + static_cast<uint64_t>(probe)) % options_.buckets);
-    auto bucket = co_await tx.Read(addr, BucketPayload());
+    GlobalAddr addr = ProbeAddr(home, probe);
+    // An if/else, not `?:`: see the await-in-conditional rule (DESIGN.md).
+    StatusOr<std::vector<uint8_t>> bucket = std::vector<uint8_t>();
+    if (tx != nullptr) {
+      bucket = co_await tx->Read(addr, BucketPayload());
+    } else {
+      bucket = co_await node.LockFreeRead(addr, BucketPayload(), thread);
+    }
     if (!bucket.ok()) {
       co_return bucket.status();
     }
-    bool has_empty = false;
-    for (int s = 0; s < kSlotsPerBucket; s++) {
-      uint64_t k = SlotKey(*bucket, slot_bytes, s);
-      if (k == key) {
-        co_return std::optional<std::vector<uint8_t>>(
-            SlotValue(*bucket, slot_bytes, s, options_.value_size));
-      }
-      if (k == kEmptyKey) {
-        has_empty = true;
-      }
+    BucketScan scan = ScanBucket(*bucket, key);
+    if (scan.match >= 0) {
+      co_return std::optional<std::vector<uint8_t>>(
+          SlotValue(*bucket, SlotBytes(), scan.match, options_.value_size));
     }
-    if (has_empty) {
-      co_return std::optional<std::vector<uint8_t>>(std::nullopt);
+    if (scan.has_empty) {
+      break;  // the key cannot exist beyond a bucket with an empty slot
     }
   }
   co_return std::optional<std::vector<uint8_t>>(std::nullopt);
@@ -90,103 +109,57 @@ Task<StatusOr<std::optional<std::vector<uint8_t>>>> HashTable::Get(Transaction& 
 
 Task<Status> HashTable::Put(Transaction& tx, uint64_t key, std::vector<uint8_t> value) const {
   FARM_CHECK(key != kEmptyKey && key != kTombstoneKey) << "reserved key";
-  uint32_t slot_bytes = SlotBytes();
   uint64_t home = HomeBucket(key);
-  // First pass: update in place if present; remember the first insertable
-  // slot (empty or tombstone) along the probe path.
+  // Update in place if present; otherwise insert at the first free slot
+  // (empty or tombstone) along the probe path.
   GlobalAddr insert_addr;
   int insert_slot = -1;
   std::vector<uint8_t> insert_bucket;
   for (int probe = 0; probe < kMaxProbe; probe++) {
-    GlobalAddr addr = BucketAddr((home + static_cast<uint64_t>(probe)) % options_.buckets);
+    GlobalAddr addr = ProbeAddr(home, probe);
     auto bucket = co_await tx.Read(addr, BucketPayload());
     if (!bucket.ok()) {
       co_return bucket.status();
     }
-    bool has_empty = false;
-    for (int s = 0; s < kSlotsPerBucket; s++) {
-      uint64_t k = SlotKey(*bucket, slot_bytes, s);
-      if (k == key) {
-        // Update in place.
-        std::vector<uint8_t> updated = *bucket;
-        SetSlot(&updated, slot_bytes, s, key, value, options_.value_size);
-        co_return tx.Write(addr, std::move(updated));
-      }
-      if ((k == kEmptyKey || k == kTombstoneKey) && insert_slot < 0) {
-        insert_addr = addr;
-        insert_slot = s;
-        insert_bucket = *bucket;
-      }
-      if (k == kEmptyKey) {
-        has_empty = true;
-      }
+    BucketScan scan = ScanBucket(*bucket, key);
+    if (scan.match >= 0) {
+      SetSlot(&*bucket, SlotBytes(), scan.match, key, value, options_.value_size);
+      co_return tx.Write(addr, std::move(*bucket));
     }
-    if (has_empty) {
-      break;  // the key cannot exist beyond a bucket with an empty slot
+    if (scan.free >= 0 && insert_slot < 0) {
+      insert_addr = addr;
+      insert_slot = scan.free;
+      insert_bucket = std::move(*bucket);
+    }
+    if (scan.has_empty) {
+      break;
     }
   }
   if (insert_slot < 0) {
     co_return Status(StatusCode::kResourceExhausted, "hash table probe chain full");
   }
-  SetSlot(&insert_bucket, slot_bytes, insert_slot, key, value, options_.value_size);
+  SetSlot(&insert_bucket, SlotBytes(), insert_slot, key, value, options_.value_size);
   co_return tx.Write(insert_addr, std::move(insert_bucket));
 }
 
 Task<Status> HashTable::Remove(Transaction& tx, uint64_t key) const {
-  uint32_t slot_bytes = SlotBytes();
   uint64_t home = HomeBucket(key);
   for (int probe = 0; probe < kMaxProbe; probe++) {
-    GlobalAddr addr = BucketAddr((home + static_cast<uint64_t>(probe)) % options_.buckets);
+    GlobalAddr addr = ProbeAddr(home, probe);
     auto bucket = co_await tx.Read(addr, BucketPayload());
     if (!bucket.ok()) {
       co_return bucket.status();
     }
-    bool has_empty = false;
-    for (int s = 0; s < kSlotsPerBucket; s++) {
-      uint64_t k = SlotKey(*bucket, slot_bytes, s);
-      if (k == key) {
-        std::vector<uint8_t> updated = *bucket;
-        SetSlot(&updated, slot_bytes, s, kTombstoneKey, {}, options_.value_size);
-        co_return tx.Write(addr, std::move(updated));
-      }
-      if (k == kEmptyKey) {
-        has_empty = true;
-      }
+    BucketScan scan = ScanBucket(*bucket, key);
+    if (scan.match >= 0) {
+      SetSlot(&*bucket, SlotBytes(), scan.match, kTombstoneKey, {}, options_.value_size);
+      co_return tx.Write(addr, std::move(*bucket));
     }
-    if (has_empty) {
+    if (scan.has_empty) {
       break;
     }
   }
   co_return NotFoundStatus("key not in table");
-}
-
-Task<StatusOr<std::optional<std::vector<uint8_t>>>> HashTable::LockFreeGet(Node& node,
-                                                                           uint64_t key,
-                                                                           int thread) const {
-  uint32_t slot_bytes = SlotBytes();
-  uint64_t home = HomeBucket(key);
-  for (int probe = 0; probe < kMaxProbe; probe++) {
-    GlobalAddr addr = BucketAddr((home + static_cast<uint64_t>(probe)) % options_.buckets);
-    auto bucket = co_await node.LockFreeRead(addr, BucketPayload(), thread);
-    if (!bucket.ok()) {
-      co_return bucket.status();
-    }
-    bool has_empty = false;
-    for (int s = 0; s < kSlotsPerBucket; s++) {
-      uint64_t k = SlotKey(*bucket, slot_bytes, s);
-      if (k == key) {
-        co_return std::optional<std::vector<uint8_t>>(
-            SlotValue(*bucket, slot_bytes, s, options_.value_size));
-      }
-      if (k == kEmptyKey) {
-        has_empty = true;
-      }
-    }
-    if (has_empty) {
-      co_return std::optional<std::vector<uint8_t>>(std::nullopt);
-    }
-  }
-  co_return std::optional<std::vector<uint8_t>>(std::nullopt);
 }
 
 }  // namespace farm

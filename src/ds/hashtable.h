@@ -37,14 +37,18 @@ class HashTable {
   HashTable() = default;
 
   // --- transactional operations (run inside the caller's transaction) ---
-  Task<StatusOr<std::optional<std::vector<uint8_t>>>> Get(Transaction& tx, uint64_t key) const;
+  Task<StatusOr<std::optional<std::vector<uint8_t>>>> Get(Transaction& tx, uint64_t key) const {
+    return Lookup(&tx, *tx.node(), tx.thread(), key);
+  }
   Task<Status> Put(Transaction& tx, uint64_t key, std::vector<uint8_t> value) const;
   // kNotFound if absent.
   Task<Status> Remove(Transaction& tx, uint64_t key) const;
 
   // --- optimized single-row lookup (lock-free read, section 3) ---
   Task<StatusOr<std::optional<std::vector<uint8_t>>>> LockFreeGet(Node& node, uint64_t key,
-                                                                  int thread) const;
+                                                                  int thread) const {
+    return Lookup(nullptr, node, thread, key);
+  }
 
   const Options& options() const { return options_; }
   const std::vector<RegionId>& regions() const { return regions_; }
@@ -63,11 +67,28 @@ class HashTable {
   static constexpr uint64_t kTombstoneKey = UINT64_MAX;
 
  private:
+  // One bucket's slots as seen by a probe for `key`.
+  struct BucketScan {
+    int match = -1;          // slot holding the key
+    int free = -1;           // first empty or tombstone slot
+    bool has_empty = false;  // probing stops at this bucket
+  };
+  BucketScan ScanBucket(const std::vector<uint8_t>& bucket, uint64_t key) const;
+
+  // The probe behind Get (through tx->Read) and LockFreeGet (tx == nullptr,
+  // through node.LockFreeRead).
+  Task<StatusOr<std::optional<std::vector<uint8_t>>>> Lookup(Transaction* tx, Node& node,
+                                                             int thread, uint64_t key) const;
+
   uint32_t SlotBytes() const { return 8 + options_.value_size; }
   uint32_t BucketPayload() const {
     return static_cast<uint32_t>(kSlotsPerBucket) * SlotBytes();
   }
   GlobalAddr BucketAddr(uint64_t bucket_index) const;
+  // Address of the `probe`-th bucket on the probe path from `home`.
+  GlobalAddr ProbeAddr(uint64_t home, int probe) const {
+    return BucketAddr((home + static_cast<uint64_t>(probe)) % options_.buckets);
+  }
   uint64_t HomeBucket(uint64_t key) const { return Mix64(key) % options_.buckets; }
 
   Options options_;

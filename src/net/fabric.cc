@@ -115,10 +115,6 @@ void Fabric::SetMachineLinkFaults(MachineId m, LinkFaults faults) {
   }
 }
 
-void Fabric::ClearLinkFaults(MachineId src, MachineId dst) {
-  link_faults_.erase({src, dst});
-}
-
 Fabric::FaultOutcome Fabric::DrawFaults(MachineId src, MachineId dst) {
   FaultOutcome out;
   if (link_faults_.empty()) {

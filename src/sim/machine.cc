@@ -14,11 +14,6 @@ void HwThread::InjectBusy(SimDuration cost) {
   total_busy_ += cost;
 }
 
-SimDuration HwThread::Backlog() const {
-  SimTime now = sim_.Now();
-  return busy_until_ > now ? busy_until_ - now : 0;
-}
-
 Machine::Machine(Simulator& sim, MachineId id, int num_threads, int failure_domain)
     : sim_(sim), id_(id), failure_domain_(failure_domain) {
   threads_.reserve(static_cast<size_t>(num_threads));

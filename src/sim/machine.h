@@ -52,8 +52,6 @@ class HwThread {
   }
 
   SimTime busy_until() const { return busy_until_; }
-  // Queueing backlog from `now`: how long a new item would wait to start.
-  SimDuration Backlog() const;
   SimDuration total_busy() const { return total_busy_; }
   int index() const { return index_; }
 

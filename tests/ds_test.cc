@@ -246,6 +246,38 @@ TEST_F(DsTest, HashTableFullProbeChain) {
   EXPECT_FALSE(v->value().has_value());
 }
 
+// A key past a tombstone in its bucket is updated where it lives: a Put
+// that took the tombstone instead would leave a second copy of the key,
+// which a later Remove would not delete.
+TEST_F(DsTest, HashTablePutPastTombstoneUpdatesInPlace) {
+  Boot();
+  HashTable ht = MakeTable(1);
+  ASSERT_TRUE(RunTask(*cluster_, HtPut(ht, 0, 1, Val(10)))->ok());
+  ASSERT_TRUE(RunTask(*cluster_, HtPut(ht, 0, 2, Val(20)))->ok());
+  auto remove = [this, &ht](uint64_t key) -> Task<Status> {
+    auto tx = cluster_->node(1).Begin(0);
+    Status s = co_await ht.Remove(*tx, key);
+    if (!s.ok()) {
+      co_return s;
+    }
+    co_return co_await tx->Commit();
+  };
+  ASSERT_TRUE(RunTask(*cluster_, remove(1))->ok());  // tombstone ahead of key 2
+  ASSERT_TRUE(RunTask(*cluster_, HtPut(ht, 0, 2, Val(21)))->ok());
+  auto v = RunTask(*cluster_, HtGet(ht, 2, 2));
+  ASSERT_TRUE(v.has_value() && v->ok() && v->value().has_value());
+  EXPECT_EQ((*v->value())[0], 21);
+
+  ASSERT_TRUE(RunTask(*cluster_, remove(2))->ok());
+  auto lock_free = [this, &ht]() -> Task<StatusOr<std::optional<std::vector<uint8_t>>>> {
+    co_return co_await ht.LockFreeGet(cluster_->node(3), 2, 0);
+  };
+  for (auto& got : {RunTask(*cluster_, HtGet(ht, 2, 2)), RunTask(*cluster_, lock_free())}) {
+    ASSERT_TRUE(got.has_value() && got->ok());
+    EXPECT_FALSE(got->value().has_value());
+  }
+}
+
 TEST_F(DsTest, HashTableCrossKeyAtomicity) {
   // A transaction updating two keys is all-or-nothing under contention.
   Boot(4, 5);
@@ -373,6 +405,73 @@ TEST_F(DsTest, BTreeRemove) {
   // Neighbors unaffected.
   EXPECT_TRUE(RunTask(*cluster_, BtGet(bt, 2, 24))->value().has_value());
   EXPECT_TRUE(RunTask(*cluster_, BtGet(bt, 2, 26))->value().has_value());
+}
+
+// One transaction splits leaves and the root without committing; its later
+// Gets and Scans must find every key through its own buffered splits, and a
+// Scan must stop at `max` even when that falls past a leaf boundary.
+TEST_F(DsTest, BTreeOwnSplitsVisibleInsideTransaction) {
+  Boot();
+  BTree bt = MakeTree();
+  using Entries = std::vector<std::pair<uint64_t, uint64_t>>;
+  struct Seen {
+    std::vector<uint64_t> missing;  // keys Get did not return correctly
+    Entries all;
+    Entries window;
+    Status commit;
+  };
+  auto run = [this, &bt]() -> Task<StatusOr<Seen>> {
+    auto tx = cluster_->node(0).Begin(0);
+    for (uint64_t k = 1; k <= 60; k++) {
+      Status s = co_await bt.Insert(*tx, k, k * 10);
+      if (!s.ok()) {
+        co_return s;
+      }
+    }
+    Seen seen;
+    for (uint64_t k = 1; k <= 60; k++) {
+      auto v = co_await bt.Get(*tx, k);
+      if (!v.ok()) {
+        co_return v.status();
+      }
+      if (*v != std::optional<uint64_t>(k * 10)) {
+        seen.missing.push_back(k);
+      }
+    }
+    auto all = co_await bt.Scan(*tx, 1, 61, 1000);
+    if (!all.ok()) {
+      co_return all.status();
+    }
+    seen.all = std::move(*all);
+    auto window = co_await bt.Scan(*tx, 20, 61, 25);
+    if (!window.ok()) {
+      co_return window.status();
+    }
+    seen.window = std::move(*window);
+    seen.commit = co_await tx->Commit();
+    co_return seen;
+  };
+  auto seen = RunTask(*cluster_, run());
+  ASSERT_TRUE(seen.has_value() && seen->ok()) << (seen ? seen->status().ToString() : "timeout");
+  EXPECT_TRUE(seen->value().missing.empty()) << seen->value().missing.size() << " keys missing";
+  const Entries& all = seen->value().all;
+  ASSERT_EQ(all.size(), 60u);
+  for (uint64_t k = 1; k <= 60; k++) {
+    EXPECT_EQ(all[k - 1], std::make_pair(k, k * 10));
+  }
+  const Entries& window = seen->value().window;
+  ASSERT_EQ(window.size(), 25u);
+  for (uint64_t i = 0; i < 25; i++) {
+    EXPECT_EQ(window[i].first, 20 + i);
+  }
+  ASSERT_TRUE(seen->value().commit.ok()) << seen->value().commit.ToString();
+
+  BTree other = bt.Clone();
+  for (uint64_t k = 1; k <= 60; k++) {
+    auto v = RunTask(*cluster_, BtGet(other, 1, k));
+    ASSERT_TRUE(v.has_value() && v->ok() && v->value().has_value()) << "key " << k;
+    EXPECT_EQ(*v->value(), k * 10);
+  }
 }
 
 TEST_F(DsTest, BTreeStaleCacheHealsViaFenceKeys) {

@@ -300,7 +300,7 @@ TEST_F(FabricTest, LinkFaultDropKillsOneDirectedLink) {
   EXPECT_EQ(to2, 20);  // only the 1->2 copies
   EXPECT_EQ(to3, 20);
   EXPECT_EQ(fabric_.stats().faults_dropped, 20u);
-  fabric_.ClearLinkFaults(0, 2);
+  fabric_.SetLinkFaults(0, 2, LinkFaults{});
   fabric_.SendDatagram(0, 2, {1});
   sim_.Run();
   EXPECT_EQ(to2, 21);  // link works again after clearing

@@ -77,15 +77,6 @@ TEST(HwThreadTest, SerializesWork) {
   EXPECT_EQ(completions[2], 200u);  // thread 0 second item, queued
 }
 
-TEST(HwThreadTest, BacklogReflectsQueueing) {
-  Simulator sim;
-  Machine m(sim, 0, 1, 0);
-  m.thread(0).Run(1000, []() {});
-  EXPECT_EQ(m.thread(0).Backlog(), 1000u);
-  sim.Run();
-  EXPECT_EQ(m.thread(0).Backlog(), 0u);
-}
-
 TEST(HwThreadTest, KilledMachineDropsWork) {
   Simulator sim;
   Machine m(sim, 0, 1, 0);

@@ -273,6 +273,14 @@ TEST(AwaitRuleTest, IteratorInvalidateTriple) {
   EXPECT_TRUE(LintFixture("iter_invalidate_suppressed.cc", DefaultRules()).empty());
 }
 
+TEST(AwaitRuleTest, AwaitInConditionalTriple) {
+  auto bad = LintFixture("await_in_conditional_bad.cc", DefaultRules());
+  EXPECT_EQ(bad["await-in-conditional"], 3) << "one per line: ReadEither, nested branch, else branch";
+  EXPECT_EQ(bad.size(), 1u) << "only await-in-conditional may fire";
+  EXPECT_TRUE(LintFixture("await_in_conditional_good.cc", DefaultRules()).empty());
+  EXPECT_TRUE(LintFixture("await_in_conditional_suppressed.cc", DefaultRules()).empty());
+}
+
 TEST(AwaitRuleTest, StableAnnotationInHeaderExemptsCallers) {
   // stable_accessor.h marks IndexOf() with `// farmlint: stable`; the .cc
   // holds its result across an await, which must then be clean.
@@ -341,6 +349,7 @@ TEST(DriverTest, KnownRuleNames) {
   EXPECT_TRUE(IsKnownRule("await-hazard"));
   EXPECT_TRUE(IsKnownRule("lock-across-await"));
   EXPECT_TRUE(IsKnownRule("iterator-invalidate"));
+  EXPECT_TRUE(IsKnownRule("await-in-conditional"));
   EXPECT_TRUE(IsKnownRule("bad-allow"));
 }
 

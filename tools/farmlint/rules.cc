@@ -76,6 +76,9 @@ const std::vector<RuleInfo> kRules = {
     {"lock-across-await", true,
      "RAII lock guard held across a co_await; the lock stays taken while the "
      "coroutine is parked"},
+    {"await-in-conditional", true,
+     "co_await in a branch of ?:; GCC 12 can destroy such a branch's temporaries "
+     "twice (double free), so assign the result in an if/else"},
     {"iterator-invalidate", true,
      "container mutated while an iterator/reference into it is live in the "
      "same scope and used afterwards"},
@@ -666,6 +669,36 @@ void CheckMutableGlobal(const std::vector<const Token*>& all, Reporter& rep) {
   }
 }
 
+// A `co_await` after the `?` of a conditional expression, up to the end of
+// that expression: a `;`, a depth-0 `,`, or a bracket closing around it. An
+// await in the condition operand runs unconditionally and is not flagged.
+void CheckAwaitInConditional(const std::vector<const Token*>& sig, Reporter& rep) {
+  if (!rep.RuleEnabled("await-in-conditional")) {
+    return;
+  }
+  for (size_t q = 0; q < sig.size(); ++q) {
+    if (!IsPunct(sig[q], "?") || sig[q]->in_directive) {
+      continue;
+    }
+    int depth = 0;
+    for (size_t i = q + 1; i < sig.size(); ++i) {
+      const Token* t = sig[i];
+      if (IsPunct(t, "(") || IsPunct(t, "[") || IsPunct(t, "{")) {
+        depth++;
+      } else if (IsPunct(t, ")") || IsPunct(t, "]") || IsPunct(t, "}")) {
+        if (--depth < 0) {
+          break;
+        }
+      } else if (IsPunct(t, ";") || (depth == 0 && IsPunct(t, ","))) {
+        break;
+      } else if (IsIdent(t, "co_await")) {
+        rep.Report("await-in-conditional", t->line, t->col,
+                   "co_await in a branch of ?:; assign the awaited result in an if/else");
+      }
+    }
+  }
+}
+
 // Suppression hygiene: an allow() naming an unknown rule silently suppresses
 // nothing and usually means a typo left a real diagnostic unguarded.
 void CheckAllowHygiene(const FileInput& file, Reporter& rep) {
@@ -751,6 +784,7 @@ std::vector<Diagnostic> Linter::Lint(const FileInput& file,
   CheckKeyTypes(sig, rep);
   CheckRecorderPod(file, sig, rep);
   CheckMutableGlobal(sig, rep);
+  CheckAwaitInConditional(sig, rep);
   CheckHeaderHygiene(file, sig, rep);
   CheckAllowHygiene(file, rep);
   if (rep.RuleEnabled("bad-allow")) {
