@@ -5,6 +5,19 @@
 // flat 64-bit address space (addresses are what remote machines use in
 // one-sided verbs) plus direct pointers for local access.
 //
+// Memory: each range is its own private anonymous mapping, so it reads as
+// zero and is backed by the kernel's shared zero page until written; only
+// the 4 KiB pages a run writes become resident. Regions and ring logs are
+// sized for the worst case and mostly never touched, so a cluster holds
+// what it uses, not what it reserves. A range never moves, so pointers from
+// Data() stay valid for the store's lifetime.
+//
+// Bounds: Find() rejects any access that does not lie inside one range
+// (Data() returns nullptr and the verbs fail, which is the NIC's protection
+// error). Local accesses through cached pointers are checked by their
+// owners: RegionReplica::Ptr against the region size and RingReceiver::At
+// against the ring capacity. There are no guard pages between ranges.
+//
 // Non-volatility: the store object is owned by the test/bench harness, not
 // by the simulated Machine, so its contents survive Machine::Reboot() --
 // modeling the distributed-UPS save/restore path of section 2.1. A Kill()ed
@@ -13,9 +26,6 @@
 #define SRC_NVRAM_NVRAM_H_
 
 #include <cstdint>
-#include <cstring>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "src/net/rdma_memory.h"
@@ -25,6 +35,7 @@ namespace farm {
 class NvramStore : public RdmaMemory {
  public:
   NvramStore() = default;
+  ~NvramStore() override;
   NvramStore(const NvramStore&) = delete;
   NvramStore& operator=(const NvramStore&) = delete;
 
@@ -57,19 +68,20 @@ class NvramStore : public RdmaMemory {
 
  private:
   struct Segment {
-    uint64_t base;
-    std::vector<uint8_t> bytes;
+    uint64_t base;  // simulated address
+    size_t size;
+    uint8_t* data;  // the mapping; never moves
   };
 
   // Finds the segment containing [addr, addr+len), or nullptr.
-  Segment* Find(uint64_t addr, size_t len);
+  const Segment* Find(uint64_t addr, size_t len) const;
 
   static constexpr uint64_t kBaseAddr = 0x1000;  // 0 stays invalid
   static constexpr uint64_t kAlign = 64;
 
   uint64_t next_addr_ = kBaseAddr;
-  // Keyed by base address; segments are non-overlapping and sorted.
-  std::map<uint64_t, std::unique_ptr<Segment>> segments_;
+  // In increasing base order (Allocate appends); non-overlapping.
+  std::vector<Segment> segments_;
 
   bool torn_armed_ = false;
   uint32_t torn_keep_ = 0;

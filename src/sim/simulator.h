@@ -262,7 +262,9 @@ class Simulator {
         if (best_key >= last_key) {
           break;
         }
-        __builtin_prefetch(&heap_[4 * best + 1]);
+        if (4 * best + 1 < n) {
+          __builtin_prefetch(&heap_[4 * best + 1]);
+        }
         heap_[i] = heap_[best];
         i = best;
       }

@@ -472,6 +472,67 @@ TEST(NvramTest, ZeroInitialized) {
   }
 }
 
+TEST(NvramTest, RangeAcrossAdjacentSegmentsRejected) {
+  NvramStore store;
+  uint64_t a = store.Allocate(64);
+  uint64_t b = store.Allocate(64);
+  ASSERT_EQ(b, a + 64);  // no gap: the two segments touch
+  EXPECT_NE(store.Data(a, 64), nullptr);
+  EXPECT_NE(store.Data(b, 64), nullptr);
+  EXPECT_EQ(store.Data(a + 60, 8), nullptr);
+  EXPECT_EQ(store.Data(a, 128), nullptr);
+  uint8_t buf[128];
+  EXPECT_FALSE(store.RdmaRead(a + 32, 64, buf));
+  EXPECT_FALSE(store.RdmaRead(a, 128, buf));
+  EXPECT_TRUE(store.RdmaRead(b, 64, buf));
+}
+
+TEST(NvramTest, PointersSurviveLaterAllocations) {
+  NvramStore store;
+  uint64_t a = store.Allocate(4096);
+  uint8_t* pa = store.Data(a, 4096);
+  ASSERT_NE(pa, nullptr);
+  for (int i = 0; i < 4096; i++) {
+    pa[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  std::vector<uint64_t> later;
+  for (int i = 0; i < 3000; i++) {
+    uint64_t addr = store.Allocate(8 + static_cast<size_t>(i % 5) * 64);
+    uint64_t word = addr ^ 0x5a5a5a5a5a5a5a5aULL;
+    ASSERT_TRUE(store.RdmaWrite(addr, reinterpret_cast<const uint8_t*>(&word), 8));
+    later.push_back(addr);
+  }
+  EXPECT_EQ(store.Data(a, 4096), pa);
+  for (int i = 0; i < 4096; i++) {
+    ASSERT_EQ(pa[i], static_cast<uint8_t>(i * 7 + 1)) << i;
+  }
+  for (uint64_t addr : later) {
+    uint64_t word = 0;
+    ASSERT_TRUE(store.RdmaRead(addr, 8, reinterpret_cast<uint8_t*>(&word)));
+    ASSERT_EQ(word, addr ^ 0x5a5a5a5a5a5a5a5aULL);
+  }
+}
+
+TEST(NvramTest, FreshSegmentZeroAfterAnotherStoreIsDestroyed) {
+  constexpr size_t kLen = 2 << 20;
+  {
+    NvramStore old;
+    for (int i = 0; i < 4; i++) {
+      uint64_t a = old.Allocate(kLen);
+      std::memset(old.Data(a, kLen), 0xAB, kLen);
+    }
+  }
+  NvramStore store;
+  uint64_t a = store.Allocate(kLen);
+  const uint8_t* p = store.Data(a, kLen);
+  ASSERT_NE(p, nullptr);
+  size_t nonzero = 0;
+  for (size_t i = 0; i < kLen; i++) {
+    nonzero += p[i] != 0;
+  }
+  EXPECT_EQ(nonzero, 0u);
+}
+
 TEST(EnergyModelTest, MatchesPaperCalibration) {
   UpsEnergyModel model;
   // Paper: ~110 J/GB with one SSD, ~90 J of it CPU.

@@ -375,6 +375,32 @@ TEST(RingProperty, TornAtEveryOffsetNeverSurfaces) {
   EXPECT_GT(whole, 0);
 }
 
+// Every single-bit flip of the payload, and every change of the length,
+// changes the frame check, for payloads of every length from 1 to 97 bytes
+// (lane blocks, the zero-padded tail and both together).
+TEST(RingProperty, FrameCheckSeesEveryBitFlipAndLength) {
+  Pcg32 rng(0xc4ec);
+  for (uint32_t len = 1; len <= 97; len++) {
+    std::vector<uint8_t> payload(len + 1);
+    for (auto& b : payload) {
+      b = static_cast<uint8_t>(rng.Uniform(256));
+    }
+    const uint32_t check = FrameCheck(payload.data(), len);
+    EXPECT_EQ(check & 1u, 1u);
+    for (uint32_t bit = 0; bit < len * 8; bit++) {
+      payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      ASSERT_NE(FrameCheck(payload.data(), len), check) << "len " << len << " bit " << bit;
+      payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+    ASSERT_NE(FrameCheck(payload.data(), len - 1), check) << "len " << len;
+    ASSERT_NE(FrameCheck(payload.data(), len + 1), check) << "len " << len;
+    // A trailing zero byte is padding to the word loop; the length still
+    // tells the two frames apart.
+    payload[len] = 0;
+    ASSERT_NE(FrameCheck(payload.data(), len + 1), check) << "len " << len;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Wire records: SerializedSize() must track Serialize() and the framed form
 // exactly (log-space reservations are computed from it), over randomized
