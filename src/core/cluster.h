@@ -105,8 +105,8 @@ class Cluster {
   void RunFor(SimDuration d) { sim_.RunFor(d); }
 
   // ---- global observability ----
-  // Recovery milestones (the annotations in figures 9-11): "suspect",
-  // "probe", "zookeeper", "config-commit", "all-active", "data-rec-start".
+  // Recovery milestones (the annotations in figures 9-11), noted by the
+  // Emitter for the steps whose row names one (src/core/emit.cc).
   void NoteMilestone(const char* name) {
     milestones_.push_back({name, sim_.Now()});
     // Milestones land on the pseudo-process one past the last machine

@@ -4,7 +4,6 @@
 
 #include "src/core/cluster.h"
 #include "src/core/node.h"
-#include "src/obs/trace.h"
 
 namespace farm {
 
@@ -283,10 +282,7 @@ void Node::StartReconfiguration(std::vector<MachineId> suspects, const char* rea
     return;
   }
   FARM_LOG(Info) << "node " << id() << " starts reconfiguration (" << reason << ")";
-  cluster_->NoteMilestone("suspect");
-  if (trace::Tracer* tracer = emit_.tracer()) {
-    tracer->Instant(static_cast<uint32_t>(id()), 0, "recovery", "suspect");
-  }
+  emit_.Report(Step::kSuspect);
   reconfig_in_flight_ = true;
   RunReconfiguration(std::move(suspects));
 }
@@ -342,9 +338,7 @@ void Node::RemapRegions(Configuration& cfg) const {
 
 Detached Node::RunReconfiguration(std::vector<MachineId> suspects) {
   Configuration old = config_;
-  const uint32_t trace_pid = static_cast<uint32_t>(id());
-  trace::SpanGuard reconfig_span(emit_.tracer(), trace_pid, 0, "recovery", "reconfiguration",
-                                 emit_.SpanId("cfg", old.id + 1));
+  Span reconfig_span(emit_, Step::kReconfiguration, old.id + 1);
   SimTime step_start = sim().Now();
   // Step 2: probe all machines (one-sided read of their control block);
   // any machine whose read fails is also suspected.
@@ -372,19 +366,16 @@ Detached Node::RunReconfiguration(std::vector<MachineId> suspects) {
       responders.push_back(m);
     }
   }
-  cluster_->NoteMilestone("probe");
-  if (trace::Tracer* tracer = emit_.tracer()) {
-    tracer->CompleteSpan(trace_pid, 0, "recovery", "probe", step_start);
-  }
-  step_start = sim().Now();
   // The new CM must obtain responses for a majority of the probes, which
   // guarantees it is not in a minority partition.
-  if (responders.size() <= old.machines.size() / 2) {
+  const bool majority = responders.size() > old.machines.size() / 2;
+  emit_.Report(majority ? Step::kProbe : Step::kProbeMinority, old.id, step_start);
+  step_start = sim().Now();
+  if (!majority) {
     FARM_LOG(Warn) << "node " << id() << ": reconfiguration aborted (no probe majority)";
     reconfig_in_flight_ = false;
     co_return;
   }
-  emit_.HitPoint("reconfig-probe", old.id);
 
   // Step 3: atomically advance the configuration in the coordination
   // service (Vertical Paxos; znode CAS keyed by the old configuration id).
@@ -415,13 +406,8 @@ Detached Node::RunReconfiguration(std::vector<MachineId> suspects) {
 
   auto cas = co_await cluster_->zk().CompareAndSwap(id(), old.id, next.Serialize(), nullptr);
   if (cas.ok()) {
-    emit_.HitPoint("reconfig-commit", next.id);
-    cluster_->NoteMilestone("zookeeper");
-    if (trace::Tracer* tracer = emit_.tracer()) {
-      tracer->CompleteSpan(trace_pid, 0, "recovery", "new-config-cas", step_start);
-    }
-  }
-  if (!cas.ok()) {
+    emit_.Report(Step::kConfigCas, next.id, step_start);
+  } else {
     FARM_LOG(Info) << "node " << id() << ": lost configuration CAS for id " << next.id;
     // Losing the CAS means someone committed a newer configuration. If its
     // CM died before distributing NEW-CONFIG, nobody else will ever tell us:
@@ -492,10 +478,7 @@ Detached Node::RunReconfiguration(std::vector<MachineId> suspects) {
   if (cm_changed) {
     co_await SleepFor(sim(), options_.lease.duration);
   }
-  cluster_->NoteMilestone("config-commit");
-  if (trace::Tracer* tracer = emit_.tracer()) {
-    tracer->CompleteSpan(trace_pid, 0, "recovery", "new-config-commit", step_start);
-  }
+  emit_.Report(Step::kConfigCommit, next.id, step_start);
   for (MachineId m : next.machines) {
     if (m != id()) {
       BufWriter w;
@@ -534,7 +517,7 @@ void Node::HandleRegionsActive(MachineId from, BufReader& r) {
 }
 
 void Node::BroadcastAllRegionsActive() {
-  cluster_->NoteMilestone("all-active");
+  emit_.Report(Step::kAllActive);
   BufWriter w;
   w.PutU64(config_.id);
   for (MachineId m : config_.machines) {

@@ -8,7 +8,6 @@
 
 #include "src/core/cluster.h"
 #include "src/core/node.h"
-#include "src/obs/trace.h"
 
 namespace farm {
 
@@ -23,7 +22,7 @@ constexpr SimDuration kAllocScanInterval = 100 * kMicrosecond;
 
 void Node::OnAllRegionsActive() {
   if (!new_backup_regions_.empty()) {
-    cluster_->NoteMilestone("data-rec-start");
+    emit_.Report(Step::kDataRecStart);
   }
   // Start paced re-replication of freshly-assigned backup regions.
   for (RegionId rid : new_backup_regions_) {
@@ -48,8 +47,7 @@ void Node::OnAllRegionsActive() {
 }
 
 Detached Node::ReplicateRegionFrom(RegionId region, MachineId primary) {
-  trace::SpanGuard rerep_span(emit_.tracer(), static_cast<uint32_t>(id()), 0, "recovery",
-                              "re-replication", emit_.SpanId("r", region));
+  Span rerep_span(emit_, Step::kReReplication, region);
   RegionReplica* rep = replica(region);
   const RegionPlacement* placement = config_.Placement(region);
   if (rep == nullptr || placement == nullptr) {
@@ -169,8 +167,7 @@ void Node::ApplyRecoveredBlock(RegionId region, uint32_t offset,
 }
 
 Detached Node::RunAllocatorRecovery(RegionId region) {
-  trace::SpanGuard alloc_rec_span(emit_.tracer(), static_cast<uint32_t>(id()), 0, "recovery",
-                                  "allocator-recovery", emit_.SpanId("r", region));
+  Span alloc_rec_span(emit_, Step::kAllocatorRecovery, region);
   RegionAllocator* alloc = allocator(region);
   if (alloc == nullptr) {
     co_return;

@@ -1,22 +1,25 @@
 // One emission per protocol step.
 //
-// Each step of the commit protocol (section 4) and of recovery (section 5)
-// is reported with one call on its node's Emitter, which fans the step out
-// to every sink the owning Cluster attached:
-//   - the machine's flight-recorder ring (always on; every append is also a
-//     fault point for an attached fault hook, see src/obs/fault_hook.h);
-//   - the cluster registry's per-phase latency histograms and abort-reason
-//     counters:
+// Protocol code reports each step of the commit protocol (section 4) and of
+// leases, reconfiguration and recovery (section 5) with one call on its
+// node's Emitter, or one Span scope, naming the step. The step's row in
+// kSteps (emit.cc) names the sinks it feeds, in this order: the Cluster's
+// milestone list (figures 9-11; it also draws a "milestone" instant on the
+// trace's cluster track); the tracer, if attached (an instant, a complete
+// span ending now, or a Span's async span); the machine's flight-recorder
+// ring, whose every append is the fault point named after the record; else
+// the step's native fault point (src/obs/fault_hook.h). A report returns the
+// hook's effect mask (the ring-log append honors a torn write). Commit
+// phases (flight::Phase) feed the ring, the tracer and the registry's
+// latency histograms and abort-reason counters:
 //       tx_phase_ns{phase="lock"}                (histogram, one per Phase)
 //       tx_abort_reason{reason="lock_conflict"}  (counter, one per AbortReason)
-//     Every node binds to the same cells (the labels carry no node id), so
-//     the registry dump and the bench phase rows see cluster totals;
-//   - the cluster's tracer, when one is attached.
+// Every node binds to the same cells (the labels carry no node id), so the
+// registry dump and the bench phase rows see cluster totals.
 #ifndef SRC_CORE_EMIT_H_
 #define SRC_CORE_EMIT_H_
 
 #include <cstdint>
-#include <string>
 
 #include "src/core/types.h"
 #include "src/obs/flight_recorder.h"
@@ -26,34 +29,44 @@
 
 namespace farm {
 
+class Cluster;
+
+// Every protocol step that is not a commit phase. Its row in kSteps
+// (emit.cc) names the sinks it feeds.
+enum class Step : uint8_t {
+  // Reconfiguration (section 5.2).
+  kSuspect, kProbe, kProbeMinority, kConfigCas, kConfigCommit, kReconfiguration, kReconfig,
+  kNewConfig,
+  // Transaction-state recovery (section 5.3).
+  kTxStateStart, kLockRecovery, kLockRecoveryDone, kAllActive, kDecideCommit, kDecideAbort,
+  kDecisionApply, kTruncateRecovery,
+  // Data and allocator recovery (sections 5.4-5.5).
+  kDataRecStart, kReReplication, kAllocatorRecovery,
+  // Leases (section 5.1).
+  kLeaseSend, kLeaseExpired,
+  // Commit protocol (section 4).
+  kCommit, kRead, kRingAppend, kLockAcquire, kLockReject, kValidateFail, kCommitBackupRecord,
+  kCommitPrimaryRecord, kAbortRecord, kTruncateQueued, kTruncateRecord,
+};
+inline constexpr int kNumSteps = static_cast<int>(Step::kTruncateRecord) + 1;
+
 class Emitter {
  public:
-  Emitter(const Simulator& sim, MachineId machine, flight::Recorder& ring,
-          const obs::Sinks& sinks, metrics::Registry& reg);
+  Emitter(Cluster& cluster, MachineId machine);
   Emitter(const Emitter&) = delete;
   Emitter& operator=(const Emitter&) = delete;
 
-  // The attached tracer (null when tracing is off), for trace-only events.
-  trace::Tracer* tracer() const { return sinks_.tracer; }
-  // `prefix` followed by `n` as a trace span id ("r7", "cfg3"), or "" when
-  // no tracer is attached, so untraced runs do not build the string.
-  std::string SpanId(const char* prefix, uint64_t n) const {
-    return sinks_.tracer != nullptr ? prefix + std::to_string(n) : std::string();
+  // Reports step `s` to its row's sinks; returns the hook's effect mask.
+  // `arg` is the point's arg and the record's detail. A complete span runs
+  // from `since` to now; the trace draws on worker `thread`'s track.
+  uint32_t Report(Step s, uint64_t arg = 0, SimTime since = 0, int thread = 0) {
+    return Emit(s, nullptr, arg, 0, since, thread);
   }
-  // Native fault point on this machine (see src/obs/fault_hook.h).
-  uint32_t HitPoint(const char* point, uint64_t arg) const {
-    return sinks_.HitPoint(machine_, point, arg);
+  // Reports step `s` of transaction `id`. `arg` is the record's arg where
+  // the step leaves it to the event (lock count, reject cause).
+  void TxReport(const TxId& id, Step s, uint32_t detail = 0, uint8_t arg = 0) {
+    Emit(s, &id, detail, arg, 0, 0);
   }
-
-  // A step without a transaction (reconfiguration, recovery progress). A
-  // non-null `instant` also draws that trace instant on the machine's first
-  // track, in category "recovery" for recovery steps and "tx" otherwise.
-  void Step(flight::EventKind kind, uint8_t arg, uint32_t detail,
-            const char* instant = nullptr);
-  // A step of transaction `id` (record receipts, lock outcomes, recovery
-  // decisions, truncation queued), with the same optional trace instant.
-  void TxStep(const TxId& id, flight::EventKind kind, uint8_t arg = 0, uint32_t detail = 0,
-              const char* instant = nullptr);
   // The commit attempt ended without committing: writes kAbort and, for a
   // counted reason (flight::kNumCountedAbortReasons), bumps tx_abort_reason.
   void Abort(const TxId& id, flight::AbortReason reason);
@@ -65,13 +78,14 @@ class Emitter {
   void PhaseSince(const TxId& id, flight::Phase phase, SimTime start);
 
  private:
-  friend class TxSpan;
+  friend class Span;
 
-  void Append(SimTime at, flight::EventKind kind, const TxId* id, uint8_t arg,
-              uint32_t detail, const char* instant = nullptr);
-  // Begins or ends the async trace span of `id` on (machine, thread).
-  void Span(bool begin, const TxId& id, int thread, const char* name);
+  uint32_t Emit(Step s, const TxId* id, uint64_t arg, uint8_t record_arg, SimTime since,
+                int thread);
+  uint32_t Append(SimTime at, flight::EventKind kind, const TxId* id, uint8_t arg,
+                  uint32_t detail);
 
+  Cluster& cluster_;
   const Simulator& sim_;
   MachineId machine_;
   flight::Recorder& ring_;
@@ -80,22 +94,25 @@ class Emitter {
   metrics::Counter abort_reason_[flight::kNumAbortReasons];
 };
 
-// A traced stretch of one transaction on one worker thread. It opens the
-// trace span on construction and closes it on End() or destruction, so
-// every exit of the enclosing coroutine (including an abort, a recovery
-// hand-off or a parked frame reclaimed at teardown) closes it at the
-// simulated time it ends. Constructed for a commit phase, it also writes
-// kPhaseBegin, and End() writes kPhaseEnd and records the tx_phase_ns
-// sample; a phase left without End() reports only through its abort.
-class TxSpan {
+// A traced stretch of one step or commit phase. It reports its step (or
+// writes its phase's kPhaseBegin) and opens the async trace span on
+// construction, and closes the span on End() or destruction, so every exit
+// of the enclosing coroutine (including an abort, a recovery hand-off or a
+// parked frame reclaimed at teardown) closes it at the simulated time it
+// ends. A phase's End() also writes kPhaseEnd and records the tx_phase_ns
+// sample; a phase left without End() reports only through its abort. With
+// no tracer attached a span builds no strings.
+class Span {
  public:
-  // Trace span only (the whole commit).
-  TxSpan(Emitter& emit, const TxId& id, int thread, const char* name);
+  // Step `s`: of recovery flow `n`, which is also the step's point arg and
+  // follows the row's prefix in the span id ("cfg3", "r7"), or of
+  // transaction `id` on worker `thread` (the commit attempt).
+  Span(Emitter& emit, Step s, uint64_t n, const TxId& id = {}, int thread = 0);
   // Commit phase `phase`; the span is named after it.
-  TxSpan(Emitter& emit, const TxId& id, int thread, flight::Phase phase);
-  TxSpan(const TxSpan&) = delete;
-  TxSpan& operator=(const TxSpan&) = delete;
-  ~TxSpan();
+  Span(Emitter& emit, const TxId& id, int thread, flight::Phase phase);
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+  ~Span();
 
   // Completes the phase.
   void End();
@@ -103,12 +120,16 @@ class TxSpan {
  private:
   static constexpr uint8_t kNoPhase = 0xff;
 
+  // Begins or ends the trace span.
+  void Edge(bool begin) const;
+
   Emitter& emit_;
   TxId id_;
+  uint64_t n_ = 0;
   SimTime start_;
-  const char* name_;
   int thread_;
-  uint8_t phase_;
+  uint8_t phase_ = kNoPhase;
+  Step step_ = Step::kCommit;
   bool open_ = true;
 };
 

@@ -2,7 +2,6 @@
 
 #include "src/core/cluster.h"
 #include "src/core/node.h"
-#include "src/obs/trace.h"
 
 namespace farm {
 
@@ -67,7 +66,7 @@ void LeaseManager::Send(MachineId dst, uint8_t step) {
   if (!node_->fabric().IsAlive(node_->id())) {
     return;
   }
-  node_->emit().HitPoint("lease-send", static_cast<uint64_t>(dst));
+  node_->emit().Report(Step::kLeaseSend, dst);
   std::vector<uint8_t> payload = {kLeaseMagic, step};
   if (options_.impl == LeaseImpl::kRpc) {
     // Lease messages share the data-plane message queues: they wait behind
@@ -181,11 +180,7 @@ void LeaseManager::CheckExpiries() {
     }
     expiry_events_++;
     expiry = now + options_.duration;  // re-arm so one failure counts once per period
-    if (trace::Tracer* tracer = node_->emit().tracer()) {
-      tracer->Instant(static_cast<uint32_t>(node_->id()),
-                      static_cast<uint32_t>(node_->machine().NumThreads() - 1), "recovery",
-                      "lease-expired");
-    }
+    node_->emit().Report(Step::kLeaseExpired, m, 0, node_->machine().NumThreads() - 1);
     if (!options_.trigger_recovery) {
       continue;
     }

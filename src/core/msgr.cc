@@ -7,8 +7,9 @@
 namespace farm {
 
 Messenger::Messenger(Fabric& fabric, Machine& machine, NvramStore& store, Options options,
-                     int worker_threads)
+                     int worker_threads, Emitter* emit)
     : fabric_(fabric),
+      emit_(emit),
       machine_(machine),
       store_(store),
       options_(options),
@@ -42,11 +43,11 @@ void Messenger::Connect(Messenger& a, Messenger& b) {
     out.txlog = std::make_unique<RingSender>(
         &tx.fabric_, tx_id, rx_id, in.txlog->data_base(), rx.options_.txlog_capacity, fb_log,
         &tx.store_, local ? in.txlog.get() : nullptr,
-        [rxp, tx_id]() { rxp->SchedulePoll(tx_id, /*is_log=*/true); });
+        [rxp, tx_id]() { rxp->SchedulePoll(tx_id, /*is_log=*/true); }, tx.emit_);
     out.msgq = std::make_unique<RingSender>(
         &tx.fabric_, tx_id, rx_id, in.msgq->data_base(), rx.options_.msgq_capacity, fb_msg,
         &tx.store_, local ? in.msgq.get() : nullptr,
-        [rxp, tx_id]() { rxp->SchedulePoll(tx_id, /*is_log=*/false); });
+        [rxp, tx_id]() { rxp->SchedulePoll(tx_id, /*is_log=*/false); }, tx.emit_);
 
     rx.inbound_[tx_id] = std::move(in);
     tx.outbound_[rx_id] = std::move(out);

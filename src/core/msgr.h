@@ -35,9 +35,10 @@ class Messenger {
   using MessageHandler =
       std::function<void(MachineId from, MsgType type, std::vector<uint8_t> payload)>;
 
-  // Inbound processing runs on threads [0, worker_threads).
+  // Inbound processing runs on threads [0, worker_threads); ring appends
+  // report to the node's `emit`.
   Messenger(Fabric& fabric, Machine& machine, NvramStore& store, Options options,
-            int worker_threads);
+            int worker_threads, Emitter* emit = nullptr);
 
   void SetHandlers(LogRecordHandler log_handler, MessageHandler msg_handler);
 
@@ -115,6 +116,7 @@ class Messenger {
   void MaybeSendFeedback(MachineId from);
 
   Fabric& fabric_;
+  Emitter* emit_;
   Machine& machine_;
   NvramStore& store_;
   Options options_;

@@ -24,13 +24,12 @@ Node::Node(Cluster* cluster, Machine* machine, NvramStore* store, NodeOptions op
       machine_(machine),
       store_(store),
       options_(options),
-      emit_(cluster->sim(), machine->id(), *cluster->flight_recorder(machine->id()),
-            cluster->sinks(), cluster->metrics_registry()) {
+      emit_(*cluster, machine->id()) {
   // Worker threads + one dedicated lease-manager thread (section 5.1).
   FARM_CHECK(machine_->NumThreads() == options_.worker_threads + 1)
       << "machine must have worker_threads + 1 hardware threads";
   messenger_ = std::make_unique<Messenger>(fabric(), *machine_, *store_, Messenger::Options{},
-                                           options_.worker_threads);
+                                           options_.worker_threads, &emit_);
   messenger_->SetHandlers(
       [this](MachineId from, uint64_t seq, TxLogRecord rec) {
         HandleLogRecord(from, seq, std::move(rec));
@@ -371,8 +370,7 @@ void Node::QueueTruncation(const TxId& tx_id, const std::vector<MachineId>& hold
     pending_truncations_[m].push_back(tx_id);
   }
   if (!holders.empty() && truncate_pending_.count(tx_id) == 0) {
-    emit_.TxStep(tx_id, flight::EventKind::kPhaseBegin,
-                 static_cast<uint8_t>(flight::Phase::kTruncate), 0, "truncate");
+    emit_.TxReport(tx_id, Step::kTruncateQueued);
     truncate_pending_[tx_id] = {sim().Now(), static_cast<int>(holders.size())};
   }
   ArmTruncateFlush();
@@ -521,7 +519,7 @@ void Node::HandleLogRecord(MachineId from, uint64_t seq, TxLogRecord rec) {
       case LogRecordType::kCommitBackup:
         // No foreground CPU work at backups: the record just sits in the
         // non-volatile log until truncation applies it (section 4).
-        emit_.TxStep(r.tx, flight::EventKind::kCommitBackupRecord, 0, from);
+        emit_.TxReport(r.tx, Step::kCommitBackupRecord, from);
         break;
       case LogRecordType::kCommitPrimary:
         ProcessCommitPrimary(from, r);
@@ -562,7 +560,7 @@ void Node::ProcessLock(MachineId from, const TxLogRecord& rec) {
   // is still running on a stale configuration. The failed lock reply makes
   // it abort cleanly.
   if (!config_.Contains(from)) {
-    emit_.TxStep(rec.tx, flight::EventKind::kLockReject, /*arg=*/1, from);
+    emit_.TxReport(rec.tx, Step::kLockReject, from, /*arg=*/1);
     BufWriter rej;
     PutTxId(rej, rec.tx);
     rej.PutU8(0);
@@ -590,14 +588,13 @@ void Node::ProcessLock(MachineId from, const TxLogRecord& rec) {
     for (size_t i = 0; i < locked; i++) {
       Unlock(rec.writes[i]);
     }
-    emit_.TxStep(rec.tx, flight::EventKind::kLockReject, /*arg=*/0,
-                 rec.writes[locked].addr.region);
+    emit_.TxReport(rec.tx, Step::kLockReject, rec.writes[locked].addr.region, /*arg=*/0);
   } else {
     pending.locks_held = true;
     pending_[rec.tx] = std::move(pending);
-    emit_.TxStep(rec.tx, flight::EventKind::kLockAcquire,
-                 static_cast<uint8_t>(rec.writes.size() > 255 ? 255 : rec.writes.size()),
-                 rec.writes.empty() ? 0 : rec.writes.front().addr.region);
+    emit_.TxReport(rec.tx, Step::kLockAcquire,
+                   rec.writes.empty() ? 0 : rec.writes.front().addr.region,
+                   static_cast<uint8_t>(rec.writes.size() > 255 ? 255 : rec.writes.size()));
   }
 
   BufWriter w;
@@ -643,7 +640,7 @@ void Node::ProcessCommitPrimary(MachineId from, const TxLogRecord& rec) {
   if (it == pending_.end() || !it->second.locks_held || it->second.applied) {
     return;  // already handled (possibly by recovery)
   }
-  emit_.TxStep(rec.tx, flight::EventKind::kCommitPrimaryRecord, 0, from);
+  emit_.TxReport(rec.tx, Step::kCommitPrimaryRecord, from);
   HwThread& worker_thread = machine_->thread(messenger_->WorkerFor(rec.tx.machine));
   for (const WireWrite& w : it->second.lock_record.writes) {
     worker_thread.InjectBusy(kCost.cpu_lock_per_object);
@@ -660,7 +657,7 @@ void Node::ProcessAbort(MachineId from, const TxLogRecord& rec) {
   if (it == pending_.end()) {
     return;
   }
-  emit_.TxStep(rec.tx, flight::EventKind::kAbortRecord, 0, from);
+  emit_.TxReport(rec.tx, Step::kAbortRecord, from);
   if (it->second.locks_held && !it->second.applied) {
     for (const WireWrite& w : it->second.lock_record.writes) {
       Unlock(w);
@@ -670,7 +667,7 @@ void Node::ProcessAbort(MachineId from, const TxLogRecord& rec) {
 }
 
 void Node::ProcessTruncation(MachineId from, const TxId& id, bool apply_backup_writes) {
-  emit_.TxStep(id, flight::EventKind::kTruncateRecord, 0, from);
+  emit_.TxReport(id, Step::kTruncateRecord, from);
   truncated_.Insert(id);
   auto it = logged_.find(id);
   if (it != logged_.end()) {
@@ -874,7 +871,7 @@ void Node::HandleValidate(MachineId from, BufReader& r) {
     }
   }
   if (!ok) {
-    emit_.TxStep(tx_id, flight::EventKind::kValidateFail, 0, fail_region);
+    emit_.TxReport(tx_id, Step::kValidateFail, fail_region);
   }
   BufWriter w;
   PutTxId(w, tx_id);

@@ -5,7 +5,6 @@
 #include "src/core/cluster.h"
 #include "src/core/node.h"
 #include "src/net/cost_model.h"
-#include "src/obs/trace.h"
 
 namespace farm {
 
@@ -104,10 +103,8 @@ void Node::OnNewConfig(MachineId from, Configuration new_config) {
     return;
   }
   stats_.reconfigurations++;
-  emit_.Step(flight::EventKind::kReconfig, 0, static_cast<uint32_t>(new_config.id));
-  emit_.Step(flight::EventKind::kRecoveryStep,
-             static_cast<uint8_t>(flight::RecoveryStep::kNewConfig),
-             static_cast<uint32_t>(new_config.id));
+  emit_.Report(Step::kReconfig, new_config.id);
+  emit_.Report(Step::kNewConfig, new_config.id);
   config_ = std::move(new_config);
   const Configuration& cfg = config_;
   regions_active_sent_ = false;
@@ -171,9 +168,7 @@ void Node::OnNewConfigCommit(ConfigId cid) {
 }
 
 void Node::BeginTransactionStateRecovery() {
-  emit_.Step(flight::EventKind::kRecoveryStep,
-             static_cast<uint8_t>(flight::RecoveryStep::kTxStateStart),
-             static_cast<uint32_t>(config_.id), "tx-state-recovery");
+  emit_.Report(Step::kTxStateStart, config_.id);
   // Step 2: drain logs. Everything already delivered to our rings is
   // processed now; LastDrained is persisted to the control block that
   // reconfiguration probes read.
@@ -384,13 +379,11 @@ void Node::MaybeStartLockRecovery(RegionId region) {
     return;
   }
   it->second.lock_recovery_done = true;
-  emit_.HitPoint("lock-recovery-begin", region);
   FinishLockRecovery(region);
 }
 
 Detached Node::FinishLockRecovery(RegionId region) {
-  trace::SpanGuard lock_rec_span(emit_.tracer(), static_cast<uint32_t>(id()), 0, "recovery",
-                                 "lock-recovery", emit_.SpanId("r", region));
+  Span lock_rec_span(emit_, Step::kLockRecovery, region);
   auto rit = region_recovery_.find(region);
   if (rit == region_recovery_.end()) {
     co_return;
@@ -455,8 +448,7 @@ Detached Node::FinishLockRecovery(RegionId region) {
   // The region becomes active: new transactions may read and commit here in
   // parallel with the remaining recovery steps (section 5.3 performance).
   rep->set_active(true);
-  emit_.Step(flight::EventKind::kRecoveryStep,
-             static_cast<uint8_t>(flight::RecoveryStep::kLockRecovery), region);
+  emit_.Report(Step::kLockRecoveryDone, region);
   auto dit = deferred_refs_.find(region);
   if (dit != deferred_refs_.end()) {
     for (const auto& [m, correlation] : dit->second) {
@@ -809,10 +801,7 @@ void Node::Decide(const TxId& tid, bool commit) {
   d.decided = true;
   d.committed = commit;
   LogTxScope log_tx(tid.config, tid.machine, tid.thread, tid.local);
-  emit_.TxStep(tid, flight::EventKind::kRecoveryStep,
-               static_cast<uint8_t>(commit ? flight::RecoveryStep::kDecideCommit
-                                           : flight::RecoveryStep::kDecideAbort),
-               0, commit ? "decide-commit" : "decide-abort");
+  emit_.TxReport(tid, commit ? Step::kDecideCommit : Step::kDecideAbort);
 
   const std::set<MachineId> replicas = ReplicasOf(d.regions);
   // Count all acks before delivering anything: the local delivery below acks
@@ -868,8 +857,7 @@ void Node::HandleRecoveryDecision(MachineId from, MsgType type, BufReader& r) {
   TxId tid = GetTxId(r);
   bool commit = type == MsgType::kCommitRecovery;
   LogTxScope log_tx(tid.config, tid.machine, tid.thread, tid.local);
-  emit_.TxStep(tid, flight::EventKind::kRecoveryStep,
-               static_cast<uint8_t>(flight::RecoveryStep::kDecisionApply), commit ? 1 : 0);
+  emit_.TxReport(tid, Step::kDecisionApply, commit ? 1 : 0);
 
   // Durable memory of the decision (the paper's COMMIT-RECOVERY /
   // ABORT-RECOVERY records). If this machine survives into a later
@@ -976,8 +964,7 @@ void Node::HandleTruncateRecovery(MachineId from, BufReader& r) {
   (void)from;
   TxId tid = GetTxId(r);
   bool commit = r.GetU8() != 0;
-  emit_.TxStep(tid, flight::EventKind::kRecoveryStep,
-               static_cast<uint8_t>(flight::RecoveryStep::kTruncateRecovery));
+  emit_.TxReport(tid, Step::kTruncateRecovery);
   ProcessTruncation(tid.machine, tid, /*apply_backup_writes=*/commit);
   for (auto& [rid, rr] : region_recovery_) {
     (void)rid;

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "src/common/hash.h"
+#include "src/core/emit.h"
 #include "src/obs/fault_hook.h"
 
 namespace farm {
@@ -171,8 +172,10 @@ void RingReceiver::RebuildFromNvram() {
 
 RingSender::RingSender(Fabric* fabric, MachineId self, MachineId peer, uint64_t ring_data_base,
                        uint32_t capacity, uint64_t feedback_addr, NvramStore* self_store,
-                       RingReceiver* local_receiver, std::function<void()> poke_receiver)
+                       RingReceiver* local_receiver, std::function<void()> poke_receiver,
+                       Emitter* emit)
     : fabric_(fabric),
+      emit_(emit),
       self_(self),
       peer_(peer),
       data_base_(ring_data_base),
@@ -217,7 +220,7 @@ Future<NetResult> RingSender::Append(std::vector<uint8_t> frame, uint32_t reserv
   uint32_t framed = static_cast<uint32_t>(frame.size());
   FARM_CHECK(framed == FramedLen(len)) << "not a frame from StartFrame/FinishFrame";
   FARM_CHECK(len <= reserved_len) << "record larger than its reservation";
-  uint32_t effect = fabric_->sinks().HitPoint(self_, "ringlog-append", peer_);
+  uint32_t effect = emit_ != nullptr ? emit_->Report(Step::kRingAppend, peer_) : fault::kEffectNone;
   ReleaseReservation(reserved_len);
   FARM_CHECK(tail_ - HeadView() + framed <= cap_) << "ring overflow despite reservation";
 

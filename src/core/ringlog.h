@@ -34,6 +34,8 @@
 
 namespace farm {
 
+class Emitter;
+
 constexpr uint32_t kWrapMarker = 0xFFFFFFFFu;
 
 // Frame header: [u32 payload_len][u32 check].
@@ -134,10 +136,12 @@ class RingSender {
  public:
   // `feedback_addr` is a u64 in the *sender's* NVRAM where the receiver
   // posts freed-head updates. For same-machine rings, local_receiver is the
-  // receiver half and appends become local memory copies.
+  // receiver half and appends become local memory copies. Appends report to
+  // the sending node's `emit`.
   RingSender(Fabric* fabric, MachineId self, MachineId peer, uint64_t ring_data_base,
              uint32_t capacity, uint64_t feedback_addr, NvramStore* self_store,
-             RingReceiver* local_receiver, std::function<void()> poke_receiver);
+             RingReceiver* local_receiver, std::function<void()> poke_receiver,
+             Emitter* emit = nullptr);
 
   // Reserves space for one record of `payload_len` (conservatively doubled
   // to cover wrap-marker waste). Fails if the ring might not fit it.
@@ -159,6 +163,7 @@ class RingSender {
   uint64_t HeadView() const;
 
   Fabric* fabric_;
+  Emitter* emit_;
   MachineId self_;
   MachineId peer_;
   uint64_t data_base_;

@@ -138,10 +138,7 @@ Task<StatusOr<std::vector<uint8_t>>> Transaction::Read(GlobalAddr addr, uint32_t
   entry.word = VersionWord::WithoutLock(word);
   entry.value = value;
   reads_.insert_or_assign(addr, std::move(entry));
-  if (trace::Tracer* tracer = node_->emit().tracer()) {
-    tracer->CompleteSpan(static_cast<uint32_t>(node_->id()), static_cast<uint32_t>(thread_),
-                         "tx", "read", read_start);
-  }
+  node_->emit().Report(Step::kRead, 0, read_start, thread_);
   co_return value;
 }
 
@@ -349,12 +346,12 @@ Task<Status> Transaction::Commit() {
   // time, not append order).
   Emitter& emit = node_->emit();
   emit.PhaseSince(id_, flight::Phase::kExecute, begin_time_);
-  TxSpan commit_span(emit, id_, thread_, "commit");
+  Span commit_span(emit, Step::kCommit, 0, id_, thread_);
 
   co_await node_->worker(thread_).Execute(kCost.cpu_tx_commit_setup);
 
   if (writes_.empty()) {
-    TxSpan validate(emit, id_, thread_, flight::Phase::kValidate);
+    Span validate(emit, id_, thread_, flight::Phase::kValidate);
     Status v = co_await ValidatePhase();
     if (recovery_resolution_.has_value()) {
       // A reconfiguration changed a read region's primary mid-validation;
@@ -382,7 +379,7 @@ Task<Status> Transaction::Commit() {
 
   // ---- Phase 1: LOCK ----
   {
-    TxSpan lock(emit, id_, thread_, flight::Phase::kLock);
+    Span lock(emit, id_, thread_, flight::Phase::kLock);
     lock_replies_pending_ = static_cast<int>(p.primary_writes.size());
     lock_all_ok_ = true;
     for (const auto& [m, writes] : p.primary_writes) {
@@ -419,7 +416,7 @@ Task<Status> Transaction::Commit() {
 
   // ---- Phase 2: VALIDATE (one-sided reads; RPC above threshold t_r) ----
   {
-    TxSpan validate(emit, id_, thread_, flight::Phase::kValidate);
+    Span validate(emit, id_, thread_, flight::Phase::kValidate);
     Status v = co_await ValidatePhase();
     if (recovery_resolution_.has_value()) {
       co_return FinishFromRecovery();
@@ -432,7 +429,7 @@ Task<Status> Transaction::Commit() {
 
   // ---- Phase 3: COMMIT-BACKUP (one-sided writes; wait for NIC acks) ----
   {
-    TxSpan commit_backup(emit, id_, thread_, flight::Phase::kCommitBackup);
+    Span commit_backup(emit, id_, thread_, flight::Phase::kCommitBackup);
     WaitGroup wg;
     auto all_ok = std::make_shared<bool>(true);
     for (const auto& [m, writes] : p.backup_writes) {
@@ -485,7 +482,7 @@ Task<Status> Transaction::Commit() {
 
   // ---- Phase 4: COMMIT-PRIMARY (report committed on the first ack) ----
   {
-    TxSpan commit_primary(emit, id_, thread_, flight::Phase::kCommitPrimary);
+    Span commit_primary(emit, id_, thread_, flight::Phase::kCommitPrimary);
     struct CpState {
       int pending = 0;
       bool any_ok = false;

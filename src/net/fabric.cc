@@ -11,18 +11,16 @@ namespace {
 
 // Message-level flight records (msg-send at the caller, msg-recv at the
 // handler). Service id in arg, peer machine in detail; no transaction id at
-// this layer.
-void FlightMsg(flight::Recorder* ring, SimTime now, flight::EventKind kind,
-               uint16_t service, MachineId peer) {
+// this layer. Returns the effect mask of the record's fault point.
+uint32_t FlightMsg(flight::Recorder* ring, SimTime now, flight::EventKind kind,
+                   uint16_t service, MachineId peer) {
   if (ring == nullptr) {
-    return;
+    return fault::kEffectNone;
   }
-  flight::Record r;
-  r.time_ns = now;
-  r.kind = static_cast<uint8_t>(kind);
-  r.arg = static_cast<uint8_t>(service & 0xff);
-  r.detail = peer;
-  ring->Append(r);
+  return ring->Append(flight::Record{.time_ns = now,
+                                     .detail = peer,
+                                     .kind = static_cast<uint8_t>(kind),
+                                     .arg = static_cast<uint8_t>(service & 0xff)});
 }
 
 // Wire sizes of verb headers (request without payload / response framing).
@@ -406,9 +404,12 @@ Future<NetResult> Fabric::Call(MachineId src, MachineId dst, uint16_t service,
   stats_.rpcs++;
   stats_.rpc_bytes += request.size();
   TraceOp(sinks_.tracer, "rpc", src, thread, "rpc_bytes", stats_.rpc_bytes);
-  FlightMsg(Ep(src).flight, sim_.Now(), flight::EventKind::kMsgSend, service, dst);
-  uint32_t effect = sinks_.HitPoint(static_cast<uint32_t>(src), "msg-send",
-                                    static_cast<uint64_t>(dst));
+  // The msg-send record is the send's fault point; ZooKeeper machines keep
+  // no ring, so their sends reach the hook directly.
+  flight::Recorder* ring = Ep(src).flight;
+  uint32_t effect = ring != nullptr ? FlightMsg(ring, sim_.Now(), flight::EventKind::kMsgSend,
+                                                service, dst)
+                                    : sinks_.HitPoint(src, "msg-send", dst);
 
   RpcOp* op = AcquireRpc();
   op->src = src;

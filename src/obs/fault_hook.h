@@ -2,25 +2,24 @@
 // fault injector.
 //
 // A fault point is a named place in the protocol where a fault can be
-// injected: every flight-recorder event type is one (the tap lives in
-// flight::Recorder::Append, so the taxonomy of src/obs/flight_recorder.h is
-// the taxonomy of injectable sites), plus a handful of native points at
-// spots the recorder does not cover or where the injector needs a
-// synchronous effect (fabric msg-send for message drops, ringlog-append for
-// torn NVRAM writes, lease-send for forced expiries, reconfiguration steps
-// in cm.cc, lock-recovery start in recovery.cc).
+// injected. Every protocol step is one, and its row in the step table
+// (src/core/emit.cc) names it: a step that writes a flight record is the
+// point named after that record (the tap lives in flight::Recorder::Append,
+// so the taxonomy of src/obs/flight_recorder.h is the taxonomy of
+// injectable sites), and a step that writes none is a native point named
+// in its row (reconfig-probe, reconfig-commit, lock-recovery-begin,
+// lease-send, ringlog-append). The fabric's msg-send/msg-recv records are
+// points the same way. Reporting a point returns the hook's effect mask;
+// the two sites with a synchronous effect honor it: msg-send (a drop) and
+// ringlog-append (a torn write).
 //
-// A hook is attached to one Cluster (Cluster::SetFaultHook) and reaches
-// every layer through that cluster's obs::Sinks: protocol code calls
-// Sinks::HitPoint(machine, point, arg) and honors the returned effect mask.
-// With no hook attached this is a null check, so normal runs (including the
-// byte-identity trace gates) are unaffected. Deferred actions (machine
-// kills, partitions, lease expiries) are the hook's own business: it
-// schedules them through the simulator rather than mutating state under the
-// caller's feet.
-//
-// Sinks are per cluster and a thread runs at most one live Cluster, so
-// independent clusters with their own hooks can run on separate threads.
+// A hook is attached to one Cluster (Cluster::SetFaultHook) and reached
+// through that cluster's obs::Sinks. With no hook attached a point costs a
+// null check, so normal runs (including the byte-identity trace gates) are
+// unaffected. Deferred actions (machine kills, partitions, lease expiries)
+// are the hook's own business: it schedules them through the simulator
+// rather than mutating state under the caller's feet. Clusters on separate
+// threads have separate hooks.
 #ifndef SRC_OBS_FAULT_HOOK_H_
 #define SRC_OBS_FAULT_HOOK_H_
 

@@ -1,6 +1,7 @@
 #include "src/obs/flight_recorder.h"
 
 #include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -34,57 +35,43 @@ const char* const kRecoveryStepNames[kNumRecoverySteps] = {
     "decide-abort", "decision-apply",    "truncate-recovery",
 };
 
+// The symbolic names of a kind's arg: names[i] names arg `first + i`.
+// Kinds whose arg is a plain scalar have none.
+struct ArgNames {
+  const char* const* names = nullptr;
+  int count = 0;
+  int first = 0;
+};
+
+ArgNames ArgNamesOf(uint8_t kind) {
+  switch (static_cast<EventKind>(kind)) {
+    case EventKind::kPhaseBegin:
+    case EventKind::kPhaseEnd:
+      return {kPhaseNames, kNumPhases, 0};
+    case EventKind::kAbort:
+      return {kAbortReasonNames, kNumAbortReasons, 1};
+    case EventKind::kRecoveryStep:
+      return {kRecoveryStepNames, kNumRecoverySteps, 1};
+    default:
+      return {};
+  }
+}
+
 // Renders `arg` the way FormatRecord does for `kind`: a symbolic name where
 // the kind defines one, the raw number otherwise.
 std::string ArgText(uint8_t kind, uint8_t arg) {
-  EventKind k = static_cast<EventKind>(kind);
-  int a = static_cast<int>(arg);
-  switch (k) {
-    case EventKind::kPhaseBegin:
-    case EventKind::kPhaseEnd:
-      if (a >= 0 && a < kNumPhases) {
-        return kPhaseNames[a];
-      }
-      break;
-    case EventKind::kAbort:
-      if (a >= 1 && a <= kNumAbortReasons) {
-        return kAbortReasonNames[a - 1];
-      }
-      break;
-    case EventKind::kRecoveryStep:
-      if (a >= 1 && a <= kNumRecoverySteps) {
-        return kRecoveryStepNames[a - 1];
-      }
-      break;
-    default:
-      break;
-  }
-  return std::to_string(a);
+  ArgNames n = ArgNamesOf(kind);
+  int i = arg - n.first;
+  return i >= 0 && i < n.count ? n.names[i] : std::to_string(arg);
 }
 
 // Inverse of ArgText: resolves a symbolic or numeric arg for `kind`.
 bool ParseArg(uint8_t kind, const std::string& text, uint8_t* out) {
-  EventKind k = static_cast<EventKind>(kind);
-  if (k == EventKind::kPhaseBegin || k == EventKind::kPhaseEnd) {
-    for (int i = 0; i < kNumPhases; i++) {
-      if (text == kPhaseNames[i]) {
-        *out = static_cast<uint8_t>(i);
-        return true;
-      }
-    }
-  } else if (k == EventKind::kAbort) {
-    for (int i = 0; i < kNumAbortReasons; i++) {
-      if (text == kAbortReasonNames[i]) {
-        *out = static_cast<uint8_t>(i + 1);
-        return true;
-      }
-    }
-  } else if (k == EventKind::kRecoveryStep) {
-    for (int i = 0; i < kNumRecoverySteps; i++) {
-      if (text == kRecoveryStepNames[i]) {
-        *out = static_cast<uint8_t>(i + 1);
-        return true;
-      }
+  ArgNames n = ArgNamesOf(kind);
+  for (int i = 0; i < n.count; i++) {
+    if (text == n.names[i]) {
+      *out = static_cast<uint8_t>(n.first + i);
+      return true;
     }
   }
   char* end = nullptr;
@@ -94,6 +81,31 @@ bool ParseArg(uint8_t kind, const std::string& text, uint8_t* out) {
   }
   *out = static_cast<uint8_t>(v);
   return true;
+}
+
+// The fault point a record is (see src/obs/fault_hook.h): the event-kind
+// name, qualified with the arg's name where it selects a sub-site
+// ("phase-begin:lock", "recovery:new-config"; an abort is one site whatever
+// its reason). The names are interned, built once from the tables above.
+const char* PointName(EventKind k, uint8_t arg) {
+  static const auto kPoints = [] {
+    std::array<std::vector<std::string>, kNumEventKinds + 1> points;
+    for (int kind = 1; kind <= kNumEventKinds; kind++) {
+      ArgNames n = ArgNamesOf(static_cast<uint8_t>(kind));
+      for (int i = 0; i < n.count && kind != static_cast<int>(EventKind::kAbort); i++) {
+        points[kind].push_back(std::string(kEventKindNames[kind - 1]) + ":" + n.names[i]);
+      }
+    }
+    return points;
+  }();
+  int kind = static_cast<int>(k);
+  if (kind >= 1 && kind <= kNumEventKinds) {
+    int i = arg - ArgNamesOf(static_cast<uint8_t>(kind)).first;
+    if (i >= 0 && i < static_cast<int>(kPoints[kind].size())) {
+      return kPoints[kind][i].c_str();
+    }
+  }
+  return EventKindName(k);
 }
 
 }  // namespace
@@ -113,67 +125,16 @@ const char* AbortReasonName(AbortReason r) {
   return (i >= 1 && i <= kNumAbortReasons) ? kAbortReasonNames[i - 1] : "?";
 }
 
-const char* RecoveryStepName(RecoveryStep s) {
-  int i = static_cast<int>(s);
-  return (i >= 1 && i <= kNumRecoverySteps) ? kRecoveryStepNames[i - 1] : "?";
-}
-
-const char* PointName(EventKind k, uint8_t arg) {
-  // Interned qualified names for the kinds whose arg selects a sub-site.
-  static const char* const kPhaseBeginPoints[kNumPhases] = {
-      "phase-begin:execute",        "phase-begin:lock",
-      "phase-begin:validate",       "phase-begin:commit_backup",
-      "phase-begin:commit_primary", "phase-begin:truncate",
-  };
-  static const char* const kPhaseEndPoints[kNumPhases] = {
-      "phase-end:execute",        "phase-end:lock",
-      "phase-end:validate",       "phase-end:commit_backup",
-      "phase-end:commit_primary", "phase-end:truncate",
-  };
-  static const char* const kRecoveryPoints[kNumRecoverySteps] = {
-      "recovery:new-config",    "recovery:tx-state-start",
-      "recovery:lock-recovery", "recovery:decide-commit",
-      "recovery:decide-abort",  "recovery:decision-apply",
-      "recovery:truncate-recovery",
-  };
-  int a = static_cast<int>(arg);
-  switch (k) {
-    case EventKind::kPhaseBegin:
-      if (a >= 0 && a < kNumPhases) {
-        return kPhaseBeginPoints[a];
-      }
-      break;
-    case EventKind::kPhaseEnd:
-      if (a >= 0 && a < kNumPhases) {
-        return kPhaseEndPoints[a];
-      }
-      break;
-    case EventKind::kRecoveryStep:
-      if (a >= 1 && a <= kNumRecoverySteps) {
-        return kRecoveryPoints[a - 1];
-      }
-      break;
-    default:
-      break;
-  }
-  return EventKindName(k);
-}
-
 Recorder::Recorder(uint32_t machine, size_t capacity, const obs::Sinks& sinks)
     : machine_(machine), sinks_(sinks), ring_(capacity > 0 ? capacity : 1) {}
 
-void Recorder::Append(const Record& r) {
+uint32_t Recorder::Append(const Record& r) {
   ring_[appended_ % ring_.size()] = r;
   appended_++;
-  if (sinks_.hook != nullptr) {
-    // Every flight record is an injectable fault point. msg-send is the one
-    // exception: the fabric hits it natively (before committing the message
-    // to the wire) so the hook's drop effect can take hold.
-    EventKind k = static_cast<EventKind>(r.kind);
-    if (k != EventKind::kMsgSend) {
-      sinks_.HitPoint(machine_, PointName(k, r.arg), r.detail);
-    }
+  if (sinks_.hook == nullptr) {
+    return fault::kEffectNone;
   }
+  return sinks_.HitPoint(machine_, PointName(static_cast<EventKind>(r.kind), r.arg), r.detail);
 }
 
 std::vector<DrainedRecord> Recorder::Drain() const {
@@ -208,16 +169,11 @@ std::string FormatRecord(const DrainedRecord& r) {
 bool ParseRecordLine(const std::string& line, DrainedRecord* out) {
   // Tokenize on single spaces; the format is fixed-field.
   std::vector<std::string> f;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    size_t sp = line.find(' ', pos);
-    if (sp == std::string::npos) {
-      sp = line.size();
-    }
+  for (size_t pos = 0, sp = 0; pos < line.size(); pos = sp + 1) {
+    sp = std::min(line.find(' ', pos), line.size());
     if (sp > pos) {
       f.push_back(line.substr(pos, sp - pos));
     }
-    pos = sp + 1;
   }
   if (f.size() != 7 || f[0].rfind("t=", 0) != 0 || f[1].rfind("m=", 0) != 0 ||
       f[2].rfind("seq=", 0) != 0 || f[5].rfind("tx=", 0) != 0 || f[6].rfind("d=", 0) != 0) {

@@ -105,14 +105,6 @@ constexpr int kNumRecoverySteps = 7;
 const char* EventKindName(EventKind k);
 const char* PhaseName(Phase p);
 const char* AbortReasonName(AbortReason r);
-const char* RecoveryStepName(RecoveryStep s);
-
-// Fault-point name for a record kind: the event-kind name, qualified with
-// the symbolic arg where the kind defines one ("phase-begin:lock",
-// "recovery:new-config"). Returns an interned static string, so hot paths
-// can pass it around without allocating. Every name doubles as an
-// injectable fault-point id (see src/obs/fault_hook.h).
-const char* PointName(EventKind k, uint8_t arg);
 
 // One protocol event. Exactly 32 bytes, trivially copyable, pointer-free
 // (enforced by the static_asserts below and the farmlint recorder-pod rule).
@@ -157,7 +149,7 @@ class Recorder {
   explicit Recorder(uint32_t machine, size_t capacity = kDefaultCapacity,
                     const obs::Sinks& sinks = obs::kNoSinks);
 
-  void Append(const Record& r);
+  uint32_t Append(const Record& r);  // returns the hook's effect mask
 
   uint32_t machine() const { return machine_; }
   size_t capacity() const { return ring_.size(); }

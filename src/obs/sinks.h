@@ -1,9 +1,9 @@
 // The observability sinks of one simulated cluster.
 //
-// A Cluster owns one Sinks and lends it to its fabric and its flight-recorder
-// rings; protocol code reaches it through the cluster. So a tracer or fault
-// hook attached to one cluster reaches every layer of that cluster and no
-// other, and no sink is process-global.
+// A Cluster owns one Sinks and lends it to its fabric, its flight-recorder
+// rings and its nodes' Emitters, through which protocol code reports. So a
+// tracer or fault hook attached to one cluster reaches every layer of that
+// cluster and no other, and no sink is process-global.
 #ifndef SRC_OBS_SINKS_H_
 #define SRC_OBS_SINKS_H_
 

@@ -35,51 +35,39 @@ Tracer::Tracer() : Tracer(Options{}) {}
 Tracer::Tracer(Options options) : options_(options) {}
 
 void Tracer::NameProcess(uint32_t pid, const std::string& name) {
-  Event ev;
-  ev.phase = 'M';
-  ev.pid = pid;
-  ev.name = "process_name";
-  ev.id = name;
-  metadata_.push_back(std::move(ev));
+  metadata_.push_back(Event{'M', pid, 0, 0, 0, nullptr, "process_name", name, 0});
 }
 
 void Tracer::NameThread(uint32_t pid, uint32_t tid, const std::string& name) {
-  Event ev;
-  ev.phase = 'M';
-  ev.pid = pid;
-  ev.tid = tid;
-  ev.name = "thread_name";
-  ev.id = name;
-  metadata_.push_back(std::move(ev));
+  metadata_.push_back(Event{'M', pid, tid, 0, 0, nullptr, "thread_name", name, 0});
+}
+
+SimTime Tracer::Stamp() const {
+  FARM_CHECK(sim_ != nullptr) << "tracer has no clock attached";
+  return sim_->Now();
 }
 
 void Tracer::BeginSpan(uint32_t pid, uint32_t tid, const char* cat, const char* name,
                        const std::string& id) {
-  FARM_CHECK(sim_ != nullptr) << "tracer has no clock attached";
-  Push(Event{'b', pid, tid, sim_->Now(), 0, cat, name, id, 0});
+  Push(Event{'b', pid, tid, Stamp(), 0, cat, name, id, 0});
 }
 
 void Tracer::EndSpan(uint32_t pid, uint32_t tid, const char* cat, const char* name,
                      const std::string& id) {
-  FARM_CHECK(sim_ != nullptr) << "tracer has no clock attached";
-  Push(Event{'e', pid, tid, sim_->Now(), 0, cat, name, id, 0});
+  Push(Event{'e', pid, tid, Stamp(), 0, cat, name, id, 0});
 }
 
 void Tracer::CompleteSpan(uint32_t pid, uint32_t tid, const char* cat, const char* name,
                           SimTime start) {
-  FARM_CHECK(sim_ != nullptr) << "tracer has no clock attached";
-  SimTime now = sim_->Now();
-  Push(Event{'X', pid, tid, start, now - start, cat, name, {}, 0});
+  Push(Event{'X', pid, tid, start, Stamp() - start, cat, name, {}, 0});
 }
 
 void Tracer::Instant(uint32_t pid, uint32_t tid, const char* cat, const char* name) {
-  FARM_CHECK(sim_ != nullptr) << "tracer has no clock attached";
-  Push(Event{'i', pid, tid, sim_->Now(), 0, cat, name, {}, 0});
+  Push(Event{'i', pid, tid, Stamp(), 0, cat, name, {}, 0});
 }
 
 void Tracer::CounterValue(uint32_t pid, const char* name, uint64_t value) {
-  FARM_CHECK(sim_ != nullptr) << "tracer has no clock attached";
-  Push(Event{'C', pid, 0, sim_->Now(), 0, nullptr, name, {}, value});
+  Push(Event{'C', pid, 0, Stamp(), 0, nullptr, name, {}, value});
 }
 
 void Tracer::AppendEvent(std::string& out, const Event& ev) {
@@ -132,20 +120,13 @@ void Tracer::AppendEvent(std::string& out, const Event& ev) {
 
 std::string Tracer::ToJson() const {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
-  for (const Event& ev : metadata_) {
-    if (!first) {
-      out += ",\n";
+  const char* sep = "";
+  for (const std::vector<Event>* list : {&metadata_, &events_}) {
+    for (const Event& ev : *list) {
+      out += sep;
+      sep = ",\n";
+      AppendEvent(out, ev);
     }
-    first = false;
-    AppendEvent(out, ev);
-  }
-  for (const Event& ev : events_) {
-    if (!first) {
-      out += ",\n";
-    }
-    first = false;
-    AppendEvent(out, ev);
   }
   out += "\n]}\n";
   return out;

@@ -72,7 +72,6 @@ class Tracer {
   void CounterValue(uint32_t pid, const char* name, uint64_t value);
 
   size_t event_count() const { return events_.size() + metadata_.size(); }
-  SimTime Now() const { return sim_ == nullptr ? 0 : sim_->Now(); }
 
   // Chrome trace-event JSON ({"traceEvents":[...]}). Deterministic: event
   // order is insertion order (the simulator is single-threaded) and all
@@ -93,6 +92,8 @@ class Tracer {
     uint64_t value = 0;  // C only
   };
 
+  // Now on the attached clock (checked: recording needs one).
+  SimTime Stamp() const;
   void Push(Event ev) { events_.push_back(std::move(ev)); }
   static void AppendEvent(std::string& out, const Event& ev);
 
@@ -100,40 +101,6 @@ class Tracer {
   const Simulator* sim_ = nullptr;
   std::vector<Event> metadata_;
   std::vector<Event> events_;
-};
-
-// RAII async span for coroutines: begins on construction, ends on
-// destruction (coroutine locals die at co_return, so every exit path of a
-// traced coroutine closes its span at the simulated time it finishes).
-// A null tracer makes the guard a no-op, so callers build `id` only when a
-// tracer is attached.
-class SpanGuard {
- public:
-  SpanGuard(Tracer* tracer, uint32_t pid, uint32_t tid, const char* cat, const char* name,
-            std::string id)
-      : tracer_(tracer), pid_(pid), tid_(tid), cat_(cat), name_(name), id_(std::move(id)) {
-    if (tracer_ != nullptr) {
-      tracer_->BeginSpan(pid_, tid_, cat_, name_, id_);
-    }
-  }
-  SpanGuard(const SpanGuard&) = delete;
-  SpanGuard& operator=(const SpanGuard&) = delete;
-  ~SpanGuard() { End(); }
-
-  void End() {
-    if (tracer_ != nullptr) {
-      tracer_->EndSpan(pid_, tid_, cat_, name_, id_);
-      tracer_ = nullptr;
-    }
-  }
-
- private:
-  Tracer* tracer_;  // null once ended
-  uint32_t pid_;
-  uint32_t tid_;
-  const char* cat_;
-  const char* name_;
-  std::string id_;
 };
 
 }  // namespace trace

@@ -147,7 +147,6 @@ TEST(RegistryTest, TeardownDumpCarriesNodeAndFabricStats) {
 // Without a tracer attached, every trace path of a cluster is a no-op: a
 // committed transaction runs and nothing needs a tracer.
 TEST(TraceTest, NullSafeWithoutTracer) {
-  { trace::SpanGuard guard(nullptr, 0, 0, "tx", "noop", "id"); }
   auto cluster = MakeStartedCluster(SmallClusterOptions(4, 3));
   ASSERT_EQ(cluster->sinks().tracer, nullptr);
   RegionId rid = MustCreateRegion(*cluster, 64 << 10, 16);
@@ -311,6 +310,86 @@ TEST(TraceTest, ConcurrentClustersAt32Machines) {
     EXPECT_EQ(Fnv1a(out.postmortem), 0xce6bb38fe044798eULL);
     EXPECT_EQ(out.committed, 48);
   }
+}
+
+// Cross-commit pin for the recovery emissions: a traced cluster loses a
+// region primary while transactions run, and is run through
+// reconfiguration (suspect, probe, CAS, NEW-CONFIG commit), lock recovery,
+// recovery votes, ALL-REGIONS-ACTIVE, re-replication and allocator
+// recovery. The trace, the flight postmortem and the milestone list must
+// keep the fingerprints of the commit that introduced them.
+struct FailoverOutput {
+  std::string trace_json;
+  std::string postmortem;
+  std::string milestones;
+};
+
+FailoverOutput TracedFailover(uint64_t seed) {
+  FailoverOutput out;
+  trace::Tracer tracer;
+  {
+    ClusterOptions opts = SmallClusterOptions(5, seed);
+    opts.tracer = &tracer;
+    auto cluster = MakeStartedCluster(opts);
+    RegionId rid = MustCreateRegion(*cluster, 64 << 10, 16);
+    // A slab-managed region on the same replicas, so the promoted primary
+    // also runs allocator recovery.
+    MustCreateRegion(*cluster, 64 << 10, 0, rid);
+    auto writer = [](Cluster* c, RegionId r, int w) -> Task<void> {
+      for (int i = 0;; i++) {
+        MachineId node = static_cast<MachineId>((w + i) % 5);
+        if (!c->machine(node).alive()) {
+          continue;
+        }
+        auto tx = c->node(node).Begin(w % 2);
+        GlobalAddr addr{r, static_cast<uint32_t>(((w + i) % 8) * 16)};
+        if ((co_await tx->Read(addr, 8)).ok()) {
+          (void)tx->Write(addr, std::vector<uint8_t>(8, static_cast<uint8_t>(i)));
+          (void)co_await tx->Commit();
+        } else {
+          co_await SleepFor(c->sim(), 100 * kMicrosecond);
+        }
+      }
+    };
+    for (int w = 0; w < 6; w++) {
+      Spawn(writer(cluster.get(), rid, w));
+    }
+    cluster->RunFor(2 * kMillisecond);
+    cluster->Kill(cluster->node(0).config().Placement(rid)->primary);
+    auto reached = [&cluster](const char* name) {
+      return cluster->MilestoneAfter(name, 0) != kSimTimeNever;
+    };
+    EXPECT_TRUE(RunUntil(
+        *cluster,
+        [&]() {
+          return reached("config-commit") && reached("all-active") &&
+                 reached("data-rec-start");
+        },
+        2 * kSecond));
+    // Let the promoted primary's allocator recovery start.
+    cluster->RunFor(kMillisecond);
+    out.postmortem = cluster->FlightPostmortem();
+    for (const auto& [name, at] : cluster->milestones()) {
+      out.milestones += name + "@" + std::to_string(at) + "\n";
+    }
+  }
+  out.trace_json = tracer.ToJson();
+  return out;
+}
+
+TEST(TraceTest, ByteIdenticalThroughFailover) {
+  FailoverOutput out = TracedFailover(13);
+  for (const char* name : {"\"suspect\"", "\"probe\"", "\"new-config-cas\"",
+                           "\"new-config-commit\"", "\"reconfiguration\"",
+                           "\"lock-recovery\"", "\"tx-state-recovery\"",
+                           "\"re-replication\"", "\"allocator-recovery\"",
+                           "\"lease-expired\"", "\"decide-commit\"", "\"truncate\"",
+                           "\"data-rec-start\""}) {
+    EXPECT_NE(out.trace_json.find(name), std::string::npos) << "missing " << name;
+  }
+  EXPECT_EQ(Fnv1a(out.trace_json), 0xbc6c1ed174059ab2ULL);
+  EXPECT_EQ(Fnv1a(out.postmortem), 0xad3c23319b05746bULL);
+  EXPECT_EQ(Fnv1a(out.milestones), 0x636e3535a64ae1c5ULL);
 }
 
 }  // namespace

@@ -32,6 +32,12 @@ struct FailureScenario {
   int victim_kind;  // 0 = backup, 1 = primary, 2 = CM, 3 = idle machine
 };
 
+// Prints the fields, not the struct's bytes (its padding would make the
+// listed test names differ between builds).
+void PrintTo(const FailureScenario& s, std::ostream* os) {
+  *os << "{" << s.seed << ", " << s.victim_kind << "}";
+}
+
 class BankInvariantSweep : public ::testing::TestWithParam<FailureScenario> {};
 
 TEST_P(BankInvariantSweep, TotalConservedThroughFailure) {
@@ -158,7 +164,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FailureScenario{101, 0}, FailureScenario{202, 0},
                       FailureScenario{303, 1}, FailureScenario{404, 1},
                       FailureScenario{505, 2}, FailureScenario{606, 3},
-                      FailureScenario{707, 1}, FailureScenario{808, 2}));
+                      FailureScenario{707, 1}, FailureScenario{808, 2}),
+    [](const ::testing::TestParamInfo<FailureScenario>& scenario) {
+      return "seed" + std::to_string(scenario.param.seed) + "_victim" +
+             std::to_string(scenario.param.victim_kind);
+    });
 
 // ---------------------------------------------------------------------------
 // Hash table model check against std::unordered_map.

@@ -229,6 +229,42 @@ TEST(RuleFixtureTest, MutableGlobalAllowCommentsSuppress) {
   EXPECT_TRUE(LintFixture("mutable_global_suppressed.cc", WithMutableGlobal()).empty());
 }
 
+FileConfig WithEmitOnly() {
+  FileConfig config = DefaultRules();
+  config.rules.insert("emit-only");
+  return config;
+}
+
+TEST(RuleFixtureTest, EmitOnlyIsOffByDefault) {
+  EXPECT_TRUE(LintFixture("emit_only_bad.cc", DefaultRules()).empty());
+}
+
+TEST(RuleFixtureTest, EmitOnlyFlagsDirectSinkCalls) {
+  auto hits = LintFixture("emit_only_bad.cc", WithEmitOnly());
+  EXPECT_EQ(hits["emit-only"], 4) << "NoteMilestone, two trace::, HitPoint";
+  EXPECT_EQ(hits.size(), 1u) << "only emit-only may fire";
+}
+
+TEST(RuleFixtureTest, EmitOnlyAllowsEmitterCalls) {
+  EXPECT_TRUE(LintFixture("emit_only_good.cc", WithEmitOnly()).empty());
+}
+
+TEST(RuleFixtureTest, EmitOnlyAllowCommentsSuppress) {
+  EXPECT_TRUE(LintFixture("emit_only_suppressed.cc", WithEmitOnly()).empty());
+}
+
+// The emitter and the cluster own the sinks, so their files are exempt.
+TEST(RuleFixtureTest, EmitOnlyExemptsEmitterAndCluster) {
+  Linter linter;
+  for (const char* basename : {"emit.cc", "cluster.h"}) {
+    FileInput in;
+    ASSERT_TRUE(LoadFile(Testdata("emit_only_bad.cc"), &in));
+    in.basename = basename;
+    linter.CollectDeclarations(in);
+    EXPECT_TRUE(linter.Lint(in, WithEmitOnly()).empty()) << basename;
+  }
+}
+
 TEST(RuleFixtureTest, ChaosRngFlagsLiteralSeeds) {
   FileConfig config = DefaultRules();
   config.rules.insert("chaos-rng");
@@ -346,6 +382,7 @@ TEST(DriverTest, KnownRuleNames) {
   EXPECT_TRUE(IsKnownRule("chaos-rng"));
   EXPECT_TRUE(IsKnownRule("recorder-pod"));
   EXPECT_TRUE(IsKnownRule("mutable-global"));
+  EXPECT_TRUE(IsKnownRule("emit-only"));
   EXPECT_TRUE(IsKnownRule("await-hazard"));
   EXPECT_TRUE(IsKnownRule("lock-across-await"));
   EXPECT_TRUE(IsKnownRule("iterator-invalidate"));

@@ -86,6 +86,9 @@ const std::vector<RuleInfo> kRules = {
      "non-const, non-thread_local variable at namespace scope, function-local "
      "static or static data member; state outliving one simulation must be "
      "owned by its Cluster or be per-thread"},
+    {"emit-only", false,
+     "tracer, milestone or fault-hook call outside emit.*/cluster.*; protocol code "
+     "reports each step once, through its node's Emitter (src/core/emit.h)"},
     {"bad-allow", true,
      "suppression hygiene: allow(<rule>) naming an unknown rule, or a "
      "'farmlint: stable' annotation that binds to no accessor declaration"},
@@ -280,6 +283,30 @@ void CheckChaosRng(const std::vector<const Token*>& sig, Reporter& rep) {
       rep.Report("chaos-rng", t->line, t->col,
                  "Pcg32 seeded with a literal; derive the seed from the chaos "
                  "plan seed so dumped schedules replay identically");
+    }
+  }
+}
+
+// Protocol code reports each step once, through its node's Emitter, which
+// alone feeds the tracer, the fault hook and the cluster's milestones: the
+// `trace::` namespace, NoteMilestone and HitPoint belong to emit.* and
+// cluster.* only.
+void CheckEmitOnly(const FileInput& file, const std::vector<const Token*>& sig,
+                   Reporter& rep) {
+  if (!rep.RuleEnabled("emit-only") || file.basename.rfind("emit.", 0) == 0 ||
+      file.basename.rfind("cluster.", 0) == 0) {
+    return;
+  }
+  for (size_t i = 0; i < sig.size(); ++i) {
+    const Token* t = sig[i];
+    if (t->kind != TokKind::kIdentifier || t->in_directive) {
+      continue;
+    }
+    bool tracer = t->text == "trace" && i + 1 < sig.size() && IsPunct(sig[i + 1], "::");
+    if (tracer || t->text == "NoteMilestone" || t->text == "HitPoint") {
+      rep.Report("emit-only", t->line, t->col,
+                 "report the step through the node's Emitter (a Step row in "
+                 "src/core/emit.cc) instead of reaching the sink directly");
     }
   }
 }
@@ -781,6 +808,7 @@ std::vector<Diagnostic> Linter::Lint(const FileInput& file,
   CheckUnorderedIter(sig, unordered, rep);
   CheckUnorderedDecl(sig, rep);
   CheckChaosRng(sig, rep);
+  CheckEmitOnly(file, sig, rep);
   CheckKeyTypes(sig, rep);
   CheckRecorderPod(file, sig, rep);
   CheckMutableGlobal(sig, rep);
