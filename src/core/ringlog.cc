@@ -232,7 +232,10 @@ Future<NetResult> RingSender::Append(std::vector<uint8_t> frame, uint32_t reserv
     if (local_receiver_ != nullptr) {
       std::memcpy(self_store_->Data(data_base_ + off, 4), marker.data(), 4);
     } else {
-      // Fire-and-forget; the record write below orders after it in the ring.
+      // Fire-and-forget, and nothing orders it before the record write
+      // below: the fabric sends a machine's verbs out of its NICs in turn,
+      // so the record can land first and its receiver's poke find zeros
+      // here (ROADMAP item 1, "model RC ordering").
       (void)fabric_->Write(self_, peer_, data_base_ + off, std::move(marker), nullptr);
     }
     tail_ += contiguous;

@@ -64,7 +64,6 @@ static_assert(std::size(kExitRules) == flight::kNumAbortReasons + 2);
 Transaction::Transaction(Node* node, int thread)
     : node_(node),
       thread_(thread),
-      begin_config_(node->config().id),
       begin_time_(node->sim().Now()) {}
 
 Transaction::~Transaction() {

@@ -130,7 +130,6 @@ class Transaction {
   Node* node_;
   int thread_;
   TxId id_;  // assigned at commit start
-  ConfigId begin_config_;
   uint64_t begin_time_ = 0;  // sim time of Begin(); start of the execute phase
   bool committed_ = false;
   bool commit_started_ = false;

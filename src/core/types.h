@@ -61,10 +61,6 @@ struct TxId {
   }
 };
 
-struct TxIdHasher {
-  size_t operator()(const TxId& id) const { return static_cast<size_t>(id.Hash()); }
-};
-
 // The 64-bit object header word.
 //
 //   bit 63: write lock (taken by LOCK-record processing via CAS)

@@ -28,8 +28,18 @@ constexpr uint32_t kVerbHeaderBytes = 32;
 constexpr uint32_t kCasResponseBytes = 8;
 constexpr uint32_t kAckBytes = 8;
 
+// Wire size of a message that carries a payload: an RPC request or reply,
+// or a datagram.
+uint64_t WireBytes(const std::vector<uint8_t>& payload) {
+  return kVerbHeaderBytes + payload.size();
+}
+
 // Two NICs per machine, as in the paper's testbed (two 56 Gbps ConnectX-3).
 constexpr size_t kNicsPerMachine = 2;
+
+// Op records are allocated this many at a time, so the pool grows a few
+// times as a run ramps up rather than once per record.
+constexpr size_t kOpsPerSlab = 64;
 
 // Per-op instant on the initiator's track plus the cumulative byte counter
 // for the op's transport (counter_name may be null for datagrams).
@@ -149,7 +159,7 @@ Fabric::FaultOutcome Fabric::DrawFaults(MachineId src, MachineId dst) {
   }
   if (f.dup > 0 && fault_rng_.Bernoulli(f.dup)) {
     out.duplicate = true;
-    out.dup_delay = out.delay + (f.jitter > 0 ? fault_rng_.Uniform64(f.jitter) : 0);
+    out.dup_extra = f.jitter > 0 ? fault_rng_.Uniform64(f.jitter) : 0;
     stats_.faults_duplicated++;
     TraceFault(sinks_.tracer, "fault_dup", src);
   }
@@ -166,14 +176,72 @@ bool Fabric::Reachable(MachineId a, MachineId b) const {
   return partition_group_[a] >= 0 && partition_group_[a] == partition_group_[b];
 }
 
-void Fabric::CompleteOnThread(Future<NetResult> done, NetResult result, HwThread* thread,
-                              SimDuration cpu_cost) {
-  if (thread != nullptr) {
-    thread->Run(cpu_cost, [done, result = std::move(result)]() mutable {
-      done.Set(std::move(result));
-    });
-  } else {
-    done.Set(std::move(result));
+SimTime Fabric::Depart(MachineId from, uint64_t bytes, SimDuration delay, bool bypass) {
+  return Arrive(from, sim_.Now(), bytes, bypass) + kCost.wire_latency + delay;
+}
+
+SimTime Fabric::Arrive(MachineId to, SimTime start, uint64_t bytes, bool bypass) {
+  SimDuration occupancy = kCost.NicOccupancy(bytes);
+  return bypass ? start + occupancy : PickNic(Ep(to)).Acquire(start, occupancy);
+}
+
+template <typename F>
+int Fabric::SendCopies(MachineId from, MachineId to, std::vector<uint8_t> payload, bool bypass,
+                       F arrive) {
+  FaultOutcome fault = DrawFaults(from, to);
+  if (fault.drop) {
+    return 0;
+  }
+  SimTime arrival = Depart(from, WireBytes(payload), fault.delay, bypass);
+  if (fault.duplicate) {
+    sim_.At(arrival + fault.dup_extra,
+            [arrive, copy = payload]() mutable { arrive(std::move(copy)); });
+  }
+  sim_.At(arrival, [arrive, copy = std::move(payload)]() mutable { arrive(std::move(copy)); });
+  return fault.duplicate ? 2 : 1;
+}
+
+Fabric::Op* Fabric::NewOp(Verb verb, MachineId src, MachineId dst, HwThread* thread,
+                          std::vector<uint8_t> payload, uint32_t resp_bytes) {
+  if (free_ops_ == nullptr) {
+    slabs_.push_back(std::make_unique<Op[]>(kOpsPerSlab));
+    for (size_t i = 0; i < kOpsPerSlab; i++) {
+      Op& fresh = slabs_.back()[i];
+      fresh.fabric = this;
+      fresh.next_free = free_ops_;
+      free_ops_ = &fresh;
+    }
+  }
+  Op* op = free_ops_;
+  free_ops_ = op->next_free;
+  op->verb = verb;
+  op->src = src;
+  op->dst = dst;
+  op->thread = thread;
+  op->payload = std::move(payload);
+  op->done.emplace();
+  // A one-sided request is booked as its verb header alone, so a write's
+  // payload costs no NIC time at either end (ROADMAP: "write payloads
+  // cost no NIC time"). Charging it moves every simulated number, so it is
+  // left to a change of its own.
+  op->req_bytes =
+      verb == Verb::kRpc ? static_cast<uint32_t>(WireBytes(op->payload)) : kVerbHeaderBytes;
+  op->resp_bytes = resp_bytes;
+  op->decided = false;
+  op->replied = false;
+  op->refs = 1;
+  return op;
+}
+
+void Fabric::Drop(Op* op) {
+  FARM_CHECK(op->refs > 0);
+  if (--op->refs == 0) {
+    op->payload.clear();
+    op->on_delivered = nullptr;
+    op->result.status = OkStatus();
+    op->result.data.clear();
+    op->next_free = free_ops_;
+    free_ops_ = op;
   }
 }
 
@@ -182,7 +250,10 @@ Future<NetResult> Fabric::Read(MachineId src, MachineId dst, uint64_t addr, uint
   stats_.rdma_reads++;
   stats_.rdma_bytes += len;
   TraceOp(sinks_.tracer, "rdma_read", src, thread, "rdma_bytes", stats_.rdma_bytes);
-  return OneSided(Verb::kRead, src, dst, addr, len, {}, 0, 0, thread);
+  Op* op = NewOp(Verb::kRead, src, dst, thread, {}, len);
+  op->addr = addr;
+  op->len = len;
+  return OneSided(op);
 }
 
 Future<NetResult> Fabric::Write(MachineId src, MachineId dst, uint64_t addr,
@@ -191,8 +262,10 @@ Future<NetResult> Fabric::Write(MachineId src, MachineId dst, uint64_t addr,
   stats_.rdma_writes++;
   stats_.rdma_bytes += data.size();
   TraceOp(sinks_.tracer, "rdma_write", src, thread, "rdma_bytes", stats_.rdma_bytes);
-  return OneSided(Verb::kWrite, src, dst, addr, static_cast<uint32_t>(data.size()),
-                  std::move(data), 0, 0, thread, std::move(on_delivered));
+  Op* op = NewOp(Verb::kWrite, src, dst, thread, std::move(data), kAckBytes);
+  op->addr = addr;
+  op->on_delivered = std::move(on_delivered);
+  return OneSided(op);
 }
 
 Future<NetResult> Fabric::Cas(MachineId src, MachineId dst, uint64_t addr, uint64_t expected,
@@ -200,161 +273,20 @@ Future<NetResult> Fabric::Cas(MachineId src, MachineId dst, uint64_t addr, uint6
   stats_.rdma_cas++;
   stats_.rdma_bytes += 16;
   TraceOp(sinks_.tracer, "rdma_cas", src, thread, "rdma_bytes", stats_.rdma_bytes);
-  return OneSided(Verb::kCas, src, dst, addr, 8, {}, expected, desired, thread);
-}
-
-Fabric::OneSidedOp* Fabric::AcquireOneSided() {
-  OneSidedOp* op = one_sided_free_;
-  if (op != nullptr) {
-    one_sided_free_ = op->next_free;
-    op->next_free = nullptr;
-  } else {
-    one_sided_owned_.push_back(std::make_unique<OneSidedOp>());
-    op = one_sided_owned_.back().get();
-    op->fabric = this;
-  }
-  return op;
-}
-
-void Fabric::ReleaseOneSided(OneSidedOp* op) {
-  op->data.clear();
-  op->on_delivered = nullptr;
-  op->result.status = OkStatus();
-  op->result.data.clear();
-  op->next_free = one_sided_free_;
-  one_sided_free_ = op;
-}
-
-Future<NetResult> Fabric::OneSided(Verb verb, MachineId src, MachineId dst, uint64_t addr,
-                                   uint32_t len, std::vector<uint8_t> data, uint64_t expected,
-                                   uint64_t desired, HwThread* thread,
-                                   std::function<void()> on_delivered) {
-  Ep(src);  // validate endpoints exist
-  Ep(dst);
-
-  OneSidedOp* op = AcquireOneSided();
-  op->verb = verb;
-  op->src = src;
-  op->dst = dst;
+  Op* op = NewOp(Verb::kCas, src, dst, thread, {}, kCasResponseBytes);
   op->addr = addr;
-  op->len = len;
   op->expected = expected;
   op->desired = desired;
-  op->thread = thread;
-  op->data = std::move(data);
-  op->on_delivered = std::move(on_delivered);
-  op->done = Future<NetResult>();
-  // Request sizes: reads/CAS carry a header; writes carry the payload.
-  op->req_bytes = verb == Verb::kWrite ? kVerbHeaderBytes + len : kVerbHeaderBytes;
-  op->resp_bytes =
-      verb == Verb::kRead ? len : (verb == Verb::kCas ? kCasResponseBytes : kAckBytes);
-
-  SimTime issue_done = thread != nullptr ? thread->AcquireCpu(kCost.cpu_rdma_issue) : sim_.Now();
-  sim_.At(issue_done, [op]() { op->fabric->OneSidedIssue(op); });
-  return op->done;
+  return OneSided(op);
 }
 
-// RC transport gave up on an unreachable/dead peer: surface a timeout to the
-// initiator one rc_op_timeout from now. The pending completion must not
-// reference the record (it is released here), so it captures the future.
-void Fabric::OneSidedFail(OneSidedOp* op) {
-  Future<NetResult> done = op->done;
-  HwThread* thread = op->thread;
-  MachineId src = op->src;
-  ReleaseOneSided(op);
-  sim_.At(sim_.Now() + kCost.rc_op_timeout, [this, done, thread, src]() {
-    if (!IsAlive(src)) {
-      return;  // initiator died; nobody is polling the CQ
-    }
-    CompleteOnThread(done, NetResult{UnavailableStatus("one-sided op timed out"), {}}, thread,
-                     kCost.cpu_rdma_completion);
-  });
-}
-
-void Fabric::OneSidedIssue(OneSidedOp* op) {
-  if (!IsAlive(op->src)) {
-    ReleaseOneSided(op);
-    return;
-  }
-  if (!Reachable(op->src, op->dst) || !IsAlive(op->dst)) {
-    OneSidedFail(op);
-    return;
-  }
-  NicPort& src_nic = PickNic(Ep(op->src));
-  SimTime sent = src_nic.Acquire(sim_.Now(), kCost.NicOccupancy(op->req_bytes));
-  SimTime arrival = sent + kCost.wire_latency;
-  sim_.At(arrival, [op]() { op->fabric->OneSidedArrive(op); });
-}
-
-void Fabric::OneSidedArrive(OneSidedOp* op) {
-  if (!Reachable(op->src, op->dst) || !IsAlive(op->dst)) {
-    OneSidedFail(op);
-    return;
-  }
-  NicPort& dst_nic = PickNic(Ep(op->dst));
-  // The target NIC serves the verb: DMA in/out of target memory.
-  SimTime served = dst_nic.Acquire(sim_.Now(), kCost.NicOccupancy(op->req_bytes + op->resp_bytes));
-  sim_.At(served, [op]() { op->fabric->OneSidedServe(op); });
-}
-
-void Fabric::OneSidedServe(OneSidedOp* op) {
-  if (!Reachable(op->src, op->dst) || !IsAlive(op->dst)) {
-    OneSidedFail(op);
-    return;
-  }
-  Endpoint& dst_ep = Ep(op->dst);
-  NetResult& result = op->result;
-  switch (op->verb) {
-    case Verb::kRead: {
-      result.data.resize(op->len);
-      if (!dst_ep.memory->RdmaRead(op->addr, op->len, result.data.data())) {
-        result.status = Status(StatusCode::kInvalidArgument, "rdma read protection fault");
-        result.data.clear();
-      }
-      break;
-    }
-    case Verb::kWrite: {
-      if (!dst_ep.memory->RdmaWrite(op->addr, op->data.data(), op->data.size())) {
-        result.status = Status(StatusCode::kInvalidArgument, "rdma write protection fault");
-      } else if (op->on_delivered) {
-        op->on_delivered();
-      }
-      break;
-    }
-    case Verb::kCas: {
-      uint64_t observed = 0;
-      if (!dst_ep.memory->RdmaCas(op->addr, op->expected, op->desired, &observed)) {
-        result.status = Status(StatusCode::kInvalidArgument, "rdma cas protection fault");
-      } else {
-        result.data.resize(8);
-        std::memcpy(result.data.data(), &observed, 8);
-      }
-      break;
-    }
-  }
-  // Response (data / hardware ack) crosses back through the initiator NIC.
-  NicPort& back_nic = PickNic(Ep(op->src));
-  SimTime resp_arrival = sim_.Now() + kCost.wire_latency;
-  SimTime delivered = back_nic.Acquire(resp_arrival, kCost.NicOccupancy(op->resp_bytes));
-  sim_.At(delivered, [op]() { op->fabric->OneSidedComplete(op); });
-}
-
-void Fabric::OneSidedComplete(OneSidedOp* op) {
-  if (!IsAlive(op->src)) {
-    ReleaseOneSided(op);
-    return;
-  }
-  if (op->thread != nullptr) {
-    // The record stays alive until the completion poll runs; if the machine
-    // dies first the guard drops the closure and the record is stranded.
-    op->thread->Run(kCost.cpu_rdma_completion, [op]() {
-      op->done.Set(std::move(op->result));
-      op->fabric->ReleaseOneSided(op);
-    });
-  } else {
-    op->done.Set(std::move(op->result));
-    ReleaseOneSided(op);
-  }
+Future<NetResult> Fabric::OneSided(Op* op) {
+  Ep(op->src);  // validate endpoints exist
+  Ep(op->dst);
+  SimTime issue_done =
+      op->thread != nullptr ? op->thread->AcquireCpu(kCost.cpu_rdma_issue) : sim_.Now();
+  sim_.At(issue_done, [op]() { op->fabric->Send(op); });
+  return *op->done;
 }
 
 void Fabric::RegisterRpcService(MachineId m, uint16_t service, int thread_lo, int thread_hi,
@@ -368,30 +300,6 @@ void Fabric::RegisterRpcService(MachineId m, uint16_t service, int thread_lo, in
   svc.thread_hi = thread_hi;
   svc.next_thread = thread_lo;
   ep.services[service] = std::move(svc);
-}
-
-Fabric::RpcOp* Fabric::AcquireRpc() {
-  RpcOp* op = rpc_free_;
-  if (op != nullptr) {
-    rpc_free_ = op->next_free;
-    op->next_free = nullptr;
-  } else {
-    rpc_owned_.push_back(std::make_unique<RpcOp>());
-    op = rpc_owned_.back().get();
-    op->fabric = this;
-  }
-  return op;
-}
-
-void Fabric::DropRpcRef(RpcOp* op) {
-  FARM_CHECK(op->refs > 0);
-  if (--op->refs == 0) {
-    op->request.clear();
-    op->result.status = OkStatus();
-    op->result.data.clear();
-    op->next_free = rpc_free_;
-    rpc_free_ = op;
-  }
 }
 
 void Fabric::SetFlightRecorder(MachineId m, flight::Recorder* rec) {
@@ -411,172 +319,223 @@ Future<NetResult> Fabric::Call(MachineId src, MachineId dst, uint16_t service,
                                                 service, dst)
                                     : sinks_.HitPoint(src, "msg-send", dst);
 
-  RpcOp* op = AcquireRpc();
-  op->src = src;
-  op->dst = dst;
+  Op* op = NewOp(Verb::kRpc, src, dst, thread, std::move(request));
   op->service = service;
-  op->thread = thread;
-  op->request = std::move(request);
-  op->done = Future<NetResult>();
-  op->req_bytes = kVerbHeaderBytes + op->request.size();
-  op->decided = false;
-  op->replied = false;
   op->refs = 2;  // the timeout event and the request chain
 
   SimTime issue_done = thread != nullptr ? thread->AcquireCpu(kCost.cpu_rpc_issue) : sim_.Now();
-  op->timeout = sim_.At(issue_done + timeout, [op]() { op->fabric->RpcTimeout(op); });
+  op->timeout = sim_.At(issue_done + timeout, [op]() {
+    op->fabric->Decide(op, NetResult{Status(StatusCode::kTimedOut, "rpc timeout"), {}});
+    op->fabric->Drop(op);
+  });
   if (effect & fault::kEffectDropMessage) {
-    // Injected drop: the request never reaches the wire (same shape as the
-    // request-leg drop in RpcSend); the timeout completes the call.
-    sim_.At(issue_done, [op]() { op->fabric->DropRpcRef(op); });
+    // Injected drop: the request never reaches the wire (same shape as a
+    // request-leg link drop); the timeout completes the call.
+    sim_.At(issue_done, [op]() { op->fabric->Drop(op); });
   } else {
-    sim_.At(issue_done, [op]() { op->fabric->RpcSend(op); });
+    sim_.At(issue_done, [op]() { op->fabric->Send(op); });
   }
-  return op->done;
+  return *op->done;
+}
+
+void Fabric::Send(Op* op) {
+  if (!IsAlive(op->src)) {
+    Drop(op);
+    return;
+  }
+  if (!Linked(op->src, op->dst)) {
+    Lost(op);
+    return;
+  }
+  // One-sided verbs model reliable RC transport and draw no link faults. An
+  // RPC request draws them all but ignores a duplicate; a dropped request
+  // models RC retry exhaustion and surfaces as the call's timeout.
+  SimDuration delay = 0;
+  if (op->verb == Verb::kRpc) {
+    FaultOutcome fault = DrawFaults(op->src, op->dst);
+    if (fault.drop) {
+      Drop(op);
+      return;
+    }
+    delay = fault.delay;
+  }
+  sim_.At(Depart(op->src, op->req_bytes, delay), [op]() { op->fabric->Land(op); });
+}
+
+void Fabric::Land(Op* op) {
+  if (!Linked(op->src, op->dst)) {
+    Lost(op);
+    return;
+  }
+  // A one-sided verb's target NIC also DMAs the response out while it
+  // serves the verb; an RPC's reply leaves later, on a leg of its own.
+  SimTime taken = Arrive(op->dst, sim_.Now(), op->req_bytes + op->resp_bytes);
+  sim_.At(taken, [op]() { op->fabric->Serve(op); });
+}
+
+void Fabric::Serve(Op* op) {
+  if (op->verb == Verb::kRpc) {
+    Receive(op);
+    return;
+  }
+  if (!Linked(op->src, op->dst)) {
+    Lost(op);
+    return;
+  }
+  RdmaMemory* memory = Ep(op->dst).memory;
+  NetResult& result = op->result;
+  if (op->verb == Verb::kRead) {
+    result.data.resize(op->len);
+    if (!memory->RdmaRead(op->addr, op->len, result.data.data())) {
+      result.status = Status(StatusCode::kInvalidArgument, "rdma read protection fault");
+      result.data.clear();
+    }
+  } else if (op->verb == Verb::kWrite) {
+    if (!memory->RdmaWrite(op->addr, op->payload.data(), op->payload.size())) {
+      result.status = Status(StatusCode::kInvalidArgument, "rdma write protection fault");
+    } else if (op->on_delivered) {
+      op->on_delivered();
+    }
+  } else {
+    uint64_t observed = 0;
+    if (!memory->RdmaCas(op->addr, op->expected, op->desired, &observed)) {
+      result.status = Status(StatusCode::kInvalidArgument, "rdma cas protection fault");
+    } else {
+      result.data.resize(8);
+      std::memcpy(result.data.data(), &observed, 8);
+    }
+  }
+  // The response (data / hardware ack) crosses back and books the initiator
+  // NIC now, for the moment it lands.
+  SimTime delivered = Arrive(op->src, sim_.Now() + kCost.wire_latency, op->resp_bytes);
+  sim_.At(delivered, [op]() {
+    op->fabric->Finish(op);
+    op->fabric->Drop(op);
+  });
+}
+
+// The target is dead or cut off. An RPC drops its chain and its timeout
+// completes the call; RC transport gives up on a one-sided op and surfaces
+// a timeout to the initiator one rc_op_timeout from now.
+void Fabric::Lost(Op* op) {
+  if (op->verb == Verb::kRpc) {
+    Drop(op);
+    return;
+  }
+  sim_.At(sim_.Now() + kCost.rc_op_timeout, [op]() {
+    op->result.status = UnavailableStatus("one-sided op timed out");
+    op->fabric->Finish(op);
+    op->fabric->Drop(op);
+  });
+}
+
+// The one completion path: the initiator's polling thread pays the
+// completion CPU and then sets the future. The polling event holds its own
+// ref; if the machine dies first, the guard drops the closure and the
+// record is stranded.
+void Fabric::Finish(Op* op) {
+  if (!IsAlive(op->src)) {
+    return;  // initiator died; nobody is polling the CQ
+  }
+  if (op->thread == nullptr) {
+    op->done->Set(std::move(op->result));
+    return;
+  }
+  op->refs++;
+  SimDuration cpu =
+      op->verb == Verb::kRpc ? kCost.cpu_rpc_completion : kCost.cpu_rdma_completion;
+  op->thread->Run(cpu, [op]() {
+    op->done->Set(std::move(op->result));
+    op->fabric->Drop(op);
+  });
 }
 
 // First completion (reply or timeout) wins: the `decided` guard makes the
 // client-visible completion at-most-once over an at-least-once wire. A reply
 // that wins cancels the timeout and drops its ref; the caller's chain still
 // holds one, so the record outlives this call.
-void Fabric::RpcComplete(RpcOp* op, NetResult r) {
+void Fabric::Decide(Op* op, NetResult r) {
   if (op->decided) {
     return;
   }
   op->decided = true;
   if (sim_.Cancel(op->timeout)) {
-    DropRpcRef(op);
+    Drop(op);
   }
-  if (!IsAlive(op->src)) {
-    return;
-  }
-  if (op->thread != nullptr) {
-    op->result = std::move(r);
-    op->refs++;  // the completion-poll event keeps the record alive
-    op->thread->Run(kCost.cpu_rpc_completion, [op]() {
-      op->done.Set(std::move(op->result));
-      op->fabric->DropRpcRef(op);
-    });
-  } else {
-    op->done.Set(std::move(r));
-  }
+  op->result = std::move(r);
+  Finish(op);
 }
 
-void Fabric::RpcTimeout(RpcOp* op) {
-  RpcComplete(op, NetResult{Status(StatusCode::kTimedOut, "rpc timeout"), {}});
-  DropRpcRef(op);
-}
-
-void Fabric::RpcSend(RpcOp* op) {
-  if (!IsAlive(op->src) || !Reachable(op->src, op->dst) || !IsAlive(op->dst)) {
-    DropRpcRef(op);
-    return;  // timeout will fire
-  }
-  // Request-leg faults: a dropped request models RC retry exhaustion and
-  // surfaces as the client-side timeout.
-  FaultOutcome req_fault = DrawFaults(op->src, op->dst);
-  if (req_fault.drop) {
-    DropRpcRef(op);
-    return;  // timeout will fire
-  }
-  NicPort& src_nic = PickNic(Ep(op->src));
-  SimTime sent = src_nic.Acquire(sim_.Now(), kCost.NicOccupancy(op->req_bytes));
-  SimTime arrival = sent + kCost.wire_latency + req_fault.delay;
-  sim_.At(arrival, [op]() { op->fabric->RpcArrive(op); });
-}
-
-void Fabric::RpcArrive(RpcOp* op) {
-  if (!Reachable(op->src, op->dst) || !IsAlive(op->dst)) {
-    DropRpcRef(op);
-    return;
-  }
-  NicPort& dst_nic = PickNic(Ep(op->dst));
-  SimTime received = dst_nic.Acquire(sim_.Now(), kCost.NicOccupancy(op->req_bytes));
-  sim_.At(received, [op]() { op->fabric->RpcReceive(op); });
-}
-
-void Fabric::RpcReceive(RpcOp* op) {
+void Fabric::Receive(Op* op) {
   if (!IsAlive(op->dst)) {
-    DropRpcRef(op);
+    Drop(op);
     return;
   }
   Endpoint& dep = Ep(op->dst);
   auto it = dep.services.find(op->service);
   if (it == dep.services.end()) {
-    RpcComplete(op, NetResult{Status(StatusCode::kNotFound, "no such rpc service"), {}});
-    DropRpcRef(op);
+    Decide(op, NetResult{Status(StatusCode::kNotFound, "no such rpc service"), {}});
+    Drop(op);
     return;
   }
   Endpoint::Service& svc = it->second;
   int tid = svc.next_thread;
   svc.next_thread = svc.next_thread >= svc.thread_hi ? svc.thread_lo : svc.next_thread + 1;
   HwThread& handler_thread = dep.machine->thread(tid);
-  SimDuration handler_cost = kCost.cpu_rpc_handler + kCost.CpuBytes(op->request.size());
+  SimDuration handler_cost = kCost.cpu_rpc_handler + kCost.CpuBytes(op->payload.size());
   // The chain's ref rides into the handler event; if the machine dies before
   // the handler runs, the guard drops it and the record is stranded.
-  handler_thread.Run(handler_cost, [op]() { op->fabric->RpcInvokeHandler(op); });
+  handler_thread.Run(handler_cost, [op]() { op->fabric->Invoke(op); });
 }
 
-void Fabric::RpcInvokeHandler(RpcOp* op) {
+void Fabric::Invoke(Op* op) {
   Endpoint& dep = Ep(op->dst);
   auto it = dep.services.find(op->service);
   if (it == dep.services.end()) {
-    DropRpcRef(op);  // service vanished while the request was queued
+    Drop(op);  // service vanished while the request was queued
     return;
   }
   FlightMsg(dep.flight, sim_.Now(), flight::EventKind::kMsgRecv, op->service, op->src);
   // The reply closure is two pointers wide, so the ReplyFn std::function the
   // handler receives stays in its small-object buffer. The handler may hold
   // it past this call; the chain's ref keeps the record alive until reply.
-  ReplyFn reply = [op](std::vector<uint8_t> resp) { op->fabric->RpcReply(op, std::move(resp)); };
-  it->second.handler(op->src, std::move(op->request), std::move(reply));
+  ReplyFn reply = [op](std::vector<uint8_t> resp) { op->fabric->Reply(op, std::move(resp)); };
+  it->second.handler(op->src, std::move(op->payload), std::move(reply));
 }
 
-void Fabric::RpcReply(RpcOp* op, std::vector<uint8_t> resp) {
+void Fabric::Reply(Op* op, std::vector<uint8_t> resp) {
   if (op->replied) {
     return;  // handlers reply at most once; extra calls are ignored
   }
   op->replied = true;
-  // Reply transport: dst NIC -> wire -> src NIC -> completion.
-  if (!IsAlive(op->dst) || !Reachable(op->src, op->dst)) {
-    DropRpcRef(op);
+  if (!Linked(op->src, op->dst)) {
+    Drop(op);
     return;
   }
-  // Reply-leg faults: drops surface as the client timeout; a duplicated
-  // reply is absorbed by the `decided` guard in RpcComplete.
-  FaultOutcome resp_fault = DrawFaults(op->dst, op->src);
-  if (resp_fault.drop) {
-    DropRpcRef(op);
-    return;  // timeout will fire
+  // Reply-leg faults: a drop surfaces as the client timeout; a duplicated
+  // reply is absorbed by the `decided` guard, and each copy holds a ref.
+  size_t resp_size = resp.size();
+  auto arrive = [op](std::vector<uint8_t> copy) { op->fabric->ReplyArrive(op, std::move(copy)); };
+  int copies = SendCopies(op->dst, op->src, std::move(resp), false, arrive);
+  if (copies == 0) {
+    Drop(op);
+    return;
   }
-  NicPort& out_nic = PickNic(Ep(op->dst));
-  uint64_t resp_bytes = kVerbHeaderBytes + resp.size();
-  stats_.rpc_bytes += resp.size();
-  SimTime resp_sent = out_nic.Acquire(sim_.Now(), kCost.NicOccupancy(resp_bytes));
-  if (resp_fault.duplicate) {
-    op->refs++;  // the duplicate delivery chain holds its own ref
-    SimTime dup_arrival = resp_sent + kCost.wire_latency + resp_fault.dup_delay;
-    std::vector<uint8_t> dup = resp;
-    sim_.At(dup_arrival, [op, copy = std::move(dup)]() mutable {
-      op->fabric->RpcRespArrive(op, std::move(copy));
-    });
-  }
-  SimTime resp_arrival = resp_sent + kCost.wire_latency + resp_fault.delay;
-  sim_.At(resp_arrival, [op, copy = std::move(resp)]() mutable {
-    op->fabric->RpcRespArrive(op, std::move(copy));
-  });
+  stats_.rpc_bytes += resp_size;
+  op->refs += copies - 1;
 }
 
-void Fabric::RpcRespArrive(RpcOp* op, std::vector<uint8_t> copy) {
+// A reply only needs its initiator alive to land; it makes no reachability
+// check.
+void Fabric::ReplyArrive(Op* op, std::vector<uint8_t> copy) {
   if (!IsAlive(op->src)) {
-    DropRpcRef(op);
+    Drop(op);
     return;
   }
-  NicPort& in_nic = PickNic(Ep(op->src));
-  SimTime delivered = in_nic.Acquire(sim_.Now(), kCost.NicOccupancy(kVerbHeaderBytes + copy.size()));
+  SimTime delivered = Arrive(op->src, sim_.Now(), WireBytes(copy));
   sim_.At(delivered, [op, copy = std::move(copy)]() mutable {
-    op->fabric->RpcComplete(op, NetResult{OkStatus(), std::move(copy)});
-    op->fabric->DropRpcRef(op);
+    op->fabric->Decide(op, NetResult{OkStatus(), std::move(copy)});
+    op->fabric->Drop(op);
   });
 }
 
@@ -588,7 +547,7 @@ void Fabric::SendDatagram(MachineId src, MachineId dst, std::vector<uint8_t> pay
                           bool bypass_nic_queue) {
   stats_.datagrams++;
   TraceOp(sinks_.tracer, "datagram", src, nullptr, nullptr, 0);
-  if (!IsAlive(src) || !Reachable(src, dst) || !IsAlive(dst)) {
+  if (!IsAlive(src) || !Linked(src, dst)) {
     return;
   }
   // The legacy global loss draw stays first so fault-free runs consume the
@@ -596,61 +555,25 @@ void Fabric::SendDatagram(MachineId src, MachineId dst, std::vector<uint8_t> pay
   if (datagram_loss_ > 0 && fault_rng_.Bernoulli(datagram_loss_)) {
     return;
   }
-  FaultOutcome fault = DrawFaults(src, dst);
-  if (fault.drop) {
-    return;
-  }
-  uint64_t bytes = kVerbHeaderBytes + payload.size();
-  SimTime sent;
-  if (bypass_nic_queue) {
-    // Dedicated lease queue pair: pays transmission time but does not wait
-    // behind data operations queued on the shared path.
-    sent = sim_.Now() + kCost.NicOccupancy(bytes);
-  } else {
-    Endpoint& src_ep = Ep(src);
-    sent = PickNic(src_ep).Acquire(sim_.Now(), kCost.NicOccupancy(bytes));
-  }
-  // The stage captures below (this + payload + ids + flag) fit SmallFn's
-  // inline buffer exactly, so datagram delivery never allocates.
-  if (fault.duplicate) {
-    SimTime dup_arrival = sent + kCost.wire_latency + fault.dup_delay;
-    std::vector<uint8_t> dup = payload;
-    sim_.At(dup_arrival, [this, src, dst, bypass_nic_queue, copy = std::move(dup)]() mutable {
-      DatagramArrive(src, dst, bypass_nic_queue, std::move(copy));
-    });
-  }
-  SimTime arrival = sent + kCost.wire_latency + fault.delay;
-  sim_.At(arrival, [this, src, dst, bypass_nic_queue, copy = std::move(payload)]() mutable {
-    DatagramArrive(src, dst, bypass_nic_queue, std::move(copy));
-  });
+  // The arrival capture (this, ids, flag) plus the payload fills SmallFn's
+  // inline buffer exactly, so a datagram never allocates on the wire.
+  SendCopies(src, dst, std::move(payload), bypass_nic_queue,
+             [this, src, dst, bypass_nic_queue](std::vector<uint8_t> copy) {
+               DatagramArrive(src, dst, bypass_nic_queue, std::move(copy));
+             });
 }
 
-void Fabric::DatagramArrive(MachineId src, MachineId dst, bool bypass_nic_queue,
-                            std::vector<uint8_t> copy) {
-  if (!IsAlive(dst) || !Reachable(src, dst)) {
+void Fabric::DatagramArrive(MachineId src, MachineId dst, bool bypass, std::vector<uint8_t> copy) {
+  if (!Linked(src, dst)) {
     return;
   }
-  uint64_t bytes = kVerbHeaderBytes + copy.size();
-  SimTime delivered;
-  if (bypass_nic_queue) {
-    delivered = sim_.Now() + kCost.NicOccupancy(bytes);
-  } else {
-    Endpoint& dst_ep = Ep(dst);
-    delivered = PickNic(dst_ep).Acquire(sim_.Now(), kCost.NicOccupancy(bytes));
-  }
+  SimTime delivered = Arrive(dst, sim_.Now(), WireBytes(copy), bypass);
   sim_.At(delivered, [this, src, dst, copy = std::move(copy)]() mutable {
-    DatagramDeliver(src, dst, std::move(copy));
+    Endpoint& ep = Ep(dst);
+    if (IsAlive(dst) && ep.datagram_handler) {
+      ep.datagram_handler(src, std::move(copy));
+    }
   });
-}
-
-void Fabric::DatagramDeliver(MachineId src, MachineId dst, std::vector<uint8_t> copy) {
-  if (!IsAlive(dst)) {
-    return;
-  }
-  Endpoint& ep = Ep(dst);
-  if (ep.datagram_handler) {
-    ep.datagram_handler(src, std::move(copy));
-  }
 }
 
 }  // namespace farm

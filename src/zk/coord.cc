@@ -37,15 +37,6 @@ CoordinationService::CoordinationService(Fabric& fabric, std::vector<MachineId> 
   }
 }
 
-int CoordinationService::LeaderIndex() const {
-  for (size_t i = 0; i < replicas_.size(); i++) {
-    if (fabric_.IsAlive(replicas_[i])) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
 void CoordinationService::HandleRpc(size_t replica_idx, MachineId from,
                                     std::vector<uint8_t> req, Fabric::ReplyFn reply) {
   (void)from;
@@ -123,12 +114,30 @@ void CoordinationService::HandleRpc(size_t replica_idx, MachineId from,
   }
 }
 
+template <typename F>
+WaitGroup CoordinationService::FanOut(size_t replica_idx, const std::vector<uint8_t>& msg,
+                                      F on_reply) {
+  WaitGroup wg;
+  for (size_t i = 0; i < replicas_.size(); i++) {
+    if (i == replica_idx || !fabric_.IsAlive(replicas_[i]) ||
+        !fabric_.Reachable(replicas_[replica_idx], replicas_[i])) {
+      continue;  // a dead/unreachable replica would only delay the quorum wait
+    }
+    wg.Add();
+    fabric_.Call(replicas_[replica_idx], replicas_[i], kZkServiceId, msg, nullptr, kZkRpcTimeout)
+        .OnReady([on_reply, wg](NetResult& r) {
+          on_reply(r);
+          wg.Done();
+        });
+  }
+  return wg;
+}
+
 Detached CoordinationService::SyncAndServe(size_t replica_idx, std::function<void()> then) {
   // farmlint: allow(await-hazard): state_ is sized once at construction and
   // never resized, so references into it survive every suspension here.
   Replica& rep = state_[replica_idx];
-  size_t total = replicas_.size();
-  size_t majority = total / 2 + 1;
+  size_t majority = replicas_.size() / 2 + 1;
 
   BufWriter w;
   w.PutU8(kOpLocalGet);
@@ -136,30 +145,20 @@ Detached CoordinationService::SyncAndServe(size_t replica_idx, std::function<voi
 
   auto best = std::make_shared<ZnodeValue>(rep.value);
   auto responses = std::make_shared<size_t>(1);  // self
-  WaitGroup wg;
-  for (size_t i = 0; i < total; i++) {
-    if (i == replica_idx || !fabric_.IsAlive(replicas_[i]) ||
-        !fabric_.Reachable(rep.id, replicas_[i])) {
-      continue;  // a dead/unreachable replica would only delay the quorum wait
+  WaitGroup wg = FanOut(replica_idx, msg, [best, responses](NetResult& r) {
+    if (r.status.ok() && !r.data.empty()) {
+      BufReader rr(r.data);
+      if (rr.GetU8() == static_cast<uint8_t>(WireStatus::kOk)) {
+        uint64_t version = rr.GetU64();
+        auto data = rr.GetBytes();
+        (*responses)++;
+        if (version > best->version) {
+          best->version = version;
+          best->data = std::move(data);
+        }
+      }
     }
-    wg.Add();
-    fabric_.Call(rep.id, replicas_[i], kZkServiceId, msg, nullptr, kZkRpcTimeout)
-        .OnReady([best, responses, wg](NetResult& r) {
-          if (r.status.ok() && !r.data.empty()) {
-            BufReader rr(r.data);
-            if (rr.GetU8() == static_cast<uint8_t>(WireStatus::kOk)) {
-              uint64_t version = rr.GetU64();
-              auto data = rr.GetBytes();
-              (*responses)++;
-              if (version > best->version) {
-                best->version = version;
-                best->data = std::move(data);
-              }
-            }
-          }
-          wg.Done();
-        });
-  }
+  });
   co_await wg.Wait();
 
   if (*responses >= majority) {
@@ -221,25 +220,13 @@ Detached CoordinationService::RunCas(size_t replica_idx, uint64_t expected_versi
   w.PutBytes(value.data(), value.size());
   std::vector<uint8_t> msg = w.Take();
 
-  size_t total = replicas_.size();
-  size_t majority = total / 2 + 1;
+  size_t majority = replicas_.size() / 2 + 1;
   auto acks = std::make_shared<size_t>(1);  // self
-  WaitGroup wg;
-  for (size_t i = 0; i < total; i++) {
-    if (i == replica_idx || !fabric_.IsAlive(replicas_[i]) ||
-        !fabric_.Reachable(rep.id, replicas_[i])) {
-      continue;  // a dead/unreachable replica would only delay the quorum wait
+  WaitGroup wg = FanOut(replica_idx, msg, [acks](NetResult& r) {
+    if (r.status.ok() && !r.data.empty() && r.data[0] == static_cast<uint8_t>(WireStatus::kOk)) {
+      (*acks)++;
     }
-    wg.Add();
-    fabric_.Call(rep.id, replicas_[i], kZkServiceId, msg, nullptr, kZkRpcTimeout)
-        .OnReady([acks, wg](NetResult& r) {
-          if (r.status.ok() && !r.data.empty() &&
-              r.data[0] == static_cast<uint8_t>(WireStatus::kOk)) {
-            (*acks)++;
-          }
-          wg.Done();
-        });
-  }
+  });
   co_await wg.Wait();
 
   BufWriter out;

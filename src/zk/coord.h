@@ -63,14 +63,17 @@ class CoordinationService {
     std::deque<std::function<void()>> pending;
   };
 
-  // Index of the current leader: lowest-indexed live replica.
-  int LeaderIndex() const;
   void HandleRpc(size_t replica_idx, MachineId from, std::vector<uint8_t> req,
                  Fabric::ReplyFn reply);
   void ProcessCas(size_t replica_idx, std::vector<uint8_t> req, Fabric::ReplyFn reply);
   Detached RunCas(size_t replica_idx, uint64_t expected_version, std::vector<uint8_t> value,
                   Fabric::ReplyFn reply);
   Detached SyncAndServe(size_t replica_idx, std::function<void()> then);
+  // Sends `msg` from replica `replica_idx` to every other live, reachable
+  // replica; `on_reply(NetResult&)` sees each completion (reply or timeout)
+  // before the returned group counts it done.
+  template <typename F>
+  WaitGroup FanOut(size_t replica_idx, const std::vector<uint8_t>& msg, F on_reply);
   void PumpPending(size_t replica_idx);
 
   Fabric& fabric_;

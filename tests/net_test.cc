@@ -3,6 +3,7 @@
 
 #include <cstring>
 
+#include "src/common/hash.h"
 #include "src/net/cost_model.h"
 #include "src/net/fabric.h"
 #include "src/nvram/energy_model.h"
@@ -431,6 +432,128 @@ TEST_F(FabricTest, NicRateLimitsThroughput) {
   sim_.Run();
   EXPECT_EQ(completed, 3 * kOpsPerSrc);
   EXPECT_GT(sim_.Now(), static_cast<SimTime>(kOpsPerSrc) * kCost.nic_msg_gap);
+}
+
+// One fixed script of mixed, contended traffic on the 4-machine fabric:
+// every transport, every link-fault kind, a partition that starts while
+// replies are in flight and a kill mid-flight. Every completion, handler
+// run and delivery is logged with its sim time, status and bytes, then the
+// final stats; the log's hash pins the whole timeline, so a change to the
+// fabric's internals must leave it exactly as it was.
+TEST_F(FabricTest, MixedTrafficTimelineIsPinned) {
+  std::string log;
+  auto note = [&](const std::string& line) {
+    log += std::to_string(sim_.Now()) + " " + line + "\n";
+  };
+  auto track = [&](std::string tag, Future<NetResult> done) {
+    done.OnReady([&note, tag = std::move(tag)](NetResult& r) {
+      note(tag + " " + std::to_string(static_cast<int>(r.status.code())) + " " +
+           std::to_string(r.data.size()) + " " +
+           std::to_string(Fnv1a(r.data.data(), r.data.size())));
+    });
+  };
+
+  std::vector<uint64_t> addr;
+  for (int m = 0; m < kMachines; m++) {
+    addr.push_back(stores_[m]->Allocate(8192));
+  }
+  auto echo = [&](MachineId m) {
+    return [&note, m](MachineId from, std::vector<uint8_t> req, Fabric::ReplyFn reply) {
+      note("h" + std::to_string(m) + " from " + std::to_string(from) + " " +
+           std::to_string(req.size()));
+      req.push_back(static_cast<uint8_t>(m));
+      reply(std::move(req));
+    };
+  };
+  for (MachineId m = 0; m < kMachines; m++) {
+    fabric_.RegisterRpcService(m, 7, 0, 1, echo(m));
+    fabric_.SetDatagramHandler(m, [&note, m](MachineId from, std::vector<uint8_t> p) {
+      note("dg" + std::to_string(m) + " from " + std::to_string(from) + " " +
+           std::to_string(p.size()));
+    });
+  }
+  // Service 8 on machine 1 replies twice, after its callers' timeout.
+  fabric_.RegisterRpcService(1, 8, 2, 3,
+                             [&](MachineId, std::vector<uint8_t> req, Fabric::ReplyFn reply) {
+                               sim_.At(sim_.Now() + 300 * kMicrosecond, [&note, req, reply]() {
+                                 note("late reply");
+                                 reply(req);
+                                 reply(req);
+                               });
+                             });
+
+  fabric_.SeedFaultRng(27);
+  LinkFaults flaky;
+  flaky.drop = 0.15;
+  flaky.dup = 0.4;
+  flaky.reorder = 0.3;
+  flaky.reorder_window = 40 * kMicrosecond;
+  flaky.jitter = 5 * kMicrosecond;
+  flaky.extra_latency = 300;
+  fabric_.SetLinkFaults(0, 2, flaky);
+  fabric_.SetLinkFaults(2, 0, flaky);
+
+  auto wave = [&](int w) {
+    for (int i = 0; i < 6; i++) {
+      std::string tag = "w" + std::to_string(w) + "." + std::to_string(i) + " ";
+      auto bytes = [&](int n) {
+        return std::vector<uint8_t>(static_cast<size_t>(n), static_cast<uint8_t>(i + w));
+      };
+      HwThread* t0 = i % 2 == 0 ? &machines_[0]->thread(i % 4) : nullptr;
+      HwThread* t2 = i % 3 == 0 ? nullptr : &machines_[2]->thread(i % 4);
+      track(tag + "read01", fabric_.Read(0, 1, addr[1] + 64 * i, 8 + 300 * i, t0));
+      track(tag + "write10", fabric_.Write(1, 0, addr[0] + 512 * i, bytes(16 + 400 * i),
+                                           &machines_[1]->thread(i % 4),
+                                           [&note, tag]() { note(tag + "write10 delivered"); }));
+      track(tag + "read23", fabric_.Read(2, 3, addr[3], 256, t2));
+      track(tag + "write32", fabric_.Write(3, 2, addr[2] + 8 * i, bytes(8), nullptr,
+                                          [&note, tag]() { note(tag + "write32 delivered"); }));
+      track(tag + "cas31", fabric_.Cas(3, 1, addr[1] + 2048, static_cast<uint64_t>(i), i + 1u,
+                                       &machines_[3]->thread(i % 4)));
+      track(tag + "cas01", fabric_.Cas(0, 1, addr[1] + 2056, 0, 5, t0));
+      track(tag + "call02", fabric_.Call(0, 2, 7, bytes(4 + i), t0, 200 * kMicrosecond));
+      track(tag + "call20", fabric_.Call(2, 0, 7, bytes(64), t2, 200 * kMicrosecond));
+      track(tag + "call13", fabric_.Call(1, 3, 7, bytes(12), &machines_[1]->thread(i % 4),
+                                         150 * kMicrosecond));
+      track(tag + "call31", fabric_.Call(3, 1, 7, bytes(12), &machines_[3]->thread(i % 4)));
+      fabric_.SendDatagram(0, 2, bytes(16), i % 2 == 0);
+      fabric_.SendDatagram(2, 0, bytes(16), i % 2 == 1);
+      fabric_.SendDatagram(1, 3, bytes(24), i % 3 == 0);
+      fabric_.SendDatagram(3, 0, bytes(24));
+    }
+    std::string tag = "w" + std::to_string(w);
+    track(tag + " unknown", fabric_.Call(0, 1, 99, {1}, &machines_[0]->thread(0)));
+    track(tag + " late", fabric_.Call(0, 1, 8, {2, 3}, nullptr, 200 * kMicrosecond));
+  };
+
+  fabric_.set_datagram_loss(0.1);
+  wave(0);
+  sim_.At(1500, [&]() { wave(1); });
+  // Machine 3 dies with its own ops and ops aimed at it in flight.
+  sim_.At(2500, [&]() {
+    note("kill 3");
+    machines_[3]->Kill();
+  });
+  // Machine 2 is cut off while its first replies are on the wire.
+  sim_.At(4200, [&]() {
+    note("partition");
+    fabric_.SetPartition({{0, 1, 3}, {2}});
+  });
+  sim_.At(10 * kMicrosecond, [&]() { wave(2); });
+  sim_.At(60 * kMicrosecond, [&]() {
+    note("heal");
+    fabric_.ClearPartition();
+  });
+  sim_.At(100 * kMicrosecond, [&]() { wave(3); });
+  sim_.Run();
+
+  const FabricStats& s = fabric_.stats();
+  for (uint64_t v : {s.rdma_reads, s.rdma_writes, s.rdma_cas, s.rpcs, s.datagrams, s.rdma_bytes,
+                     s.rpc_bytes, s.faults_dropped, s.faults_delayed, s.faults_duplicated,
+                     s.faults_reordered}) {
+    log += std::to_string(v) + " ";
+  }
+  EXPECT_EQ(Fnv1a(log), 0x46858d67ca3207f1ULL) << log;
 }
 
 TEST(NvramTest, AllocateAndAccess) {

@@ -643,11 +643,13 @@ void CheckMutableGlobal(const std::vector<const Token*>& all, Reporter& rep) {
   }
   // Braces inside parentheses (`f(Options{})`, lambda arguments) belong to
   // an expression: they neither end the statement nor open a declaration
-  // scope of their own.
+  // scope of their own, and the statements of a lambda body inside them
+  // leave the enclosing statement's start where it was.
   struct Open {
     Scope scope;
     bool in_expr;
-    int parens;  // paren depth to restore on close, for in_expr braces
+    int parens;   // paren depth to restore on close, for in_expr braces
+    size_t stmt;  // statement start to restore on close, for in_expr braces
   };
   std::vector<Open> open;  // empty: file scope
   auto current = [&open] { return open.empty() ? Scope::kNamespace : open.back().scope; };
@@ -660,18 +662,19 @@ void CheckMutableGlobal(const std::vector<const Token*>& all, Reporter& rep) {
     } else if (IsPunct(t, ")")) {
       parens--;
     } else if (IsPunct(t, "{") && parens > 0) {
-      open.push_back({Scope::kFunction, true, parens});
+      open.push_back({Scope::kFunction, true, parens, stmt});
       parens = 0;
     } else if (IsPunct(t, "{")) {
       Scope s = ClassifyBrace(sig, stmt, i, current());
       if (s == Scope::kOther && current() == Scope::kNamespace) {
         CheckNamespaceDecl(sig, stmt, i, rep);
       }
-      open.push_back({s, false, 0});
+      open.push_back({s, false, 0, 0});
       stmt = i + 1;
     } else if (IsPunct(t, "}")) {
       if (!open.empty() && open.back().in_expr) {
         parens = open.back().parens;
+        stmt = open.back().stmt;
       } else {
         stmt = i + 1;
         parens = 0;

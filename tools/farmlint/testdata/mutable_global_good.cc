@@ -1,5 +1,7 @@
 // Fixture: constants, per-thread state, functions, members and types are
 // not mutable globals.
+#include <algorithm>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,8 @@ const char* const kNames[] = {"a", "b"};
 const std::vector<const char*> kOrder = {"x", "y"};
 const std::string kGreeting = "hi";
 thread_local int t_depth = 0;
+constexpr int kTable[] = {0, 1, 2};
+static_assert(std::ranges::all_of(std::views::iota(0, 3), [](int i) { return kTable[i] == i; }), "order");
 
 int Add(int a, int b);
 std::vector<int> Range(int n);
