@@ -39,6 +39,7 @@ void Messenger::Connect(Messenger& a, Messenger& b) {
     MachineId rx_id = rx.id();
     Messenger* rxp = &rx;
     Outbound out;
+    out.id = ++tx.wirings_;
     MachineId tx_id = tx.id();
     out.txlog = std::make_unique<RingSender>(
         &tx.fabric_, tx_id, rx_id, in.txlog->data_base(), rx.options_.txlog_capacity, fb_log,
@@ -66,14 +67,17 @@ void Messenger::Reconnect(Messenger& a, Messenger& b) {
   Connect(a, b);
 }
 
-bool Messenger::ReserveLog(MachineId dst, uint32_t payload_len) {
+uint32_t Messenger::ReserveLog(MachineId dst, uint32_t payload_len) {
   auto it = outbound_.find(dst);
   FARM_CHECK(it != outbound_.end()) << "no ring to machine " << dst;
-  return it->second.txlog->Reserve(payload_len);
+  return it->second.txlog->Reserve(payload_len) ? it->second.id : 0;
 }
 
-void Messenger::ReleaseLogReservation(MachineId dst, uint32_t payload_len) {
-  outbound_.at(dst).txlog->ReleaseReservation(payload_len);
+void Messenger::ReleaseLogReservation(MachineId dst, uint32_t payload_len, uint32_t ring) {
+  auto it = outbound_.find(dst);
+  if (it != outbound_.end() && it->second.id == ring) {
+    it->second.txlog->ReleaseReservation(payload_len);
+  }
 }
 
 Future<NetResult> Messenger::AppendLog(MachineId dst, const TxLogRecord& rec,

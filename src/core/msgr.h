@@ -62,8 +62,14 @@ class Messenger {
   Machine& machine() { return machine_; }
 
   // ---- transaction log ----
-  bool ReserveLog(MachineId dst, uint32_t payload_len);
-  void ReleaseLogReservation(MachineId dst, uint32_t payload_len);
+  // Reserves room for a record of `payload_len` bytes on the ring toward
+  // `dst`; returns the ring's id, or 0 if it cannot fit. Reconnect and Reset
+  // drop a ring with its reservations, so a release names the ring it
+  // reserved on and does nothing once that ring is gone.
+  uint32_t ReserveLog(MachineId dst, uint32_t payload_len);
+  void ReleaseLogReservation(MachineId dst, uint32_t payload_len, uint32_t ring);
+  // Bytes reserved on the ring toward `dst`, not yet consumed or released.
+  uint64_t LogReserved(MachineId dst) const { return outbound_.at(dst).txlog->reserved(); }
   // Consumes a reservation of `reserved_len` bytes (>= the record's
   // serialized size). Future completes on the hardware ack.
   Future<NetResult> AppendLog(MachineId dst, const TxLogRecord& rec, uint32_t reserved_len,
@@ -109,6 +115,7 @@ class Messenger {
   struct Outbound {
     std::unique_ptr<RingSender> txlog;
     std::unique_ptr<RingSender> msgq;
+    uint32_t id = 0;  // names the pair: this messenger's wiring count at Connect
   };
 
   void SchedulePoll(MachineId from, bool is_log);
@@ -126,6 +133,7 @@ class Messenger {
   std::map<MachineId, Inbound> inbound_;
   std::map<MachineId, Outbound> outbound_;
   uint64_t log_bytes_sent_ = 0;
+  uint32_t wirings_ = 0;
 };
 
 }  // namespace farm

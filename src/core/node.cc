@@ -175,6 +175,25 @@ std::unique_ptr<Transaction> Node::Begin(int thread) {
 Task<StatusOr<std::vector<uint8_t>>> Node::LockFreeRead(GlobalAddr addr, uint32_t size,
                                                         int thread) {
   stats_.lockfree_reads++;
+  return ReadObject(nullptr, addr, size, thread);
+}
+
+Task<StatusOr<std::vector<uint8_t>>> Node::ReadObject(Transaction* tx, GlobalAddr addr,
+                                                      uint32_t size, int thread) {
+  if (tx != nullptr) {
+    FARM_CHECK(!tx->commit_started_) << "Read after Commit";
+    // Read-your-writes.
+    auto wit = tx->writes_.find(addr);
+    if (wit != tx->writes_.end() && !wit->second.value.empty()) {
+      co_return wit->second.value.ToVector();
+    }
+    // Successive reads of the same object return the same data (section 3).
+    auto rit = tx->reads_.find(addr);
+    if (rit != tx->reads_.end()) {
+      co_return rit->second.value;
+    }
+  }
+  const SimTime read_start = sim().Now();
   for (int attempt = 0; attempt < 64; attempt++) {
     std::optional<RegionRef> ref = CachedRef(addr.region);
     if (!ref) {
@@ -207,6 +226,16 @@ Task<StatusOr<std::vector<uint8_t>>> Node::LockFreeRead(GlobalAddr addr, uint32_
       std::memcpy(&word, r.data.data(), 8);
       r.data.erase(r.data.begin(), r.data.begin() + 8);
       value = std::move(r.data);
+    }
+    if (tx != nullptr) {
+      // A locked object may be mid-commit by another transaction; the read
+      // set keeps the unlocked view of the header. If the writer commits,
+      // the version moves and validation/locking aborts; if it aborts, the
+      // header reverts to exactly this word.
+      tx->reads_.insert_or_assign(addr,
+                                  Transaction::ReadEntry{VersionWord::WithoutLock(word), value});
+      emit_.Report(Step::kRead, 0, read_start, thread);
+      co_return value;
     }
     if (!VersionWord::IsLocked(word)) {
       co_return value;
@@ -700,7 +729,7 @@ void Node::HandleMessage(MachineId from, MsgType type, std::vector<uint8_t> payl
       bool ok = r.GetU8() != 0;
       auto it = inflight_.find(tx_id);
       if (it != inflight_.end()) {
-        it->second->OnLockReply(from, ok);
+        it->second->OnLockReply(ok);
       }
       break;
     }
@@ -712,7 +741,7 @@ void Node::HandleMessage(MachineId from, MsgType type, std::vector<uint8_t> payl
       bool ok = r.GetU8() != 0;
       auto it = inflight_.find(tx_id);
       if (it != inflight_.end()) {
-        it->second->OnValidateReply(from, ok);
+        it->second->OnValidateReply(ok);
       }
       break;
     }

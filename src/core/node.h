@@ -248,6 +248,12 @@ class Node {
  private:
   friend class Transaction;
 
+  // The one object fetch (cached or resolved ref, local or one-sided read,
+  // header split) whose task Transaction::Read (tx set: own writes, read set)
+  // and LockFreeRead (tx null: retries while locked) return: one frame each.
+  Task<StatusOr<std::vector<uint8_t>>> ReadObject(Transaction* tx, GlobalAddr addr, uint32_t size,
+                                                  int thread);
+
   // ---- participant-side processing (node.cc) ----
   void HandleLogRecord(MachineId from, uint64_t seq, TxLogRecord rec);
   void HandleMessage(MachineId from, MsgType type, std::vector<uint8_t> payload);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
+#include <utility>
 
 #include "src/core/cluster.h"
 #include "src/core/node.h"
@@ -19,12 +21,6 @@ constexpr SimDuration kCommitResolutionTimeout = 500 * kMillisecond;
 // RDMA reads; above it, one validation RPC.
 constexpr int kValidateRpcThreshold = 4;
 
-// Reservation for a LOCK / COMMIT-BACKUP record carrying `writes`, with room
-// for a full truncation piggyback.
-uint32_t WriteRecordReservation(const std::vector<WireWrite>& writes, size_t regions) {
-  return static_cast<uint32_t>(TxLogRecord::SizeFor(writes, regions, kMaxPiggyback));
-}
-
 // Finish's two commit outcomes, outside flight::AbortReason's values.
 constexpr auto kCommitted = static_cast<flight::AbortReason>(0);
 constexpr auto kRecoveredCommit = static_cast<flight::AbortReason>(flight::kNumAbortReasons + 1);
@@ -36,30 +32,118 @@ enum class Release : uint8_t {
   kAfterRecord,   // after it
 };
 
-// What each outcome of a commit attempt does, indexed by the outcome.
+// What each outcome of a commit attempt does, indexed by the outcome: committed,
+// flight::AbortReason's reasons in their order, then the recovered commit.
 struct ExitRule {
   bool committed;                // counts tx_committed; otherwise writes kAbort
   uint64_t NodeStats::*counter;  // the outcome's own counter, if any
   bool abort_participants;       // writes ABORT to primaries holding LOCK records
   Release release;
+  const char* gave_up;           // the status message of a wait that ended unanswered
 };
 constexpr ExitRule kExitRules[] = {
-    {true, nullptr, false, Release::kLater},                                 // committed
-    {false, &NodeStats::tx_aborted_lock, true, Release::kBeforeRecord},      // lock_conflict
-    {false, &NodeStats::tx_aborted_validate, true, Release::kBeforeRecord},  // validate_conflict
-    {false, &NodeStats::tx_aborted_lock, false, Release::kBeforeRecord},     // no_placement
-    {false, &NodeStats::tx_aborted_lock, false, Release::kBeforeRecord},     // log_reservation
-    {false, &NodeStats::tx_recovered_abort, false, Release::kAfterRecord},   // recovery_abort
-    // unresolved_lock, unresolved_backup_ack, unresolved_backup_failure, unresolved_primary_ack
-    {false, &NodeStats::tx_unresolved, false, Release::kLater},
-    {false, &NodeStats::tx_unresolved, false, Release::kLater},
-    {false, &NodeStats::tx_unresolved, false, Release::kLater},
-    {false, &NodeStats::tx_unresolved, false, Release::kLater},
-    {true, &NodeStats::tx_recovered_commit, false, Release::kLater},         // recovered commit
+    {true, nullptr, false, Release::kLater, nullptr},
+    {false, &NodeStats::tx_aborted_lock, true, Release::kBeforeRecord, nullptr},
+    {false, &NodeStats::tx_aborted_validate, true, Release::kBeforeRecord, "validation unresolved"},
+    {false, &NodeStats::tx_aborted_lock, false, Release::kBeforeRecord, nullptr},
+    {false, &NodeStats::tx_aborted_lock, false, Release::kBeforeRecord, nullptr},
+    {false, &NodeStats::tx_recovered_abort, false, Release::kAfterRecord, nullptr},
+    {false, &NodeStats::tx_unresolved, false, Release::kLater, "commit unresolved: lock phase"},
+    {false, &NodeStats::tx_unresolved, false, Release::kLater, "commit unresolved: backup acks"},
+    {false, &NodeStats::tx_unresolved, false, Release::kLater, "commit unresolved: backup failure"},
+    {false, &NodeStats::tx_unresolved, false, Release::kLater, "commit unresolved: primary acks"},
+    {true, &NodeStats::tx_recovered_commit, false, Release::kLater, nullptr},
 };
 static_assert(std::size(kExitRules) == flight::kNumAbortReasons + 2);
 
+// The status of a wait that ended unanswered, reported as `outcome`.
+Status GaveUp(flight::AbortReason outcome) {
+  return UnavailableStatus(kExitRules[static_cast<int>(outcome)].gave_up);
+}
+
 }  // namespace
+
+// The commit plan (section 4): who holds this commit's log records and the
+// log space reserved for them. The coordinator reserves every record the
+// commit may write before LOCK -- LOCK, COMMIT-PRIMARY or ABORT, and
+// TRUNCATE at each primary; COMMIT-BACKUP and TRUNCATE at each backup -- and
+// every reservation is consumed by its record's append or released, once,
+// on every exit.
+struct Transaction::CommitPlan {
+  // A holder's reservations.
+  enum Slot : uint8_t {
+    kWrite,     // LOCK at a primary, COMMIT-BACKUP at a backup
+    kOutcome,   // COMMIT-PRIMARY or ABORT (primaries only)
+    kTruncate,  // TRUNCATE
+    kNumSlots,
+  };
+  // One machine in one role, with the record that carries its writes.
+  struct Holder {
+    Holder(MachineId m, bool p) : machine(m), primary(p) {}
+    MachineId machine;
+    bool primary;
+    uint32_t ring = 0;  // the ring the slots were reserved on
+    // Bytes each slot holds: 0 before it is taken and once it is consumed
+    // or released.
+    uint32_t held[kNumSlots] = {};
+    TxLogRecord record;  // its LOCK or COMMIT-BACKUP record, less piggyback
+  };
+
+  Node* node;
+  TxId id;
+  std::vector<RegionId> written_regions;  // sorted
+  std::vector<MachineId> holders;         // every machine holding log records
+  // Primaries in machine order, then backups in machine order.
+  std::vector<Holder> entries;
+  size_t primaries = 0;
+  // COMMIT-PRIMARY acks outstanding, and whether any came back ok.
+  int cp_pending = 0;
+  bool cp_any_ok = false;
+
+  std::span<Holder> Primaries() { return {entries.data(), primaries}; }
+  std::span<Holder> Backups() { return std::span<Holder>(entries).subspan(primaries); }
+
+  // Takes every slot, in entry order; all or nothing. The write record's
+  // slot has room for a full truncation piggyback.
+  bool Reserve() {
+    for (Holder& h : entries) {
+      const uint32_t bytes[kNumSlots] = {
+          static_cast<uint32_t>(
+              TxLogRecord::SizeFor(h.record.writes, written_regions.size(), kMaxPiggyback)),
+          h.primary ? kSmallRecordReservation : 0, kSmallRecordReservation};
+      for (int s = 0; s < kNumSlots; s++) {
+        if (bytes[s] == 0) {
+          continue;
+        }
+        const uint32_t ring = node->messenger().ReserveLog(h.machine, bytes[s]);
+        if (ring == 0) {
+          ReleaseAll();
+          return false;
+        }
+        h.ring = ring;
+        h.held[s] = bytes[s];
+      }
+    }
+    return true;
+  }
+
+  // Appends `rec` to `h`'s ring, consuming slot `s`.
+  Future<NetResult> Append(Holder& h, Slot s, const TxLogRecord& rec, int thread) {
+    FARM_CHECK(h.held[s] != 0) << "append without its reservation";
+    return node->messenger().AppendLog(h.machine, rec, std::exchange(h.held[s], 0), thread);
+  }
+
+  // Releases every slot still held; a slot goes back at most once.
+  void ReleaseAll() {
+    for (Holder& h : entries) {
+      for (uint32_t& bytes : h.held) {
+        if (bytes != 0) {
+          node->messenger().ReleaseLogReservation(h.machine, std::exchange(bytes, 0), h.ring);
+        }
+      }
+    }
+  }
+};
 
 Transaction::Transaction(Node* node, int thread)
     : node_(node),
@@ -82,63 +166,7 @@ Transaction::~Transaction() {
 // ---------------------------------------------------------------------------
 
 Task<StatusOr<std::vector<uint8_t>>> Transaction::Read(GlobalAddr addr, uint32_t size) {
-  FARM_CHECK(!commit_started_) << "Read after Commit";
-  // Read-your-writes.
-  auto wit = writes_.find(addr);
-  if (wit != writes_.end() && !wit->second.value.empty()) {
-    co_return wit->second.value.ToVector();
-  }
-  // Successive reads of the same object return the same data (section 3).
-  auto rit = reads_.find(addr);
-  if (rit != reads_.end()) {
-    co_return rit->second.value;
-  }
-
-  const SimTime read_start = node_->sim().Now();
-  std::optional<Node::RegionRef> ref = node_->CachedRef(addr.region);
-  if (!ref) {
-    auto resolved = co_await node_->ResolveRef(addr.region, thread_);
-    if (!resolved.ok()) {
-      co_return resolved.status();
-    }
-    ref = *resolved;
-  }
-  uint64_t word = 0;
-  std::vector<uint8_t> value;
-  if (ref->primary == node_->id()) {
-    RegionReplica* rep = node_->replica(addr.region);
-    if (rep == nullptr) {
-      co_return NotFoundStatus("region moved");
-    }
-    co_await node_->worker(thread_).Execute(kCost.cpu_tx_read_local);
-    word = rep->ReadHeader(addr.offset);
-    const uint8_t* p = rep->Ptr(addr.offset + kObjectHeaderBytes, size);
-    value.assign(p, p + size);
-  } else {
-    if (!node_->InConfig(ref->primary)) {
-      co_return UnavailableStatus("primary not in configuration");
-    }
-    NetResult r = co_await node_->fabric().Read(node_->id(), ref->primary,
-                                                ref->base + addr.offset,
-                                                kObjectHeaderBytes + size,
-                                                &node_->worker(thread_));
-    if (!r.status.ok()) {
-      co_return r.status;
-    }
-    std::memcpy(&word, r.data.data(), 8);
-    r.data.erase(r.data.begin(), r.data.begin() + 8);
-    value = std::move(r.data);
-  }
-  // A locked object may be mid-commit by another transaction; we record the
-  // unlocked view of the header. If the writer commits, the version moves
-  // and our validation/locking aborts; if it aborts, the header reverts to
-  // exactly this word.
-  ReadEntry entry;
-  entry.word = VersionWord::WithoutLock(word);
-  entry.value = value;
-  reads_.insert_or_assign(addr, std::move(entry));
-  node_->emit().Report(Step::kRead, 0, read_start, thread_);
-  co_return value;
+  return node_->ReadObject(this, addr, size, thread_);
 }
 
 Status Transaction::Write(GlobalAddr addr, std::vector<uint8_t> value) {
@@ -156,11 +184,11 @@ Status Transaction::Write(GlobalAddr addr, std::vector<uint8_t> value) {
     return Status(StatusCode::kFailedPrecondition,
                   "write requires a prior read (or allocation) of the object");
   }
-  WriteEntry e;
-  e.expected_version = VersionWord::Version(rit->second.word);
-  e.expected_alloc = VersionWord::IsAllocated(rit->second.word);
-  e.value = SharedBytes(std::move(value));
-  writes_.insert_or_assign(addr, std::move(e));
+  BufferedWrite w;
+  w.expected_version = VersionWord::Version(rit->second.word);
+  w.expected_alloc = VersionWord::IsAllocated(rit->second.word);
+  w.value = SharedBytes(std::move(value));
+  writes_.insert_or_assign(addr, std::move(w));
   return OkStatus();
 }
 
@@ -170,11 +198,11 @@ Task<StatusOr<GlobalAddr>> Transaction::Alloc(RegionId region, uint32_t payload_
   if (!slot.ok()) {
     co_return slot.status();
   }
-  WriteEntry e;
-  e.expected_version = VersionWord::Version(slot->header_word);
-  e.expected_alloc = false;
-  e.set_alloc = true;
-  writes_.insert_or_assign(slot->addr, std::move(e));
+  BufferedWrite w;
+  w.expected_version = VersionWord::Version(slot->header_word);
+  w.expected_alloc = false;
+  w.set_alloc = true;
+  writes_.insert_or_assign(slot->addr, std::move(w));
   allocs_.push_back(slot->addr);
   co_return slot->addr;
 }
@@ -185,11 +213,11 @@ Status Transaction::Free(GlobalAddr addr) {
   if (rit == reads_.end()) {
     return Status(StatusCode::kFailedPrecondition, "free requires a prior read");
   }
-  WriteEntry e;
-  e.expected_version = VersionWord::Version(rit->second.word);
-  e.expected_alloc = VersionWord::IsAllocated(rit->second.word);
-  e.clear_alloc = true;
-  writes_.insert_or_assign(addr, std::move(e));
+  BufferedWrite w;
+  w.expected_version = VersionWord::Version(rit->second.word);
+  w.expected_alloc = VersionWord::IsAllocated(rit->second.word);
+  w.clear_alloc = true;
+  writes_.insert_or_assign(addr, std::move(w));
   return OkStatus();
 }
 
@@ -203,16 +231,15 @@ void Transaction::WakePhase() {
   }
 }
 
-Task<bool> Transaction::AwaitPhase() {
+Task<std::optional<Status>> Transaction::AwaitPhase(flight::AbortReason on_timeout) {
   phase_armed_ = true;
   auto woke = co_await AwaitWithTimeout(node_->sim(), phase_wake_, kCommitResolutionTimeout);
   phase_armed_ = false;
   phase_wake_ = Future<Unit>();  // fresh future for the next phase
-  co_return woke.has_value();
+  co_return StepExit(on_timeout, woke.has_value() ? OkStatus() : GaveUp(on_timeout));
 }
 
-void Transaction::OnLockReply(MachineId from, bool ok) {
-  (void)from;
+void Transaction::OnLockReply(bool ok) {
   if (lock_replies_pending_ <= 0) {
     return;  // stale (e.g. duplicate after recovery)
   }
@@ -222,8 +249,7 @@ void Transaction::OnLockReply(MachineId from, bool ok) {
   }
 }
 
-void Transaction::OnValidateReply(MachineId from, bool ok) {
-  (void)from;
+void Transaction::OnValidateReply(bool ok) {
   if (validate_msgs_pending_ <= 0) {
     return;
   }
@@ -241,98 +267,72 @@ void Transaction::ResolveByRecovery(bool committed) {
   WakePhase();
 }
 
-StatusOr<Transaction::Participants> Transaction::BuildParticipants() const {
-  Participants p;
+Status Transaction::BuildPlan() {
+  auto plan = std::make_shared<CommitPlan>();
+  plan->node = node_;
+  plan->id = id_;
   const Configuration& cfg = node_->config();
-  for (const auto& [addr, w] : writes_) {
-    const RegionPlacement* placement = cfg.Placement(addr.region);
+  // The written regions and every machine holding records; writes_ is sorted
+  // by address, so a region's writes are adjacent.
+  size_t records = 0;  // holder records, counting a machine once per region
+  for (const auto& entry : writes_) {
+    const RegionId region = entry.first.region;
+    if (!plan->written_regions.empty() && plan->written_regions.back() == region) {
+      continue;
+    }
+    const RegionPlacement* placement = cfg.Placement(region);
     if (placement == nullptr) {
       return NotFoundStatus("written region has no placement");
     }
-    p.written_regions.push_back(addr.region);
-    WireWrite ww;
-    ww.addr = addr;
-    ww.expected_version = w.expected_version;
-    ww.expected_alloc = w.expected_alloc;
-    ww.set_alloc = w.set_alloc;
-    ww.clear_alloc = w.clear_alloc;
-    ww.value = w.value;
-    p.primary_writes.try_emplace(placement->primary).first->second.push_back(ww);
-    p.all_holders.push_back(placement->primary);
-    for (MachineId b : placement->backups) {
-      p.backup_writes.try_emplace(b).first->second.push_back(ww);
-      p.all_holders.push_back(b);
+    plan->written_regions.push_back(region);
+    plan->holders.push_back(placement->primary);
+    plan->holders.insert(plan->holders.end(), placement->backups.begin(),
+                         placement->backups.end());
+    records += 1 + placement->backups.size();
+  }
+  std::sort(plan->holders.begin(), plan->holders.end());
+  plan->holders.erase(std::unique(plan->holders.begin(), plan->holders.end()),
+                      plan->holders.end());
+  // One entry per holder record: a machine holds at most one as a primary
+  // and one as a backup.
+  plan->entries.reserve(std::min(records, 2 * plan->holders.size()));
+  auto add = [&](MachineId m, bool primary, const WireWrite& w) {
+    auto it = std::find_if(plan->entries.begin(), plan->entries.end(), [&](const auto& h) {
+      return h.machine == m && h.primary == primary;
+    });
+    (it != plan->entries.end() ? *it : plan->entries.emplace_back(m, primary))
+        .record.writes.push_back(w);
+  };
+  for (const auto& [addr, w] : writes_) {
+    const WireWrite ww{w, addr};
+    const RegionPlacement& placement = *cfg.Placement(addr.region);
+    add(placement.primary, true, ww);
+    for (MachineId b : placement.backups) {
+      add(b, false, ww);
     }
   }
-  for (auto* ids : {&p.written_regions, &p.all_holders}) {
-    std::sort(ids->begin(), ids->end());
-    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+  std::sort(plan->entries.begin(), plan->entries.end(), [](const auto& a, const auto& b) {
+    return a.primary != b.primary ? a.primary : a.machine < b.machine;
+  });
+  for (CommitPlan::Holder& h : plan->entries) {
+    plan->primaries += h.primary ? 1 : 0;
+    h.record.written_regions = plan->written_regions;
   }
-  return p;
+  plan_ = std::move(plan);
+  return OkStatus();
 }
 
-TxLogRecord Transaction::MakeRecord(LogRecordType type, MachineId dst,
-                                    const std::vector<WireWrite>* writes,
-                                    const std::vector<RegionId>& regions) const {
-  TxLogRecord rec;
+const TxLogRecord& Transaction::MakeRecord(TxLogRecord& rec, LogRecordType type,
+                                           MachineId dst) const {
   rec.type = type;
   rec.tx = id_;
-  rec.written_regions = regions;
-  if (writes != nullptr) {
-    rec.writes = *writes;
-  }
   rec.truncate_ids = node_->TakeTruncationsFor(dst, kMaxPiggyback);
   return rec;
-}
-
-bool Transaction::ReserveLogs(const Participants& p) {
-  // Reserve space for every record the commit may write -- LOCK +
-  // COMMIT-PRIMARY/ABORT at primaries, COMMIT-BACKUP at backups, plus
-  // truncation piggyback room -- before the protocol starts (section 4).
-  struct Taken {
-    MachineId m;
-    uint32_t len;
-  };
-  std::vector<Taken> taken;
-  auto reserve = [&](MachineId m, uint32_t len) {
-    if (!node_->messenger().ReserveLog(m, len)) {
-      return false;
-    }
-    taken.push_back({m, len});
-    return true;
-  };
-  const size_t regions = p.written_regions.size();
-  bool ok = true;
-  for (const auto& [m, writes] : p.primary_writes) {
-    ok = ok && reserve(m, WriteRecordReservation(writes, regions));  // LOCK
-    ok = ok && reserve(m, kSmallRecordReservation);                  // CP / ABORT
-    ok = ok && reserve(m, kSmallRecordReservation);                  // TRUNCATE
-    if (!ok) {
-      break;
-    }
-  }
-  if (ok) {
-    for (const auto& [m, writes] : p.backup_writes) {
-      ok = ok && reserve(m, WriteRecordReservation(writes, regions));  // CB
-      ok = ok && reserve(m, kSmallRecordReservation);                  // TRUNCATE
-      if (!ok) {
-        break;
-      }
-    }
-  }
-  if (!ok) {
-    for (const Taken& t : taken) {
-      node_->messenger().ReleaseLogReservation(t.m, t.len);
-    }
-    return false;
-  }
-  return true;
 }
 
 Task<Status> Transaction::Commit() {
   FARM_CHECK(!commit_started_) << "Commit called twice";
   commit_started_ = true;
-  const NodeOptions& opts = node_->options();
 
   // Read-only transactions: validation only, no logging (section 4:
   // serialization point is the last read).
@@ -350,28 +350,24 @@ Task<Status> Transaction::Commit() {
   co_await node_->worker(thread_).Execute(kCost.cpu_tx_commit_setup);
 
   if (writes_.empty()) {
+    // A reconfiguration that moves a read region's primary mid-validation
+    // hands the outcome to recovery (always abort for read-only: there is no
+    // log record to attest to the validation).
     Span validate(emit, id_, thread_, flight::Phase::kValidate);
-    Status v = co_await ValidatePhase();
-    if (recovery_resolution_.has_value()) {
-      // A reconfiguration changed a read region's primary mid-validation;
-      // recovery decided the outcome (always abort for read-only: there is
-      // no log record to attest to the validation).
-      co_return FinishFromRecovery();
-    }
-    if (!v.ok()) {
-      co_return Finish(flight::AbortReason::kValidateConflict, std::move(v));
+    std::optional<Status> exit = co_await ValidatePhase();
+    if (exit.has_value()) {
+      co_return std::move(*exit);
     }
     validate.End();
     co_return Finish(kCommitted, OkStatus());
   }
 
-  auto participants = BuildParticipants();
-  if (!participants.ok()) {
-    co_return Finish(flight::AbortReason::kNoPlacement, participants.status());
+  Status planned = BuildPlan();
+  if (!planned.ok()) {
+    co_return Finish(flight::AbortReason::kNoPlacement, std::move(planned));
   }
-  Participants& p = *participants;
-
-  if (!ReserveLogs(p)) {
+  CommitPlan& plan = *plan_;
+  if (!plan.Reserve()) {
     co_return Finish(flight::AbortReason::kLogReservation,
                      Status(StatusCode::kResourceExhausted, "log reservation failed"));
   }
@@ -379,36 +375,29 @@ Task<Status> Transaction::Commit() {
   // ---- Phase 1: LOCK ----
   {
     Span lock(emit, id_, thread_, flight::Phase::kLock);
-    lock_replies_pending_ = static_cast<int>(p.primary_writes.size());
+    lock_replies_pending_ = static_cast<int>(plan.primaries);
     lock_all_ok_ = true;
-    for (const auto& [m, writes] : p.primary_writes) {
-      // Each record consumes exactly the reservation ReserveLogs took for it.
-      TxLogRecord rec = MakeRecord(LogRecordType::kLock, m, &writes, p.written_regions);
-      uint32_t reserved = WriteRecordReservation(writes, p.written_regions.size());
-      (void)node_->messenger().AppendLog(m, rec, reserved, thread_);
+    for (CommitPlan::Holder& h : plan.Primaries()) {
+      const TxLogRecord& rec = MakeRecord(h.record, LogRecordType::kLock, h.machine);
+      (void)plan.Append(h, CommitPlan::kWrite, rec, thread_);
     }
-    // NSDI'14-protocol ablation: LOCK records also go to backups (and are
-    // simply stored); the optimized protocol eliminates them.
-    if (opts.backup_lock_records) {
-      for (const auto& [m, writes] : p.backup_writes) {
-        TxLogRecord rec = MakeRecord(LogRecordType::kLock, m, &writes, p.written_regions);
+    // NSDI'14-protocol ablation: LOCK records also go to backups, reserved as
+    // sent and simply stored; the optimized protocol eliminates them.
+    if (node_->options().backup_lock_records) {
+      for (CommitPlan::Holder& h : plan.Backups()) {
+        const TxLogRecord& rec = MakeRecord(h.record, LogRecordType::kLock, h.machine);
         uint32_t len = static_cast<uint32_t>(rec.SerializedSize());
-        if (node_->messenger().ReserveLog(m, len)) {
-          (void)node_->messenger().AppendLog(m, rec, len, thread_);
+        if (node_->messenger().ReserveLog(h.machine, len)) {
+          (void)node_->messenger().AppendLog(h.machine, rec, len, thread_);
         }
       }
     }
-
-    bool woke = co_await AwaitPhase();
-    if (recovery_resolution_.has_value()) {
-      co_return FinishFromRecovery();
-    }
-    if (!woke) {
-      co_return Finish(flight::AbortReason::kUnresolvedLock,
-                       UnavailableStatus("commit unresolved: lock phase"));
+    std::optional<Status> exit = co_await AwaitPhase(flight::AbortReason::kUnresolvedLock);
+    if (exit.has_value()) {
+      co_return std::move(*exit);
     }
     if (!lock_all_ok_) {
-      co_return Finish(flight::AbortReason::kLockConflict, AbortedStatus("lock conflict"), &p);
+      co_return Finish(flight::AbortReason::kLockConflict, AbortedStatus("lock conflict"));
     }
     lock.End();
   }
@@ -416,12 +405,9 @@ Task<Status> Transaction::Commit() {
   // ---- Phase 2: VALIDATE (one-sided reads; RPC above threshold t_r) ----
   {
     Span validate(emit, id_, thread_, flight::Phase::kValidate);
-    Status v = co_await ValidatePhase();
-    if (recovery_resolution_.has_value()) {
-      co_return FinishFromRecovery();
-    }
-    if (!v.ok()) {
-      co_return Finish(flight::AbortReason::kValidateConflict, std::move(v), &p);
+    std::optional<Status> exit = co_await ValidatePhase();
+    if (exit.has_value()) {
+      co_return std::move(*exit);
     }
     validate.End();
   }
@@ -431,14 +417,11 @@ Task<Status> Transaction::Commit() {
     Span commit_backup(emit, id_, thread_, flight::Phase::kCommitBackup);
     WaitGroup wg;
     auto all_ok = std::make_shared<bool>(true);
-    for (const auto& [m, writes] : p.backup_writes) {
-      TxLogRecord rec = MakeRecord(LogRecordType::kCommitBackup, m, &writes,
-                                   p.written_regions);
-      uint32_t reserved = WriteRecordReservation(writes, p.written_regions.size());
+    for (CommitPlan::Holder& h : plan.Backups()) {
+      const TxLogRecord& rec = MakeRecord(h.record, LogRecordType::kCommitBackup, h.machine);
       wg.Add();
       auto alive = alive_;
-      node_->messenger()
-          .AppendLog(m, rec, reserved, thread_)
+      plan.Append(h, CommitPlan::kWrite, rec, thread_)
           .OnReady([wg, all_ok, alive, this](NetResult& r) {
             if (!r.status.ok()) {
               *all_ok = false;
@@ -455,26 +438,20 @@ Task<Status> Transaction::Commit() {
     // the backup hardware acks. This is the protocol bug the chaos oracle
     // must catch (see NodeOptions::chaos_skip_backup_ack).
     if (wg.pending() > 0 && !node_->options().chaos_skip_backup_ack) {
-      bool woke2 = co_await AwaitPhase();
-      if (recovery_resolution_.has_value()) {
-        co_return FinishFromRecovery();
-      }
-      if (!woke2) {
-        co_return Finish(flight::AbortReason::kUnresolvedBackupAck,
-                         UnavailableStatus("commit unresolved: backup acks"));
+      std::optional<Status> exit = co_await AwaitPhase(flight::AbortReason::kUnresolvedBackupAck);
+      if (exit.has_value()) {
+        co_return std::move(*exit);
       }
     }
     // Serializability across failures requires ALL backup acks before any
     // COMMIT-PRIMARY is written (section 4, correctness). A missing ack
     // means a failure: wait for recovery to decide the outcome.
     if (!node_->options().chaos_skip_backup_ack && (!*all_ok || marked_recovering_)) {
-      bool resolved = co_await AwaitPhase();
-      if (recovery_resolution_.has_value()) {
-        co_return FinishFromRecovery();
-      }
-      (void)resolved;
-      co_return Finish(flight::AbortReason::kUnresolvedBackupFailure,
-                       UnavailableStatus("commit unresolved: backup failure"));
+      std::optional<Status> exit =
+          co_await AwaitPhase(flight::AbortReason::kUnresolvedBackupFailure);
+      co_return exit.has_value() ? std::move(*exit)
+                                 : Finish(flight::AbortReason::kUnresolvedBackupFailure,
+                                          GaveUp(flight::AbortReason::kUnresolvedBackupFailure));
     }
     commit_backup.End();
   }
@@ -482,65 +459,43 @@ Task<Status> Transaction::Commit() {
   // ---- Phase 4: COMMIT-PRIMARY (report committed on the first ack) ----
   {
     Span commit_primary(emit, id_, thread_, flight::Phase::kCommitPrimary);
-    struct CpState {
-      int pending = 0;
-      bool any_ok = false;
-      Node* node = nullptr;
-      TxId id;
-      std::vector<MachineId> holders;
-      // Truncate-slot reservations were taken per role (a machine can be
-      // both a primary and a backup); releases must mirror that exactly.
-      std::vector<MachineId> reserved_slots;
-    };
-    auto cp = std::make_shared<CpState>();
-    cp->pending = static_cast<int>(p.primary_writes.size());
-    cp->node = node_;
-    cp->id = id_;
-    cp->holders = p.all_holders;
-    for (const auto& [m, writes] : p.primary_writes) {
-      (void)writes;
-      cp->reserved_slots.push_back(m);
-    }
-    for (const auto& [m, writes] : p.backup_writes) {
-      (void)writes;
-      cp->reserved_slots.push_back(m);
-    }
-    for (const auto& [m, writes] : p.primary_writes) {
-      (void)writes;
-      // COMMIT-PRIMARY carries only the transaction id (Table 1).
-      TxLogRecord rec = MakeRecord(LogRecordType::kCommitPrimary, m, nullptr, {});
+    plan.cp_pending = static_cast<int>(plan.primaries);
+    // COMMIT-PRIMARY carries only the transaction id (Table 1).
+    TxLogRecord rec;
+    for (CommitPlan::Holder& h : plan.Primaries()) {
+      MakeRecord(rec, LogRecordType::kCommitPrimary, h.machine);
       auto alive = alive_;
-      node_->messenger()
-          .AppendLog(m, rec, kSmallRecordReservation, thread_)
-          .OnReady([cp, alive, this](NetResult& r) {
-            cp->pending--;
+      plan.Append(h, CommitPlan::kOutcome, rec, thread_)
+          .OnReady([plan = plan_, alive, this](NetResult& r) {
+            plan->cp_pending--;
             // Hardware acks are rejected once the transaction is recovering.
             bool recovering = *alive && marked_recovering_;
-            if (r.status.ok() && !cp->any_ok && !recovering) {
-              cp->any_ok = true;
+            if (r.status.ok() && !plan->cp_any_ok && !recovering) {
+              plan->cp_any_ok = true;
               if (*alive) {
                 WakePhase();  // first hardware ack: report committed
               }
             }
-            if (cp->pending == 0 && cp->any_ok && !recovering) {
-              // All primaries acked: the coordinator may lazily truncate.
-              // The per-role TRUNCATE reservations are handed back; the
-              // flush path re-reserves when it actually writes records.
-              for (MachineId h : cp->reserved_slots) {
-                cp->node->messenger().ReleaseLogReservation(h, kSmallRecordReservation);
+            if (plan->cp_pending == 0) {
+              // Every primary answered: the TRUNCATE slots go back (unless an
+              // exit already returned them); the flush path re-reserves when
+              // it actually writes records. After all acks the coordinator
+              // may lazily truncate.
+              plan->ReleaseAll();
+              if (plan->cp_any_ok && !recovering) {
+                plan->node->QueueTruncation(plan->id, plan->holders);
               }
-              cp->node->QueueTruncation(cp->id, cp->holders);
             }
           });
     }
-    if (!cp->any_ok) {
-      bool woke3 = co_await AwaitPhase();
-      if (recovery_resolution_.has_value()) {
-        co_return FinishFromRecovery();
+    if (!plan.cp_any_ok) {
+      std::optional<Status> exit = co_await AwaitPhase(flight::AbortReason::kUnresolvedPrimaryAck);
+      if (exit.has_value()) {
+        co_return std::move(*exit);
       }
-      if (!woke3 || !cp->any_ok) {
+      if (!plan.cp_any_ok) {
         co_return Finish(flight::AbortReason::kUnresolvedPrimaryAck,
-                         UnavailableStatus("commit unresolved: primary acks"));
+                         GaveUp(flight::AbortReason::kUnresolvedPrimaryAck));
       }
     }
     commit_primary.End();
@@ -549,7 +504,7 @@ Task<Status> Transaction::Commit() {
   co_return Finish(kCommitted, OkStatus());
 }
 
-Status Transaction::Finish(flight::AbortReason outcome, Status status, const Participants* p) {
+Status Transaction::Finish(flight::AbortReason outcome, Status status) {
   // Kept orders (each append is a fault point): ABORT records to the
   // participants, then the slot releases, then the kAbort flight record --
   // except that a recovery abort writes its record before releasing.
@@ -559,8 +514,25 @@ Status Transaction::Finish(flight::AbortReason outcome, Status status, const Par
     node_->UnregisterInflight(id_);
     registered_ = false;
   }
-  if (rule.abort_participants && p != nullptr) {
-    AbortParticipants(*p);
+  if (plan_ != nullptr) {
+    if (rule.abort_participants) {
+      // ABORT to every primary holding a LOCK record; those records still
+      // get truncated.
+      TxLogRecord rec;
+      std::vector<MachineId> primaries;
+      primaries.reserve(plan_->primaries);
+      for (CommitPlan::Holder& h : plan_->Primaries()) {
+        MakeRecord(rec, LogRecordType::kAbort, h.machine);
+        (void)plan_->Append(h, CommitPlan::kOutcome, rec, thread_);
+        primaries.push_back(h.machine);
+      }
+      node_->QueueTruncation(id_, primaries);
+    }
+    // A commit keeps its TRUNCATE slots until every COMMIT-PRIMARY ack is
+    // in; every other exit writes nothing more and returns its log space.
+    if (outcome != kCommitted) {
+      plan_->ReleaseAll();
+    }
   }
   if (rule.release == Release::kBeforeRecord) {
     ReleaseAllocs();
@@ -588,7 +560,17 @@ Status Transaction::FinishFromRecovery() {
   return Finish(flight::AbortReason::kRecoveryAbort, AbortedStatus("aborted by recovery"));
 }
 
-Task<Status> Transaction::ValidatePhase() {
+std::optional<Status> Transaction::StepExit(flight::AbortReason outcome, Status s) {
+  if (recovery_resolution_.has_value()) {
+    return FinishFromRecovery();
+  }
+  if (!s.ok()) {
+    return Finish(outcome, std::move(s));
+  }
+  return std::nullopt;
+}
+
+Task<std::optional<Status>> Transaction::ValidatePhase() {
   // Group read-only objects by primary.
   FlatMap<MachineId, std::vector<std::pair<GlobalAddr, uint64_t>>> by_primary;
   for (const auto& [addr, entry] : reads_) {
@@ -597,12 +579,13 @@ Task<Status> Transaction::ValidatePhase() {
     }
     const RegionPlacement* placement = node_->config().Placement(addr.region);
     if (placement == nullptr) {
-      co_return UnavailableStatus("read region lost");
+      co_return StepExit(flight::AbortReason::kValidateConflict,
+                         UnavailableStatus("read region lost"));
     }
     by_primary.try_emplace(placement->primary).first->second.push_back({addr, entry.word});
   }
   if (by_primary.empty()) {
-    co_return OkStatus();
+    co_return StepExit(flight::AbortReason::kValidateConflict, OkStatus());
   }
 
   validate_all_ok_ = true;
@@ -623,7 +606,7 @@ Task<Status> Transaction::ValidatePhase() {
         }
         auto ref = co_await node_->ResolveRef(addr.region, thread_);
         if (!ref.ok()) {
-          co_return ref.status();
+          co_return StepExit(flight::AbortReason::kValidateConflict, ref.status());
         }
         rdma_wg.Add();
         uint64_t expected_word = word;
@@ -661,45 +644,14 @@ Task<Status> Transaction::ValidatePhase() {
   }
 
   while (rdma_wg.pending() > 0 || validate_msgs_pending_ > 0) {
-    bool woke = co_await AwaitPhase();
-    if (recovery_resolution_.has_value()) {
-      co_return OkStatus();  // outcome handled by the caller
-    }
-    if (!woke) {
-      co_return UnavailableStatus("validation unresolved");
+    std::optional<Status> exit = co_await AwaitPhase(flight::AbortReason::kValidateConflict);
+    if (exit.has_value()) {
+      co_return exit;
     }
   }
-  if (!*rdma_ok || !validate_all_ok_) {
-    co_return AbortedStatus("validation conflict");
-  }
-  co_return OkStatus();
-}
-
-void Transaction::AbortParticipants(const Participants& p) {
-  for (const auto& [m, writes] : p.primary_writes) {
-    (void)writes;
-    TxLogRecord rec = MakeRecord(LogRecordType::kAbort, m, nullptr, {});
-    (void)node_->messenger().AppendLog(m, rec, kSmallRecordReservation, thread_);
-  }
-  // Backups never saw a record for this transaction; release their
-  // COMMIT-BACKUP and TRUNCATE reservations.
-  for (const auto& [m, writes] : p.backup_writes) {
-    node_->messenger().ReleaseLogReservation(
-        m, WriteRecordReservation(writes, p.written_regions.size()));
-    node_->messenger().ReleaseLogReservation(m, kSmallRecordReservation);
-  }
-  for (const auto& [m, writes] : p.primary_writes) {
-    (void)writes;
-    node_->messenger().ReleaseLogReservation(m, kSmallRecordReservation);  // TRUNCATE slot
-  }
-  // The aborted transaction's LOCK/ABORT records still get truncated.
-  std::vector<MachineId> primaries;
-  primaries.reserve(p.primary_writes.size());
-  for (const auto& [m, writes] : p.primary_writes) {
-    (void)writes;
-    primaries.push_back(m);
-  }
-  node_->QueueTruncation(id_, primaries);
+  const bool valid = *rdma_ok && validate_all_ok_;
+  co_return StepExit(flight::AbortReason::kValidateConflict,
+                     valid ? OkStatus() : AbortedStatus("validation conflict"));
 }
 
 void Transaction::ReleaseAllocs() {

@@ -70,8 +70,8 @@ class Transaction {
   Node* node() const { return node_; }
 
   // --- internal: called by the node's message dispatch ---
-  void OnLockReply(MachineId from, bool ok);
-  void OnValidateReply(MachineId from, bool ok);
+  void OnLockReply(bool ok);
+  void OnValidateReply(bool ok);
   // Called by recovery when this in-flight transaction's outcome was decided
   // by the recovery protocol instead of the normal path.
   void ResolveByRecovery(bool committed);
@@ -88,64 +88,59 @@ class Transaction {
     std::vector<uint8_t> value;
   };
 
-  struct WriteEntry {
-    uint64_t expected_version = 0;
-    bool expected_alloc = false;
-    bool set_alloc = false;
-    bool clear_alloc = false;
-    SharedBytes value;  // shared by every record that carries this write
-  };
+  // Who holds the commit's log records, and their reservations (tx.cc).
+  struct CommitPlan;
 
-  // Commit-phase helpers (tx.cc).
-  struct Participants {
-    // primary machine -> writes shipped in its LOCK record
-    FlatMap<MachineId, std::vector<WireWrite>> primary_writes;
-    // backup machine -> writes shipped in its COMMIT-BACKUP record
-    FlatMap<MachineId, std::vector<WireWrite>> backup_writes;
-    std::vector<RegionId> written_regions;
-    std::vector<MachineId> all_holders;  // every machine holding log records
-  };
-  StatusOr<Participants> BuildParticipants() const;
-  bool ReserveLogs(const Participants& p);
+  // Builds plan_ from the write set; fails if a written region has no
+  // placement.
+  Status BuildPlan();
   // Ends the commit attempt; every exit of Commit returns through here.
   // `outcome` is the flight::AbortReason of an abort or unresolved exit, or
-  // one of the commit outcomes defined in tx.cc. `p` is set once LOCK
-  // records are out, so an abort can release them. Returns `status`.
-  Status Finish(flight::AbortReason outcome, Status status, const Participants* p = nullptr);
+  // one of the commit outcomes defined in tx.cc. Returns `status`.
+  Status Finish(flight::AbortReason outcome, Status status);
   // Finish with the outcome recovery decided.
   Status FinishFromRecovery();
-  Task<Status> ValidatePhase();
-  void AbortParticipants(const Participants& p);
+  // Validates the read set. Returns the commit's exit if validation ended
+  // it, nullopt if the commit goes on.
+  Task<std::optional<Status>> ValidatePhase();
+  // The exit a commit step that ended with `s` makes: recovery's decision
+  // first, then `outcome` if s failed; nullopt when the commit goes on.
+  std::optional<Status> StepExit(flight::AbortReason outcome, Status s);
   void ReleaseAllocs();
-  TxLogRecord MakeRecord(LogRecordType type, MachineId dst,
-                         const std::vector<WireWrite>* writes,
-                         const std::vector<RegionId>& regions) const;
+  // Stamps `rec` as a `type` record for `dst` with the truncation ids queued
+  // for dst: the only fields that differ between sends of one record.
+  const TxLogRecord& MakeRecord(TxLogRecord& rec, LogRecordType type, MachineId dst) const;
 
   // Wakes the commit coroutine from its current wait; each phase arms a
   // fresh future. Recovery resolution also fires it.
   void WakePhase();
-  // Waits for WakePhase or the safety-net timeout; false on timeout.
-  Task<bool> AwaitPhase();
+  // Waits for WakePhase or the safety-net timeout. Returns the commit's exit
+  // when the wait ended it -- recovery decided, or the timeout gave up as
+  // `on_timeout` -- and nullopt when the phase was woken.
+  Task<std::optional<Status>> AwaitPhase(flight::AbortReason on_timeout);
 
   Node* node_;
   int thread_;
-  TxId id_;  // assigned at commit start
-  uint64_t begin_time_ = 0;  // sim time of Begin(); start of the execute phase
   bool committed_ = false;
   bool commit_started_ = false;
   bool registered_ = false;
+  TxId id_;  // assigned at commit start
+  uint64_t begin_time_ = 0;  // sim time of Begin(); start of the execute phase
 
   // Sorted by address, iterated in std::map order (src/common/flat_map.h).
   FlatMap<GlobalAddr, ReadEntry> reads_;
-  FlatMap<GlobalAddr, WriteEntry> writes_;
+  FlatMap<GlobalAddr, BufferedWrite> writes_;
   std::vector<GlobalAddr> allocs_;  // reserved slots to release on abort
+  // Set once the commit has a write set; shared with the COMMIT-PRIMARY ack
+  // callbacks, which may outlive the Transaction.
+  std::shared_ptr<CommitPlan> plan_;
 
   Future<Unit> phase_wake_;
   bool phase_armed_ = false;
 
   // Lock / validate reply collection.
-  int lock_replies_pending_ = 0;
   bool lock_all_ok_ = true;
+  int lock_replies_pending_ = 0;
   int validate_msgs_pending_ = 0;
   bool validate_all_ok_ = true;
   // Set when the recovery protocol decided this transaction's outcome.

@@ -76,9 +76,8 @@ enum class Vote : uint8_t {
 // Serialized size of a TxId (see PutTxId: u64 + u32 + u16 + u64).
 constexpr uint32_t kTxIdWireBytes = 22;
 
-// One buffered write carried by a LOCK / COMMIT-BACKUP record.
-struct WireWrite {
-  GlobalAddr addr;
+// A write buffered for one object: what it expects there and installs.
+struct BufferedWrite {
   uint64_t expected_version = 0;  // version observed at read time
   bool expected_alloc = false;    // alloc bit observed at read time
   bool set_alloc = false;         // allocation: sets the alloc bit
@@ -91,6 +90,11 @@ struct WireWrite {
   }
   // The alloc bit after this write commits.
   bool AllocAfter() const { return set_alloc ? true : (clear_alloc ? false : expected_alloc); }
+};
+
+// A buffered write with its address, as LOCK / COMMIT-BACKUP records carry it.
+struct WireWrite : BufferedWrite {
+  GlobalAddr addr;
 };
 
 // The payload shared by LOCK and COMMIT-BACKUP records (and the tx-state

@@ -4,11 +4,14 @@
 // (FlatMap, the truncated-id bitmaps, the region-reference cache).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "src/common/flat_map.h"
+#include "src/common/hash.h"
 #include "src/common/rand.h"
 #include "tests/test_util.h"
 
@@ -550,6 +553,203 @@ TEST_F(CoreTest, ColocatedRegionSharesReplicas) {
   ASSERT_NE(p1, nullptr);
   ASSERT_NE(p2, nullptr);
   EXPECT_EQ(p1->Replicas(), p2->Replicas());
+}
+
+// ---------------------------------------------------------------------------
+// The commit path, pinned
+// ---------------------------------------------------------------------------
+
+// One read-modify-write transaction over `objs[a]` and `objs[b]` per loop
+// turn, logged as "w<worker> <turn> <status code>" with its finish time,
+// until `*stop` is set.
+Task<void> PinnedWorker(Cluster* c, MachineId m, int thread, int worker,
+                        std::vector<GlobalAddr> objs, const bool* stop, std::string* log,
+                        int* active) {
+  for (uint64_t turn = 0; !*stop; turn++) {
+    GlobalAddr a = objs[(turn * 3 + static_cast<uint64_t>(worker) * 7) % objs.size()];
+    GlobalAddr b = objs[(turn * 11 + static_cast<uint64_t>(worker) * 5 + 1) % objs.size()];
+    auto tx = c->node(m).Begin(thread);
+    Status s = OkStatus();
+    auto ra = co_await tx->Read(a, 8);
+    auto rb = co_await tx->Read(b, 8);
+    if (!ra.ok()) {
+      s = ra.status();
+    } else if (!rb.ok()) {
+      s = rb.status();
+    } else {
+      (void)tx->Write(a, U64Bytes(BytesU64(*ra) + 1));
+      (void)tx->Write(b, U64Bytes(BytesU64(*rb) + 2));
+      s = co_await tx->Commit();
+    }
+    *log += std::to_string(c->sim().Now()) + " w" + std::to_string(worker) + " " +
+            std::to_string(turn) + " " + std::to_string(static_cast<int>(s.code())) + "\n";
+    co_await SleepFor(c->sim(), 3 * kMicrosecond);
+  }
+  (*active)--;
+}
+
+// One scripted transaction: reads `reads`, writes `value` to `writes`,
+// frees `frees`, runs `mid` (if set), then commits.
+struct PinnedStep {
+  MachineId node;
+  std::vector<GlobalAddr> reads;
+  std::vector<GlobalAddr> writes;
+  std::vector<GlobalAddr> frees;
+  uint64_t value = 0;
+};
+
+Task<Status> RunPinnedStep(Cluster* c, PinnedStep s, std::function<Task<void>()> mid) {
+  auto tx = c->node(s.node).Begin(0);
+  for (GlobalAddr a : s.reads) {
+    auto r = co_await tx->Read(a, 8);
+    if (!r.ok()) {
+      co_return r.status();
+    }
+  }
+  for (GlobalAddr a : s.writes) {
+    (void)tx->Write(a, U64Bytes(s.value));
+  }
+  for (GlobalAddr a : s.frees) {
+    (void)tx->Free(a);
+  }
+  if (mid) {
+    co_await mid();
+  }
+  co_return co_await tx->Commit();
+}
+
+Task<void> PinnedWriter(Cluster* c, GlobalAddr a) {
+  PinnedStep s{0, {a}, {a}, {}, 99};
+  (void)co_await RunPinnedStep(c, std::move(s), nullptr);
+}
+
+// A fixed script over every way a commit can go on a 5-machine cluster: a
+// multi-region commit, alloc and free, a lock conflict, validate conflicts
+// over one-sided reads and over RPC, a read-only commit, a commit under the
+// backup-LOCK-record ablation, and a kill that leaves recovering
+// transactions. Each transaction's outcome and finish time is logged, then
+// every node's log bytes and the fabric counters; the log's hash pins which
+// records the coordinator writes, where, when and how large.
+TEST(CommitTest, RecordsArePinned) {
+  auto cluster = MakeStartedCluster(SmallClusterOptions(5, /*seed=*/11));
+  Cluster& c = *cluster;
+  std::string log;
+  auto note = [&](const std::string& name, const std::optional<Status>& s) {
+    log += std::to_string(c.sim().Now()) + " " + name + " " +
+           (s.has_value() ? std::to_string(static_cast<int>(s->code())) : "timeout") + "\n";
+  };
+  RegionId r1 = MustCreateRegion(c, 64 << 10, 16);
+  RegionId r2 = MustCreateRegion(c, 64 << 10, 16, kInvalidRegion, 1);
+  RegionId r3 = MustCreateRegion(c, 64 << 10, 16, kInvalidRegion, 2);
+  RegionId slab = MustCreateRegion(c, 256 << 10, 0, kInvalidRegion, 3);
+  const Configuration& cfg = c.node(0).config();
+  // A coordinator that reaches r1's primary over the fabric.
+  MachineId remote = (cfg.Placement(r1)->primary + 1) % 5;
+
+  auto step = [&](const std::string& name, PinnedStep s,
+                  std::function<Task<void>()> mid = nullptr) {
+    note(name, RunTask(c, RunPinnedStep(&c, std::move(s), std::move(mid))));
+  };
+  // A concurrent writer committing between a transaction's reads and its
+  // commit.
+  auto writer = [&](GlobalAddr a) {
+    return [&c, a]() { return PinnedWriter(&c, a); };
+  };
+
+  GlobalAddr x{r1, 0}, y{r2, 0}, z{r3, 0};
+  step("multi", PinnedStep{2, {x, y, z}, {x, y, z}, {}, 1});
+
+  auto alloc = [](Cluster* cl, RegionId r) -> Task<StatusOr<GlobalAddr>> {
+    auto tx = cl->node(1).Begin(0);
+    auto a = co_await tx->Alloc(r, 32);
+    if (!a.ok()) {
+      co_return a.status();
+    }
+    (void)tx->Write(*a, std::vector<uint8_t>(32, 0xab));
+    Status s = co_await tx->Commit();
+    if (!s.ok()) {
+      co_return s;
+    }
+    co_return *a;
+  };
+  auto allocated = RunTask(c, alloc(&c, slab));
+  ASSERT_TRUE(allocated.has_value() && allocated->ok());
+  note("alloc", OkStatus());
+  step("free", PinnedStep{3, {**allocated}, {}, {**allocated}});
+
+  auto conflict = [](Cluster* cl, GlobalAddr a) -> Task<Status> {
+    auto tx1 = cl->node(0).Begin(0);
+    auto tx2 = cl->node(4).Begin(1);
+    (void)co_await tx1->Read(a, 8);
+    (void)co_await tx2->Read(a, 8);
+    (void)tx1->Write(a, U64Bytes(100));
+    (void)tx2->Write(a, U64Bytes(200));
+    Status s1 = co_await tx1->Commit();
+    Status s2 = co_await tx2->Commit();
+    co_return s1.ok() ? s2 : s1;
+  };
+  note("lock_conflict", RunTask(c, conflict(&c, GlobalAddr{r1, 16})));
+
+  step("validate_rdma",
+       PinnedStep{remote, {GlobalAddr{r1, 32}, GlobalAddr{r2, 32}}, {GlobalAddr{r2, 32}}, {}, 5},
+       writer(GlobalAddr{r1, 32}));
+  PinnedStep rpc{remote, {}, {GlobalAddr{r2, 48}}, {}, 6};
+  for (uint32_t i = 0; i < 6; i++) {
+    rpc.reads.push_back(GlobalAddr{r1, 64 + 16 * i});
+  }
+  rpc.reads.push_back(GlobalAddr{r2, 48});
+  step("validate_rpc", rpc, writer(GlobalAddr{r1, 80}));
+  step("read_only", PinnedStep{4, {x, y, GlobalAddr{r3, 16}}, {}, {}});
+
+  c.node(1).options().backup_lock_records = true;
+  step("backup_lock", PinnedStep{1, {x, z}, {x, z}, {}, 7});
+  c.node(1).options().backup_lock_records = false;
+
+  // Workers on four machines; the fifth, r2's primary, dies under them.
+  MachineId victim = cfg.Placement(r2)->primary;
+  std::vector<GlobalAddr> objs;
+  for (RegionId r : {r1, r2, r3}) {
+    for (uint32_t i = 8; i < 16; i++) {
+      objs.push_back(GlobalAddr{r, 16 * i});
+    }
+  }
+  bool stop = false;
+  int active = 0;
+  int worker = 0;
+  for (MachineId m = 0; m < 5; m++) {
+    for (int t = 0; m != victim && t < 2; t++) {
+      for (int k = 0; k < 2; k++, active++) {
+        Spawn(PinnedWorker(&c, m, t, worker++, objs, &stop, &log, &active));
+      }
+    }
+  }
+  c.RunFor(2 * kMillisecond);
+  log += std::to_string(c.sim().Now()) + " kill " + std::to_string(victim) + "\n";
+  c.Kill(victim);
+  c.RunFor(40 * kMillisecond);
+  stop = true;
+  // Unresolved commits give up after 500 ms. Workers still running after
+  // that are counted too: a new primary whose lock recovery never starts
+  // keeps its own reads of the region waiting.
+  c.RunFor(600 * kMillisecond);
+  log += "active " + std::to_string(active) + "\n";
+
+  NodeStats total = c.TotalStats();
+  EXPECT_GT(total.recovering_txs_seen, 0u) << "the kill must leave recovering txs";
+  for (uint64_t v : {total.tx_committed, total.tx_aborted_lock, total.tx_aborted_validate,
+                     total.tx_recovered_commit, total.tx_recovered_abort, total.tx_unresolved,
+                     total.recovering_txs_seen}) {
+    log += std::to_string(v) + " ";
+  }
+  for (MachineId m = 0; m < 5; m++) {
+    log += std::to_string(c.node(m).messenger().log_bytes_sent()) + " ";
+  }
+  const FabricStats& s = c.fabric().stats();
+  for (uint64_t v : {s.rdma_reads, s.rdma_writes, s.rdma_cas, s.rpcs, s.datagrams, s.rdma_bytes,
+                     s.rpc_bytes}) {
+    log += std::to_string(v) + " ";
+  }
+  EXPECT_EQ(Fnv1a(log), 0x9c384e9174e11fa2ULL) << log;
 }
 
 // FlatMap must keep std::map's membership and iteration order exactly:

@@ -311,6 +311,48 @@ TEST(AbortReasonTest, RecoveredOutcomesCountedOnceAcrossAKill) {
   }
 }
 
+// Every exit of a commit returns the log space its coordinator reserved,
+// including the exits recovery decides and those it leaves unresolved: once
+// the workers have stopped, no surviving machine's transaction-log ring holds
+// a reservation.
+TEST(AbortReasonTest, RecoveryExitsReturnLogReservations) {
+  for (uint64_t seed : {21, 22, 23}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto cluster = MakeStartedCluster(SmallClusterOptions(6, seed));
+    TatpOptions topts;
+    topts.subscribers = 200;
+    auto db = RunTask(
+        *cluster,
+        [](Cluster* c, TatpOptions o) -> Task<StatusOr<TatpDb>> {
+          co_return co_await TatpDb::Create(*c, o);
+        }(cluster.get(), topts),
+        60 * kSecond);
+    ASSERT_TRUE(db.has_value() && db->ok());
+    db->value().RegisterServices(*cluster);
+
+    DriverOptions dopts;
+    dopts.threads_per_machine = 2;
+    dopts.concurrency_per_thread = 8;
+    DriverRun run = StartWorkers(*cluster, db->value().MakeWorkload(), dopts);
+    cluster->RunFor(20 * kMillisecond);
+    const MachineId victim = static_cast<MachineId>(seed % 6);
+    cluster->Kill(victim);
+    cluster->RunFor(200 * kMillisecond);
+    StopWorkers(*cluster, run);
+    // A commit gives up on its outcome after 500 ms at the latest.
+    cluster->RunFor(600 * kMillisecond);
+
+    for (MachineId m = 0; m < 6; m++) {
+      Messenger& msgr = cluster->node(m).messenger();
+      for (MachineId dst = 0; m != victim && dst < 6; dst++) {
+        if (msgr.ConnectedTo(dst)) {
+          EXPECT_EQ(msgr.LogReserved(dst), 0u) << "ring " << m << " -> " << dst;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Tx-tagged logging
 // ---------------------------------------------------------------------------
