@@ -72,8 +72,8 @@ class BufReader {
   }
 
   bool AtEnd() const { return pos_ == len_; }
+  size_t pos() const { return pos_; }
 
- private:
   template <typename T>
   T Get() {
     FARM_CHECK(pos_ + sizeof(T) <= len_) << "BufReader overrun";
@@ -83,6 +83,7 @@ class BufReader {
     return v;
   }
 
+ private:
   const uint8_t* data_;
   size_t len_;
   size_t pos_ = 0;

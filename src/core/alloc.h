@@ -24,11 +24,13 @@ class RegionAllocator {
   struct Slot {
     GlobalAddr addr;
     uint64_t header_word = 0;  // current (unallocated) header, for the CAS
+    template <class F> void Fields(F&& f) { f(addr, header_word); }
   };
 
   struct BlockHeader {
     uint32_t block_index = 0;
     uint32_t slot_payload = 0;  // object payload capacity of this block's slots
+    template <class F> void Fields(F&& f) { f(block_index, slot_payload); }
   };
 
   RegionAllocator(RegionReplica* region, uint32_t block_size);

@@ -177,7 +177,7 @@ void Cluster::Start() {
   // Seed the coordination service with the initial configuration so the
   // first reconfiguration's CAS (expected version 1) lands correctly.
   auto seed = [](Cluster* c, Configuration cfg) -> Task<void> {
-    auto r = co_await c->zk().CompareAndSwap(0, 0, cfg.Serialize(), nullptr);
+    auto r = co_await c->zk().CompareAndSwap(0, 0, Encode(cfg), nullptr);
     FARM_CHECK(r.ok()) << "failed to seed coordination service: " << r.status().ToString();
   };
   Spawn(seed(this, initial));

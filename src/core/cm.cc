@@ -60,14 +60,6 @@ std::vector<MachineId> MembersByLoad(const Configuration& cfg) {
 // Region allocation
 // ---------------------------------------------------------------------------
 
-void Node::HandleRegionCreate(MachineId from, BufReader& r) {
-  uint64_t correlation = r.GetU64();
-  uint32_t size = r.GetU32();
-  uint32_t stride = r.GetU32();
-  RegionId colocate = r.GetU32();
-  RunRegionCreate(from, correlation, size, stride, colocate);
-}
-
 StatusOr<std::vector<MachineId>> Node::PickReplicas(RegionId colocate_with) const {
   const int need = options_.replication_factor;
   // Locality constraint: co-locate with the target region's replicas
@@ -107,15 +99,16 @@ StatusOr<std::vector<MachineId>> Node::PickReplicas(RegionId colocate_with) cons
                 "not enough machines in distinct failure domains");
 }
 
-Detached Node::RunRegionCreate(MachineId from, uint64_t correlation, uint32_t size,
-                               uint32_t object_stride, RegionId colocate_with) {
+Detached Node::RunRegionCreate(MachineId from, Correlated<RegionCreate> request) {
+  const uint64_t correlation = request.correlation;
+  const RegionCreate& req = request.body;
   if (!IsCm()) {
-    Respond(from, correlation, Status(StatusCode::kFailedPrecondition, "not the CM"), {}, -1);
+    Respond(from, correlation, Status(StatusCode::kFailedPrecondition, "not the CM"));
     co_return;
   }
-  auto replicas = PickReplicas(colocate_with);
+  auto replicas = PickReplicas(req.colocate_with);
   if (!replicas.ok()) {
-    Respond(from, correlation, replicas.status(), {}, -1);
+    Respond(from, correlation, replicas.status());
     co_return;
   }
   RegionId rid = config_.next_region_id++;
@@ -123,45 +116,37 @@ Detached Node::RunRegionCreate(MachineId from, uint64_t correlation, uint32_t si
   // Two-phase: prepare at all replicas, then commit (section 3).
   bool all_ok = true;
   for (MachineId m : *replicas) {
-    BufWriter w;
-    w.PutU32(rid);
-    w.PutU32(size);
-    w.PutU32(object_stride);
-    auto ack = co_await Request(m, MsgType::kRegionPrepare, w.Take(), -1, kPrepareTimeout);
+    auto ack =
+        co_await Request(m, RegionPrepare{rid, req.size, req.object_stride}, -1, kPrepareTimeout);
     if (!ack.ok()) {
       all_ok = false;
       break;
     }
   }
   if (!all_ok) {
-    Respond(from, correlation, UnavailableStatus("region prepare failed"), {}, -1);
+    Respond(from, correlation, UnavailableStatus("region prepare failed"));
     co_return;
   }
 
   RegionPlacement p;
   p.primary = (*replicas)[0];
   p.backups.assign(replicas->begin() + 1, replicas->end());
-  p.size = size;
+  p.size = req.size;
   p.last_primary_change = config_.id;
   p.last_replica_change = config_.id;
-  p.colocate_with = colocate_with;
-  p.object_stride = object_stride;
+  p.colocate_with = req.colocate_with;
+  p.object_stride = req.object_stride;
   config_.regions[rid] = p;
 
   // Broadcast the new mapping to every member (mappings are fetched/cached
   // by machines; the CM is their source of truth).
-  BufWriter b;
-  b.PutU32(rid);
-  PutPlacement(b, p);
-  std::vector<uint8_t> msg = b.Take();
+  const RegionCreateReply mapping{rid, p};
   for (MachineId m : config_.machines) {
     if (m != id()) {
-      messenger_->SendMessage(m, MsgType::kRegionCreateReply, msg, -1);
+      messenger_->Send(m, mapping, -1);
     }
   }
-  BufWriter reply;
-  reply.PutU32(rid);
-  Respond(from, correlation, OkStatus(), reply.Take(), -1);
+  Respond(from, correlation, RegionCreate::Reply{rid});
 }
 
 // ---------------------------------------------------------------------------
@@ -180,12 +165,12 @@ Detached Node::RunJoin(uint64_t restart_epoch) {
       co_return;
     }
     if (znode.ok() && !znode->data.empty()) {
-      Configuration current = Configuration::ParseBytes(znode->data);
+      Configuration current = Decode<Configuration>(znode->data);
       if (!current.Contains(id()) && current.cm != kInvalidMachine &&
           current.cm != id() && messenger_->ConnectedTo(current.cm)) {
-        BufWriter w;
-        w.PutU32(static_cast<uint32_t>(cluster_->FailureDomainOf(id())));
-        messenger_->SendMessage(current.cm, MsgType::kJoinRequest, w.Take(), -1);
+        messenger_->Send(
+            current.cm,
+            JoinRequest{static_cast<uint32_t>(cluster_->FailureDomainOf(id()))}, -1);
       }
     }
     co_await SleepFor(sim(), kJoinRetryInterval);
@@ -210,7 +195,7 @@ Detached Node::RunEvictionMonitor(uint64_t generation) {
     if (!znode.ok() || znode->data.empty()) {
       continue;  // e.g. partitioned from the coordination service
     }
-    Configuration current = Configuration::ParseBytes(znode->data);
+    Configuration current = Decode<Configuration>(znode->data);
     if (current.id >= config_.id && !current.Contains(id())) {
       FARM_LOG(Warn) << "node " << id() << ": evicted from configuration "
                      << current.id << "; restarting empty to rejoin";
@@ -222,13 +207,12 @@ Detached Node::RunEvictionMonitor(uint64_t generation) {
   }
 }
 
-void Node::HandleJoinRequest(MachineId from, BufReader& r) {
-  int domain = static_cast<int>(r.GetU32());
+void Node::HandleJoinRequest(MachineId from, const JoinRequest& m) {
   if (!IsCm() || config_.Contains(from)) {
     return;  // not the CM (the joiner retries) or already a member
   }
   FARM_LOG(Info) << "node " << id() << ": join request from machine " << from;
-  pending_joins_[from] = domain;
+  pending_joins_[from] = static_cast<int>(m.failure_domain);
   StartReconfiguration({}, "join request");
 }
 
@@ -264,9 +248,7 @@ void Node::OnCmSuspected() {
     return;
   }
   if (!successors.empty()) {
-    BufWriter w;
-    w.PutU32(cm);
-    messenger_->SendMessage(successors[0], MsgType::kReconfigRequest, w.Take(), -1);
+    messenger_->Send(successors[0], ReconfigRequest{cm}, -1);
   }
   // If nothing changes, attempt the reconfiguration ourselves.
   ConfigId cfg_then = config_.id;
@@ -404,7 +386,7 @@ Detached Node::RunReconfiguration(std::vector<MachineId> suspects) {
   // Step 4: remap regions mapped to failed machines.
   RemapRegions(next);
 
-  auto cas = co_await cluster_->zk().CompareAndSwap(id(), old.id, next.Serialize(), nullptr);
+  auto cas = co_await cluster_->zk().CompareAndSwap(id(), old.id, Encode(next), nullptr);
   if (cas.ok()) {
     emit_.Report(Step::kConfigCas, next.id, step_start);
   } else {
@@ -416,7 +398,7 @@ Detached Node::RunReconfiguration(std::vector<MachineId> suspects) {
     // then suspects its (possibly dead) CM and reconfigures on top of it.
     auto current = co_await cluster_->zk().Read(id(), nullptr);
     if (current.ok() && !current->data.empty()) {
-      Configuration committed = Configuration::ParseBytes(current->data);
+      Configuration committed = Decode<Configuration>(current->data);
       // Only adopt configurations we belong to; if the committed one
       // evicted us, the eviction monitor (which compares against our old
       // membership) handles the restart-and-rejoin path.
@@ -444,15 +426,13 @@ Detached Node::RunReconfiguration(std::vector<MachineId> suspects) {
   }
   Future<Unit> acks_done;
   pending_reconfig_->acks_done = acks_done;
-  std::vector<uint8_t> cfg_bytes = next.Serialize();
+  // One NEW-CONFIG body (whose one field is the configuration) for every member.
+  const std::vector<uint8_t> new_config = Encode(next);
   bool cm_changed = old.cm != id();
   for (MachineId m : next.machines) {
-    if (m == id()) {
-      continue;
+    if (m != id()) {
+      messenger_->SendMessage(m, NewConfig::kType, new_config, -1);
     }
-    BufWriter w;
-    w.Append(cfg_bytes.data(), cfg_bytes.size());
-    messenger_->SendMessage(m, MsgType::kNewConfig, w.Take(), -1);
   }
   // Step 6 for ourselves.
   OnNewConfig(id(), next);
@@ -481,9 +461,7 @@ Detached Node::RunReconfiguration(std::vector<MachineId> suspects) {
   emit_.Report(Step::kConfigCommit, next.id, step_start);
   for (MachineId m : next.machines) {
     if (m != id()) {
-      BufWriter w;
-      w.PutU64(next.id);
-      messenger_->SendMessage(m, MsgType::kNewConfigCommit, w.Take(), -1);
+      messenger_->Send(m, NewConfigCommit{next.id}, -1);
     }
   }
   OnNewConfigCommit(next.id);
@@ -505,9 +483,8 @@ void Node::OnNewConfigAck(MachineId from, ConfigId cid) {
 // REGIONS-ACTIVE collection (CM side; section 5.4)
 // ---------------------------------------------------------------------------
 
-void Node::HandleRegionsActive(MachineId from, BufReader& r) {
-  ConfigId cid = r.GetU64();
-  if (!IsCm() || cid != config_.id) {
+void Node::HandleRegionsActive(MachineId from, const RegionsActive& m) {
+  if (!IsCm() || m.config != config_.id) {
     return;
   }
   regions_active_pending_.erase(from);
@@ -518,13 +495,9 @@ void Node::HandleRegionsActive(MachineId from, BufReader& r) {
 
 void Node::BroadcastAllRegionsActive() {
   emit_.Report(Step::kAllActive);
-  BufWriter w;
-  w.PutU64(config_.id);
   for (MachineId m : config_.machines) {
     if (m != id()) {
-      messenger_->SendMessage(m, MsgType::kAllRegionsActive, w.Take(), -1);
-      w = BufWriter();
-      w.PutU64(config_.id);
+      messenger_->Send(m, AllRegionsActive{config_.id}, -1);
     }
   }
   OnAllRegionsActive();

@@ -12,7 +12,6 @@
 #include <map>
 #include <vector>
 
-#include "src/common/serde.h"
 #include "src/core/types.h"
 
 namespace farm {
@@ -29,6 +28,13 @@ struct RegionPlacement {
   RegionId colocate_with = kInvalidRegion;
   // App-managed fixed object stride (0 = slab-managed); see Node::CreateRegion.
   uint32_t object_stride = 0;
+
+  // Wire order (src/core/wire.h), as NEW-CONFIG, the stored configuration
+  // and the CM's region-mapping broadcast carry it.
+  template <class F> void Fields(F&& f) {
+    f(primary, backups, size, last_primary_change, last_replica_change, colocate_with,
+      object_stride);
+  }
 
   std::vector<MachineId> Replicas() const {
     std::vector<MachineId> r;
@@ -52,11 +58,6 @@ struct RegionPlacement {
     return false;
   }
 };
-
-// Wire codec of one placement (NEW-CONFIG, the stored configuration and the
-// CM's region-mapping broadcast all carry this field sequence).
-void PutPlacement(BufWriter& w, const RegionPlacement& p);
-RegionPlacement GetPlacement(BufReader& r);
 
 struct Configuration {
   ConfigId id = 0;
@@ -89,9 +90,6 @@ struct Configuration {
   // The number of region replicas each member hosts (0 for an idle member).
   std::map<MachineId, int> ReplicaLoad() const;
 
-  std::vector<uint8_t> Serialize() const;
-  static Configuration Parse(BufReader& r);
-  static Configuration ParseBytes(const std::vector<uint8_t>& bytes);
 };
 
 }  // namespace farm

@@ -27,31 +27,24 @@ void Messenger::Connect(Messenger& a, Messenger& b) {
     // rx hosts the inbound rings for tx; tx gets senders pointing at them.
     FARM_CHECK(rx.inbound_.count(tx.id()) == 0) << "already connected";
     Inbound in;
-    in.txlog = std::make_unique<RingReceiver>(&rx.store_, rx.options_.txlog_capacity);
-    in.msgq = std::make_unique<RingReceiver>(&rx.store_, rx.options_.msgq_capacity);
-    // Feedback words live in the sender's NVRAM.
-    uint64_t fb_log = tx.store_.Allocate(8);
-    uint64_t fb_msg = tx.store_.Allocate(8);
-    in.peer_txlog_feedback = fb_log;
-    in.peer_msgq_feedback = fb_msg;
-
-    bool local = &rx == &tx;
-    MachineId rx_id = rx.id();
-    Messenger* rxp = &rx;
+    for (Kind k : {kTxLog, kMsgQueue}) {
+      in.lanes[k].rx = std::make_unique<RingReceiver>(&rx.store_, rx.Capacity(k));
+    }
     Outbound out;
     out.id = ++tx.wirings_;
     MachineId tx_id = tx.id();
-    out.txlog = std::make_unique<RingSender>(
-        &tx.fabric_, tx_id, rx_id, in.txlog->data_base(), rx.options_.txlog_capacity, fb_log,
-        &tx.store_, local ? in.txlog.get() : nullptr,
-        [rxp, tx_id]() { rxp->SchedulePoll(tx_id, /*is_log=*/true); }, tx.emit_);
-    out.msgq = std::make_unique<RingSender>(
-        &tx.fabric_, tx_id, rx_id, in.msgq->data_base(), rx.options_.msgq_capacity, fb_msg,
-        &tx.store_, local ? in.msgq.get() : nullptr,
-        [rxp, tx_id]() { rxp->SchedulePoll(tx_id, /*is_log=*/false); }, tx.emit_);
-
+    Messenger* rxp = &rx;
+    for (Kind k : {kTxLog, kMsgQueue}) {
+      Lane& lane = in.lanes[k];
+      // Feedback words live in the sender's NVRAM.
+      lane.peer_feedback = tx.store_.Allocate(8);
+      out.lanes[k] = std::make_unique<RingSender>(
+          &tx.fabric_, tx_id, rx.id(), lane.rx->data_base(), rx.Capacity(k), lane.peer_feedback,
+          &tx.store_, &rx == &tx ? lane.rx.get() : nullptr,
+          [rxp, tx_id, k]() { rxp->SchedulePoll(tx_id, k); }, tx.emit_);
+    }
     rx.inbound_[tx_id] = std::move(in);
-    tx.outbound_[rx_id] = std::move(out);
+    tx.outbound_[rx.id()] = std::move(out);
   };
   wire(a, b);
   if (&a != &b) {
@@ -70,24 +63,25 @@ void Messenger::Reconnect(Messenger& a, Messenger& b) {
 uint32_t Messenger::ReserveLog(MachineId dst, uint32_t payload_len) {
   auto it = outbound_.find(dst);
   FARM_CHECK(it != outbound_.end()) << "no ring to machine " << dst;
-  return it->second.txlog->Reserve(payload_len) ? it->second.id : 0;
+  return it->second.lanes[kTxLog]->Reserve(payload_len) ? it->second.id : 0;
 }
 
 void Messenger::ReleaseLogReservation(MachineId dst, uint32_t payload_len, uint32_t ring) {
   auto it = outbound_.find(dst);
   if (it != outbound_.end() && it->second.id == ring) {
-    it->second.txlog->ReleaseReservation(payload_len);
+    it->second.lanes[kTxLog]->ReleaseReservation(payload_len);
   }
 }
 
 Future<NetResult> Messenger::AppendLog(MachineId dst, const TxLogRecord& rec,
                                        uint32_t reserved_len, int thread_idx) {
-  uint32_t len = static_cast<uint32_t>(rec.SerializedSize());
+  uint32_t len = static_cast<uint32_t>(WireSize(rec));
   BufWriter w = StartFrame(len);
-  rec.SerializeTo(w);
+  WireWriter<BufWriter> write(w);
+  write(rec);
   log_bytes_sent_ += len;
   HwThread* thread = thread_idx >= 0 ? &machine_.thread(thread_idx) : nullptr;
-  return outbound_.at(dst).txlog->Append(FinishFrame(w), reserved_len, thread);
+  return outbound_.at(dst).lanes[kTxLog]->Append(FinishFrame(w), reserved_len, thread);
 }
 
 void Messenger::TruncateLogRecord(MachineId from, uint64_t seq) {
@@ -95,7 +89,7 @@ void Messenger::TruncateLogRecord(MachineId from, uint64_t seq) {
   if (it == inbound_.end()) {
     return;
   }
-  it->second.txlog->MarkFreeable(seq);
+  it->second.lanes[kTxLog].rx->MarkFreeable(seq);
   MaybeSendFeedback(from);
 }
 
@@ -109,7 +103,8 @@ void Messenger::SendMessage(MachineId dst, MsgType type, std::vector<uint8_t> pa
   w.Append(payload.data(), payload.size());
   // Messages are short-lived; if the queue is momentarily full the sender
   // spins on the reservation (receivers free messages as they process).
-  FARM_CHECK(it->second.msgq->Reserve(len)) << "message queue to " << dst << " overflow";
+  RingSender& msgq = *it->second.lanes[kMsgQueue];
+  FARM_CHECK(msgq.Reserve(len)) << "message queue to " << dst << " overflow";
   HwThread* thread = nullptr;
   if (thread_idx >= 0) {
     thread = &machine_.thread(thread_idx);
@@ -118,57 +113,52 @@ void Messenger::SendMessage(MachineId dst, MsgType type, std::vector<uint8_t> pa
     // that routes traffic for this peer (the handler's thread).
     machine_.thread(WorkerFor(dst)).InjectBusy(kCost.cpu_rpc_issue / 2);
   }
-  (void)it->second.msgq->Append(FinishFrame(w), len, thread);
+  (void)msgq.Append(FinishFrame(w), len, thread);
 }
 
-void Messenger::SchedulePoll(MachineId from, bool is_log) {
+void Messenger::SchedulePoll(MachineId from, Kind kind) {
   auto it = inbound_.find(from);
   if (it == inbound_.end()) {
     return;
   }
-  Inbound& in = it->second;
-  bool& flag = is_log ? in.txlog_poll_scheduled : in.msgq_poll_scheduled;
-  if (flag) {
+  Lane& lane = it->second.lanes[kind];
+  if (lane.poll_scheduled) {
     return;
   }
-  flag = true;
+  lane.poll_scheduled = true;
   // The poll loop runs on a worker thread chosen by sender id; the cost of
   // noticing + dispatching records is charged per record in ProcessInbound.
-  machine_.thread(WorkerFor(from)).Run(0, [this, from, is_log]() {
-    ProcessInbound(from, is_log);
-  });
+  machine_.thread(WorkerFor(from)).Run(0, [this, from, kind]() { ProcessInbound(from, kind); });
 }
 
-void Messenger::ProcessInbound(MachineId from, bool is_log) {
+void Messenger::ProcessInbound(MachineId from, Kind kind) {
   auto it = inbound_.find(from);
   if (it == inbound_.end()) {
     return;
   }
-  Inbound& in = it->second;
+  Lane& lane = it->second.lanes[kind];
   HwThread& worker = machine_.thread(WorkerFor(from));
-  if (is_log) {
-    in.txlog_poll_scheduled = false;
-    in.txlog->Drain([&](uint64_t seq, const uint8_t* p, uint32_t n) {
-      worker.InjectBusy(kCost.cpu_log_poll + kCost.CpuBytes(n));
+  lane.poll_scheduled = false;
+  lane.rx->Drain([&](uint64_t seq, const uint8_t* p, uint32_t n) {
+    worker.InjectBusy(kCost.cpu_log_poll + kCost.CpuBytes(n));
+    if (kind == kTxLog) {
       // One copy out of ring memory, which truncation zeroes and a wrap
       // reuses; the record's write values are slices of this copy.
-      TxLogRecord rec = TxLogRecord::Parse(SharedBytes(std::vector<uint8_t>(p, p + n)));
+      auto rec = Decode<TxLogRecord>(SharedBytes(std::vector<uint8_t>(p, p + n)));
       if (log_handler_) {
         log_handler_(from, seq, std::move(rec));
       }
-    });
-  } else {
-    in.msgq_poll_scheduled = false;
-    in.msgq->Drain([&](uint64_t seq, const uint8_t* p, uint32_t n) {
-      worker.InjectBusy(kCost.cpu_log_poll + kCost.CpuBytes(n));
-      FARM_CHECK(n >= 1) << "message without a type";
-      MsgType type = static_cast<MsgType>(p[0]);
-      std::vector<uint8_t> body(p + 1, p + n);  // before MarkFreeable zeroes it
-      in.msgq->MarkFreeable(seq);
-      if (msg_handler_) {
-        msg_handler_(from, type, std::move(body));
-      }
-    });
+      return;
+    }
+    FARM_CHECK(n >= 1) << "message without a type";
+    MsgType type = static_cast<MsgType>(p[0]);
+    std::vector<uint8_t> body(p + 1, p + n);  // before MarkFreeable zeroes it
+    lane.rx->MarkFreeable(seq);
+    if (msg_handler_) {
+      msg_handler_(from, type, std::move(body));
+    }
+  });
+  if (kind == kMsgQueue) {
     MaybeSendFeedback(from);
   }
 }
@@ -178,40 +168,39 @@ void Messenger::MaybeSendFeedback(MachineId from) {
   if (it == inbound_.end()) {
     return;
   }
-  Inbound& in = it->second;
-  auto post = [&](RingReceiver& rx, uint64_t& reported, uint64_t peer_addr, uint32_t cap) {
-    if (rx.bytes_freed_total() - reported < cap / 8) {
-      return;
+  for (Kind k : {kTxLog, kMsgQueue}) {
+    Lane& lane = it->second.lanes[k];
+    if (lane.rx->bytes_freed_total() - lane.reported_freed < Capacity(k) / 8) {
+      continue;
     }
-    reported = rx.bytes_freed_total();
-    uint64_t head = rx.head();
+    lane.reported_freed = lane.rx->bytes_freed_total();
+    uint64_t head = lane.rx->head();
     std::vector<uint8_t> bytes(8);
     std::memcpy(bytes.data(), &head, 8);
     if (from == id()) {
-      std::memcpy(store_.Data(peer_addr, 8), bytes.data(), 8);
+      std::memcpy(store_.Data(lane.peer_feedback, 8), bytes.data(), 8);
     } else {
-      (void)fabric_.Write(id(), from, peer_addr, std::move(bytes), nullptr);
+      (void)fabric_.Write(id(), from, lane.peer_feedback, std::move(bytes), nullptr);
     }
-  };
-  post(*in.txlog, in.reported_txlog_freed, in.peer_txlog_feedback, options_.txlog_capacity);
-  post(*in.msgq, in.reported_msgq_freed, in.peer_msgq_feedback, options_.msgq_capacity);
+  }
 }
 
 void Messenger::RebuildFromNvram() {
   for (auto& [from, in] : inbound_) {
     (void)from;
-    in.txlog_poll_scheduled = false;
-    in.msgq_poll_scheduled = false;
-    in.txlog->RebuildFromNvram();
-    in.msgq->RebuildFromNvram();
+    for (Lane& lane : in.lanes) {
+      lane.poll_scheduled = false;
+      lane.rx->RebuildFromNvram();
+    }
   }
 }
 
 void Messenger::DrainAllNow() {
   for (auto& [from, in] : inbound_) {
     (void)in;
-    ProcessInbound(from, /*is_log=*/true);
-    ProcessInbound(from, /*is_log=*/false);
+    for (Kind k : {kTxLog, kMsgQueue}) {
+      ProcessInbound(from, k);
+    }
   }
 }
 

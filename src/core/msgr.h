@@ -9,6 +9,7 @@
 #ifndef SRC_CORE_MSGR_H_
 #define SRC_CORE_MSGR_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -69,7 +70,9 @@ class Messenger {
   uint32_t ReserveLog(MachineId dst, uint32_t payload_len);
   void ReleaseLogReservation(MachineId dst, uint32_t payload_len, uint32_t ring);
   // Bytes reserved on the ring toward `dst`, not yet consumed or released.
-  uint64_t LogReserved(MachineId dst) const { return outbound_.at(dst).txlog->reserved(); }
+  uint64_t LogReserved(MachineId dst) const {
+    return outbound_.at(dst).lanes[kTxLog]->reserved();
+  }
   // Consumes a reservation of `reserved_len` bytes (>= the record's
   // serialized size). Future completes on the hardware ack.
   Future<NetResult> AppendLog(MachineId dst, const TxLogRecord& rec, uint32_t reserved_len,
@@ -79,6 +82,11 @@ class Messenger {
 
   // ---- messages ----
   void SendMessage(MachineId dst, MsgType type, std::vector<uint8_t> payload, int thread_idx);
+  // Sends one message body (a struct from wire.h).
+  template <class M>
+  void Send(MachineId dst, const M& msg, int thread_idx) {
+    SendMessage(dst, M::kType, Encode(msg), thread_idx);
+  }
 
   // ---- recovery support ----
   // Synchronously processes everything already in the inbound rings
@@ -100,26 +108,31 @@ class Messenger {
   }
 
  private:
+  // The two ring kinds of a pair, in the order every step visits them.
+  enum Kind { kTxLog = 0, kMsgQueue = 1, kKinds = 2 };
+
+  // One inbound ring from a peer.
+  struct Lane {
+    std::unique_ptr<RingReceiver> rx;
+    uint64_t peer_feedback = 0;  // word in the *peer's* NVRAM where we post freed heads
+    uint64_t reported_freed = 0;
+    bool poll_scheduled = false;
+  };
+
   struct Inbound {
-    std::unique_ptr<RingReceiver> txlog;
-    std::unique_ptr<RingReceiver> msgq;
-    // Feedback words in the *peer's* NVRAM where we post freed heads.
-    uint64_t peer_txlog_feedback = 0;
-    uint64_t peer_msgq_feedback = 0;
-    uint64_t reported_txlog_freed = 0;
-    uint64_t reported_msgq_freed = 0;
-    bool txlog_poll_scheduled = false;
-    bool msgq_poll_scheduled = false;
+    std::array<Lane, kKinds> lanes;
   };
 
   struct Outbound {
-    std::unique_ptr<RingSender> txlog;
-    std::unique_ptr<RingSender> msgq;
+    std::array<std::unique_ptr<RingSender>, kKinds> lanes;
     uint32_t id = 0;  // names the pair: this messenger's wiring count at Connect
   };
 
-  void SchedulePoll(MachineId from, bool is_log);
-  void ProcessInbound(MachineId from, bool is_log);
+  uint32_t Capacity(Kind kind) const {
+    return kind == kTxLog ? options_.txlog_capacity : options_.msgq_capacity;
+  }
+  void SchedulePoll(MachineId from, Kind kind);
+  void ProcessInbound(MachineId from, Kind kind);
   void MaybeSendFeedback(MachineId from);
 
   Fabric& fabric_;

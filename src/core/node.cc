@@ -249,17 +249,12 @@ Task<StatusOr<std::vector<uint8_t>>> Node::ReadObject(Transaction* tx, GlobalAdd
 
 Task<StatusOr<RegionId>> Node::CreateRegion(uint32_t size, uint32_t object_stride,
                                             RegionId colocate_with, int thread) {
-  BufWriter w;
-  w.PutU32(size);
-  w.PutU32(object_stride);
-  w.PutU32(colocate_with);
-  auto reply =
-      co_await Request(config_.cm, MsgType::kRegionCreate, w.Take(), thread, 100 * kMillisecond);
+  auto reply = co_await Request(config_.cm, RegionCreate{size, object_stride, colocate_with},
+                                thread, 100 * kMillisecond);
   if (!reply.ok()) {
     co_return reply.status();
   }
-  BufReader r(*reply);
-  co_return RegionId{r.GetU32()};
+  co_return reply->region;
 }
 
 // ---------------------------------------------------------------------------
@@ -296,15 +291,11 @@ Task<StatusOr<Node::RegionRef>> Node::ResolveRef(RegionId region, int thread) {
   if (!InConfig(primary)) {
     co_return UnavailableStatus("primary not in configuration");
   }
-  BufWriter w;
-  w.PutU32(region);
-  auto reply =
-      co_await Request(primary, MsgType::kRefRequest, w.Take(), thread, kRefRequestTimeout);
+  auto reply = co_await Request(primary, RefRequest{region}, thread, kRefRequestTimeout);
   if (!reply.ok()) {
     co_return reply.status();
   }
-  BufReader rr(*reply);
-  co_return CacheRef(region, RegionRef{config_.id, primary, rr.GetU64()});
+  co_return CacheRef(region, RegionRef{config_.id, primary, reply->base});
 }
 
 std::optional<Node::RegionRef> Node::CachedRef(RegionId region) const {
@@ -348,19 +339,12 @@ Task<StatusOr<RegionAllocator::Slot>> Node::AllocSlot(RegionId region, uint32_t 
     }
     co_return slot;
   }
-  BufWriter w;
-  w.PutU32(region);
-  w.PutU32(payload_size);
   auto reply =
-      co_await Request(primary, MsgType::kAllocRequest, w.Take(), thread, 50 * kMillisecond);
+      co_await Request(primary, AllocRequest{region, payload_size}, thread, 50 * kMillisecond);
   if (!reply.ok()) {
     co_return reply.status();
   }
-  BufReader r(*reply);
-  RegionAllocator::Slot slot;
-  slot.addr = GetAddr(r);
-  slot.header_word = r.GetU64();
-  co_return slot;
+  co_return *reply;
 }
 
 void Node::ReleaseAllocSlot(GlobalAddr addr, int thread) {
@@ -376,9 +360,7 @@ void Node::ReleaseAllocSlot(GlobalAddr addr, int thread) {
     return;
   }
   if (messenger_->ConnectedTo(p->primary) && fabric().IsAlive(p->primary)) {
-    BufWriter w;
-    PutAddr(w, addr);
-    messenger_->SendMessage(p->primary, MsgType::kAllocRelease, w.Take(), thread);
+    messenger_->Send(p->primary, AllocRelease{addr}, thread);
   }
 }
 
@@ -472,7 +454,7 @@ void Node::FlushTruncations() {
     if (rec.truncate_ids.empty()) {
       continue;
     }
-    uint32_t len = static_cast<uint32_t>(rec.SerializedSize());
+    uint32_t len = static_cast<uint32_t>(WireSize(rec));
     if (!messenger_->ReserveLog(m, len)) {
       // Log full; requeue and retry on the next flush.
       for (const TxId& t : rec.truncate_ids) {
@@ -491,34 +473,10 @@ void Node::FlushTruncations() {
 // Request / reply plumbing
 // ---------------------------------------------------------------------------
 
-Task<StatusOr<std::vector<uint8_t>>> Node::Request(MachineId dst, MsgType type,
-                                                   std::vector<uint8_t> body, int thread,
-                                                   SimDuration timeout) {
-  if (!messenger_->ConnectedTo(dst)) {
-    co_return UnavailableStatus("no channel to machine");
-  }
-  uint64_t correlation = next_correlation_++;
-  BufWriter w;
-  w.PutU64(correlation);
-  w.Append(body.data(), body.size());
-  Future<StatusOr<std::vector<uint8_t>>> fut;
-  pending_requests_.emplace(correlation, fut);
-  messenger_->SendMessage(dst, type, w.Take(), thread);
-  auto result = co_await AwaitWithTimeout(sim(), fut, timeout);
-  pending_requests_.erase(correlation);
-  if (!result.has_value()) {
-    co_return Status(StatusCode::kTimedOut, "request timed out");
-  }
-  co_return std::move(*result);
-}
-
-void Node::Respond(MachineId dst, uint64_t correlation, Status status,
-                   std::vector<uint8_t> body, int thread) {
-  BufWriter w;
-  w.PutU64(correlation);
-  w.PutU8(static_cast<uint8_t>(status.code()));
-  w.Append(body.data(), body.size());
-  messenger_->SendMessage(dst, MsgType::kReply, w.Take(), thread);
+void Node::Respond(MachineId dst, uint64_t correlation, const Status& error) {
+  messenger_->SendMessage(
+      dst, MsgType::kReply,
+      Encode(ReplyHeader{correlation, static_cast<uint8_t>(error.code())}), -1);
 }
 
 // ---------------------------------------------------------------------------
@@ -590,10 +548,7 @@ void Node::ProcessLock(MachineId from, const TxLogRecord& rec) {
   // it abort cleanly.
   if (!config_.Contains(from)) {
     emit_.TxReport(rec.tx, Step::kLockReject, from, /*arg=*/1);
-    BufWriter rej;
-    PutTxId(rej, rec.tx);
-    rej.PutU8(0);
-    messenger_->SendMessage(from, MsgType::kLockReply, rej.Take(), -1);
+    messenger_->Send(from, LockReply{rec.tx, false}, -1);
     return;
   }
 
@@ -626,10 +581,7 @@ void Node::ProcessLock(MachineId from, const TxLogRecord& rec) {
                    static_cast<uint8_t>(rec.writes.size() > 255 ? 255 : rec.writes.size()));
   }
 
-  BufWriter w;
-  PutTxId(w, rec.tx);
-  w.PutU8(ok ? 1 : 0);
-  messenger_->SendMessage(from, MsgType::kLockReply, w.Take(), -1);
+  messenger_->Send(from, LockReply{rec.tx, ok}, -1);
 }
 
 bool Node::ApplyWrite(const WireWrite& w) {
@@ -722,50 +674,45 @@ void Node::ProcessTruncation(MachineId from, const TxId& id, bool apply_backup_w
 // ---------------------------------------------------------------------------
 
 void Node::HandleMessage(MachineId from, MsgType type, std::vector<uint8_t> payload) {
-  BufReader r(payload);
   switch (type) {
     case MsgType::kLockReply: {
-      TxId tx_id = GetTxId(r);
-      bool ok = r.GetU8() != 0;
-      auto it = inflight_.find(tx_id);
+      const auto m = Decode<LockReply>(payload);
+      auto it = inflight_.find(m.tx);
       if (it != inflight_.end()) {
-        it->second->OnLockReply(ok);
+        it->second->OnLockReply(m.ok);
       }
       break;
     }
     case MsgType::kValidate:
-      HandleValidate(from, r);
+      HandleValidate(from, Decode<Validate>(payload));
       break;
     case MsgType::kValidateReply: {
-      TxId tx_id = GetTxId(r);
-      bool ok = r.GetU8() != 0;
-      auto it = inflight_.find(tx_id);
+      const auto m = Decode<ValidateReply>(payload);
+      auto it = inflight_.find(m.tx);
       if (it != inflight_.end()) {
-        it->second->OnValidateReply(ok);
+        it->second->OnValidateReply(m.ok);
       }
       break;
     }
     case MsgType::kReply: {
-      uint64_t correlation = r.GetU64();
-      auto code = static_cast<StatusCode>(r.GetU8());
-      std::vector<uint8_t> body(payload.begin() + 9, payload.end());
-      auto it = pending_requests_.find(correlation);
+      const auto h = Decode<ReplyHeader>(payload);
+      auto it = pending_requests_.find(h.correlation);
       if (it != pending_requests_.end()) {
         auto fut = it->second;
         pending_requests_.erase(it);
-        if (code == StatusCode::kOk) {
-          fut.Set(std::move(body));
+        if (h.code == kReplyOk) {
+          fut.Set(std::move(payload));
         } else {
-          fut.Set(Status(code, "remote error"));
+          fut.Set(Status(static_cast<StatusCode>(h.code), "remote error"));
         }
       }
       break;
     }
     case MsgType::kAllocRequest:
-      HandleAllocRequest(from, r);
+      HandleAllocRequest(from, Decode<Correlated<AllocRequest>>(payload));
       break;
     case MsgType::kAllocRelease: {
-      GlobalAddr addr = GetAddr(r);
+      const GlobalAddr addr = Decode<AllocRelease>(payload).addr;
       RegionAllocator* alloc = allocator(addr.region);
       if (alloc != nullptr && IsPrimaryOf(addr.region)) {
         alloc->Release(addr);
@@ -773,93 +720,82 @@ void Node::HandleMessage(MachineId from, MsgType type, std::vector<uint8_t> payl
       break;
     }
     case MsgType::kRefRequest:
-      HandleRefRequest(from, r);
+      HandleRefRequest(from, Decode<Correlated<RefRequest>>(payload));
       break;
     case MsgType::kBlockHeader:
-      HandleBlockHeader(from, r);
+      HandleBlockHeader(Decode<BlockHeader>(payload));
       break;
     case MsgType::kRegionCreate:
-      HandleRegionCreate(from, r);
+      RunRegionCreate(from, Decode<Correlated<RegionCreate>>(payload));
       break;
     case MsgType::kRegionPrepare: {
-      uint64_t correlation = r.GetU64();
-      RegionId rid = r.GetU32();
-      uint32_t size = r.GetU32();
-      uint32_t stride = r.GetU32();
-      if (replicas_.count(rid) == 0) {
-        InstallReplica(rid, size, stride);
+      const auto m = Decode<Correlated<RegionPrepare>>(payload);
+      if (replicas_.count(m.body.region) == 0) {
+        InstallReplica(m.body.region, m.body.size, m.body.object_stride);
       }
-      Respond(from, correlation, OkStatus(), {}, -1);
+      Respond(from, m.correlation, RegionPrepare::Reply{});
       break;
     }
     case MsgType::kRegionCreateReply: {
       // CM broadcast: new region mapping.
-      RegionId rid = r.GetU32();
-      config_.regions[rid] = GetPlacement(r);
-      if (rid >= config_.next_region_id) {
-        config_.next_region_id = rid + 1;
+      auto m = Decode<RegionCreateReply>(payload);
+      config_.regions[m.region] = std::move(m.placement);
+      if (m.region >= config_.next_region_id) {
+        config_.next_region_id = m.region + 1;
       }
       break;
     }
     case MsgType::kRegionsActive:
-      HandleRegionsActive(from, r);
+      HandleRegionsActive(from, Decode<RegionsActive>(payload));
       break;
     case MsgType::kAllRegionsActive:
       OnAllRegionsActive();
       break;
-    case MsgType::kReconfigRequest: {
-      MachineId suspect = r.GetU32();
-      StartReconfiguration({suspect}, "reconfig request");
+    case MsgType::kReconfigRequest:
+      StartReconfiguration({Decode<ReconfigRequest>(payload).suspect}, "reconfig request");
       break;
-    }
     case MsgType::kJoinRequest:
-      HandleJoinRequest(from, r);
+      HandleJoinRequest(from, Decode<JoinRequest>(payload));
       break;
-    case MsgType::kNewConfig: {
-      Configuration cfg = Configuration::Parse(r);
-      OnNewConfig(from, std::move(cfg));
+    case MsgType::kNewConfig:
+      OnNewConfig(from, std::move(Decode<NewConfig>(payload).config));
       break;
-    }
-    case MsgType::kNewConfigAck: {
-      ConfigId cid = r.GetU64();
-      OnNewConfigAck(from, cid);
+    case MsgType::kNewConfigAck:
+      OnNewConfigAck(from, Decode<NewConfigAck>(payload).config);
       break;
-    }
-    case MsgType::kNewConfigCommit: {
-      ConfigId cid = r.GetU64();
-      OnNewConfigCommit(cid);
+    case MsgType::kNewConfigCommit:
+      OnNewConfigCommit(Decode<NewConfigCommit>(payload).config);
       break;
-    }
     case MsgType::kNeedRecovery:
-      HandleNeedRecovery(from, r);
+      HandleNeedRecovery(from, Decode<NeedRecovery>(payload));
       break;
     case MsgType::kFetchTxState:
       // The reply (SEND-TX-STATE) travels as a generic correlated kReply.
-      HandleFetchTxState(from, r);
+      HandleFetchTxState(from, Decode<Correlated<FetchTxState>>(payload));
       break;
     case MsgType::kReplicateTxState:
-      HandleReplicateTxState(from, r);
+      HandleReplicateTxState(from, Decode<ReplicateTxState>(payload));
       break;
     case MsgType::kReplicateTxStateAck:
-      HandleReplicateTxStateAck(from, r);
+      HandleReplicateTxStateAck(Decode<ReplicateTxStateAck>(payload));
       break;
     case MsgType::kRecoveryVote:
-      HandleRecoveryVote(from, r);
+      HandleRecoveryVote(Decode<RecoveryVote>(payload));
       break;
     case MsgType::kRequestVote:
-      HandleRequestVote(from, r);
+      HandleRequestVote(from, Decode<RequestVote>(payload));
       break;
     case MsgType::kCommitRecovery:
+      HandleRecoveryDecision(from, Decode<CommitRecovery>(payload).tx, /*commit=*/true);
+      break;
     case MsgType::kAbortRecovery:
-      HandleRecoveryDecision(from, type, r);
+      HandleRecoveryDecision(from, Decode<AbortRecovery>(payload).tx, /*commit=*/false);
       break;
-    case MsgType::kRecoveryDecisionAck: {
-      TxId tx_id = GetTxId(r);
-      OnRecoveryDecisionAck(from, tx_id);
+    case MsgType::kRecoveryDecisionAck:
+      OnRecoveryDecisionAck(from, Decode<RecoveryDecisionAck>(payload).tx);
       break;
-    }
     case MsgType::kTruncateRecovery:
-      HandleTruncateRecovery(from, r);
+      HandleTruncateRecovery(Decode<TruncateRecovery>(payload));
       break;
     case MsgType::kLeaseMsg:
       lease_->OnRingMessage(from, std::move(payload));
@@ -870,95 +806,67 @@ void Node::HandleMessage(MachineId from, MsgType type, std::vector<uint8_t> payl
   }
 }
 
-void Node::Deliver(MachineId dst, MsgType type, std::vector<uint8_t> payload) {
-  if (dst == id()) {
-    HandleMessage(id(), type, std::move(payload));
-  } else {
-    messenger_->SendMessage(dst, type, std::move(payload), -1);
-  }
-}
-
-void Node::HandleValidate(MachineId from, BufReader& r) {
-  TxId tx_id = GetTxId(r);
-  LogTxScope log_tx(tx_id.config, tx_id.machine, tx_id.thread, tx_id.local);
-  uint32_t n = r.GetU32();
+void Node::HandleValidate(MachineId from, const Validate& m) {
+  LogTxScope log_tx(m.tx.config, m.tx.machine, m.tx.thread, m.tx.local);
   bool ok = true;
   RegionId fail_region = 0;
-  for (uint32_t i = 0; i < n; i++) {
-    GlobalAddr addr = GetAddr(r);
-    uint64_t word = r.GetU64();
-    RegionReplica* rep = replica(addr.region);
-    if (rep == nullptr || !IsPrimaryOf(addr.region)) {
+  for (const ObjectWord& o : m.objects) {
+    RegionReplica* rep = replica(o.addr.region);
+    if (rep == nullptr || !IsPrimaryOf(o.addr.region)) {
       ok = false;
-      fail_region = addr.region;
+      fail_region = o.addr.region;
       continue;
     }
-    uint64_t current = rep->ReadHeader(addr.offset);
-    if (current != word) {  // version moved, alloc changed, or locked
+    uint64_t current = rep->ReadHeader(o.addr.offset);
+    if (current != o.word) {  // version moved, alloc changed, or locked
       ok = false;
-      fail_region = addr.region;
+      fail_region = o.addr.region;
     }
   }
   if (!ok) {
-    emit_.TxReport(tx_id, Step::kValidateFail, fail_region);
+    emit_.TxReport(m.tx, Step::kValidateFail, fail_region);
   }
-  BufWriter w;
-  PutTxId(w, tx_id);
-  w.PutU8(ok ? 1 : 0);
-  messenger_->SendMessage(from, MsgType::kValidateReply, w.Take(), -1);
+  messenger_->Send(from, ValidateReply{m.tx, ok}, -1);
 }
 
-void Node::HandleAllocRequest(MachineId from, BufReader& r) {
-  uint64_t correlation = r.GetU64();
-  RegionId rid = r.GetU32();
-  uint32_t size = r.GetU32();
+void Node::HandleAllocRequest(MachineId from, const Correlated<AllocRequest>& req) {
+  const RegionId rid = req.body.region;
   RegionAllocator* alloc = allocator(rid);
   if (alloc == nullptr || !IsPrimaryOf(rid)) {
-    Respond(from, correlation, NotFoundStatus("not primary"), {}, -1);
+    Respond(from, req.correlation, NotFoundStatus("not primary"));
     return;
   }
-  auto slot = alloc->Reserve(size);
+  auto slot = alloc->Reserve(req.body.payload_size);
   if (!slot.ok()) {
-    Respond(from, correlation, slot.status(), {}, -1);
+    Respond(from, req.correlation, slot.status());
     return;
   }
   ShipPendingBlockHeaders(rid);
-  BufWriter w;
-  PutAddr(w, slot->addr);
-  w.PutU64(slot->header_word);
-  Respond(from, correlation, OkStatus(), w.Take(), -1);
+  Respond(from, req.correlation, *slot);
 }
 
-void Node::HandleRefRequest(MachineId from, BufReader& r) {
-  uint64_t correlation = r.GetU64();
-  RegionId rid = r.GetU32();
+void Node::HandleRefRequest(MachineId from, const Correlated<RefRequest>& req) {
+  const RegionId rid = req.body.region;
   RegionReplica* rep = replica(rid);
   if (rep == nullptr || !IsPrimaryOf(rid)) {
-    Respond(from, correlation, NotFoundStatus("not primary"), {}, -1);
+    Respond(from, req.correlation, NotFoundStatus("not primary"));
     return;
   }
   if (!rep->active()) {
     // Deferred until lock recovery completes (section 5.3 step 4).
-    deferred_refs_[rid].push_back({from, correlation});
+    deferred_refs_[rid].push_back({from, req.correlation});
     return;
   }
-  BufWriter w;
-  w.PutU64(rep->base());
-  Respond(from, correlation, OkStatus(), w.Take(), -1);
+  Respond(from, req.correlation, RefRequest::Reply{rep->base()});
 }
 
-void Node::HandleBlockHeader(MachineId from, BufReader& r) {
-  (void)from;
-  RegionId rid = r.GetU32();
-  uint32_t n = r.GetU32();
-  RegionAllocator* alloc = allocator(rid);
-  for (uint32_t i = 0; i < n; i++) {
-    RegionAllocator::BlockHeader h;
-    h.block_index = r.GetU32();
-    h.slot_payload = r.GetU32();
-    if (alloc != nullptr) {
-      alloc->InstallBlockHeader(h);
-    }
+void Node::HandleBlockHeader(const BlockHeader& m) {
+  RegionAllocator* alloc = allocator(m.region);
+  if (alloc == nullptr) {
+    return;
+  }
+  for (const RegionAllocator::BlockHeader& h : m.headers) {
+    alloc->InstallBlockHeader(h);
   }
 }
 
@@ -969,27 +877,19 @@ void Node::ShipPendingBlockHeaders(RegionId rid) {
   }
   auto headers = alloc->TakePendingBlockHeaders();
   if (!headers.empty()) {
-    SendBlockHeaders(rid, headers);
+    SendBlockHeaders(rid, std::move(headers));
   }
 }
 
-void Node::SendBlockHeaders(RegionId rid,
-                            const std::vector<RegionAllocator::BlockHeader>& headers) {
+void Node::SendBlockHeaders(RegionId rid, std::vector<RegionAllocator::BlockHeader> headers) {
   const RegionPlacement* p = config_.Placement(rid);
   if (p == nullptr) {
     return;
   }
-  BufWriter w(8 + 8 * headers.size());
-  w.PutU32(rid);
-  w.PutU32(static_cast<uint32_t>(headers.size()));
-  for (const auto& h : headers) {
-    w.PutU32(h.block_index);
-    w.PutU32(h.slot_payload);
-  }
-  std::vector<uint8_t> msg = w.Take();
+  const BlockHeader msg{rid, std::move(headers)};
   for (MachineId b : p->backups) {
     if (b != id()) {
-      messenger_->SendMessage(b, MsgType::kBlockHeader, msg, -1);
+      messenger_->Send(b, msg, -1);
     }
   }
 }

@@ -212,12 +212,18 @@ class Node {
   // Pops up to `max` pending truncation ids for records headed to `dst`.
   std::vector<TxId> TakeTruncationsFor(MachineId dst, size_t max);
 
-  // Generic request/reply over the message queues. Returns the reply body.
-  Task<StatusOr<std::vector<uint8_t>>> Request(MachineId dst, MsgType type,
-                                               std::vector<uint8_t> body, int thread,
-                                               SimDuration timeout);
-  void Respond(MachineId dst, uint64_t correlation, Status status,
-               std::vector<uint8_t> body, int thread);
+  // Generic request/reply over the message queues: sends `req` (a request
+  // body from wire.h) and returns its Reply body.
+  template <class Req>
+  Task<StatusOr<typename Req::Reply>> Request(MachineId dst, Req req, int thread,
+                                              SimDuration timeout);
+  // Answers request `correlation` with its Reply body, or with an error.
+  template <class Rep>
+  void Respond(MachineId dst, uint64_t correlation, const Rep& reply) {
+    messenger_->SendMessage(dst, MsgType::kReply,
+                            Encode(ReplyHeader{correlation, kReplyOk}, reply), -1);
+  }
+  void Respond(MachineId dst, uint64_t correlation, const Status& error);
 
   // Precise membership check before issuing one-sided operations.
   bool InConfig(MachineId m) const { return config_.Contains(m); }
@@ -258,7 +264,14 @@ class Node {
   void HandleLogRecord(MachineId from, uint64_t seq, TxLogRecord rec);
   void HandleMessage(MachineId from, MsgType type, std::vector<uint8_t> payload);
   // Sends a message to `dst`, or handles it in place when `dst` is this node.
-  void Deliver(MachineId dst, MsgType type, std::vector<uint8_t> payload);
+  template <class M>
+  void Deliver(MachineId dst, const M& msg) {
+    if (dst == id()) {
+      HandleMessage(id(), M::kType, Encode(msg));
+    } else {
+      messenger_->Send(dst, msg, -1);
+    }
+  }
   void ProcessLock(MachineId from, const TxLogRecord& rec);
   void ProcessCommitPrimary(MachineId from, const TxLogRecord& rec);
   void ProcessAbort(MachineId from, const TxLogRecord& rec);
@@ -275,10 +288,10 @@ class Node {
   // Stores `ref` in ref_cache_ and returns it.
   RegionRef CacheRef(RegionId region, RegionRef ref);
 
-  void HandleValidate(MachineId from, BufReader& r);
-  void HandleAllocRequest(MachineId from, BufReader& r);
-  void HandleRefRequest(MachineId from, BufReader& r);
-  void HandleBlockHeader(MachineId from, BufReader& r);
+  void HandleValidate(MachineId from, const Validate& m);
+  void HandleAllocRequest(MachineId from, const Correlated<AllocRequest>& req);
+  void HandleRefRequest(MachineId from, const Correlated<RefRequest>& req);
+  void HandleBlockHeader(const BlockHeader& m);
   void FlushTruncations();  // periodic explicit TRUNCATE records
   void ArmTruncateFlush();   // schedules FlushTruncations unless one is due
   // One holder's truncation id left the queue; records the truncate phase
@@ -286,10 +299,10 @@ class Node {
   void TruncationDequeued(const TxId& id, bool dispatched);
   void ShipPendingBlockHeaders(RegionId r);
   // Sends `headers` of region `r` to its backups (section 5.5).
-  void SendBlockHeaders(RegionId r, const std::vector<RegionAllocator::BlockHeader>& headers);
+  void SendBlockHeaders(RegionId r, std::vector<RegionAllocator::BlockHeader> headers);
 
   // ---- CM-side duties (cm.cc) ----
-  void HandleJoinRequest(MachineId from, BufReader& r);
+  void HandleJoinRequest(MachineId from, const JoinRequest& m);
   Detached RunJoin(uint64_t restart_epoch);
   // Eviction monitor: periodically reads the authoritative configuration
   // from the coordination service; a machine that finds itself evicted
@@ -297,9 +310,7 @@ class Node {
   // paper's model for machines on the losing side of a healed partition.
   Detached RunEvictionMonitor(uint64_t generation);
   void StartEvictionMonitor() { RunEvictionMonitor(++eviction_monitor_generation_); }
-  void HandleRegionCreate(MachineId from, BufReader& r);
-  Detached RunRegionCreate(MachineId from, uint64_t correlation, uint32_t size,
-                           uint32_t object_stride, RegionId colocate_with);
+  Detached RunRegionCreate(MachineId from, Correlated<RegionCreate> request);
   Detached RunReconfiguration(std::vector<MachineId> suspects);
   // f+1 members in distinct failure domains for a new region: the
   // colocation target's replicas if all are members, else the least loaded.
@@ -307,7 +318,7 @@ class Node {
   // Drops failed replicas from `cfg`'s placements, promotes a surviving
   // backup where the primary failed, and refills each region to f+1.
   void RemapRegions(Configuration& cfg) const;
-  void HandleRegionsActive(MachineId from, BufReader& r);
+  void HandleRegionsActive(MachineId from, const RegionsActive& m);
   void BroadcastAllRegionsActive();
 
   // ---- recovery (recovery.cc) ----
@@ -349,25 +360,25 @@ class Node {
   Detached FinishLockRecovery(RegionId region);
   void CheckAllRegionsActive();
   void SendVotesForRegion(RegionId region);
-  void SendVote(MachineId dst, RegionId region, const TxId& id, Vote v,
-                const std::vector<RegionId>& written_regions);
   // Every replica of `regions` in the current configuration.
   std::set<MachineId> ReplicasOf(const std::set<RegionId>& regions) const;
   Vote ComputeVote(const RegionRecoveryTx& t) const;
   MachineId RecoveryCoordinatorFor(const TxId& id) const;
-  void HandleNeedRecovery(MachineId from, BufReader& r);
-  void HandleFetchTxState(MachineId from, BufReader& r);
-  void HandleReplicateTxState(MachineId from, BufReader& r);
-  void HandleReplicateTxStateAck(MachineId from, BufReader& r);
-  void HandleRecoveryVote(MachineId from, BufReader& r);
-  void HandleRequestVote(MachineId from, BufReader& r);
-  void HandleRecoveryDecision(MachineId from, MsgType type, BufReader& r);
-  void HandleTruncateRecovery(MachineId from, BufReader& r);
+  void HandleNeedRecovery(MachineId from, const NeedRecovery& m);
+  void HandleFetchTxState(MachineId from, const Correlated<FetchTxState>& req);
+  void HandleReplicateTxState(MachineId from, ReplicateTxState m);
+  void HandleReplicateTxStateAck(const ReplicateTxStateAck& m);
+  void HandleRecoveryVote(const RecoveryVote& m);
+  void HandleRequestVote(MachineId from, const RequestVote& m);
+  void HandleRecoveryDecision(MachineId from, const TxId& id, bool commit);
+  void HandleTruncateRecovery(const TruncateRecovery& m);
   void MaybeDecide(const TxId& id);
   void ArmVoteTimer(const TxId& id);
   // One vote-timeout round; re-arms itself until the decision is made.
   void VoteTimerTick(const TxId& id, ConfigId cid);
   void Decide(const TxId& id, bool commit);
+  // COMMIT-RECOVERY or ABORT-RECOVERY to `dst`.
+  void SendDecision(MachineId dst, const TxId& id, bool commit);
 
   // ---- data recovery (data_recovery.cc) ----
   void OnAllRegionsActive();
@@ -433,7 +444,9 @@ class Node {
   std::map<TxId, std::vector<LoggedRecord>> logged_;
   TruncatedSet truncated_;
 
-  // Request/reply correlation.
+  // Request/reply correlation: an outstanding request's future gets the
+  // whole kReply body once it arrives with status kOk.
+  static constexpr uint8_t kReplyOk = static_cast<uint8_t>(StatusCode::kOk);
   uint64_t next_correlation_ = 1;
   std::map<uint64_t, Future<StatusOr<std::vector<uint8_t>>>> pending_requests_;
 
@@ -467,6 +480,27 @@ class Node {
   NodeStats stats_;
   Emitter emit_;
 };
+
+template <class Req>
+Task<StatusOr<typename Req::Reply>> Node::Request(MachineId dst, Req req, int thread,
+                                                  SimDuration timeout) {
+  if (!messenger_->ConnectedTo(dst)) {
+    co_return UnavailableStatus("no channel to machine");
+  }
+  const uint64_t correlation = next_correlation_++;
+  Future<StatusOr<std::vector<uint8_t>>> fut;
+  pending_requests_.emplace(correlation, fut);
+  messenger_->SendMessage(dst, Req::kType, Encode(correlation, req), thread);
+  auto result = co_await AwaitWithTimeout(sim(), fut, timeout);
+  pending_requests_.erase(correlation);
+  if (!result.has_value()) {
+    co_return Status(StatusCode::kTimedOut, "request timed out");
+  }
+  if (!result->ok()) {
+    co_return result->status();
+  }
+  co_return Decode<Replied<typename Req::Reply>>(**result).body;
+}
 
 }  // namespace farm
 

@@ -96,9 +96,7 @@ bool Node::TxIsRecovering(Transaction* tx, const Configuration& cfg) const {
 void Node::OnNewConfig(MachineId from, Configuration new_config) {
   if (new_config.id <= config_.id) {
     if (new_config.id == config_.id && from == new_config.cm && from != id()) {
-      BufWriter w;
-      w.PutU64(new_config.id);
-      messenger_->SendMessage(from, MsgType::kNewConfigAck, w.Take(), -1);
+      messenger_->Send(from, NewConfigAck{new_config.id}, -1);
     }
     return;
   }
@@ -150,9 +148,7 @@ void Node::OnNewConfig(MachineId from, Configuration new_config) {
   lease_->OnNewConfig();
 
   if (from != id()) {
-    BufWriter w;
-    w.PutU64(cfg.id);
-    messenger_->SendMessage(cfg.cm, MsgType::kNewConfigAck, w.Take(), -1);
+    messenger_->Send(cfg.cm, NewConfigAck{cfg.id}, -1);
   }
 }
 
@@ -274,21 +270,14 @@ void Node::BeginTransactionStateRecovery() {
       MaybeStartLockRecovery(rid);
     } else if (p.Contains(id())) {
       // I back this region: report my recovering transactions.
-      BufWriter w;
-      w.PutU64(config_.id);
-      w.PutU32(rid);
+      NeedRecovery msg{config_.id, rid, {}};
       auto lit = local.find(rid);
-      uint32_t n = lit == local.end() ? 0 : static_cast<uint32_t>(lit->second.size());
-      w.PutU32(n);
       if (lit != local.end()) {
         for (auto& [tid, state] : lit->second) {
-          PutTxId(w, tid);
-          w.PutU8(static_cast<uint8_t>(state.strength));
-          w.PutU8(state.saw_abort_recovery ? 1 : 0);
-          w.PutU8(state.has_contents ? 1 : 0);
+          msg.txs.push_back({tid, state.strength, state.saw_abort_recovery, state.has_contents});
         }
       }
-      messenger_->SendMessage(p.primary, MsgType::kNeedRecovery, w.Take(), -1);
+      messenger_->Send(p.primary, msg, -1);
     }
   }
 
@@ -332,7 +321,7 @@ void Node::BeginTransactionStateRecovery() {
         headers.push_back({b, payloads[b]});
       }
     }
-    SendBlockHeaders(rid, headers);
+    SendBlockHeaders(rid, std::move(headers));
   }
 
   CheckAllRegionsActive();
@@ -342,34 +331,27 @@ void Node::BeginTransactionStateRecovery() {
 // NEED-RECOVERY / lock recovery (step 4) / log replication (step 5)
 // ---------------------------------------------------------------------------
 
-void Node::HandleNeedRecovery(MachineId from, BufReader& r) {
-  ConfigId cid = r.GetU64();
-  RegionId rid = r.GetU32();
-  if (cid != config_.id) {
+void Node::HandleNeedRecovery(MachineId from, const NeedRecovery& m) {
+  if (m.config != config_.id) {
     return;
   }
-  auto it = region_recovery_.find(rid);
+  auto it = region_recovery_.find(m.region);
   if (it == region_recovery_.end()) {
     return;
   }
   RegionRecovery& rr = it->second;
-  uint32_t n = r.GetU32();
-  for (uint32_t i = 0; i < n; i++) {
-    TxId tid = GetTxId(r);
-    Vote strength = static_cast<Vote>(r.GetU8());
-    bool saw_abort = r.GetU8() != 0;
-    bool has_contents = r.GetU8() != 0;
-    RegionRecoveryTx& t = rr.txs[tid];
-    t.merged.Merge(strength, nullptr);
-    t.merged.saw_abort_recovery = t.merged.saw_abort_recovery || saw_abort;
-    if (has_contents) {
+  for (const RecoveringTx& rt : m.txs) {
+    RegionRecoveryTx& t = rr.txs[rt.tx];
+    t.merged.Merge(rt.strength, nullptr);
+    t.merged.saw_abort_recovery = t.merged.saw_abort_recovery || rt.saw_abort_recovery;
+    if (rt.has_contents) {
       t.backups_with_state.insert(from);
     }
   }
   // Backups that reported nothing for a transaction other backups know
   // about still need the replicated state; recompute when all reports are in.
   rr.backups_pending.erase(from);
-  MaybeStartLockRecovery(rid);
+  MaybeStartLockRecovery(m.region);
 }
 
 void Node::MaybeStartLockRecovery(RegionId region) {
@@ -400,14 +382,10 @@ Detached Node::FinishLockRecovery(RegionId region) {
       continue;
     }
     for (MachineId b : t.backups_with_state) {
-      BufWriter w;
-      w.PutU64(config_.id);
-      w.PutU32(region);
-      PutTxId(w, tid);
       auto reply =
-          co_await Request(b, MsgType::kFetchTxState, w.Take(), 0, 20 * kMillisecond);
-      if (reply.ok() && !reply->empty()) {
-        t.merged.contents = TxLogRecord::Parse(SharedBytes(std::move(*reply)));
+          co_await Request(b, FetchTxState{config_.id, region, tid}, 0, 20 * kMillisecond);
+      if (reply.ok()) {
+        t.merged.contents = std::move(*reply);
         t.merged.has_contents = true;
         break;
       }
@@ -452,9 +430,7 @@ Detached Node::FinishLockRecovery(RegionId region) {
   auto dit = deferred_refs_.find(region);
   if (dit != deferred_refs_.end()) {
     for (const auto& [m, correlation] : dit->second) {
-      BufWriter w;
-      w.PutU64(rep->base());
-      Respond(m, correlation, OkStatus(), w.Take(), -1);
+      Respond(m, correlation, RefRequest::Reply{rep->base()});
     }
     deferred_refs_.erase(dit);
   }
@@ -472,28 +448,21 @@ Detached Node::FinishLockRecovery(RegionId region) {
       missing.clear();
     }
     t.replicate_acks_pending = static_cast<int>(missing.size());
-    for (MachineId b : missing) {
-      BufWriter w;
-      w.PutU64(config_.id);
-      w.PutU32(region);
-      PutTxId(w, tid);
-      std::vector<uint8_t> rec_bytes = t.merged.contents.Serialize();
-      w.PutBytes(rec_bytes.data(), rec_bytes.size());
-      messenger_->SendMessage(b, MsgType::kReplicateTxState, w.Take(), -1);
+    if (!missing.empty()) {
+      const ReplicateTxState msg{config_.id, region, tid, t.merged.contents};
+      for (MachineId b : missing) {
+        messenger_->Send(b, msg, -1);
+      }
     }
   }
   SendVotesForRegion(region);
 }
 
-void Node::HandleFetchTxState(MachineId from, BufReader& r) {
-  uint64_t correlation = r.GetU64();
-  ConfigId cid = r.GetU64();
-  RegionId rid = r.GetU32();
-  TxId tid = GetTxId(r);
-  (void)cid;
+void Node::HandleFetchTxState(MachineId from, const Correlated<FetchTxState>& req) {
+  const FetchTxState& m = req.body;
   // The last kept LOCK/COMMIT-BACKUP record for this transaction.
   const TxLogRecord* found = nullptr;
-  auto it = logged_.find(tid);
+  auto it = logged_.find(m.tx);
   if (it != logged_.end()) {
     for (const LoggedRecord& l : it->second) {
       if (l.rec.type == LogRecordType::kLock || l.rec.type == LogRecordType::kCommitBackup) {
@@ -502,58 +471,43 @@ void Node::HandleFetchTxState(MachineId from, BufReader& r) {
     }
   }
   if (found == nullptr) {
-    Respond(from, correlation, NotFoundStatus("no state for tx"), {}, -1);
+    Respond(from, req.correlation, NotFoundStatus("no state for tx"));
     return;
   }
   TxLogRecord copy = *found;
-  copy.writes.erase(std::remove_if(copy.writes.begin(), copy.writes.end(),
-                                   [rid](const WireWrite& w) { return w.addr.region != rid; }),
-                    copy.writes.end());
+  std::erase_if(copy.writes, [&m](const WireWrite& w) { return w.addr.region != m.region; });
   copy.truncate_ids.clear();
-  Respond(from, correlation, OkStatus(), copy.Serialize(), -1);
+  Respond(from, req.correlation, copy);
 }
 
-void Node::HandleReplicateTxState(MachineId from, BufReader& r) {
-  ConfigId cid = r.GetU64();
-  RegionId rid = r.GetU32();
-  TxId tid = GetTxId(r);
-  auto bytes = r.GetBytes();
-  if (cid == config_.id) {
+void Node::HandleReplicateTxState(MachineId from, ReplicateTxState m) {
+  if (m.config == config_.id) {
     // Store the state as a synthetic pending entry so a future promotion of
     // this backup can recover it.
-    TxLogRecord rec = TxLogRecord::Parse(SharedBytes(std::move(bytes)));
-    auto& pending = pending_[tid];
+    auto& pending = pending_[m.tx];
     if (pending.lock_record.writes.empty()) {
-      pending.lock_record = std::move(rec);
+      pending.lock_record = std::move(m.record);
     }
   }
-  BufWriter w;
-  w.PutU64(cid);
-  w.PutU32(rid);
-  PutTxId(w, tid);
-  messenger_->SendMessage(from, MsgType::kReplicateTxStateAck, w.Take(), -1);
+  messenger_->Send(from, ReplicateTxStateAck{m.config, m.region, m.tx}, -1);
 }
 
-void Node::HandleReplicateTxStateAck(MachineId from, BufReader& r) {
-  (void)from;
-  ConfigId cid = r.GetU64();
-  RegionId rid = r.GetU32();
-  TxId tid = GetTxId(r);
-  if (cid != config_.id) {
+void Node::HandleReplicateTxStateAck(const ReplicateTxStateAck& m) {
+  if (m.config != config_.id) {
     return;
   }
-  auto it = region_recovery_.find(rid);
+  auto it = region_recovery_.find(m.region);
   if (it == region_recovery_.end()) {
     return;
   }
-  auto tit = it->second.txs.find(tid);
+  auto tit = it->second.txs.find(m.tx);
   if (tit == it->second.txs.end()) {
     return;
   }
   if (tit->second.replicate_acks_pending > 0) {
     tit->second.replicate_acks_pending--;
   }
-  SendVotesForRegion(rid);
+  SendVotesForRegion(m.region);
 }
 
 // ---------------------------------------------------------------------------
@@ -592,51 +546,24 @@ void Node::SendVotesForRegion(RegionId region) {
   }
   // Snapshot first: a locally-handled vote can decide synchronously and
   // erase entries from the map being iterated (TRUNCATE-RECOVERY).
-  struct PendingVote {
-    TxId tid;
-    Vote vote;
-    std::vector<RegionId> regions;
-  };
-  std::vector<PendingVote> out;
+  std::vector<RecoveryVote> out;
   for (auto& [tid, t] : it->second.txs) {
     if (t.voted || t.replicate_acks_pending > 0) {
       continue;
     }
     t.voted = true;
-    out.push_back({tid, ComputeVote(t), t.merged.contents.written_regions});
+    out.push_back({config_.id, region, tid, t.merged.contents.written_regions, ComputeVote(t)});
   }
-  for (const PendingVote& pv : out) {
-    SendVote(RecoveryCoordinatorFor(pv.tid), region, pv.tid, pv.vote, pv.regions);
+  for (const RecoveryVote& v : out) {
+    Deliver(RecoveryCoordinatorFor(v.tx), v);
   }
 }
 
-void Node::SendVote(MachineId dst, RegionId region, const TxId& tid, Vote v,
-                    const std::vector<RegionId>& written_regions) {
-  BufWriter w;
-  w.PutU64(config_.id);
-  w.PutU32(region);
-  PutTxId(w, tid);
-  w.PutU32(static_cast<uint32_t>(written_regions.size()));
-  for (RegionId r : written_regions) {
-    w.PutU32(r);
-  }
-  w.PutU8(static_cast<uint8_t>(v));
-  Deliver(dst, MsgType::kRecoveryVote, w.Take());
-}
-
-void Node::HandleRecoveryVote(MachineId from, BufReader& r) {
-  ConfigId cid = r.GetU64();
-  RegionId rid = r.GetU32();
-  TxId tid = GetTxId(r);
-  uint32_t n = r.GetU32();
-  std::vector<RegionId> modified;
-  for (uint32_t i = 0; i < n; i++) {
-    modified.push_back(r.GetU32());
-  }
-  Vote v = static_cast<Vote>(r.GetU8());
-  if (cid != config_.id) {
+void Node::HandleRecoveryVote(const RecoveryVote& m) {
+  if (m.config != config_.id) {
     return;
   }
+  const TxId& tid = m.tx;
   auto [it, inserted] = decisions_.try_emplace(tid);
   DecisionState& d = it->second;
   if (inserted) {
@@ -645,28 +572,20 @@ void Node::HandleRecoveryVote(MachineId from, BufReader& r) {
   if (d.decided) {
     // Late vote after the decision: resend the outcome to that region's
     // replicas so it can finish.
-    const RegionPlacement* p = config_.Placement(rid);
+    const RegionPlacement* p = config_.Placement(m.region);
     if (p != nullptr) {
-      BufWriter w;
-      PutTxId(w, tid);
-      for (MachineId m : p->Replicas()) {
-        if (m == id()) {
-          continue;
+      for (MachineId r : p->Replicas()) {
+        if (r != id()) {
+          SendDecision(r, tid, d.committed);
         }
-        messenger_->SendMessage(
-            m, d.committed ? MsgType::kCommitRecovery : MsgType::kAbortRecovery, w.bytes(),
-            -1);
       }
     }
-    (void)from;
     return;
   }
-  for (RegionId m : modified) {
-    d.regions.insert(m);
-  }
-  auto& existing = d.votes[rid];
-  if (existing == Vote{} || Stronger(v, existing)) {
-    existing = v;
+  d.regions.insert(m.written_regions.begin(), m.written_regions.end());
+  auto& existing = d.votes[m.region];
+  if (existing == Vote{} || Stronger(m.vote, existing)) {
+    existing = m.vote;
   }
   if (!d.vote_timer_armed) {
     ArmVoteTimer(tid);
@@ -709,11 +628,7 @@ void Node::VoteTimerTick(const TxId& tid, ConfigId cid) {
       d.votes[r] = Vote::kUnknown;
       continue;
     }
-    BufWriter w;
-    w.PutU64(config_.id);
-    w.PutU32(r);
-    PutTxId(w, tid);
-    Deliver(p->primary, MsgType::kRequestVote, w.Take());
+    Deliver(p->primary, RequestVote{config_.id, r, tid});
   }
   MaybeDecide(tid);
   if (!d.decided) {
@@ -721,24 +636,23 @@ void Node::VoteTimerTick(const TxId& tid, ConfigId cid) {
   }
 }
 
-void Node::HandleRequestVote(MachineId from, BufReader& r) {
-  ConfigId cid = r.GetU64();
-  RegionId rid = r.GetU32();
-  TxId tid = GetTxId(r);
-  if (cid != config_.id) {
+void Node::HandleRequestVote(MachineId from, const RequestVote& m) {
+  if (m.config != config_.id) {
     return;
   }
-  auto it = region_recovery_.find(rid);
-  if (it != region_recovery_.end() && it->second.txs.count(tid) != 0) {
-    RegionRecoveryTx& t = it->second.txs[tid];
+  auto it = region_recovery_.find(m.region);
+  if (it != region_recovery_.end() && it->second.txs.count(m.tx) != 0) {
+    RegionRecoveryTx& t = it->second.txs[m.tx];
     if (t.replicate_acks_pending > 0 || !it->second.lock_recovery_done) {
       return;  // vote after replication completes (SendVotesForRegion)
     }
     t.voted = true;
-    SendVote(from, rid, tid, ComputeVote(t), t.merged.contents.written_regions);
+    Deliver(from, RecoveryVote{m.config, m.region, m.tx, t.merged.contents.written_regions,
+                               ComputeVote(t)});
     return;
   }
-  SendVote(from, rid, tid, truncated_.Contains(tid) ? Vote::kTruncated : Vote::kUnknown, {});
+  const Vote v = truncated_.Contains(m.tx) ? Vote::kTruncated : Vote::kUnknown;
+  Deliver(from, RecoveryVote{m.config, m.region, m.tx, {}, v});
 }
 
 // ---------------------------------------------------------------------------
@@ -808,14 +722,10 @@ void Node::Decide(const TxId& tid, bool commit) {
   // synchronously, and an early zero would broadcast TRUNCATE-RECOVERY ahead
   // of the decision itself.
   d.acks_pending = static_cast<int>(replicas.size());
-  BufWriter w;
-  PutTxId(w, tid);
-  std::vector<uint8_t> msg = w.Take();
-  MsgType type = commit ? MsgType::kCommitRecovery : MsgType::kAbortRecovery;
   // Remote replicas first: the local delivery can finish the decision.
   for (MachineId m : replicas) {
     if (m != id()) {
-      Deliver(m, type, msg);
+      SendDecision(m, tid, commit);
     }
   }
   if (replicas.empty()) {
@@ -824,7 +734,15 @@ void Node::Decide(const TxId& tid, bool commit) {
     return;
   }
   if (replicas.count(id()) != 0) {
-    Deliver(id(), type, std::move(msg));
+    SendDecision(id(), tid, commit);
+  }
+}
+
+void Node::SendDecision(MachineId dst, const TxId& tid, bool commit) {
+  if (commit) {
+    Deliver(dst, CommitRecovery{tid});
+  } else {
+    Deliver(dst, AbortRecovery{tid});
   }
 }
 
@@ -853,9 +771,7 @@ std::set<MachineId> Node::ReplicasOf(const std::set<RegionId>& regions) const {
   return out;
 }
 
-void Node::HandleRecoveryDecision(MachineId from, MsgType type, BufReader& r) {
-  TxId tid = GetTxId(r);
-  bool commit = type == MsgType::kCommitRecovery;
+void Node::HandleRecoveryDecision(MachineId from, const TxId& tid, bool commit) {
   LogTxScope log_tx(tid.config, tid.machine, tid.thread, tid.local);
   emit_.TxReport(tid, Step::kDecisionApply, commit ? 1 : 0);
 
@@ -890,9 +806,7 @@ void Node::HandleRecoveryDecision(MachineId from, MsgType type, BufReader& r) {
   }
   if (contents == nullptr && region_states.empty()) {
     // Nothing to do here (e.g. we only coordinated).
-    BufWriter w(kTxIdWireBytes);
-    PutTxId(w, tid);
-    Deliver(from, MsgType::kRecoveryDecisionAck, w.Take());
+    Deliver(from, RecoveryDecisionAck{tid});
     return;
   }
 
@@ -926,9 +840,7 @@ void Node::HandleRecoveryDecision(MachineId from, MsgType type, BufReader& r) {
     }
   }
 
-  BufWriter w(kTxIdWireBytes);
-  PutTxId(w, tid);
-  Deliver(from, MsgType::kRecoveryDecisionAck, w.Take());
+  Deliver(from, RecoveryDecisionAck{tid});
 }
 
 void Node::OnRecoveryDecisionAck(MachineId from, const TxId& tid) {
@@ -948,27 +860,18 @@ void Node::OnRecoveryDecisionAck(MachineId from, const TxId& tid) {
     const std::set<MachineId> replicas = ReplicasOf(d.regions);
     // The truncation carries the decision: after an abort, stale
     // COMMIT-BACKUP records must be discarded, not applied.
-    BufWriter w;
-    PutTxId(w, tid);
-    w.PutU8(d.committed ? 1 : 0);
-    std::vector<uint8_t> msg = w.Take();
-    // The last delivery takes the message; the others copy it.
-    size_t left = replicas.size();
     for (MachineId m : replicas) {
-      Deliver(m, MsgType::kTruncateRecovery, --left == 0 ? std::move(msg) : msg);
+      Deliver(m, TruncateRecovery{tid, d.committed});
     }
   }
 }
 
-void Node::HandleTruncateRecovery(MachineId from, BufReader& r) {
-  (void)from;
-  TxId tid = GetTxId(r);
-  bool commit = r.GetU8() != 0;
-  emit_.TxReport(tid, Step::kTruncateRecovery);
-  ProcessTruncation(tid.machine, tid, /*apply_backup_writes=*/commit);
+void Node::HandleTruncateRecovery(const TruncateRecovery& m) {
+  emit_.TxReport(m.tx, Step::kTruncateRecovery);
+  ProcessTruncation(m.tx.machine, m.tx, /*apply_backup_writes=*/m.commit);
   for (auto& [rid, rr] : region_recovery_) {
     (void)rid;
-    rr.txs.erase(tid);
+    rr.txs.erase(m.tx);
   }
 }
 
@@ -986,9 +889,7 @@ void Node::CheckAllRegionsActive() {
     }
   }
   regions_active_sent_ = true;
-  BufWriter w;
-  w.PutU64(config_.id);
-  Deliver(config_.cm, MsgType::kRegionsActive, w.Take());
+  Deliver(config_.cm, RegionsActive{config_.id});
 }
 
 }  // namespace farm

@@ -104,12 +104,12 @@ struct Transaction::CommitPlan {
   std::span<Holder> Backups() { return std::span<Holder>(entries).subspan(primaries); }
 
   // Takes every slot, in entry order; all or nothing. The write record's
-  // slot has room for a full truncation piggyback.
+  // slot has room for a full truncation piggyback, which h.record does not
+  // carry yet.
   bool Reserve() {
     for (Holder& h : entries) {
       const uint32_t bytes[kNumSlots] = {
-          static_cast<uint32_t>(
-              TxLogRecord::SizeFor(h.record.writes, written_regions.size(), kMaxPiggyback)),
+          static_cast<uint32_t>(WireSize(h.record) + kMaxPiggyback * kTxIdWireBytes),
           h.primary ? kSmallRecordReservation : 0, kSmallRecordReservation};
       for (int s = 0; s < kNumSlots; s++) {
         if (bytes[s] == 0) {
@@ -386,7 +386,7 @@ Task<Status> Transaction::Commit() {
     if (node_->options().backup_lock_records) {
       for (CommitPlan::Holder& h : plan.Backups()) {
         const TxLogRecord& rec = MakeRecord(h.record, LogRecordType::kLock, h.machine);
-        uint32_t len = static_cast<uint32_t>(rec.SerializedSize());
+        uint32_t len = static_cast<uint32_t>(WireSize(rec));
         if (node_->messenger().ReserveLog(h.machine, len)) {
           (void)node_->messenger().AppendLog(h.machine, rec, len, thread_);
         }
@@ -572,7 +572,7 @@ std::optional<Status> Transaction::StepExit(flight::AbortReason outcome, Status 
 
 Task<std::optional<Status>> Transaction::ValidatePhase() {
   // Group read-only objects by primary.
-  FlatMap<MachineId, std::vector<std::pair<GlobalAddr, uint64_t>>> by_primary;
+  FlatMap<MachineId, std::vector<ObjectWord>> by_primary;
   for (const auto& [addr, entry] : reads_) {
     if (writes_.count(addr) != 0) {
       continue;  // locking covers written objects
@@ -631,15 +631,8 @@ Task<std::optional<Status>> Transaction::ValidatePhase() {
       }
     } else {
       // Validation over RPC (the VALIDATE message) above t_r objects.
-      BufWriter w;
-      PutTxId(w, id_);
-      w.PutU32(static_cast<uint32_t>(entries.size()));
-      for (auto& [addr, word] : entries) {
-        PutAddr(w, addr);
-        w.PutU64(word);
-      }
       validate_msgs_pending_++;
-      node_->messenger().SendMessage(m, MsgType::kValidate, w.Take(), thread_);
+      node_->messenger().Send(m, Validate{id_, std::move(entries)}, thread_);
     }
   }
 

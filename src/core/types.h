@@ -50,6 +50,8 @@ struct TxId {
 
   bool valid() const { return machine != kInvalidMachine; }
   bool operator==(const TxId& o) const = default;
+  // Wire order (src/core/wire.h): u64, u32, u16, u64.
+  template <class F> void Fields(F&& f) { f(config, machine, thread, local); }
   auto operator<=>(const TxId& o) const = default;
 
   uint64_t Hash() const {

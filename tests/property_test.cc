@@ -412,7 +412,7 @@ TEST(RingProperty, FrameCheckSeesEveryBitFlipAndLength) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire records: SerializedSize() must track Serialize() and the framed form
+// Wire records: WireSize() must track Encode() and the framed form
 // exactly (log-space reservations are computed from it), over randomized
 // record shapes; the parse of those bytes gives back the same record.
 // ---------------------------------------------------------------------------
@@ -452,13 +452,14 @@ TEST(WireProperty, SerializedSizeMatchesSerialize) {
       rec.truncate_ids.push_back(TxId{1, static_cast<MachineId>(i), 0, rng.Next64()});
     }
 
-    auto bytes = rec.Serialize();
-    ASSERT_EQ(bytes.size(), rec.SerializedSize()) << "iteration " << iter;
+    auto bytes = Encode(rec);
+    ASSERT_EQ(bytes.size(), WireSize(rec)) << "iteration " << iter;
     // The framed form the messenger appends: header, the same bytes, zero
     // padding, in one buffer of exactly FramedLen bytes.
-    const uint32_t len = static_cast<uint32_t>(rec.SerializedSize());
+    const uint32_t len = static_cast<uint32_t>(WireSize(rec));
     BufWriter fw = StartFrame(len);
-    rec.SerializeTo(fw);
+    WireWriter<BufWriter> write(fw);
+    write(rec);
     std::vector<uint8_t> frame = FinishFrame(fw);
     ASSERT_EQ(frame.size(), FramedLen(len)) << "iteration " << iter;
     uint32_t header_len;
@@ -468,14 +469,14 @@ TEST(WireProperty, SerializedSizeMatchesSerialize) {
     EXPECT_TRUE(std::all_of(frame.begin() + kFrameHeaderBytes + len, frame.end(),
                             [](uint8_t b) { return b == 0; }));
 
-    TxLogRecord parsed = TxLogRecord::Parse(SharedBytes(bytes));
+    auto parsed = Decode<TxLogRecord>(SharedBytes(bytes));
     EXPECT_EQ(parsed.tx, rec.tx);
     ASSERT_EQ(parsed.writes.size(), rec.writes.size());
     for (size_t i = 0; i < rec.writes.size(); i++) {
       EXPECT_EQ(parsed.writes[i].value, rec.writes[i].value) << "iteration " << iter;
     }
     EXPECT_EQ(parsed.truncate_ids.size(), rec.truncate_ids.size());
-    EXPECT_EQ(parsed.Serialize(), bytes);
+    EXPECT_EQ(Encode(parsed), bytes);
   }
 }
 
@@ -536,11 +537,11 @@ TEST(WireProperty, StoredRecordsOutliveRingSpace) {
         w.value = SharedBytes(std::move(value));
         rec.writes.push_back(std::move(w));
       }
-      uint32_t len = static_cast<uint32_t>(rec.SerializedSize());
+      uint32_t len = static_cast<uint32_t>(WireSize(rec));
       ASSERT_TRUE(a.ReserveLog(1, len)) << "round " << round;
       (void)a.AppendLog(1, rec, len, 0);
       live.push_back(sent.size());
-      sent.push_back(rec.Serialize());
+      sent.push_back(Encode(rec));
     }
     sim.Run();
     ASSERT_EQ(surfaced, sent.size());
@@ -554,9 +555,9 @@ TEST(WireProperty, StoredRecordsOutliveRingSpace) {
     sim.Run();
     ASSERT_EQ(kept.size(), 1u);
     ASSERT_EQ(kept.begin()->first, live.front());
-    EXPECT_EQ(kept.begin()->second.Serialize(), sent[live.front()]) << "round " << round;
+    EXPECT_EQ(Encode(kept.begin()->second), sent[live.front()]) << "round " << round;
     for (const auto& [seq, rec] : pending) {
-      ASSERT_EQ(rec.Serialize(), sent[seq]) << "round " << round << " seq " << seq;
+      ASSERT_EQ(Encode(rec), sent[seq]) << "round " << round << " seq " << seq;
     }
   }
   // The ring wrapped over freed space more than once.

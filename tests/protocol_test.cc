@@ -31,7 +31,8 @@ TEST(ConfigTest, SerializeRoundTrip) {
   p.object_stride = 48;
   c.regions[2] = p;
 
-  Configuration parsed = Configuration::ParseBytes(c.Serialize());
+  std::vector<uint8_t> bytes = Encode(c);
+  Configuration parsed = Decode<Configuration>(bytes);
   EXPECT_EQ(parsed.id, 7u);
   EXPECT_EQ(parsed.machines, c.machines);
   EXPECT_EQ(parsed.failure_domains.at(5), 2);

@@ -78,7 +78,7 @@ class RecoveryTest : public ::testing::Test {
   // and runs until `dst` has processed it.
   void AppendRecord(MachineId src, MachineId dst, const TxLogRecord& rec) {
     Messenger& msgr = cluster_->node(src).messenger();
-    uint32_t len = static_cast<uint32_t>(rec.SerializedSize());
+    uint32_t len = static_cast<uint32_t>(WireSize(rec));
     ASSERT_TRUE(msgr.ReserveLog(dst, len));
     (void)msgr.AppendLog(dst, rec, len, 0);
     cluster_->RunFor(kMillisecond);
@@ -777,20 +777,16 @@ TEST_F(RecoveryTest, FetchTxStateAnswersWithKeptRecord) {
   EXPECT_EQ(cluster_->node(backup).logged_records(), 2u);
 
   auto fetch = [&](const TxId& tid) {
-    BufWriter w;
-    w.PutU64(cluster_->node(coord).config().id);
-    w.PutU32(rid);
-    PutTxId(w, tid);
-    auto reply = RunTask(*cluster_, cluster_->node(coord).Request(
-                                        backup, MsgType::kFetchTxState, w.Take(), 0,
-                                        20 * kMillisecond));
+    const FetchTxState req{cluster_->node(coord).config().id, rid, tid};
+    auto reply = RunTask(*cluster_, cluster_->node(coord).Request(backup, req, 0,
+                                                                  20 * kMillisecond));
     EXPECT_TRUE(reply.has_value());
     return reply.value_or(Status(StatusCode::kTimedOut, "no reply"));
   };
 
   auto got = fetch(cb.tx);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  TxLogRecord answer = TxLogRecord::Parse(SharedBytes(std::move(*got)));
+  const TxLogRecord& answer = *got;
   EXPECT_EQ(answer.type, LogRecordType::kCommitBackup);
   EXPECT_EQ(answer.tx, cb.tx);
   EXPECT_EQ(answer.written_regions, cb.written_regions);

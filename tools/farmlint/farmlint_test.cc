@@ -265,6 +265,38 @@ TEST(RuleFixtureTest, EmitOnlyExemptsEmitterAndCluster) {
   }
 }
 
+FileConfig WithWireOnly() {
+  FileConfig config = DefaultRules();
+  config.rules.insert("wire-only");
+  return config;
+}
+
+TEST(RuleFixtureTest, WireOnlyIsOffByDefault) {
+  EXPECT_TRUE(LintFixture("wire_only_bad.cc", DefaultRules()).empty());
+}
+
+TEST(RuleFixtureTest, WireOnlyFlagsHandPackedBodies) {
+  auto hits = LintFixture("wire_only_bad.cc", WithWireOnly());
+  EXPECT_EQ(hits["wire-only"], 4) << "BufWriter, PutTxId, BufReader, GetAddr";
+  EXPECT_EQ(hits.size(), 1u) << "only wire-only may fire";
+}
+
+TEST(RuleFixtureTest, WireOnlyAllowsBodyStructs) {
+  EXPECT_TRUE(LintFixture("wire_only_good.cc", WithWireOnly()).empty());
+}
+
+// The codec, the configuration and the ring framing own the byte packing.
+TEST(RuleFixtureTest, WireOnlyExemptsCodecFiles) {
+  Linter linter;
+  for (const char* basename : {"wire.cc", "config.cc", "ringlog.h", "msgr.cc"}) {
+    FileInput in;
+    ASSERT_TRUE(LoadFile(Testdata("wire_only_bad.cc"), &in));
+    in.basename = basename;
+    linter.CollectDeclarations(in);
+    EXPECT_TRUE(linter.Lint(in, WithWireOnly()).empty()) << basename;
+  }
+}
+
 TEST(RuleFixtureTest, ChaosRngFlagsLiteralSeeds) {
   FileConfig config = DefaultRules();
   config.rules.insert("chaos-rng");
@@ -383,6 +415,7 @@ TEST(DriverTest, KnownRuleNames) {
   EXPECT_TRUE(IsKnownRule("recorder-pod"));
   EXPECT_TRUE(IsKnownRule("mutable-global"));
   EXPECT_TRUE(IsKnownRule("emit-only"));
+  EXPECT_TRUE(IsKnownRule("wire-only"));
   EXPECT_TRUE(IsKnownRule("await-hazard"));
   EXPECT_TRUE(IsKnownRule("lock-across-await"));
   EXPECT_TRUE(IsKnownRule("iterator-invalidate"));

@@ -89,6 +89,10 @@ const std::vector<RuleInfo> kRules = {
     {"emit-only", false,
      "tracer, milestone or fault-hook call outside emit.*/cluster.*; protocol code "
      "reports each step once, through its node's Emitter (src/core/emit.h)"},
+    {"wire-only", false,
+     "byte-level message codec (BufWriter/BufReader, Put/Get of ids, addresses or "
+     "placements) outside wire.*/config.*/ringlog.*/msgr.*; declare the body as a "
+     "struct with Fields in src/core/wire.h and send or decode it whole"},
     {"bad-allow", true,
      "suppression hygiene: allow(<rule>) naming an unknown rule, or a "
      "'farmlint: stable' annotation that binds to no accessor declaration"},
@@ -307,6 +311,33 @@ void CheckEmitOnly(const FileInput& file, const std::vector<const Token*>& sig,
       rep.Report("emit-only", t->line, t->col,
                  "report the step through the node's Emitter (a Step row in "
                  "src/core/emit.cc) instead of reaching the sink directly");
+    }
+  }
+}
+
+// Every message body has one declaration, a struct in wire.h whose field list
+// Encode and Decode walk; byte-level packing belongs to the codec, the
+// configuration and the ring framing only.
+void CheckWireOnly(const FileInput& file, const std::vector<const Token*>& sig,
+                   Reporter& rep) {
+  static constexpr std::array<std::string_view, 4> kCodecFiles = {"wire.", "config.", "ringlog.",
+                                                                  "msgr."};
+  static constexpr std::array<std::string_view, 8> kCodecNames = {
+      "BufWriter", "BufReader", "PutTxId",      "GetTxId",
+      "PutAddr",   "GetAddr",   "PutPlacement", "GetPlacement"};
+  if (!rep.RuleEnabled("wire-only")) {
+    return;
+  }
+  for (std::string_view prefix : kCodecFiles) {
+    if (file.basename.rfind(prefix, 0) == 0) {
+      return;
+    }
+  }
+  for (const Token* t : sig) {
+    if (t->kind == TokKind::kIdentifier && !t->in_directive && Contains(kCodecNames, t->text)) {
+      rep.Report("wire-only", t->line, t->col,
+                 "pack message bytes through a body struct in src/core/wire.h "
+                 "(Encode/Decode, Messenger::Send) instead of by hand");
     }
   }
 }
@@ -812,6 +843,7 @@ std::vector<Diagnostic> Linter::Lint(const FileInput& file,
   CheckUnorderedDecl(sig, rep);
   CheckChaosRng(sig, rep);
   CheckEmitOnly(file, sig, rep);
+  CheckWireOnly(file, sig, rep);
   CheckKeyTypes(sig, rep);
   CheckRecorderPod(file, sig, rep);
   CheckMutableGlobal(sig, rep);
